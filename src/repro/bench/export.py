@@ -18,52 +18,12 @@ from repro.bench.runner import CollectionRun
 
 
 def run_to_row(run: CollectionRun) -> dict[str, object]:
-    """Flatten one collection run into a plain dict."""
-    row: dict[str, object] = {
-        "method": run.method,
-        "total_bytes": run.total_bytes,
-        "manifest_bytes": run.manifest_bytes,
-        "changed_bytes": run.changed_bytes,
-        "added_bytes": run.added_bytes,
-        "files_changed": run.files_changed,
-        "files_unchanged": run.files_unchanged,
-        "elapsed_seconds": round(run.elapsed_seconds, 4),
-        "workers": run.workers,
-        "cpu_seconds": round(run.cpu_seconds, 4),
-        "p50_file_seconds": round(run.p50_file_seconds, 6),
-        "p95_file_seconds": round(run.p95_file_seconds, 6),
-        "cache_hits": run.cache_hits,
-        "cache_misses": run.cache_misses,
-        "ref_cache_hits": run.ref_cache_hits,
-        "ref_cache_misses": run.ref_cache_misses,
-        "arena_used": run.arena_used,
-        "arena_bytes": run.arena_bytes,
-        "retries": run.retries,
-        "fallback_files": run.fallback_files,
-        "failed_files": run.failed_files,
-        "retransmitted_bytes": run.retransmitted_bytes,
-        "recovery_seconds": round(run.recovery_seconds, 4),
-        "rounds_salvaged": run.rounds_salvaged,
-        "resume_handshake_bits": run.resume_handshake_bits,
-        "checkpoint_bytes_written": run.checkpoint_bytes_written,
-        "health_score": round(run.health_score, 4),
-        "breaker_opens": run.breaker_opens,
-        "deadline_salvages": run.deadline_salvages,
-        "adaptive_backoff_s": round(run.adaptive_backoff_s, 4),
-        "collisions_detected": run.collisions_detected,
-        "repair_rounds": run.repair_rounds,
-        "repair_bytes": run.repair_bytes,
-        "pipelined": run.pipelined,
-        "waves": run.waves,
-        "mux_overhead_bytes": run.mux_overhead_bytes,
-        "roundtrips_on_wire": run.roundtrips_on_wire,
-        "link_wall_clock_s": round(run.link_wall_clock_s, 4),
-        "dedup_hits": run.dedup_hits,
-        "delta_memo_hits": run.delta_memo_hits,
-        "delta_memo_misses": run.delta_memo_misses,
-        "sibling_refs_used": run.sibling_refs_used,
-        "bytes_saved_vs_self_ref": run.bytes_saved_vs_self_ref,
-    }
+    """Flatten one collection run into a plain dict.
+
+    :meth:`CollectionRun.row` plus one ``breakdown.<phase>`` column per
+    phase of the merged per-file breakdown.
+    """
+    row = run.row()
     for key, value in sorted(run.breakdown.items()):
         row[f"breakdown.{key}"] = value
     return row

@@ -5,8 +5,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.methods import MethodOutcome, SyncMethod
+from repro.bench.methods import SyncMethod
 from repro.collection.sync import CollectionReport, sync_collection
+
+#: Row columns whose value the report holds under another name.
+ALIASES = {
+    "changed_bytes": "changed_transfer_bytes",
+    "retries": "total_retries",
+    "fallback_files": "files_fallback",
+    "failed_files": "files_failed",
+}
 
 
 def _percentile(values: list[float], fraction: float) -> float:
@@ -20,59 +28,36 @@ def _percentile(values: list[float], fraction: float) -> float:
 
 @dataclass
 class CollectionRun:
-    """One (method, collection-pair) measurement.
+    """One (method, collection-pair) measurement: a report and its wall time.
 
-    Besides the wire-byte accounting, each row tracks the compute cost of
-    the run: worker count, total CPU seconds across all processes, the
-    per-file wall-clock percentiles, and the hash-index cache hit/miss
-    counters — so speedups from parallelism and caching are measured, not
-    anecdotal.
+    Besides the wire-byte accounting, each run tracks the compute cost:
+    worker count, total CPU seconds across all processes, the per-file
+    wall-clock percentiles, and the cache hit/miss counters — so speedups
+    from parallelism and caching are measured, not anecdotal.
+
+    Every column of :meth:`row` reads as an attribute too:
+    ``run.health_score`` is ``run.report.health_score`` and
+    ``run.changed_bytes`` resolves through :data:`ALIASES`.
     """
 
     method: str
-    total_bytes: int
-    manifest_bytes: int
-    changed_bytes: int
-    added_bytes: int
-    files_changed: int
-    files_unchanged: int
+    report: CollectionReport = field(repr=False)
     elapsed_seconds: float
-    breakdown: dict[str, int] = field(default_factory=dict)
-    workers: int = 1
-    cpu_seconds: float = 0.0
-    p50_file_seconds: float = 0.0
-    p95_file_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    ref_cache_hits: int = 0
-    ref_cache_misses: int = 0
-    arena_used: bool = False
-    arena_bytes: int = 0
-    retries: int = 0
-    fallback_files: int = 0
-    failed_files: int = 0
-    retransmitted_bytes: int = 0
-    recovery_seconds: float = 0.0
-    rounds_salvaged: int = 0
-    resume_handshake_bits: int = 0
-    checkpoint_bytes_written: int = 0
-    health_score: float = 1.0
-    breaker_opens: int = 0
-    deadline_salvages: int = 0
-    adaptive_backoff_s: float = 0.0
-    collisions_detected: int = 0
-    repair_rounds: int = 0
-    repair_bytes: int = 0
-    pipelined: bool = False
-    waves: int = 0
-    mux_overhead_bytes: int = 0
-    roundtrips_on_wire: int = 0
-    link_wall_clock_s: float = 0.0
-    dedup_hits: int = 0
-    delta_memo_hits: int = 0
-    delta_memo_misses: int = 0
-    sibling_refs_used: int = 0
-    bytes_saved_vs_self_ref: int = 0
+
+    def __getattr__(self, name: str):
+        # Only reached for names that are not fields or properties.
+        report = self.__dict__.get("report")
+        if report is None:
+            raise AttributeError(name)
+        return getattr(report, ALIASES.get(name, name))
+
+    @property
+    def p50_file_seconds(self) -> float:
+        return _percentile(list(self.report.per_file_seconds.values()), 0.50)
+
+    @property
+    def p95_file_seconds(self) -> float:
+        return _percentile(list(self.report.per_file_seconds.values()), 0.95)
 
     @property
     def total_kb(self) -> float:
@@ -83,106 +68,41 @@ class CollectionRun:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
+    def row(self) -> dict[str, object]:
+        """The run flattened to one row of scalar columns.
+
+        The report's :meth:`~CollectionReport.counters` under their
+        column names, then the run's own timings.  Seconds and scores
+        are rounded to 4 places, the per-file percentiles to 6.  The
+        per-phase ``breakdown`` is left to the caller to attach.
+        """
+        columns = {attribute: column for column, attribute in ALIASES.items()}
+        values = {
+            **self.report.counters(),
+            "method": self.method,
+            "elapsed_seconds": self.elapsed_seconds,
+        }
+        row: dict[str, object] = {
+            columns.get(name, name): (
+                round(value, 4) if isinstance(value, float) else value
+            )
+            for name, value in values.items()
+        }
+        row["p50_file_seconds"] = round(self.p50_file_seconds, 6)
+        row["p95_file_seconds"] = round(self.p95_file_seconds, 6)
+        return row
+
 
 def run_method_on_collection(
     method: SyncMethod,
     old_files: dict[str, bytes],
     new_files: dict[str, bytes],
-    verify: bool = True,
-    workers: int | None = 1,
-    use_arena: bool | None = None,
-    on_error: str = "raise",
-    fault_plan=None,
-    retry_policy=None,
-    link=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    store=None,
-    adaptive_retry=False,
-    deadline_s: float | None = None,
-    run_deadline_s: float | None = None,
-    breaker_threshold=None,
-    pipeline: bool = False,
-    window: int = 8,
-    delta_memo: bool | None = None,
-    sibling_refs: bool = False,
-    resemblance_threshold: float = 0.5,
+    **options,
 ) -> CollectionRun:
-    """Synchronise one collection pair and flatten the report to a row."""
-    started = time.perf_counter()
-    report: CollectionReport = sync_collection(
-        old_files,
-        new_files,
-        method,
-        verify=verify,
-        workers=workers,
-        use_arena=use_arena,
-        on_error=on_error,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        link=link,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        store=store,
-        adaptive_retry=adaptive_retry,
-        deadline_s=deadline_s,
-        run_deadline_s=run_deadline_s,
-        breaker_threshold=breaker_threshold,
-        pipeline=pipeline,
-        window=window,
-        delta_memo=delta_memo,
-        sibling_refs=sibling_refs,
-        resemblance_threshold=resemblance_threshold,
-    )
-    elapsed = time.perf_counter() - started
+    """Synchronise one collection pair and time it.
 
-    merged: MethodOutcome = MethodOutcome(total_bytes=0)
-    for outcome in report.per_file.values():
-        merged = merged + outcome
-    file_seconds = list(report.per_file_seconds.values())
-    return CollectionRun(
-        method=method.name,
-        total_bytes=report.total_bytes,
-        manifest_bytes=report.manifest_bytes,
-        changed_bytes=report.changed_transfer_bytes,
-        added_bytes=report.added_bytes,
-        files_changed=report.files_changed,
-        files_unchanged=report.files_unchanged,
-        elapsed_seconds=elapsed,
-        breakdown=merged.breakdown,
-        workers=report.workers,
-        cpu_seconds=report.cpu_seconds,
-        p50_file_seconds=_percentile(file_seconds, 0.50),
-        p95_file_seconds=_percentile(file_seconds, 0.95),
-        cache_hits=report.cache_hits,
-        cache_misses=report.cache_misses,
-        ref_cache_hits=report.ref_cache_hits,
-        ref_cache_misses=report.ref_cache_misses,
-        arena_used=report.arena_used,
-        arena_bytes=report.arena_bytes,
-        retries=report.total_retries,
-        fallback_files=report.files_fallback,
-        failed_files=report.files_failed,
-        retransmitted_bytes=report.retransmitted_bytes,
-        recovery_seconds=merged.recovery_seconds,
-        rounds_salvaged=report.rounds_salvaged,
-        resume_handshake_bits=report.resume_handshake_bits,
-        checkpoint_bytes_written=report.checkpoint_bytes_written,
-        health_score=report.health_score,
-        breaker_opens=report.breaker_opens,
-        deadline_salvages=report.deadline_salvages,
-        adaptive_backoff_s=report.adaptive_backoff_s,
-        collisions_detected=report.collisions_detected,
-        repair_rounds=report.repair_rounds,
-        repair_bytes=report.repair_bytes,
-        pipelined=report.pipelined,
-        waves=report.waves,
-        mux_overhead_bytes=report.mux_overhead_bytes,
-        roundtrips_on_wire=report.roundtrips_on_wire,
-        link_wall_clock_s=report.link_wall_clock_s,
-        dedup_hits=report.dedup_hits,
-        delta_memo_hits=report.delta_memo_hits,
-        delta_memo_misses=report.delta_memo_misses,
-        sibling_refs_used=report.sibling_refs_used,
-        bytes_saved_vs_self_ref=report.bytes_saved_vs_self_ref,
-    )
+    ``options`` are :func:`~repro.collection.sync.sync_collection`'s.
+    """
+    started = time.perf_counter()
+    report = sync_collection(old_files, new_files, method, **options)
+    return CollectionRun(method.name, report, time.perf_counter() - started)

@@ -177,6 +177,7 @@ def run_soak(
                 for name in cell.per_file
                 if name not in cell.failed
             )
+            totals = cell.totals
             report.rows.append(
                 SoakRow(
                     shape=shape,
@@ -184,19 +185,14 @@ def run_soak(
                     files_changed=cell.files_changed,
                     files_synced=synced,
                     files_failed=cell.files_failed,
-                    retries=cell.total_retries,
+                    retries=totals.retries,
                     faults_injected=plan.faults_injected,
-                    retransmitted_bytes=cell.retransmitted_bytes,
-                    recovery_seconds=round(
-                        sum(
-                            o.recovery_seconds for o in cell.per_file.values()
-                        ),
-                        2,
-                    ),
-                    health_score=round(cell.health_score, 4),
-                    breaker_opens=cell.breaker_opens,
-                    deadline_salvages=cell.deadline_salvages,
-                    adaptive_backoff_s=round(cell.adaptive_backoff_s, 2),
+                    retransmitted_bytes=totals.retransmitted_bytes,
+                    recovery_seconds=round(totals.recovery_seconds, 2),
+                    health_score=round(totals.health_score, 4),
+                    breaker_opens=totals.breaker_opens,
+                    deadline_salvages=totals.deadline_salvages,
+                    adaptive_backoff_s=round(totals.adaptive_backoff_s, 2),
                     elapsed_seconds=round(elapsed, 3),
                     failed_names=sorted(cell.failed),
                 )

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
 from repro.exceptions import IntegrityError
-from repro.parallel.executor import FileTask, SyncExecutor
+from repro.parallel.executor import FileTask, SyncExecutor, cache_counters
 
 
 @dataclass
@@ -20,6 +20,13 @@ class CollectionReport:
     compute-cost fields (``per_file_seconds``, ``cpu_seconds``, cache
     counters) describe where and how the work actually ran.
 
+    Every per-file counter is declared once, on
+    :class:`~repro.syncmethod.MethodOutcome`; the report's value of it is
+    the merge of all files' outcomes (:attr:`totals`), read as a plain
+    attribute: ``report.health_score`` is ``report.totals.health_score``.
+    The executor's cache counters (``caches``) read the same way:
+    ``report.cache_hits`` is ``report.caches["cache_hits"]``.
+
     The resilience fields stay empty on a clean run: ``retries`` maps a
     file to the failed attempts its sync burnt, ``fallbacks`` to the
     ladder rung (or collection-level rescue) that finally moved it, and
@@ -30,15 +37,17 @@ class CollectionReport:
     manifest_bytes: int
     diff: ManifestDiff
     per_file: dict[str, MethodOutcome] = field(default_factory=dict)
-    added_bytes: int = 0
+    #: The files only the server had, as one outcome: bytes sent, plus
+    #: the reuse counters (DESIGN §17) of those served by content
+    #: identity (renames) or as a delta against a similar sibling.
+    added: MethodOutcome = field(
+        default_factory=lambda: MethodOutcome(total_bytes=0)
+    )
     reconstructed: dict[str, bytes] = field(default_factory=dict)
     workers: int = 1
     per_file_seconds: dict[str, float] = field(default_factory=dict)
     cpu_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    ref_cache_hits: int = 0
-    ref_cache_misses: int = 0
+    caches: dict[str, int] = field(default_factory=dict)
     arena_used: bool = False
     arena_bytes: int = 0
     retries: dict[str, int] = field(default_factory=dict)
@@ -55,18 +64,26 @@ class CollectionReport:
     mux_overhead_bytes: int = 0
     roundtrips_on_wire: int = 0
     link_wall_clock_s: float = 0.0
-    #: Reuse-layer counters (DESIGN §17), all zero on a clean default
-    #: run: ``dedup_hits`` counts added files served by content identity
-    #: from blobs the client already holds (renames), the memo pair the
-    #: delta-memo cache's hit/miss deltas, ``sibling_refs_used`` added
-    #: files delta-coded against a similar sibling instead of sent in
-    #: full, and ``bytes_saved_vs_self_ref`` the wire bytes those reuse
-    #: decisions saved versus self-reference-only transfer.
-    dedup_hits: int = 0
-    delta_memo_hits: int = 0
-    delta_memo_misses: int = 0
-    sibling_refs_used: int = 0
-    bytes_saved_vs_self_ref: int = 0
+
+    def __getattr__(self, name: str):
+        # Only reached for names that are not fields or properties.
+        if name in _OUTCOME_FIELDS:
+            return getattr(self.totals, name)
+        caches = self.__dict__.get("caches", {})
+        if name in caches:
+            return caches[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    @property
+    def totals(self) -> MethodOutcome:
+        """Every file's outcome merged: the changed files and the added."""
+        return sum(self.per_file.values(), self.added)
+
+    @property
+    def added_bytes(self) -> int:
+        return self.added.total_bytes
 
     @property
     def changed_transfer_bytes(self) -> int:
@@ -96,88 +113,29 @@ class CollectionReport:
     def files_failed(self) -> int:
         return len(self.failed)
 
-    @property
-    def retransmitted_bytes(self) -> int:
-        return sum(
-            outcome.retransmitted_bytes for outcome in self.per_file.values()
-        )
+    def counters(self) -> dict[str, object]:
+        """Every scalar the report holds, by attribute name.
 
-    @property
-    def rounds_salvaged(self) -> int:
-        """Protocol rounds resumed from checkpoints instead of re-run."""
-        return sum(
-            outcome.rounds_salvaged for outcome in self.per_file.values()
-        )
-
-    @property
-    def resume_handshake_bits(self) -> int:
-        """Wire cost of every resume handshake across the collection."""
-        return sum(
-            outcome.resume_handshake_bits for outcome in self.per_file.values()
-        )
-
-    @property
-    def checkpoint_bytes_written(self) -> int:
-        """Local journal bytes fsynced (disk cost, never wire cost)."""
-        return sum(
-            outcome.checkpoint_bytes_written
-            for outcome in self.per_file.values()
-        )
-
-    @property
-    def health_score(self) -> float:
-        """Worst link-health estimate seen across the collection.
-
-        ``1.0`` (the pristine default) unless an adaptive policy ran and
-        observed failures — happy-path reports are untouched.
+        Its scalar fields and properties, the cache counters, and the
+        merged per-file counters that form a column of their own
+        (``column`` in :class:`~repro.syncmethod.MethodOutcome`).
         """
-        if not self.per_file:
-            return 1.0
-        return min(
-            outcome.health_score for outcome in self.per_file.values()
-        )
-
-    @property
-    def breaker_opens(self) -> int:
-        """Circuit-breaker trips across the collection."""
-        return sum(
-            outcome.breaker_opens for outcome in self.per_file.values()
-        )
-
-    @property
-    def deadline_salvages(self) -> int:
-        """Checkpointed rounds preserved by deadline breaches."""
-        return sum(
-            outcome.deadline_salvages for outcome in self.per_file.values()
-        )
-
-    @property
-    def adaptive_backoff_s(self) -> float:
-        """Simulated seconds the AIMD backoff schedule spent waiting."""
-        return sum(
-            outcome.adaptive_backoff_s for outcome in self.per_file.values()
-        )
-
-    @property
-    def collisions_detected(self) -> int:
-        """Whole-file fingerprint rejections across the collection."""
-        return sum(
-            outcome.collisions_detected for outcome in self.per_file.values()
-        )
-
-    @property
-    def repair_rounds(self) -> int:
-        """Group-digest descent roundtrips spent localizing collisions."""
-        return sum(
-            outcome.repair_rounds for outcome in self.per_file.values()
-        )
-
-    @property
-    def repair_bytes(self) -> int:
-        """Wire bytes of the surgical repair exchanges."""
-        return sum(
-            outcome.repair_bytes for outcome in self.per_file.values()
-        )
+        names = [spec.name for spec in fields(self)] + [
+            name
+            for name, value in vars(type(self)).items()
+            if isinstance(value, property) and name != "totals"
+        ]
+        counters = {}
+        for name in names:
+            value = getattr(self, name)
+            if isinstance(value, (bool, int, float, str)):
+                counters[name] = value
+        counters.update(self.caches)
+        totals = self.totals
+        for spec in fields(totals):
+            if spec.metadata["column"]:
+                counters[spec.name] = getattr(totals, spec.name)
+        return counters
 
     def summary(self) -> dict[str, int]:
         return {
@@ -186,6 +144,9 @@ class CollectionReport:
             "added": self.added_bytes,
             "total": self.total_bytes,
         }
+
+
+_OUTCOME_FIELDS = frozenset(spec.name for spec in fields(MethodOutcome))
 
 
 def sync_collection_batched(
@@ -202,7 +163,6 @@ def sync_collection_batched(
     file.
     """
     from repro.core.batch import synchronize_batch
-    from repro.syncmethod import MethodOutcome
 
     client_manifest = Manifest.of_collection(client_files)
     server_manifest = Manifest.of_collection(server_files)
@@ -212,12 +172,13 @@ def sync_collection_batched(
         method="ours-batched",
         manifest_bytes=server_manifest.wire_bytes(),
         diff=diff,
+        caches=dict.fromkeys(cache_counters(), 0),  # not measured here
     )
     for name in diff.unchanged:
         report.reconstructed[name] = client_files[name]
     for name in diff.added:
         payload = zlib.compress(server_files[name], 9)
-        report.added_bytes += len(payload)
+        report.added.total_bytes += len(payload)
         report.reconstructed[name] = zlib.decompress(payload)
 
     if diff.changed:
@@ -263,6 +224,7 @@ def _transfer_added(
     that beats the full transfer).  Every decision takes the cheaper
     payload, so the option never costs bytes.
     """
+    account = report.added
     index = None
     by_fingerprint: dict[bytes, str] = {}
     if sibling_refs and client_files:
@@ -283,8 +245,8 @@ def _transfer_added(
             twin = by_fingerprint.get(file_fingerprint(new))
             if twin is not None:
                 # Rename: content-identical bytes already on the client.
-                report.dedup_hits += 1
-                report.bytes_saved_vs_self_ref += len(payload)
+                account.dedup_hits += 1
+                account.bytes_saved_vs_self_ref += len(payload)
                 report.reconstructed[name] = client_files[twin]
                 continue
         if index is not None:
@@ -298,14 +260,12 @@ def _transfer_added(
                 sibling = client_files[sibling_name]
                 delta = zdelta_encode(sibling, new)
                 if len(delta) < len(payload):
-                    report.added_bytes += len(delta)
-                    report.sibling_refs_used += 1
-                    report.bytes_saved_vs_self_ref += (
-                        len(payload) - len(delta)
-                    )
+                    account.total_bytes += len(delta)
+                    account.sibling_refs_used += 1
+                    account.bytes_saved_vs_self_ref += len(payload) - len(delta)
                     report.reconstructed[name] = zdelta_decode(sibling, delta)
                     continue
-        report.added_bytes += len(payload)
+        account.total_bytes += len(payload)
         report.reconstructed[name] = zlib.decompress(payload)
 
 
@@ -337,79 +297,6 @@ def sync_collection(
     resemblance_threshold: float = 0.5,
 ) -> CollectionReport:
     """Update ``client_files`` to ``server_files`` using ``method``.
-
-    Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the process-wide
-    delta-memo switch for this update — ``True`` memoizes instruction
-    lists and encoded payloads by content pair (byte-identical, wall-clock
-    only), ``False`` forces it off, ``None`` (default) defers to
-    ``REPRO_DELTA_MEMO``.  ``sibling_refs`` serves *added* files (no
-    previous version on the client) by content identity when the client
-    already holds the same bytes under another name (a rename — counted
-    in ``report.dedup_hits``) or as a delta against the most similar
-    client file clearing ``resemblance_threshold`` (min-hash estimate,
-    counted in ``report.sibling_refs_used``); the compressed full
-    transfer remains the fallback, and the cheaper of delta and full
-    always wins, so enabling it never costs wire bytes.  Both knobs
-    default to off, leaving reports byte-identical to a run without them.
-    """
-    from repro.reuse.memo import delta_memo_scope
-
-    with delta_memo_scope(None if delta_memo is None else bool(delta_memo)):
-        return _sync_collection_impl(
-            client_files,
-            server_files,
-            method,
-            verify=verify,
-            change_detection=change_detection,
-            workers=workers,
-            use_arena=use_arena,
-            executor=executor,
-            on_error=on_error,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            link=link,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            checkpoints=checkpoints,
-            store=store,
-            adaptive_retry=adaptive_retry,
-            deadline_s=deadline_s,
-            run_deadline_s=run_deadline_s,
-            breaker_threshold=breaker_threshold,
-            pipeline=pipeline,
-            window=window,
-            sibling_refs=sibling_refs,
-            resemblance_threshold=resemblance_threshold,
-        )
-
-
-def _sync_collection_impl(
-    client_files: dict[str, bytes],
-    server_files: dict[str, bytes],
-    method: SyncMethod,
-    verify: bool = True,
-    change_detection: str = "manifest",
-    workers: int | None = 1,
-    use_arena: bool | None = None,
-    executor: SyncExecutor | None = None,
-    on_error: str = "raise",
-    fault_plan=None,
-    retry_policy=None,
-    link=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    checkpoints=None,
-    store=None,
-    adaptive_retry=False,
-    deadline_s: float | None = None,
-    run_deadline_s: float | None = None,
-    breaker_threshold=None,
-    pipeline: bool = False,
-    window: int = 8,
-    sibling_refs: bool = False,
-    resemblance_threshold: float = 0.5,
-) -> CollectionReport:
-    """The update itself (the public wrapper holds the memo scope).
 
     Change detection is charged first — either the full fingerprint
     manifest (``"manifest"``, the paper's approach) or Merkle-trie
@@ -485,6 +372,20 @@ def _sync_collection_impl(
     and is incompatible with fault injection, retries, breakers,
     deadlines and ``on_error`` isolation (checkpoints/resume compose
     fine).
+
+    Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the process-wide
+    delta-memo switch for this update — ``True`` memoizes instruction
+    lists and encoded payloads by content pair (byte-identical, wall-clock
+    only), ``False`` forces it off, ``None`` (default) defers to
+    ``REPRO_DELTA_MEMO``.  ``sibling_refs`` serves *added* files (no
+    previous version on the client) by content identity when the client
+    already holds the same bytes under another name (a rename — counted
+    in ``report.dedup_hits``) or as a delta against the most similar
+    client file clearing ``resemblance_threshold`` (min-hash estimate,
+    counted in ``report.sibling_refs_used``); the compressed full
+    transfer remains the fallback, and the cheaper of delta and full
+    always wins, so enabling it never costs wire bytes.  Both knobs
+    default to off, leaving reports byte-identical to a run without them.
     """
     if on_error not in ("raise", "skip", "fallback"):
         raise ValueError(
@@ -592,195 +493,176 @@ def _sync_collection_impl(
                 budget=budget,
             )
 
-    client_manifest = Manifest.of_collection(client_files)
-    server_manifest = Manifest.of_collection(server_files)
-    if change_detection == "manifest":
-        diff = diff_manifests(client_manifest, server_manifest)
-        detection_bytes = server_manifest.wire_bytes()
-    elif change_detection == "reconcile":
-        from repro.collection.reconcile import reconcile_manifests
+    from repro.reuse.memo import delta_memo_scope
 
-        diff, channel = reconcile_manifests(client_manifest, server_manifest)
-        detection_bytes = channel.stats.total_bytes
-    else:
-        raise ValueError(
-            f"change_detection must be 'manifest' or 'reconcile', "
-            f"got {change_detection!r}"
+    with delta_memo_scope(None if delta_memo is None else bool(delta_memo)):
+        client_manifest = Manifest.of_collection(client_files)
+        server_manifest = Manifest.of_collection(server_files)
+        if change_detection == "manifest":
+            diff = diff_manifests(client_manifest, server_manifest)
+            detection_bytes = server_manifest.wire_bytes()
+        elif change_detection == "reconcile":
+            from repro.collection.reconcile import reconcile_manifests
+
+            diff, channel = reconcile_manifests(client_manifest, server_manifest)
+            detection_bytes = channel.stats.total_bytes
+        else:
+            raise ValueError(
+                f"change_detection must be 'manifest' or 'reconcile', "
+                f"got {change_detection!r}"
+            )
+
+        report = CollectionReport(
+            method=method.name,
+            manifest_bytes=detection_bytes,
+            diff=diff,
         )
 
-    report = CollectionReport(
-        method=method.name,
-        manifest_bytes=detection_bytes,
-        diff=diff,
-    )
+        for name in diff.unchanged:
+            report.reconstructed[name] = client_files[name]
+        if diff.added:
+            _transfer_added(
+                report,
+                client_files,
+                server_files,
+                diff.added,
+                client_manifest,
+                sibling_refs,
+                resemblance_threshold,
+            )
 
-    for name in diff.unchanged:
-        report.reconstructed[name] = client_files[name]
-    if diff.added:
-        _transfer_added(
-            report,
-            client_files,
-            server_files,
-            diff.added,
-            client_manifest,
-            sibling_refs,
-            resemblance_threshold,
-        )
+        if pipeline:
+            from repro.collection.pipeline import CollectionScheduler
 
-    if pipeline:
-        from repro.collection.pipeline import CollectionScheduler
+            scheduler = CollectionScheduler(
+                method, window=window, link=link, checkpoints=checkpoints
+            )
+            before = cache_counters()
+            run = scheduler.run(
+                [
+                    (name, client_files[name], server_files[name])
+                    for name in diff.changed
+                ]
+            )
+            report.caches = cache_counters(since=before)
+            report.workers = 1
+            report.pipelined = True
+            report.waves = run.waves
+            report.mux_overhead_bytes = run.mux_overhead_bytes
+            report.roundtrips_on_wire = run.roundtrips_on_wire
+            report.link_wall_clock_s = run.link_wall_clock_s
+            for name in diff.changed:
+                outcome = run.per_file[name]
+                report.per_file[name] = outcome
+                report.per_file_seconds[name] = run.per_file_seconds[name]
+                report.cpu_seconds += run.per_file_seconds[name]
+                report.reconstructed[name] = run.reconstructed[name]
+                if verify and not outcome.correct:
+                    raise IntegrityError(f"method {method.name} failed on {name}")
+            return _finish(report, server_files, verify, store)
 
-        scheduler = CollectionScheduler(
-            method, window=window, link=link, checkpoints=checkpoints
-        )
-        run = scheduler.run(
+        if executor is None:
+            executor = SyncExecutor(workers=workers, use_arena=use_arena)
+        batch = executor.run(
+            method,
             [
-                (name, client_files[name], server_files[name])
+                FileTask(name, client_files[name], server_files[name])
                 for name in diff.changed
-            ]
+            ],
+            # Breakers/deadlines promise graceful degradation, so their typed
+            # refusals must be captured (and skipped below) even when other
+            # errors still abort the run.
+            capture_errors=(on_error != "raise") or graceful,
         )
-        report.workers = 1
-        report.pipelined = True
-        report.waves = run.waves
-        report.mux_overhead_bytes = run.mux_overhead_bytes
-        report.roundtrips_on_wire = run.roundtrips_on_wire
-        report.link_wall_clock_s = run.link_wall_clock_s
-        for name in diff.changed:
-            outcome = run.per_file[name]
-            report.per_file[name] = outcome
-            report.per_file_seconds[name] = run.per_file_seconds[name]
-            report.cpu_seconds += run.per_file_seconds[name]
-            report.reconstructed[name] = run.reconstructed[name]
-            if verify and not outcome.correct:
+        report.workers = batch.workers_used
+        report.caches = batch.caches
+        report.arena_used = batch.arena_used
+        report.arena_bytes = batch.arena_bytes
+        for result in batch.files:
+            name = result.name
+            report.per_file_seconds[name] = result.elapsed_seconds
+            report.cpu_seconds += result.cpu_seconds
+            failed = result.error is not None or not result.outcome.correct
+            skip_this = failed and on_error == "skip"
+            if failed and on_error == "raise" and graceful:
+                if result.error is not None and result.error.startswith(
+                    ("DeadlineExceededError", "CircuitOpenError")
+                ):
+                    skip_this = True  # graceful degradation, not an abort
+                elif result.error is not None:
+                    from repro.exceptions import SyncFailedError
+
+                    raise SyncFailedError(f"{name}: {result.error}")
+            if skip_this:
+                report.failed[name] = result.error or "IntegrityError: bad bytes"
+                report.per_file[name] = result.outcome
+                report.reconstructed[name] = client_files[name]
+                if result.outcome.retries:
+                    report.retries[name] = result.outcome.retries
+                continue
+            if failed and on_error == "fallback":
+                # Out-of-band rescue: a reliable compressed full transfer
+                # that keeps the doomed attempts' resilience accounting.
+                # Everything they sent is charged as retransmission on
+                # top of the rescue payload.
+                payload_bytes = len(zlib.compress(server_files[name], 9))
+                report.per_file[name] = replace(
+                    result.outcome,
+                    total_bytes=payload_bytes,
+                    client_to_server=0,
+                    server_to_client=payload_bytes,
+                    breakdown={"s2c/rescue": payload_bytes},
+                    correct=True,
+                    fallback_method="rescue-full",
+                    retransmitted_bytes=(
+                        result.outcome.retransmitted_bytes
+                        + result.outcome.total_bytes
+                    ),
+                    roundtrips=0,
+                    sibling_refs_used=0,
+                    bytes_saved_vs_self_ref=0,
+                )
+                report.fallbacks[name] = "rescue-full"
+                if result.outcome.retries:
+                    report.retries[name] = result.outcome.retries
+                report.reconstructed[name] = server_files[name]
+                continue
+            report.per_file[name] = result.outcome
+            report.reconstructed[name] = server_files[name]
+            if result.outcome.retries:
+                report.retries[name] = result.outcome.retries
+            if result.outcome.fallback_method:
+                report.fallbacks[name] = result.outcome.fallback_method
+            if verify and not result.outcome.correct:
                 raise IntegrityError(f"method {method.name} failed on {name}")
 
-        if verify:
-            for name, data in server_files.items():
-                if report.reconstructed.get(name) != data:
-                    raise IntegrityError(
-                        f"collection reconstruction differs at {name}"
-                    )
-        if store is not None:
-            from repro.collection.store import CollectionStore
+        # Wire-latency accounting for the sequential path: each file's
+        # session pays its own direction reversals on the link, so the
+        # collection's cost is the per-file sum — the figure the pipelined
+        # scheduler collapses.
+        from repro.net.channel import LinkModel
 
-            if not isinstance(store, CollectionStore):
-                store = CollectionStore(store)
-            store.write_collection(report.reconstructed)
-        return report
-
-    if executor is None:
-        executor = SyncExecutor(workers=workers, use_arena=use_arena)
-    batch = executor.run(
-        method,
-        [
-            FileTask(name, client_files[name], server_files[name])
-            for name in diff.changed
-        ],
-        # Breakers/deadlines promise graceful degradation, so their typed
-        # refusals must be captured (and skipped below) even when other
-        # errors still abort the run.
-        capture_errors=(on_error != "raise") or graceful,
-    )
-    report.workers = batch.workers_used
-    report.cache_hits = batch.cache_hits
-    report.cache_misses = batch.cache_misses
-    report.ref_cache_hits = batch.ref_cache_hits
-    report.ref_cache_misses = batch.ref_cache_misses
-    report.delta_memo_hits = batch.delta_memo_hits
-    report.delta_memo_misses = batch.delta_memo_misses
-    report.arena_used = batch.arena_used
-    report.arena_bytes = batch.arena_bytes
-    for result in batch.files:
-        name = result.name
-        report.per_file_seconds[name] = result.elapsed_seconds
-        report.cpu_seconds += result.cpu_seconds
-        failed = result.error is not None or not result.outcome.correct
-        skip_this = failed and on_error == "skip"
-        if failed and on_error == "raise" and graceful:
-            if result.error is not None and result.error.startswith(
-                ("DeadlineExceededError", "CircuitOpenError")
-            ):
-                skip_this = True  # graceful degradation, not an abort
-            elif result.error is not None:
-                from repro.exceptions import SyncFailedError
-
-                raise SyncFailedError(f"{name}: {result.error}")
-        if skip_this:
-            report.failed[name] = result.error or "IntegrityError: bad bytes"
-            report.per_file[name] = result.outcome
-            report.reconstructed[name] = client_files[name]
-            if result.outcome.retries:
-                report.retries[name] = result.outcome.retries
-            continue
-        if failed and on_error == "fallback":
-            # Out-of-band rescue: a reliable compressed full transfer.
-            # Everything the doomed attempts sent is charged as
-            # retransmission on top of the rescue payload.
-            payload_bytes = len(zlib.compress(server_files[name], 9))
-            report.per_file[name] = MethodOutcome(
-                total_bytes=payload_bytes,
-                server_to_client=payload_bytes,
-                breakdown={"s2c/rescue": payload_bytes},
-                retries=result.outcome.retries,
-                fallback_method="rescue-full",
-                retransmitted_bytes=(
-                    result.outcome.retransmitted_bytes
-                    + result.outcome.total_bytes
-                ),
-                recovery_seconds=result.outcome.recovery_seconds,
-                rounds_salvaged=result.outcome.rounds_salvaged,
-                resume_handshake_bits=result.outcome.resume_handshake_bits,
-                checkpoint_bytes_written=(
-                    result.outcome.checkpoint_bytes_written
-                ),
-                health_score=result.outcome.health_score,
-                breaker_opens=result.outcome.breaker_opens,
-                deadline_salvages=result.outcome.deadline_salvages,
-                adaptive_backoff_s=result.outcome.adaptive_backoff_s,
-                collisions_detected=result.outcome.collisions_detected,
-                repair_rounds=result.outcome.repair_rounds,
-                repair_bytes=result.outcome.repair_bytes,
+        outcomes = list(report.per_file.values())
+        report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
+        if outcomes:
+            report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
+                [o.client_to_server for o in outcomes],
+                [o.server_to_client for o in outcomes],
+                [o.roundtrips for o in outcomes],
             )
-            report.fallbacks[name] = "rescue-full"
-            if result.outcome.retries:
-                report.retries[name] = result.outcome.retries
-            report.reconstructed[name] = server_files[name]
-            continue
-        report.per_file[name] = result.outcome
-        report.reconstructed[name] = server_files[name]
-        if result.outcome.retries:
-            report.retries[name] = result.outcome.retries
-        if result.outcome.fallback_method:
-            report.fallbacks[name] = result.outcome.fallback_method
-        if verify and not result.outcome.correct:
-            raise IntegrityError(f"method {method.name} failed on {name}")
+        return _finish(report, server_files, verify, store)
 
-    # Wire-latency accounting for the sequential path: each file's
-    # session pays its own direction reversals on the link, so the
-    # collection's cost is the per-file sum — the figure the pipelined
-    # scheduler collapses.
-    from repro.net.channel import LinkModel
 
-    outcomes = list(report.per_file.values())
-    report.sibling_refs_used += sum(o.sibling_refs_used for o in outcomes)
-    report.bytes_saved_vs_self_ref += sum(
-        o.bytes_saved_vs_self_ref for o in outcomes
-    )
-    report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
-    if outcomes:
-        report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
-            [o.client_to_server for o in outcomes],
-            [o.server_to_client for o in outcomes],
-            [o.roundtrips for o in outcomes],
-        )
-
+def _finish(
+    report: CollectionReport, server_files: dict[str, bytes], verify: bool, store
+) -> CollectionReport:
+    """Verify the reconstruction (skipped files excepted) and store it."""
     if verify:
         for name, data in server_files.items():
             if name in report.failed:
                 continue  # explicitly skipped; the client keeps its copy
             if report.reconstructed.get(name) != data:
                 raise IntegrityError(f"collection reconstruction differs at {name}")
-
     if store is not None:
         from repro.collection.store import CollectionStore
 

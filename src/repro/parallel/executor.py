@@ -89,16 +89,15 @@ class FileResult:
 
 @dataclass
 class BatchResult:
-    """All per-file results of one executor run, in submission order."""
+    """All per-file results of one executor run, in submission order.
+
+    ``caches`` holds the run's cache hit/miss deltas, keyed as
+    :func:`cache_counters` keys them.
+    """
 
     files: list[FileResult] = field(default_factory=list)
     workers_used: int = 1
-    cache_hits: int = 0
-    cache_misses: int = 0
-    ref_cache_hits: int = 0
-    ref_cache_misses: int = 0
-    delta_memo_hits: int = 0
-    delta_memo_misses: int = 0
+    caches: dict[str, int] = field(default_factory=dict)
     chunk_retries: int = 0
     arena_used: bool = False
     arena_bytes: int = 0
@@ -106,6 +105,32 @@ class BatchResult:
     @property
     def cpu_seconds(self) -> float:
         return sum(result.cpu_seconds for result in self.files)
+
+
+def cache_counters(since: dict[str, int] | None = None) -> dict[str, int]:
+    """This process's cache hit/miss counters, minus ``since`` if given.
+
+    Keys are ``{cache}_hits``/``{cache}_misses`` for the hash-index
+    (``cache``), reference-index (``ref_cache``) and delta-memo
+    (``delta_memo``) caches — the names the collection report and the
+    benchmark row show them under.  Snapshot before a run and pass the
+    snapshot back afterwards to get the run's own work.
+    """
+    from repro.parallel.cache import default_cache, default_reference_cache
+    from repro.reuse.memo import default_delta_memo
+
+    counters = {}
+    for prefix, cache in (
+        ("cache", default_cache()),
+        ("ref_cache", default_reference_cache()),
+        ("delta_memo", default_delta_memo()),
+    ):
+        counters[f"{prefix}_hits"] = cache.stats.hits
+        counters[f"{prefix}_misses"] = cache.stats.misses
+    if since is not None:
+        for key in counters:
+            counters[key] -= since[key]
+    return counters
 
 
 def _sync_one(
@@ -182,36 +207,21 @@ def _run_chunk(
     method: SyncMethod,
     chunk: list[tuple[int, FileTask]],
     capture_errors: bool = False,
-) -> tuple[list[tuple[int, FileResult]], int, int, int, int, int, int]:
-    """Worker entry point: run one chunk, report cache counter deltas."""
-    from repro.parallel.cache import default_cache, default_reference_cache
-    from repro.reuse.memo import default_delta_memo
-
-    stats = default_cache().stats
-    ref_stats = default_reference_cache().stats
-    memo_stats = default_delta_memo().stats
-    hits_before, misses_before = stats.hits, stats.misses
-    ref_hits_before, ref_misses_before = ref_stats.hits, ref_stats.misses
-    memo_hits_before, memo_misses_before = memo_stats.hits, memo_stats.misses
-    rows: list[tuple[int, FileResult]] = []
-    for index, task in chunk:
-        rows.append((index, _sync_one(method, task, capture_errors)))
-    return (
-        rows,
-        stats.hits - hits_before,
-        stats.misses - misses_before,
-        ref_stats.hits - ref_hits_before,
-        ref_stats.misses - ref_misses_before,
-        memo_stats.hits - memo_hits_before,
-        memo_stats.misses - memo_misses_before,
-    )
+) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
+    """Worker entry point: run one chunk, report its cache counter deltas."""
+    before = cache_counters()
+    rows = [
+        (index, _sync_one(method, task, capture_errors))
+        for index, task in chunk
+    ]
+    return rows, cache_counters(since=before)
 
 
 def _run_chunk_spans(
     method: SyncMethod,
     chunk,
     capture_errors: bool = False,
-) -> tuple[list[tuple[int, FileResult]], int, int, int, int, int, int]:
+) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
     """Arena worker entry point: spans in, payloads read zero-copy.
 
     Each ``(index, SpanTask)`` is materialised as a :class:`FileTask`
@@ -339,28 +349,11 @@ class SyncExecutor:
         tasks: list[FileTask],
         capture_errors: bool = False,
     ) -> BatchResult:
-        from repro.parallel.cache import default_cache, default_reference_cache
-        from repro.reuse.memo import default_delta_memo
-
-        stats = default_cache().stats
-        ref_stats = default_reference_cache().stats
-        memo_stats = default_delta_memo().stats
-        hits_before, misses_before = stats.hits, stats.misses
-        ref_hits_before, ref_misses_before = ref_stats.hits, ref_stats.misses
-        memo_hits_before, memo_misses_before = (
-            memo_stats.hits,
-            memo_stats.misses,
+        rows, caches = _run_chunk(method, list(enumerate(tasks)), capture_errors)
+        return BatchResult(
+            files=[file_result for _index, file_result in rows],
+            caches=caches,
         )
-        result = BatchResult(workers_used=1)
-        for task in tasks:
-            result.files.append(_sync_one(method, task, capture_errors))
-        result.cache_hits = stats.hits - hits_before
-        result.cache_misses = stats.misses - misses_before
-        result.ref_cache_hits = ref_stats.hits - ref_hits_before
-        result.ref_cache_misses = ref_stats.misses - ref_misses_before
-        result.delta_memo_hits = memo_stats.hits - memo_hits_before
-        result.delta_memo_misses = memo_stats.misses - memo_misses_before
-        return result
 
     def _acquire_arena(self, tasks: list[FileTask]):
         """The (arena, span_tasks) pair for this batch, or (None, None).
@@ -458,22 +451,10 @@ class SyncExecutor:
             result.chunk_retries += 1
 
         rows: list[tuple[int, FileResult]] = []
-        for (
-            chunk_rows,
-            hits,
-            misses,
-            ref_hits,
-            ref_misses,
-            memo_hits,
-            memo_misses,
-        ) in gathered:
+        for chunk_rows, caches in gathered:
             rows.extend(chunk_rows)
-            result.cache_hits += hits
-            result.cache_misses += misses
-            result.ref_cache_hits += ref_hits
-            result.ref_cache_misses += ref_misses
-            result.delta_memo_hits += memo_hits
-            result.delta_memo_misses += memo_misses
+            for key, value in caches.items():
+                result.caches[key] = result.caches.get(key, 0) + value
         rows.sort(key=lambda row: row[0])
         result.files = [file_result for _index, file_result in rows]
         return result

@@ -255,11 +255,14 @@ class SyncSupervisor(SyncMethod):
             if self.budget is not None:
                 self.budget.charge(seconds)
 
-        def partial_outcome(journal, deadline_salvages: int = 0):
-            """Accounting of the doomed attempts, for typed failures."""
+        def attempts_cost(
+            journal, deadline_salvages: int = 0, correct: bool = True
+        ) -> MethodOutcome:
+            """What the failed attempts so far cost, as a zero-byte outcome
+            (``correct=False``: the partial accounting of a typed failure)."""
             return MethodOutcome(
                 total_bytes=0,
-                correct=False,
+                correct=correct,
                 retries=retries,
                 retransmitted_bytes=retransmitted_bytes,
                 recovery_seconds=recovery_seconds,
@@ -295,7 +298,7 @@ class SyncSupervisor(SyncMethod):
                         f"failures ({breaker.opens} opens)",
                         attempts=retries,
                         history=tuple(history),
-                        partial=partial_outcome(journal),
+                        partial=attempts_cost(journal, correct=False),
                     )
                 over_deadline = (
                     self.deadline_s is not None and spent_s >= self.deadline_s
@@ -311,8 +314,8 @@ class SyncSupervisor(SyncMethod):
                         f"rounds salvaged)",
                         attempts=retries,
                         history=tuple(history),
-                        partial=partial_outcome(
-                            journal, deadline_salvages=salvages
+                        partial=attempts_cost(
+                            journal, deadline_salvages=salvages, correct=False
                         ),
                     )
 
@@ -434,18 +437,12 @@ class SyncSupervisor(SyncMethod):
                         )
                     )
                     self.retry.note_success()
+                # The failed attempts' cost rides on the one that
+                # succeeded; the link-health estimate is the monitor's
+                # latest, not the worst seen.
+                outcome = outcome + attempts_cost(None)
+                if adaptive:
                     outcome.health_score = monitor.score
-                outcome.retries += retries
-                outcome.retransmitted_bytes += retransmitted_bytes
-                outcome.recovery_seconds += recovery_seconds
-                outcome.rounds_salvaged += rounds_salvaged
-                outcome.resume_handshake_bits += resume_handshake_bits
-                outcome.checkpoint_bytes_written += checkpoint_bytes
-                outcome.adaptive_backoff_s += adaptive_backoff_s
-                if breaker is not None:
-                    outcome.breaker_opens += (
-                        breaker.opens - breaker_opens_before
-                    )
                 if rung is not self.method:
                     outcome.fallback_method = rung.name
                 return outcome
@@ -471,5 +468,5 @@ class SyncSupervisor(SyncMethod):
             f"({' -> '.join(history)})",
             attempts=retries,
             history=tuple(history),
-            partial=partial_outcome(None),
+            partial=attempts_cost(None, correct=False),
         )

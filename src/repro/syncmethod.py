@@ -7,8 +7,30 @@ concrete adapters) — keeping those two packages import-cycle free.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+
+def _counter(default=0, merge=operator.add, column: bool = True):
+    """A :class:`MethodOutcome` field: its default and merge rule.
+
+    ``merge`` combines two outcomes' values (``+`` by default) whenever
+    outcomes are added: a collection's totals, a supervisor charging
+    its failed attempts to the attempt that succeeded.
+    ``column`` says whether the collection's merged value is a column of
+    its own in the benchmark row; fields the report accounts for under
+    another name (``total_bytes``, ``retries``, ``roundtrips``) or that
+    only make sense per file are not.
+    """
+    return field(default=default, metadata={"merge": merge, "column": column})
+
+
+def _merge_breakdown(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    merged = dict(a)
+    for key, value in b.items():
+        merged[key] = merged.get(key, 0) + value
+    return merged
 
 
 @dataclass
@@ -43,78 +65,59 @@ class MethodOutcome:
     rejections, ``repair_rounds`` the group-digest descent roundtrips
     spent localizing them, and ``repair_bytes`` the wire bytes of the
     surgical repair exchanges (already included in ``total_bytes``).
+
+    This class is the one place a per-file counter is declared: each
+    field carries its merge rule (sum unless :func:`_counter` says
+    otherwise), ``+`` applies the rules field by field, and the
+    collection report, the benchmark row, the export columns and
+    ``repro-sync sync --json`` are all derived from the fields
+    (DESIGN §18).  Adding a counter is adding a field.
     """
 
-    total_bytes: int
-    client_to_server: int = 0
-    server_to_client: int = 0
-    breakdown: dict[str, int] = field(default_factory=dict)
-    correct: bool = True
-    retries: int = 0
-    fallback_method: str | None = None
-    retransmitted_bytes: int = 0
-    recovery_seconds: float = 0.0
-    rounds_salvaged: int = 0
-    resume_handshake_bits: int = 0
-    checkpoint_bytes_written: int = 0
-    health_score: float = 1.0
-    breaker_opens: int = 0
-    deadline_salvages: int = 0
-    adaptive_backoff_s: float = 0.0
-    collisions_detected: int = 0
-    repair_rounds: int = 0
-    repair_bytes: int = 0
-    roundtrips: int = 0
+    total_bytes: int = field(metadata={"merge": operator.add, "column": False})
+    client_to_server: int = _counter(column=False)
+    server_to_client: int = _counter(column=False)
+    breakdown: dict[str, int] = field(
+        default_factory=dict,
+        metadata={"merge": _merge_breakdown, "column": False},
+    )
+    correct: bool = _counter(True, merge=lambda a, b: a and b, column=False)
+    retries: int = _counter(column=False)
+    fallback_method: str | None = _counter(
+        None, merge=lambda a, b: a or b, column=False
+    )
+    retransmitted_bytes: int = _counter()
+    recovery_seconds: float = _counter(0.0)
+    rounds_salvaged: int = _counter()
+    resume_handshake_bits: int = _counter()
+    checkpoint_bytes_written: int = _counter()
+    health_score: float = _counter(1.0, merge=min)
+    breaker_opens: int = _counter()
+    deadline_salvages: int = _counter()
+    adaptive_backoff_s: float = _counter(0.0)
+    collisions_detected: int = _counter()
+    repair_rounds: int = _counter()
+    repair_bytes: int = _counter()
+    roundtrips: int = _counter(column=False)
     #: Reuse-layer accounting (DESIGN §17), zero unless a sibling
     #: reference served where only a literal transfer was possible:
     #: ``sibling_refs_used`` counts files delta-coded against a similar
     #: sibling instead of sent in full, ``bytes_saved_vs_self_ref`` the
     #: wire bytes that choice saved versus the self-reference-only
-    #: baseline (a compressed full transfer).
-    sibling_refs_used: int = 0
-    bytes_saved_vs_self_ref: int = 0
+    #: baseline (a compressed full transfer), and ``dedup_hits`` the
+    #: files served by content identity (renames, zero wire bytes).
+    sibling_refs_used: int = _counter()
+    bytes_saved_vs_self_ref: int = _counter()
+    dedup_hits: int = _counter()
 
     def __add__(self, other: "MethodOutcome") -> "MethodOutcome":
-        merged = dict(self.breakdown)
-        for key, value in other.breakdown.items():
-            merged[key] = merged.get(key, 0) + value
         return MethodOutcome(
-            total_bytes=self.total_bytes + other.total_bytes,
-            client_to_server=self.client_to_server + other.client_to_server,
-            server_to_client=self.server_to_client + other.server_to_client,
-            breakdown=merged,
-            correct=self.correct and other.correct,
-            retries=self.retries + other.retries,
-            fallback_method=self.fallback_method or other.fallback_method,
-            retransmitted_bytes=(
-                self.retransmitted_bytes + other.retransmitted_bytes
-            ),
-            recovery_seconds=self.recovery_seconds + other.recovery_seconds,
-            rounds_salvaged=self.rounds_salvaged + other.rounds_salvaged,
-            resume_handshake_bits=(
-                self.resume_handshake_bits + other.resume_handshake_bits
-            ),
-            checkpoint_bytes_written=(
-                self.checkpoint_bytes_written + other.checkpoint_bytes_written
-            ),
-            health_score=min(self.health_score, other.health_score),
-            breaker_opens=self.breaker_opens + other.breaker_opens,
-            deadline_salvages=self.deadline_salvages + other.deadline_salvages,
-            adaptive_backoff_s=(
-                self.adaptive_backoff_s + other.adaptive_backoff_s
-            ),
-            collisions_detected=(
-                self.collisions_detected + other.collisions_detected
-            ),
-            repair_rounds=self.repair_rounds + other.repair_rounds,
-            repair_bytes=self.repair_bytes + other.repair_bytes,
-            roundtrips=self.roundtrips + other.roundtrips,
-            sibling_refs_used=(
-                self.sibling_refs_used + other.sibling_refs_used
-            ),
-            bytes_saved_vs_self_ref=(
-                self.bytes_saved_vs_self_ref + other.bytes_saved_vs_self_ref
-            ),
+            **{
+                spec.name: spec.metadata["merge"](
+                    getattr(self, spec.name), getattr(other, spec.name)
+                )
+                for spec in fields(self)
+            }
         )
 
 

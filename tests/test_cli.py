@@ -223,7 +223,9 @@ class TestAdaptiveFlags:
         # and the process-global hash caches are volatile between runs.
         volatile = ("workers", "cpu_seconds", "cache_hits", "cache_misses",
                     "ref_cache_hits", "ref_cache_misses",
-                    "delta_memo_hits", "delta_memo_misses")
+                    "delta_memo_hits", "delta_memo_misses",
+                    "elapsed_seconds", "p50_file_seconds",
+                    "p95_file_seconds")
         for key in volatile:
             plain.pop(key)
             adaptive.pop(key)

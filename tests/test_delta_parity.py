@@ -243,12 +243,12 @@ class TestExecutorCounterFold:
         ]
         executor = SyncExecutor(workers=2, use_arena=False)
         batch = executor.run(DeltaProbeMethod(), tasks)
-        lookups = batch.ref_cache_hits + batch.ref_cache_misses
-        assert lookups == len(tasks)
+        hits = batch.caches["ref_cache_hits"]
+        misses = batch.caches["ref_cache_misses"]
+        assert hits + misses == len(tasks)
         # Every worker (or the serial parent) builds the shared index at
         # most once; everything after that is a hit.
-        assert 1 <= batch.ref_cache_misses <= max(1, batch.workers_used)
-        assert batch.ref_cache_hits == lookups - batch.ref_cache_misses
+        assert 1 <= misses <= max(1, batch.workers_used)
 
     def test_serial_run_counts_against_parent_cache(self):
         reference = b"serial fallback shares the parent cache " * 60
@@ -258,6 +258,6 @@ class TestExecutorCounterFold:
         ]
         executor = SyncExecutor(workers=1)
         batch = executor.run(DeltaProbeMethod(), tasks)
-        assert batch.ref_cache_misses == 1
-        assert batch.ref_cache_hits == 1
+        assert batch.caches["ref_cache_misses"] == 1
+        assert batch.caches["ref_cache_hits"] == 1
         assert default_reference_cache().stats.lookups == 2

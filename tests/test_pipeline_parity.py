@@ -10,6 +10,7 @@ modelled wall clock may change.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import signal
@@ -31,6 +32,11 @@ from repro.net.frame import (
     mux_overhead_bytes,
 )
 from repro.parallel import arena_available
+from repro.parallel.cache import (
+    reset_default_cache,
+    reset_default_reference_cache,
+)
+from repro.reuse.memo import reset_default_delta_memo
 from tests.conftest import make_version_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -262,6 +268,49 @@ class TestPipelineParity:
                 old_side, new_side, OursMethod(), pipeline=True,
                 on_error="skip",
             )
+
+
+def slow_link_subset(count=24):
+    """The first ``count`` files of the benchmark's slow-link input, seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_inputs", SRC.parent / "perf" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    old_side, new_side = inputs.slow_link(1)
+    names = sorted(new_side)[:count]
+    return (
+        {name: old_side[name] for name in names},
+        {name: new_side[name] for name in names},
+    )
+
+
+class TestPipelineCacheCounters:
+    def test_pipelined_report_counts_the_same_cache_work(self):
+        """Both schedulers run the same sessions, so from cold caches they
+        do the same cache work — and both reports must say so."""
+        old_side, new_side = slow_link_subset()
+        caches = {}
+        for label, options in (
+            ("sequential", {}),
+            ("pipelined", {"pipeline": True, "window": 8}),
+        ):
+            reset_default_cache()
+            reset_default_reference_cache()
+            reset_default_delta_memo()
+            report = sync_collection(
+                old_side, new_side, OursMethod(), link=LINK, **options
+            )
+            caches[label] = report.caches
+        assert caches["pipelined"] == caches["sequential"]
+        assert caches["pipelined"] == {
+            "cache_hits": 151,
+            "cache_misses": 199,
+            "ref_cache_hits": 0,
+            "ref_cache_misses": 24,
+            "delta_memo_hits": 0,
+            "delta_memo_misses": 0,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,16 @@ class TestDocumentationConsistency:
             name = match.group(1)
             assert f'"{name}"' in bench_sources, name
 
+    def test_readme_lists_every_export_column(self):
+        from repro.bench import ZdeltaMethod, run_method_on_collection
+
+        run = run_method_on_collection(
+            ZdeltaMethod(), {"a": b"old " * 64}, {"a": b"new " * 64}
+        )
+        readme = (REPO / "README.md").read_text()
+        listed = set(re.findall(r"`([a-z0-9_]+)`", readme))
+        assert set(run.row()) <= listed
+
     def test_design_modules_exist(self):
         design = (REPO / "DESIGN.md").read_text()
         for match in re.finditer(r"`repro\.([a-z_.]+)`", design):
