@@ -29,28 +29,11 @@ __all__ = [
 ]
 
 
-# Now lives in repro.syncmethod (import-cycle-free home shared with the
-# pipelined collection scheduler); kept under the old private name for
-# the harness modules that import it.
-_wire_outcome = wire_outcome
+class _SessionMethod(SyncMethod):
+    """A method with a step-wise session, configured by ``self.config``."""
 
-
-class OursMethod(SyncMethod):
-    """The paper's multi-round protocol."""
-
-    supports_checkpoint = True
+    has_session = True
     supports_pickle = True
-    supports_pipeline = True
-
-    def __init__(self, config: ProtocolConfig | None = None, name: str = "ours") -> None:
-        self.config = config or ProtocolConfig()
-        self.name = name
-
-    def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
-        return self.sync_file_over(old, new, None)
-
-    def sync_file_over(self, old: bytes, new: bytes, channel) -> MethodOutcome:
-        return _wire_outcome(synchronize(old, new, self.config, channel), new)
 
     def checkpoint_identity(self, old: bytes, new: bytes):
         from repro.hashing.strong import file_fingerprint
@@ -63,20 +46,19 @@ class OursMethod(SyncMethod):
             config_digest(self.config),
         )
 
-    def sync_file_resumable(
-        self, old: bytes, new: bytes, channel, checkpointer=None, resume_from=None
-    ) -> MethodOutcome:
-        return _wire_outcome(
-            synchronize(
-                old,
-                new,
-                self.config,
-                channel,
-                checkpointer=checkpointer,
-                resume_from=resume_from,
-            ),
-            new,
-        )
+
+class OursMethod(_SessionMethod):
+    """The paper's multi-round protocol."""
+
+    def __init__(self, config: ProtocolConfig | None = None, name: str = "ours") -> None:
+        self.config = config or ProtocolConfig()
+        self.name = name
+
+    def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
+        return self.sync_file_over(old, new, None)
+
+    def sync_file_over(self, old: bytes, new: bytes, channel) -> MethodOutcome:
+        return wire_outcome(synchronize(old, new, self.config, channel), new)
 
     def open_session(self, old: bytes, new: bytes, checkpointer=None):
         from repro.core.protocol import CoreSyncSession
@@ -100,7 +82,7 @@ class RsyncMethod(SyncMethod):
         result = rsync_sync(
             old, new, block_size=self.block_size, channel=channel
         )
-        return _wire_outcome(result, new)
+        return wire_outcome(result, new)
 
 
 class RsyncOptimalMethod(SyncMethod):
@@ -114,16 +96,13 @@ class RsyncOptimalMethod(SyncMethod):
 
     def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
         result = rsync_optimal(old, new, block_sizes=self.block_sizes)
-        return _wire_outcome(result, new)
+        return wire_outcome(result, new)
 
 
-class MultiroundRsyncMethod(SyncMethod):
+class MultiroundRsyncMethod(_SessionMethod):
     """Recursive splitting without the paper's refinements (Langford [25])."""
 
     name = "multiround"
-    supports_checkpoint = True
-    supports_pickle = True
-    supports_pipeline = True
 
     def __init__(self, config=None) -> None:
         from repro.multiround import MultiroundConfig
@@ -137,33 +116,7 @@ class MultiroundRsyncMethod(SyncMethod):
         from repro.multiround import multiround_rsync_sync
 
         result = multiround_rsync_sync(old, new, self.config, channel=channel)
-        return _wire_outcome(result, new)
-
-    def checkpoint_identity(self, old: bytes, new: bytes):
-        from repro.hashing.strong import file_fingerprint
-        from repro.resilience.checkpoint import SessionIdentity, config_digest
-
-        return SessionIdentity(
-            self.name,
-            file_fingerprint(old),
-            file_fingerprint(new),
-            config_digest(self.config),
-        )
-
-    def sync_file_resumable(
-        self, old: bytes, new: bytes, channel, checkpointer=None, resume_from=None
-    ) -> MethodOutcome:
-        from repro.multiround import multiround_rsync_sync
-
-        result = multiround_rsync_sync(
-            old,
-            new,
-            self.config,
-            channel=channel,
-            checkpointer=checkpointer,
-            resume_from=resume_from,
-        )
-        return _wire_outcome(result, new)
+        return wire_outcome(result, new)
 
     def open_session(self, old: bytes, new: bytes, checkpointer=None):
         from repro.multiround import MultiroundSession
@@ -183,7 +136,7 @@ class AdaptiveMethod(SyncMethod):
         from repro.core import adaptive_synchronize
 
         result, _config = adaptive_synchronize(old, new, link=self.link)
-        return _wire_outcome(result, new)
+        return wire_outcome(result, new)
 
 
 class ZdeltaMethod(SyncMethod):

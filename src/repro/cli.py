@@ -120,28 +120,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         return _sync_batched(args, old_side, new_side)
-    if args.pipeline:
-        if args.method not in ("ours", "multiround"):
-            print("error: --pipeline requires --method ours or multiround",
-                  file=sys.stderr)
-            return 2
-        if fault_plan is not None:
-            print("error: --pipeline does not support fault injection",
-                  file=sys.stderr)
-            return 2
-        if (
-            args.retries is not None
-            or args.adaptive_retry
-            or args.deadline is not None
-            or args.run_deadline is not None
-            or args.breaker_threshold is not None
-        ):
-            print("error: --pipeline does not support retries, deadlines "
-                  "or breakers", file=sys.stderr)
-            return 2
-        # Error isolation needs the sequential path; pipelined runs
-        # always abort on failure.
-        args.on_error = "raise"
     method: SyncMethod = _METHOD_FACTORIES[args.method](args)
     run = run_method_on_collection(
         method,
@@ -674,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     sync.add_argument("--pipeline", action="store_true",
                       help="interleave the changed files' protocol rounds "
                            "over one multiplexed channel, hiding link "
-                           "latency (only with --method ours/multiround)")
+                           "latency (methods without rounds take one "
+                           "step per file)")
     sync.add_argument("--window", type=int, default=8,
                       help="max files in flight under --pipeline "
                            "(default 8)")

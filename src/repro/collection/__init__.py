@@ -8,11 +8,7 @@ costs aggregated.
 """
 
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
-from repro.collection.pipeline import (
-    CollectionScheduler,
-    PipelineRun,
-    RecordingChannel,
-)
+from repro.collection.pipeline import CollectionScheduler, PipelineRun
 from repro.collection.reconcile import reconcile_manifests
 from repro.collection.store import (
     TMP_SUFFIX,
@@ -34,7 +30,6 @@ __all__ = [
     "CollectionScheduler",
     "CollectionStore",
     "PipelineRun",
-    "RecordingChannel",
     "ScrubReport",
     "StoreScrubber",
     "Manifest",

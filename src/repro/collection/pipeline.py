@@ -4,23 +4,18 @@ The sequential collection path runs each changed file's protocol to
 completion before starting the next, so a collection pays the link's
 round-trip latency once per round *per file*.  The paper's deployment
 model batches many files into each roundtrip instead; this module is the
-scheduler that realises it.  Each changed file gets a resumable
-step-wise session (``start``/``done``/``step_round``/``finish`` — see
-:class:`~repro.core.protocol.CoreSyncSession` and
-:class:`~repro.multiround.protocol.MultiroundSession`) running over a
-*private* :class:`RecordingChannel`, which keeps its wire transcript and
-byte accounting bit-identical to a sequential run.  The
-:class:`CollectionScheduler` drives up to ``window`` sessions
-concurrently, coalescing each wave's outbound messages into shared
-multiplexed batches (:func:`~repro.net.frame.encode_mux_batch`) on one
+scheduler that realises it.  Each changed file is a *lane*: the method's
+step generator (:meth:`~repro.syncmethod.SyncMethod.lane` — for a
+supervised method, :meth:`~repro.resilience.SyncSupervisor.lane` with
+its retries, fallback ladder, breakers, deadlines and checkpoints) over
+a private channel whose sends are recorded, which keeps the file's wire
+transcript and byte accounting bit-identical to a sequential run.  The
+:class:`CollectionScheduler` steps up to ``window`` lanes per wave,
+coalescing each wave's recorded messages into shared multiplexed batches
+(:func:`~repro.net.frame.encode_mux_batch`) on one
 :class:`~repro.net.channel.SimulatedChannel`, whose direction-reversal
 count — and therefore the modelled propagation cost — collapses by
 roughly the window factor.
-
-Round checkpoints compose: private channels replay the exact sequential
-traffic, so journals written under the pipelined scheduler are
-interchangeable with sequential ones (both directions of a crashed run
-can resume under the other scheduler).
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, ReproError
 from repro.net.channel import LinkModel, SimulatedChannel
 from repro.net.frame import (
     MuxSubframe,
@@ -37,90 +32,45 @@ from repro.net.frame import (
     mux_overhead_bytes,
 )
 from repro.net.metrics import Direction, TransferStats
-from repro.syncmethod import MethodOutcome, SyncMethod, wire_outcome
+from repro.parallel.executor import FileResult, FileTask, failed_outcome
+from repro.syncmethod import SyncMethod
 
-__all__ = ["CollectionScheduler", "PipelineRun", "RecordingChannel"]
+__all__ = ["CollectionScheduler", "PipelineRun"]
 
 #: Phase tag carried by every multiplexed batch on the shared channel.
 MUX_PHASE = "mux"
 
 
-class RecordingChannel(SimulatedChannel):
-    """A :class:`SimulatedChannel` that logs every outbound message.
-
-    The per-file lanes of the pipelined scheduler run on one of these:
-    the session sees a perfectly ordinary channel (stats, queues and
-    roundtrip counting are untouched, so per-file accounting matches the
-    sequential run bit-for-bit), while the scheduler drains ``outbox``
-    after every step to mirror the traffic onto the shared multiplexed
-    link.  ``transcript`` keeps the full message log for parity checks.
-    """
-
-    def __init__(self, link: LinkModel | None = None) -> None:
-        super().__init__(link)
-        #: Messages sent since the last :meth:`drain_outbox` call.
-        self.outbox: list[tuple[Direction, bytes, str, int]] = []
-        #: Every message ever sent, in order.
-        self.transcript: list[tuple[Direction, bytes, str, int]] = []
-
-    def send(
-        self,
-        direction: Direction,
-        payload: bytes,
-        phase: str,
-        bits: int | None = None,
-    ) -> None:
-        super().send(direction, payload, phase, bits)
-        entry = (
-            direction,
-            payload,
-            phase,
-            bits if bits is not None else 8 * len(payload),
-        )
-        self.outbox.append(entry)
-        self.transcript.append(entry)
-
-    def drain_outbox(self) -> list[tuple[Direction, bytes, str, int]]:
-        """Return the messages sent since the last drain and reset it."""
-        wave, self.outbox = self.outbox, []
-        return wave
-
-
 @dataclass
 class _Lane:
-    """One in-flight file: its session, private channel and accounting."""
+    """One in-flight file: its step generator and recorded sends."""
 
-    name: str
     stream_id: int
-    old: bytes
-    new: bytes
-    channel: RecordingChannel
-    session: object | None = None
-    journal: object | None = None
-    resume_state: object | None = None
-    resume_handshake_bits: int = 0
+    task: FileTask
+    steps: object
+    transcript: list = field(default_factory=list)
+    flushed: int = 0
     elapsed_s: float = 0.0
-    outcome: MethodOutcome | None = None
+    cpu_s: float = 0.0
+    result: FileResult | None = None
     reconstructed: bytes | None = None
-
-    @property
-    def finished(self) -> bool:
-        return self.outcome is not None
 
 
 @dataclass
 class PipelineRun:
     """Everything a pipelined scheduling pass produced.
 
-    ``link_wall_clock_s`` is the modelled wall clock of the *shared*
-    channel (serialization of payload + mux framing, plus two one-way
-    latencies per direction reversal) — the figure the sequential path
-    computes from per-file counters instead, so the two are directly
-    comparable.
+    ``files`` holds one :class:`~repro.parallel.executor.FileResult` per
+    input, in input order — what the executor returns for the sequential
+    path.  ``reconstructed`` holds the bytes each session-driven client
+    rebuilt.  ``link_wall_clock_s`` is the modelled wall clock of the
+    *shared* channel (serialization of payload + mux framing, plus two
+    one-way latencies per direction reversal) — the figure the
+    sequential path computes from per-file counters instead, so the two
+    are directly comparable.
     """
 
-    per_file: dict[str, MethodOutcome] = field(default_factory=dict)
-    per_file_seconds: dict[str, float] = field(default_factory=dict)
+    files: list[FileResult] = field(default_factory=list)
     reconstructed: dict[str, bytes] = field(default_factory=dict)
     transcripts: dict[str, list] = field(default_factory=dict)
     waves: int = 0
@@ -131,9 +81,9 @@ class PipelineRun:
 
 
 class CollectionScheduler:
-    """Drive up to ``window`` per-file sessions round-by-round.
+    """Step up to ``window`` per-file lanes, one wave at a time.
 
-    Every wave runs one step of each in-flight session (handshake, one
+    Every wave runs one step of each in-flight lane (handshake, one
     protocol round, or the endgame) on its private channel, then flushes
     the wave's outbound messages onto the shared channel as multiplexed
     batches: slot ``j`` carries message ``j`` of every lane's step,
@@ -152,30 +102,34 @@ class CollectionScheduler:
         method: SyncMethod,
         window: int = 8,
         link: LinkModel | None = None,
-        checkpoints=None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be at least 1, got {window}")
-        if not getattr(method, "supports_pipeline", False):
-            raise ValueError(
-                f"method {method.name} does not support pipelined "
-                f"scheduling (no step-wise session)"
-            )
         self.method = method
         self.window = window
         self.link = link or LinkModel()
-        self.checkpoints = checkpoints
         self.shared = SimulatedChannel(self.link)
         self.waves = 0
         self.mux_overhead = 0
 
     # ------------------------------------------------------------------
-    def run(self, files: list[tuple[str, bytes, bytes]]) -> PipelineRun:
-        """Synchronise ``(name, old, new)`` triples; return the accounting."""
-        pending = [
-            _Lane(name, stream_id, old, new, RecordingChannel(self.link))
-            for stream_id, (name, old, new) in enumerate(files)
-        ]
+    def run(
+        self, tasks: list[FileTask], capture_errors: bool = False
+    ) -> PipelineRun:
+        """Synchronise every task; return the per-file results and the
+        shared link's accounting.
+
+        With ``capture_errors`` a lane's :class:`ReproError` ends that
+        lane with ``FileResult.error`` set, as in
+        :meth:`~repro.parallel.executor.SyncExecutor.run`.
+        """
+        pending = []
+        for stream_id, task in enumerate(tasks):
+            transcript = []
+            steps = self.method.lane(
+                task.name, task.old, task.new, recorder=transcript
+            )
+            pending.append(_Lane(stream_id, task, steps, transcript))
         run = PipelineRun()
         active: list[_Lane] = []
         cursor = 0
@@ -185,20 +139,15 @@ class CollectionScheduler:
                 cursor += 1
             self.waves += 1
             self.shared.mark_round(self.waves)
-            wave: list[tuple[_Lane, list]] = []
             for lane in active:
-                started = time.perf_counter()
-                self._step_lane(lane)
-                lane.elapsed_s += time.perf_counter() - started
-                wave.append((lane, lane.channel.drain_outbox()))
-            self._flush_wave(wave)
-            for lane in active:
-                if lane.finished:
-                    run.per_file[lane.name] = lane.outcome
-                    run.per_file_seconds[lane.name] = lane.elapsed_s
-                    run.reconstructed[lane.name] = lane.reconstructed
-                    run.transcripts[lane.name] = lane.channel.transcript
-            active = [lane for lane in active if not lane.finished]
+                self._step_lane(lane, capture_errors)
+            self._flush_wave(active)
+            active = [lane for lane in active if lane.result is None]
+        for lane in pending:
+            run.files.append(lane.result)
+            run.transcripts[lane.task.name] = lane.transcript
+            if lane.reconstructed is not None:
+                run.reconstructed[lane.task.name] = lane.reconstructed
         run.waves = self.waves
         run.mux_overhead_bytes = self.mux_overhead
         run.shared_stats = self.shared.stats
@@ -211,45 +160,33 @@ class CollectionScheduler:
         return run
 
     # ------------------------------------------------------------------
-    def _step_lane(self, lane: _Lane) -> None:
-        """Advance one lane by exactly one schedulable step."""
-        if lane.session is None:
-            # Admission: open the journal (checkpoint flow mirrors the
-            # sequential supervisor's, so outcomes and journals match),
-            # run the resume handshake, then the protocol handshake.
-            if (
-                self.checkpoints is not None
-                and self.method.supports_checkpoint
-            ):
-                from repro.resilience.recovery import attempt_resume
-
-                lane.journal = self.checkpoints.journal(lane.name)
-                identity = self.method.checkpoint_identity(lane.old, lane.new)
-                lane.journal.open(identity, resume=self.checkpoints.resume)
-                lane.resume_state, lane.resume_handshake_bits = attempt_resume(
-                    lane.journal, identity, lane.channel
-                )
-            lane.session = self.method.open_session(
-                lane.old, lane.new, checkpointer=lane.journal
+    def _step_lane(self, lane: _Lane, capture_errors: bool) -> None:
+        """Advance one lane by exactly one step; settle it when it ends."""
+        started = time.perf_counter()
+        cpu_started = time.process_time()
+        outcome = error = None
+        try:
+            next(lane.steps)
+        except StopIteration as stop:
+            outcome, lane.reconstructed = stop.value
+        except ReproError as exc:
+            if not capture_errors:
+                raise
+            outcome, error = failed_outcome(exc)
+        lane.elapsed_s += time.perf_counter() - started
+        lane.cpu_s += time.process_time() - cpu_started
+        if outcome is not None:
+            lane.result = FileResult(
+                lane.task.name, outcome, lane.elapsed_s, lane.cpu_s, error
             )
-            lane.session.start(lane.channel, resume_from=lane.resume_state)
-        elif not lane.session.done:
-            lane.session.step_round(lane.channel)
-        else:
-            result = lane.session.finish(lane.channel)
-            outcome = wire_outcome(result, lane.new)
-            outcome.resume_handshake_bits += lane.resume_handshake_bits
-            if lane.resume_state is not None:
-                outcome.rounds_salvaged += lane.resume_state.round_index
-            if lane.journal is not None:
-                outcome.checkpoint_bytes_written += lane.journal.bytes_written
-                lane.journal.commit()
-            lane.outcome = outcome
-            lane.reconstructed = result.reconstructed
 
     # ------------------------------------------------------------------
-    def _flush_wave(self, wave: list[tuple[_Lane, list]]) -> None:
+    def _flush_wave(self, lanes: list[_Lane]) -> None:
         """Mirror a wave's private-channel traffic onto the shared link."""
+        wave = []
+        for lane in lanes:
+            wave.append((lane, lane.transcript[lane.flushed :]))
+            lane.flushed = len(lane.transcript)
         depth = max((len(messages) for _lane, messages in wave), default=0)
         for slot in range(depth):
             present = [
@@ -264,19 +201,19 @@ class CollectionScheduler:
                 group = [
                     (lane, message)
                     for lane, message in present
-                    if message[0] is direction
+                    if message.direction is direction
                 ]
                 if not group:
                     continue
                 subframes = [
                     MuxSubframe(
                         stream_id=lane.stream_id,
-                        round_index=lane.channel.current_round,
+                        round_index=message.round_index,
                         seq=slot,
-                        bit_length=bits,
-                        payload=payload,
+                        bit_length=message.bits,
+                        payload=message.payload,
                     )
-                    for lane, (_direction, payload, _phase, bits) in group
+                    for lane, message in group
                 ]
                 batch = encode_mux_batch(subframes)
                 self.shared.send(direction, batch, MUX_PHASE)

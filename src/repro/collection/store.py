@@ -113,8 +113,8 @@ def load_manifest(path: str | Path) -> Manifest:
     """Read a manifest written by :func:`save_manifest`."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as error:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
         raise ManifestFormatError(f"cannot read {path}: {error}") from error
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:

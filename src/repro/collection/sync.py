@@ -364,14 +364,13 @@ def sync_collection(
     changed files' protocol rounds — up to ``window`` in flight — over
     one multiplexed channel so the link's round-trip latency is paid per
     *wave* instead of per file per round
-    (:class:`~repro.collection.pipeline.CollectionScheduler`).  Per-file
+    (:class:`~repro.collection.pipeline.CollectionScheduler`).  Each file
+    runs the same per-file driver as the sequential path (the
+    supervisor's, when any resilience option is set), so per-file
     transcripts, byte accounting and round checkpoints stay bit-identical
-    to the sequential run; only ``roundtrips_on_wire`` and
-    ``link_wall_clock_s`` collapse.  Requires a method with a step-wise
-    session (``supports_pipeline``), forces serial in-process compute,
-    and is incompatible with fault injection, retries, breakers,
-    deadlines and ``on_error`` isolation (checkpoints/resume compose
-    fine).
+    to the sequential run on a clean link; only ``roundtrips_on_wire``
+    and ``link_wall_clock_s`` collapse.  Compute stays serial and in
+    process, so an explicit ``executor`` is rejected.
 
     Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the process-wide
     delta-memo switch for this update — ``True`` memoizes instruction
@@ -392,36 +391,10 @@ def sync_collection(
             f"on_error must be 'raise', 'skip' or 'fallback', "
             f"got {on_error!r}"
         )
-    if pipeline:
-        if not getattr(method, "supports_pipeline", False):
-            raise ValueError(
-                f"method {method.name} does not support pipelined "
-                f"scheduling (no step-wise session)"
-            )
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        if (
-            fault_plan is not None
-            or retry_policy is not None
-            or adaptive_retry
-            or breaker_threshold is not None
-            or deadline_s is not None
-            or run_deadline_s is not None
-        ):
-            raise ValueError(
-                "pipeline=True is incompatible with fault injection, "
-                "retries, breakers and deadlines — run those sequentially"
-            )
-        if on_error != "raise":
-            raise ValueError(
-                "pipeline=True is incompatible with on_error isolation; "
-                "use on_error='raise'"
-            )
-        if executor is not None:
-            raise ValueError(
-                "pipeline=True forces serial in-process execution; "
-                "drop executor="
-            )
+    if pipeline and executor is not None:
+        raise ValueError(
+            "pipeline=True runs its lanes in process; drop executor="
+        )
     if checkpoints is None and checkpoint_dir is not None:
         from repro.resilience import CheckpointStore
 
@@ -478,7 +451,7 @@ def sync_collection(
         or retry_policy is not None
         or checkpoints is not None
         or graceful
-    ) and not pipeline:  # the pipelined scheduler drives journals itself
+    ):
         from repro.resilience import SyncSupervisor
 
         if not isinstance(method, SyncSupervisor):
@@ -531,54 +504,41 @@ def sync_collection(
                 resemblance_threshold,
             )
 
+        tasks = [
+            FileTask(name, client_files[name], server_files[name])
+            for name in diff.changed
+        ]
+        # Breakers/deadlines promise graceful degradation, so their typed
+        # refusals must be captured (and skipped below) even when other
+        # errors still abort the run.
+        capture_errors = (on_error != "raise") or graceful
+        # The bytes each client rebuilt, where a pipelined session lane
+        # reports them; elsewhere a correct outcome stands for the server's.
+        received: dict[str, bytes] = {}
         if pipeline:
             from repro.collection.pipeline import CollectionScheduler
 
-            scheduler = CollectionScheduler(
-                method, window=window, link=link, checkpoints=checkpoints
-            )
+            scheduler = CollectionScheduler(method, window=window, link=link)
             before = cache_counters()
-            run = scheduler.run(
-                [
-                    (name, client_files[name], server_files[name])
-                    for name in diff.changed
-                ]
-            )
+            run = scheduler.run(tasks, capture_errors=capture_errors)
             report.caches = cache_counters(since=before)
-            report.workers = 1
             report.pipelined = True
             report.waves = run.waves
             report.mux_overhead_bytes = run.mux_overhead_bytes
             report.roundtrips_on_wire = run.roundtrips_on_wire
             report.link_wall_clock_s = run.link_wall_clock_s
-            for name in diff.changed:
-                outcome = run.per_file[name]
-                report.per_file[name] = outcome
-                report.per_file_seconds[name] = run.per_file_seconds[name]
-                report.cpu_seconds += run.per_file_seconds[name]
-                report.reconstructed[name] = run.reconstructed[name]
-                if verify and not outcome.correct:
-                    raise IntegrityError(f"method {method.name} failed on {name}")
-            return _finish(report, server_files, verify, store)
-
-        if executor is None:
-            executor = SyncExecutor(workers=workers, use_arena=use_arena)
-        batch = executor.run(
-            method,
-            [
-                FileTask(name, client_files[name], server_files[name])
-                for name in diff.changed
-            ],
-            # Breakers/deadlines promise graceful degradation, so their typed
-            # refusals must be captured (and skipped below) even when other
-            # errors still abort the run.
-            capture_errors=(on_error != "raise") or graceful,
-        )
-        report.workers = batch.workers_used
-        report.caches = batch.caches
-        report.arena_used = batch.arena_used
-        report.arena_bytes = batch.arena_bytes
-        for result in batch.files:
+            results = run.files
+            received = run.reconstructed
+        else:
+            if executor is None:
+                executor = SyncExecutor(workers=workers, use_arena=use_arena)
+            batch = executor.run(method, tasks, capture_errors=capture_errors)
+            report.workers = batch.workers_used
+            report.caches = batch.caches
+            report.arena_used = batch.arena_used
+            report.arena_bytes = batch.arena_bytes
+            results = batch.files
+        for result in results:
             name = result.name
             report.per_file_seconds[name] = result.elapsed_seconds
             report.cpu_seconds += result.cpu_seconds
@@ -628,7 +588,7 @@ def sync_collection(
                 report.reconstructed[name] = server_files[name]
                 continue
             report.per_file[name] = result.outcome
-            report.reconstructed[name] = server_files[name]
+            report.reconstructed[name] = received.get(name, server_files[name])
             if result.outcome.retries:
                 report.retries[name] = result.outcome.retries
             if result.outcome.fallback_method:
@@ -636,37 +596,33 @@ def sync_collection(
             if verify and not result.outcome.correct:
                 raise IntegrityError(f"method {method.name} failed on {name}")
 
-        # Wire-latency accounting for the sequential path: each file's
-        # session pays its own direction reversals on the link, so the
-        # collection's cost is the per-file sum — the figure the pipelined
-        # scheduler collapses.
-        from repro.net.channel import LinkModel
-
         outcomes = list(report.per_file.values())
-        report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
-        if outcomes:
+        if outcomes and not pipeline:
+            # Wire-latency accounting for the sequential path: each
+            # file's session pays its own direction reversals on the
+            # link, so the collection's cost is the per-file sum — the
+            # figure the pipelined scheduler collapses.
+            from repro.net.channel import LinkModel
+
+            report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
             report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
                 [o.client_to_server for o in outcomes],
                 [o.server_to_client for o in outcomes],
                 [o.roundtrips for o in outcomes],
             )
-        return _finish(report, server_files, verify, store)
 
+        if verify:
+            for name, data in server_files.items():
+                if name in report.failed:
+                    continue  # explicitly skipped; the client keeps its copy
+                if report.reconstructed.get(name) != data:
+                    raise IntegrityError(
+                        f"collection reconstruction differs at {name}"
+                    )
+        if store is not None:
+            from repro.collection.store import CollectionStore
 
-def _finish(
-    report: CollectionReport, server_files: dict[str, bytes], verify: bool, store
-) -> CollectionReport:
-    """Verify the reconstruction (skipped files excepted) and store it."""
-    if verify:
-        for name, data in server_files.items():
-            if name in report.failed:
-                continue  # explicitly skipped; the client keeps its copy
-            if report.reconstructed.get(name) != data:
-                raise IntegrityError(f"collection reconstruction differs at {name}")
-    if store is not None:
-        from repro.collection.store import CollectionStore
-
-        if not isinstance(store, CollectionStore):
-            store = CollectionStore(store)
-        store.write_collection(report.reconstructed)
-    return report
+            if not isinstance(store, CollectionStore):
+                store = CollectionStore(store)
+            store.write_collection(report.reconstructed)
+        return report

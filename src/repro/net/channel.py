@@ -11,9 +11,20 @@ report estimated wall-clock time for a given link anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.exceptions import ChannelClosedError, ChannelEmptyError
 from repro.net.metrics import Direction, TransferStats
+
+
+class SentMessage(NamedTuple):
+    """One outbound message as a channel's ``recorder`` logs it."""
+
+    direction: Direction
+    payload: bytes
+    phase: str
+    bits: int
+    round_index: int
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,11 @@ class SimulatedChannel:
         #: first round); protocols advance it via :meth:`mark_round` so
         #: fault injection can report *where* in the exchange a fault hit.
         self.current_round = 0
+        #: When a list, every accepted send is appended to it as a
+        #: :class:`SentMessage` — a transcript for parity checks, or the
+        #: outbox a scheduler mirrors onto a shared link.  Fault-injected
+        #: channels record the payload as sent, before any mangling.
+        self.recorder: list[SentMessage] | None = None
 
     def close(self) -> None:
         """Close the channel; further sends raise ``ChannelClosedError``."""
@@ -175,6 +191,10 @@ class SimulatedChannel:
                 f"bits={bits} inconsistent with a {len(payload)}-byte payload"
             )
         self.stats.record_bits(direction, phase, bits)
+        if self.recorder is not None:
+            self.recorder.append(
+                SentMessage(direction, payload, phase, bits, self.current_round)
+            )
         if direction is not self._last_direction:
             self.stats.roundtrips += 1
             self._last_direction = direction

@@ -133,6 +133,20 @@ def cache_counters(since: dict[str, int] | None = None) -> dict[str, int]:
     return counters
 
 
+def failed_outcome(exc: ReproError) -> tuple[MethodOutcome, str]:
+    """The outcome and error text a captured per-file failure reports.
+
+    Typed failures from the resilience layer carry the doomed attempts'
+    accounting (retransmission, backoff, salvaged rounds) — surface it
+    instead of an empty placeholder so collection counters still see
+    what the failure cost.
+    """
+    partial = getattr(exc, "partial", None)
+    if partial is None:
+        partial = MethodOutcome(total_bytes=0, correct=False)
+    return partial, f"{type(exc).__name__}: {exc}"
+
+
 def _sync_one(
     method: SyncMethod, task: FileTask, capture_errors: bool
 ) -> FileResult:
@@ -147,17 +161,7 @@ def _sync_one(
     except ReproError as exc:
         if not capture_errors:
             raise
-        # Typed failures from the resilience layer carry the doomed
-        # attempts' accounting (retransmission, backoff, salvaged rounds)
-        # — surface it instead of an empty placeholder so collection
-        # counters still see what the failure cost.
-        partial = getattr(exc, "partial", None)
-        outcome = (
-            partial
-            if partial is not None
-            else MethodOutcome(total_bytes=0, correct=False)
-        )
-        error = f"{type(exc).__name__}: {exc}"
+        outcome, error = failed_outcome(exc)
     return FileResult(
         task.name,
         outcome,

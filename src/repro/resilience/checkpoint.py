@@ -45,7 +45,8 @@ from repro.io.varint import decode_uvarint, encode_uvarint
 from repro.net.frame import FRAME_OVERHEAD, decode_frame, encode_frame
 from repro.net.metrics import Direction, TransferStats
 
-#: Journal record format version; bumped on incompatible changes.
+#: Journal record format version; bumped when older readers could no
+#: longer parse the records.
 JOURNAL_VERSION = 1
 
 _KIND_HEADER = 0x01

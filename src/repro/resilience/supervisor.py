@@ -12,7 +12,10 @@ gracefully instead of restarting the world; the ladder is that
 degradation made explicit, and the returned
 :class:`~repro.syncmethod.MethodOutcome` records which rung succeeded,
 how many attempts were burnt, and what the recovery cost on the wire and
-in (estimated) wall-clock.
+in (estimated) wall-clock.  The attempt loop is a step generator
+(:meth:`SyncSupervisor.lane`): ``sync_file`` drives it to completion,
+and the pipelined :class:`~repro.collection.pipeline.CollectionScheduler`
+steps many files' lanes in waves over one link.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointStore` the
 supervisor additionally makes retries *cheap*: checkpoint-capable rungs
@@ -210,10 +213,13 @@ class SyncSupervisor(SyncMethod):
         self.name = f"supervised({method.name})"
 
     # ------------------------------------------------------------------
-    def _make_channel(self) -> SimulatedChannel:
+    def _make_channel(self, recorder) -> SimulatedChannel:
         if self.fault_plan is not None:
-            return self.fault_plan.channel(self.link)
-        return SimulatedChannel(self.link)
+            channel = self.fault_plan.channel(self.link)
+        else:
+            channel = SimulatedChannel(self.link)
+        channel.recorder = recorder
+        return channel
 
     def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
         """Synchronise one file pair, surviving recoverable failures."""
@@ -227,6 +233,26 @@ class SyncSupervisor(SyncMethod):
         ``name`` keys the per-file checkpoint journal (when a store is
         configured) and the circuit breaker (when a board is configured);
         ``None`` is valid and shares the anonymous journal/breaker.
+        """
+        steps = self.lane(name, old, new)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as stop:
+                return stop.value[0]
+
+    def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
+        """:meth:`sync_named_file` as a step generator.
+
+        Each attempt runs its rung's :meth:`~repro.syncmethod.SyncMethod.steps`
+        over a fresh channel, so the generator yields after an attempt's
+        handshake (the resume handshake runs just before it) and after
+        each protocol round; a rung without a session is one step.  A
+        failed attempt is accounted and the next one begins within the
+        same step.  Returns ``(outcome, reconstructed)`` of the attempt
+        that succeeded, or raises the typed failure.  ``recorder``
+        receives every attempt's sends (the pipelined scheduler's lane
+        outbox).
         """
         from repro.resilience.recovery import attempt_resume
 
@@ -283,7 +309,7 @@ class SyncSupervisor(SyncMethod):
         for rung in [self.method, *self.ladder]:
             journal = None
             identity = None
-            if self.checkpoints is not None and rung.supports_checkpoint:
+            if self.checkpoints is not None and rung.has_session:
                 journal = self.checkpoints.journal(name)
                 identity = rung.checkpoint_identity(old, new)
                 journal.open(identity, resume=self.checkpoints.resume)
@@ -324,7 +350,7 @@ class SyncSupervisor(SyncMethod):
                     if self.fault_plan is not None
                     else 0
                 )
-                channel = self._make_channel()
+                channel = self._make_channel(recorder)
                 resume_state: RoundCheckpoint | None = None
                 try:
                     if journal is not None:
@@ -332,15 +358,13 @@ class SyncSupervisor(SyncMethod):
                             journal, identity, channel
                         )
                         resume_handshake_bits += handshake_bits
-                        outcome = rung.sync_file_resumable(
-                            old,
-                            new,
-                            channel,
-                            checkpointer=journal,
-                            resume_from=resume_state,
-                        )
-                    else:
-                        outcome = rung.sync_file_over(old, new, channel)
+                    outcome, reconstructed = yield from rung.steps(
+                        old,
+                        new,
+                        channel,
+                        checkpointer=journal,
+                        resume_from=resume_state,
+                    )
                     if not outcome.correct:
                         # Wrong bytes that slipped past the protocol's own
                         # fingerprint+repair machinery: a checksum mismatch
@@ -445,7 +469,7 @@ class SyncSupervisor(SyncMethod):
                     outcome.health_score = monitor.score
                 if rung is not self.method:
                     outcome.fallback_method = rung.name
-                return outcome
+                return outcome, reconstructed
             if journal is not None:
                 # Abandoning this rung abandons its checkpoints: traffic
                 # previously excluded from waste as "salvageable" is now

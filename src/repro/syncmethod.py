@@ -132,9 +132,7 @@ def wire_outcome(result, new: bytes) -> MethodOutcome:
     surgical repair); ``getattr`` keeps the core protocol's result
     compatible.  A protocol-internal full-transfer fallback reclassifies
     its traffic into ``stats.retransmitted_bits``, which must survive
-    the flattening even without a supervisor around.  Lives here (not in
-    ``bench.methods``) so the pipelined collection scheduler can account
-    per-file sessions without importing the benchmark harness.
+    the flattening even without a supervisor around.
     """
     return MethodOutcome(
         total_bytes=result.total_bytes,
@@ -154,11 +152,13 @@ class SyncMethod(ABC):
     """One row of the paper's comparison tables."""
 
     name: str
-    #: True for methods whose protocol can snapshot round state into a
-    #: :class:`~repro.resilience.checkpoint.SessionJournal` and resume
-    #: from it (they then also implement ``checkpoint_identity`` and
-    #: ``sync_file_resumable``).
-    supports_checkpoint: bool = False
+    #: True for methods whose protocol is factored into a resumable
+    #: step-wise session (``start``/``done``/``step_round``/``finish``),
+    #: built by :meth:`open_session`: the supervisor journals its round
+    #: boundaries (they then also implement ``checkpoint_identity``) and
+    #: the pipelined collection scheduler interleaves its rounds with
+    #: other files'.  Methods without one run as a single step.
+    has_session: bool = False
     #: Declares whether instances can cross a process boundary.  ``None``
     #: (default) makes the parallel executor probe with ``pickle.dumps``
     #: once per instance; final method classes that are known picklable
@@ -166,11 +166,6 @@ class SyncMethod(ABC):
     #: unpicklable state (closures, open handles) must override this
     #: back to ``None`` or ``False``.
     supports_pickle: bool | None = None
-    #: True for methods whose protocol is factored into a resumable
-    #: step-wise session (``start``/``done``/``step_round``/``finish``)
-    #: that the pipelined collection scheduler can drive round-by-round;
-    #: they then also implement :meth:`open_session`.
-    supports_pipeline: bool = False
 
     @abstractmethod
     def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
@@ -179,16 +174,52 @@ class SyncMethod(ABC):
     def open_session(self, old: bytes, new: bytes, checkpointer=None):
         """Build a step-wise protocol session for one file pair.
 
-        Only meaningful when ``supports_pipeline`` is true.  The returned
+        Only meaningful when ``has_session`` is true.  The returned
         object exposes ``start(channel, resume_from=None)``, ``done``,
         ``step_round(channel)`` and ``finish(channel)`` with the exact
         wire traffic of the run-to-completion path, so a scheduler can
         interleave many files' rounds while keeping each file's
         transcript byte-identical to a sequential run.
         """
-        raise NotImplementedError(
-            f"{self.name} does not support pipelined scheduling"
-        )
+        raise NotImplementedError(f"{self.name} has no step-wise session")
+
+    def steps(self, old: bytes, new: bytes, channel, checkpointer=None,
+              resume_from=None):
+        """Synchronise one file pair over ``channel``, one step at a time.
+
+        A generator: it yields after the handshake and after every
+        protocol round, and returns ``(outcome, reconstructed)`` — the
+        client's rebuilt bytes, or ``None`` for a method without a
+        session, which runs :meth:`sync_file_over` as one step.
+        ``checkpointer`` (an opened
+        :class:`~repro.resilience.checkpoint.SessionJournal`) and
+        ``resume_from`` (a
+        :class:`~repro.resilience.checkpoint.RoundCheckpoint`) pass
+        through to the session.
+        """
+        if not self.has_session:
+            return self.sync_file_over(old, new, channel), None
+        session = self.open_session(old, new, checkpointer=checkpointer)
+        session.start(channel, resume_from=resume_from)
+        yield
+        while not session.done:
+            session.step_round(channel)
+            yield
+        result = session.finish(channel)
+        return wire_outcome(result, new), result.reconstructed
+
+    def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
+        """The step generator the pipelined scheduler drives for one file.
+
+        :meth:`steps` over a fresh channel whose sends go to ``recorder``
+        (see :attr:`~repro.net.channel.SimulatedChannel.recorder`).  A
+        supervisor overrides this with its retry/fallback loop.
+        """
+        from repro.net.channel import SimulatedChannel
+
+        channel = SimulatedChannel()
+        channel.recorder = recorder
+        return (yield from self.steps(old, new, channel))
 
     def sync_named_file(self, name: str | None, old: bytes, new: bytes) -> MethodOutcome:
         """Synchronise one *named* file pair.

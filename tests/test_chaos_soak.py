@@ -173,6 +173,49 @@ class TestRunSoak:
             run_soak(profile="marathon")
 
 
+class TestPipelinedChaosCells:
+    """The soak matrix's cells through the pipelined scheduler: eight
+    files in flight share the chaotic link, each under the adaptive
+    supervisor, and still no healthy file is lost."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["bursty", "periodic", "degrading"])
+    def test_cell_loses_no_healthy_file(self, shape, seed):
+        from repro.bench.methods import OursMethod
+        from repro.bench.soak import SOAK_PROFILES
+        from repro.collection import sync_collection
+        from repro.workloads import gcc_like
+
+        scale, rate, deadline_s = SOAK_PROFILES["short"]
+        tree = gcc_like(scale=scale, seed=100 + seed)
+
+        def cell():
+            return sync_collection(
+                tree.old,
+                tree.new,
+                OursMethod(),
+                on_error="skip",
+                fault_plan=chaos_plan(shape, seed=seed, rate=rate),
+                adaptive_retry=True,
+                deadline_s=deadline_s,
+                breaker_threshold=3,
+                pipeline=True,
+                window=8,
+            )
+
+        report = cell()
+        assert set(report.per_file) == set(report.diff.changed)
+        for name, data in tree.new.items():
+            if name not in report.failed:
+                assert report.reconstructed[name] == data, name
+        again = cell()
+        assert again.per_file == report.per_file
+        assert again.failed == report.failed
+        assert again.retries == report.retries
+        assert again.fallbacks == report.fallbacks
+        assert again.roundtrips_on_wire == report.roundtrips_on_wire
+
+
 class BreakerMachine(RuleBasedStateMachine):
     """Arbitrary interleavings of attempts, failures, successes and
     clock advances must never drive a breaker into an illegal state."""

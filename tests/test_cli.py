@@ -232,6 +232,42 @@ class TestAdaptiveFlags:
         assert adaptive == plain
 
 
+class TestPipelineFlag:
+    def test_pipeline_keeps_on_error_and_fault_injection(
+        self, tmp_path, capsys
+    ):
+        """``--pipeline`` runs the same per-file driver as the sequential
+        path: at ``--window 1`` only the link/pipeline keys may differ."""
+        old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+        old_dir.mkdir()
+        new_dir.mkdir()
+        for index in range(4):
+            old, new = make_version_pair(seed=80 + index, nbytes=6000)
+            (old_dir / f"f{index}.bin").write_bytes(old)
+            (new_dir / f"f{index}.bin").write_bytes(new)
+        command = [
+            "sync", str(old_dir), str(new_dir),
+            "--fault-rate", "0.05", "--fault-seed", "3", "--json",
+        ]
+        assert main(command) == 0
+        sequential = json.loads(capsys.readouterr().out)
+        assert main([*command, "--pipeline", "--window", "1"]) == 0
+        pipelined = json.loads(capsys.readouterr().out)
+        assert sequential["retries"] > 0
+        assert pipelined["pipelined"] and pipelined["waves"] > 0
+        volatile = ("workers", "cpu_seconds", "cache_hits", "cache_misses",
+                    "ref_cache_hits", "ref_cache_misses",
+                    "delta_memo_hits", "delta_memo_misses",
+                    "elapsed_seconds", "p50_file_seconds",
+                    "p95_file_seconds")
+        link = ("pipelined", "waves", "mux_overhead_bytes",
+                "roundtrips_on_wire", "link_wall_clock_s")
+        for key in volatile + link:
+            sequential.pop(key)
+            pipelined.pop(key)
+        assert pipelined == sequential
+
+
 class TestChaosCommand:
     def test_soak_matrix(self, capsys):
         assert main([

@@ -61,6 +61,12 @@ class TestErrors:
         with pytest.raises(ManifestFormatError):
             load_manifest(path)
 
+    def test_non_utf8_entry(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"repro-manifest v1\n\xff\xfe 00\n")
+        with pytest.raises(ManifestFormatError):
+            load_manifest(path)
+
     def test_short_fingerprint(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("repro-manifest v1\nabcd file\n")

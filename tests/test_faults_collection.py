@@ -9,6 +9,7 @@ layer.
 
 from __future__ import annotations
 
+import copy
 import os
 
 import pytest
@@ -26,6 +27,14 @@ from repro.workloads import gcc_like
 @pytest.fixture(scope="module")
 def tree():
     return gcc_like(scale=0.05, seed=21)
+
+
+@pytest.fixture
+def options():
+    """Scheduling options of the run under test: sequential here; the
+    ``Pipelined`` subclasses below rerun every test with the pipelined
+    scheduler at ``window`` 1 and 8."""
+    return {}
 
 
 class TestHappyPathUnchanged:
@@ -65,10 +74,12 @@ SCENARIOS = {
 
 class TestDegradationLadder:
     @pytest.mark.parametrize("plan", SCENARIOS.values(), ids=SCENARIOS)
-    def test_byte_identical_reconstruction_under_faults(self, tree, plan):
+    def test_byte_identical_reconstruction_under_faults(
+        self, tree, plan, options
+    ):
         report = sync_collection(
             tree.old, tree.new, OursMethod(),
-            fault_plan=plan, on_error="fallback",
+            fault_plan=copy.deepcopy(plan), on_error="fallback", **options,
         )
         assert report.reconstructed == tree.new
         assert report.files_failed == 0
@@ -77,7 +88,7 @@ class TestDegradationLadder:
         for name in report.fallbacks:
             assert report.retries.get(name, 0) >= 1
 
-    def test_retry_counters_monotone_in_fault_rate(self, tree):
+    def test_retry_counters_monotone_in_fault_rate(self, tree, options):
         """More injected faults can only mean more recovery work: with
         the same seed, retries and retransmitted bytes never shrink as
         the fault rate rises."""
@@ -87,6 +98,7 @@ class TestDegradationLadder:
                 tree.old, tree.new, OursMethod(),
                 fault_plan=FaultPlan.uniform(rate, seed=35),
                 on_error="fallback",
+                **options,
             )
             assert report.reconstructed == tree.new
             totals.append(
@@ -102,14 +114,67 @@ class TestDegradationLadder:
         for count, wasted in totals[1:]:
             assert (wasted > 0) == (count > 0)
 
-    def test_never_raises_with_fallback_across_seeds(self, tree):
+    def test_never_raises_with_fallback_across_seeds(self, tree, options):
         for seed in range(5):
             report = sync_collection(
                 tree.old, tree.new, OursMethod(),
                 fault_plan=FaultPlan.uniform(0.1, seed=seed),
                 on_error="fallback",
+                **options,
             )
             assert report.reconstructed == tree.new
+
+
+class TestDegradationLadderPipelined(TestDegradationLadder):
+    @pytest.fixture(params=[1, 8], ids=["window1", "window8"])
+    def options(self, request):
+        return {"pipeline": True, "window": request.param}
+
+
+RESILIENCE = {
+    "static-retry": lambda tmp_path: {"retry_policy": RetryPolicy()},
+    "adaptive": lambda tmp_path: {
+        "adaptive_retry": True,
+        "breaker_threshold": 3,
+        "deadline_s": 120.0,
+    },
+    "checkpoints": lambda tmp_path: {"checkpoint_dir": tmp_path / "journals"},
+}
+
+
+class TestPipelinedWindowOneParity:
+    """A pipelined run one file at a time sees the faults of the
+    sequential run in the same order, so it must reach the same
+    per-file verdicts and byte accounting."""
+
+    @pytest.mark.parametrize("on_error", ["skip", "fallback"])
+    @pytest.mark.parametrize("resilience", RESILIENCE.values(), ids=RESILIENCE)
+    def test_same_report_as_sequential(
+        self, tree, tmp_path, resilience, on_error
+    ):
+        reports = []
+        for label, options in (
+            ("sequential", {}),
+            ("pipelined", {"pipeline": True, "window": 1}),
+        ):
+            reports.append(
+                sync_collection(
+                    tree.old, tree.new, OursMethod(),
+                    fault_plan=FaultPlan.uniform(0.05, seed=36),
+                    on_error=on_error,
+                    **resilience(tmp_path / label),
+                    **options,
+                )
+            )
+        sequential, pipelined = reports
+        assert sequential.total_retries > 0
+        assert pipelined.per_file == sequential.per_file
+        assert pipelined.retries == sequential.retries
+        assert pipelined.fallbacks == sequential.fallbacks
+        assert pipelined.failed == sequential.failed
+        for name, data in tree.new.items():
+            if name not in pipelined.failed:
+                assert pipelined.reconstructed[name] == data
 
 
 class _DoomedMethod(SyncMethod):
@@ -131,33 +196,34 @@ class TestPerFileErrorIsolation:
     files_old = {"good.txt": b"old-good", "bad.txt": b"POISON old"}
     files_new = {"good.txt": b"new-good", "bad.txt": b"POISON new"}
 
-    def test_on_error_raise_propagates(self):
+    def test_on_error_raise_propagates(self, options):
         with pytest.raises(ReproError):
             sync_collection(
-                self.files_old, self.files_new, _DoomedMethod("POISON")
+                self.files_old, self.files_new, _DoomedMethod("POISON"),
+                **options,
             )
 
-    def test_on_error_skip_keeps_client_copy(self):
+    def test_on_error_skip_keeps_client_copy(self, options):
         report = sync_collection(
             self.files_old, self.files_new, _DoomedMethod("POISON"),
-            on_error="skip",
+            on_error="skip", **options,
         )
         assert report.files_failed == 1
         assert "IntegrityError" in report.failed["bad.txt"]
         assert report.reconstructed["bad.txt"] == b"POISON old"
         assert report.reconstructed["good.txt"] == b"new-good"
 
-    def test_on_error_fallback_rescues_with_full_transfer(self):
+    def test_on_error_fallback_rescues_with_full_transfer(self, options):
         report = sync_collection(
             self.files_old, self.files_new, _DoomedMethod("POISON"),
-            on_error="fallback",
+            on_error="fallback", **options,
         )
         assert report.files_failed == 0
         assert report.fallbacks["bad.txt"] == "rescue-full"
         assert report.reconstructed == self.files_new
         assert report.per_file["bad.txt"].breakdown.get("s2c/rescue", 0) > 0
 
-    def test_supervisor_failure_is_isolated_too(self):
+    def test_supervisor_failure_is_isolated_too(self, options):
         """Even a SyncFailedError (whole ladder dead) only costs that
         file when on_error='fallback'."""
 
@@ -169,17 +235,23 @@ class TestPerFileErrorIsolation:
 
         report = sync_collection(
             self.files_old, self.files_new, AlwaysFailing(),
-            on_error="fallback",
+            on_error="fallback", **options,
         )
         assert report.reconstructed == self.files_new
         assert set(report.fallbacks) == {"good.txt", "bad.txt"}
 
-    def test_invalid_on_error_rejected(self):
+    def test_invalid_on_error_rejected(self, options):
         with pytest.raises(ValueError):
             sync_collection(
                 self.files_old, self.files_new, ZdeltaMethod(),
-                on_error="explode",
+                on_error="explode", **options,
             )
+
+
+class TestPerFileErrorIsolationPipelined(TestPerFileErrorIsolation):
+    @pytest.fixture(params=[1, 8], ids=["window1", "window8"])
+    def options(self, request):
+        return {"pipeline": True, "window": request.param}
 
 
 class _CrashOutsideParent(SyncMethod):

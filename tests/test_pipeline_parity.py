@@ -21,17 +21,17 @@ from pathlib import Path
 import pytest
 
 from repro.bench.methods import MultiroundRsyncMethod, OursMethod, RsyncMethod
-from repro.collection import CollectionScheduler, RecordingChannel
+from repro.collection import CollectionScheduler
 from repro.collection.sync import sync_collection
 from repro.exceptions import FrameCorruptionError
-from repro.net import LinkModel
+from repro.net import FaultPlan, LinkModel, SimulatedChannel
 from repro.net.frame import (
     MuxSubframe,
     decode_mux_batch,
     encode_mux_batch,
     mux_overhead_bytes,
 )
-from repro.parallel import arena_available
+from repro.parallel import FileTask, SyncExecutor, arena_available
 from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
@@ -163,10 +163,11 @@ class TestPipelineParity:
         old_side, new_side = make_collection(count=4)
         scheduler = CollectionScheduler(method_factory(), window=3, link=LINK)
         run = scheduler.run(
-            [(name, old_side[name], new_side[name]) for name in old_side]
+            [FileTask(name, old_side[name], new_side[name]) for name in old_side]
         )
         for name in old_side:
-            channel = RecordingChannel(LINK)
+            channel = SimulatedChannel(LINK)
+            channel.recorder = []
             session = method_factory().open_session(
                 old_side[name], new_side[name]
             )
@@ -174,7 +175,7 @@ class TestPipelineParity:
             while not session.done:
                 session.step_round(channel)
             session.finish(channel)
-            assert run.transcripts[name] == channel.transcript, name
+            assert run.transcripts[name] == channel.recorder, name
 
     def test_cross_engine_parity(self, monkeypatch):
         """Scalar and vectorized engines put identical bytes through the
@@ -243,31 +244,66 @@ class TestPipelineParity:
 
     def test_validation(self):
         old_side, new_side = make_collection(count=2)
-        with pytest.raises(ValueError, match="does not support pipelined"):
-            sync_collection(
-                old_side, new_side, RsyncMethod(), pipeline=True
-            )
         with pytest.raises(ValueError, match="window"):
             sync_collection(
                 old_side, new_side, OursMethod(), pipeline=True, window=0
             )
-        from repro.net.faults import FaultPlan
+        with pytest.raises(ValueError, match="executor"):
+            sync_collection(
+                old_side, new_side, OursMethod(), pipeline=True,
+                executor=SyncExecutor(),
+            )
 
-        with pytest.raises(ValueError, match="incompatible"):
-            sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
-                fault_plan=FaultPlan.uniform(0.01),
+    def test_session_less_method_pipelines_as_one_step_lanes(self):
+        """A method without a step-wise session (rsync) is one step per
+        file: it takes one wave per window of files and moves the same
+        bytes as the sequential run."""
+        old_side, new_side = make_collection(count=4)
+        sequential = sync_collection(old_side, new_side, RsyncMethod(), link=LINK)
+        pipelined = sync_collection(
+            old_side, new_side, RsyncMethod(), link=LINK,
+            pipeline=True, window=2,
+        )
+        assert pipelined.per_file == sequential.per_file
+        assert pipelined.reconstructed == new_side
+        assert pipelined.waves == 2
+        assert pipelined.roundtrips_on_wire < sequential.roundtrips_on_wire
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"fault_plan": "uniform", "on_error": "fallback"},
+            {"deadline_s": 5.0, "on_error": "skip"},
+            {"retry_policy": "static", "on_error": "skip"},
+        ],
+        ids=["faults", "deadline", "retries"],
+    )
+    def test_resilience_options_pipeline(self, options):
+        """Fault injection, retries, deadlines and ``on_error`` isolation
+        used to be refused with ``pipeline=True``; at ``window=1`` they
+        now report exactly what the sequential run reports."""
+        from repro.resilience import RetryPolicy
+
+        old_side, new_side = make_collection(count=4)
+        reports = []
+        for pipelined in (False, True):
+            kwargs = dict(options)
+            if kwargs.get("fault_plan"):
+                kwargs["fault_plan"] = FaultPlan.uniform(0.05, seed=11)
+            if kwargs.get("retry_policy"):
+                kwargs["retry_policy"] = RetryPolicy(max_attempts=2)
+            reports.append(
+                sync_collection(
+                    old_side, new_side, OursMethod(), link=LINK,
+                    pipeline=pipelined, window=1, **kwargs,
+                )
             )
-        with pytest.raises(ValueError, match="incompatible"):
-            sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
-                deadline_s=5.0,
-            )
-        with pytest.raises(ValueError, match="on_error"):
-            sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
-                on_error="skip",
-            )
+        sequential, pipelined = reports
+        assert pipelined.pipelined
+        assert pipelined.per_file == sequential.per_file
+        assert pipelined.failed == sequential.failed
+        assert pipelined.fallbacks == sequential.fallbacks
+        assert pipelined.reconstructed == sequential.reconstructed
 
 
 def slow_link_subset(count=24):

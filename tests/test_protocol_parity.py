@@ -32,18 +32,11 @@ from repro.resilience import RoundCheckpoint
 from tests.conftest import make_version_pair
 
 
-class RecordingChannel(SimulatedChannel):
+def recording_channel() -> SimulatedChannel:
     """A channel that keeps a verbatim transcript of every send."""
-
-    def __init__(self):
-        super().__init__()
-        self.transcript: list[tuple[str, str, int | None, bytes]] = []
-
-    def send(self, direction, payload, phase, bits=None):
-        self.transcript.append(
-            (direction.value, phase, bits, bytes(payload))
-        )
-        super().send(direction, payload, phase, bits=bits)
+    channel = SimulatedChannel()
+    channel.recorder = []
+    return channel
 
 
 class Recorder:
@@ -59,7 +52,7 @@ class Recorder:
 
 
 def run_core(old, new, config=None, engine="vectorized", checkpointer=None):
-    channel = RecordingChannel()
+    channel = recording_channel()
     result = synchronize(
         old, new, config, channel, checkpointer=checkpointer, engine=engine
     )
@@ -68,7 +61,7 @@ def run_core(old, new, config=None, engine="vectorized", checkpointer=None):
 
 def run_multiround(old, new, config=None, engine="vectorized",
                    checkpointer=None):
-    channel = RecordingChannel()
+    channel = recording_channel()
     result = multiround_rsync_sync(
         old, new, config, channel, checkpointer=checkpointer, engine=engine
     )
@@ -76,7 +69,7 @@ def run_multiround(old, new, config=None, engine="vectorized",
 
 
 def assert_same_wire(vec_channel, scalar_channel):
-    assert vec_channel.transcript == scalar_channel.transcript
+    assert vec_channel.recorder == scalar_channel.recorder
     assert vec_channel.stats.bits_by == scalar_channel.stats.bits_by
     assert vec_channel.stats.messages == scalar_channel.stats.messages
     assert vec_channel.stats.roundtrips == scalar_channel.stats.roundtrips
@@ -273,7 +266,7 @@ class TestBatchParity:
         # One unchanged file: the batch layer must skip it identically.
         client_files["same.txt"] = server_files["same.txt"] = b"s" * 2000
 
-        vec_channel, scalar_channel = RecordingChannel(), RecordingChannel()
+        vec_channel, scalar_channel = recording_channel(), recording_channel()
         vec = synchronize_batch(
             client_files, server_files, channel=vec_channel,
             engine="vectorized",
