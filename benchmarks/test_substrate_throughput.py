@@ -148,42 +148,37 @@ def test_sorted_position_map_throughput(benchmark):
 
 
 def test_mux_batch_pack_throughput(benchmark):
-    """Multiplexed sub-frame encode+decode for one scheduler wave.
+    """Multiplexed batch encode+decode for one scheduler direction turn.
 
-    The pipelined collection scheduler packs every in-flight file's
-    round message into one shared batch per direction group; framing
-    must stay a rounding error next to protocol compute.  A wave of 64
-    small sub-frames round-trips through
-    :func:`~repro.net.frame.encode_mux_batch` /
+    The pipelined collection scheduler packs every in-flight file's run
+    of same-direction messages into one shared batch; framing must stay
+    a rounding error next to protocol compute.  A batch of 64 lanes,
+    each with a run of one to three 600-byte messages, round-trips
+    through :func:`~repro.net.frame.encode_mux_batch` /
     :func:`~repro.net.frame.decode_mux_batch` per call.
     """
     from repro.net.frame import (
-        MuxSubframe,
         decode_mux_batch,
         encode_mux_batch,
         mux_overhead_bytes,
     )
 
     rng = random.Random(11)
-    subframes = [
-        MuxSubframe(
-            stream_id=index,
-            round_index=rng.randrange(12),
-            seq=rng.randrange(6),
-            bit_length=8 * 600,
-            payload=rng.randbytes(600),
-        )
-        for index in range(64)
+    runs = [
+        [(8 * 600, rng.randbytes(600)) for _ in range(rng.randrange(1, 4))]
+        for _lane in range(64)
     ]
 
     def roundtrip():
-        batch = encode_mux_batch(subframes)
-        return batch, decode_mux_batch(batch)
+        batch = encode_mux_batch(runs)
+        return batch, decode_mux_batch(batch, len(runs))
 
     batch, decoded = benchmark(roundtrip)
-    assert decoded == subframes
-    # Header cost: count + 4 uvarints per sub-frame — a few bytes each.
-    assert mux_overhead_bytes(batch, subframes) < 10 * len(subframes)
+    assert decoded == runs
+    # Header cost: the presence bitmap, a run length per lane and a
+    # bit length per message — a few bytes per message.
+    messages = sum(len(run) for run in runs)
+    assert mux_overhead_bytes(batch, runs) < 4 * messages
 
 
 def test_full_protocol_throughput(benchmark, payload):

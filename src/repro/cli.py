@@ -107,19 +107,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         new_side = _load_side(new_path)
 
     fault_plan = _fault_plan_from_args(args)
-    if args.batched:
-        if args.method != "ours":
-            print("error: --batched requires --method ours", file=sys.stderr)
-            return 2
-        if fault_plan is not None:
-            print("error: --batched does not support fault injection",
-                  file=sys.stderr)
-            return 2
-        if args.checkpoint_dir is not None or args.resume:
-            print("error: --batched does not support checkpoints",
-                  file=sys.stderr)
-            return 2
-        return _sync_batched(args, old_side, new_side)
     method: SyncMethod = _METHOD_FACTORIES[args.method](args)
     run = run_method_on_collection(
         method,
@@ -204,39 +191,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
             print(f"checkpoints     : {run.rounds_salvaged} rounds salvaged, "
                   f"{run.resume_handshake_bits} handshake bits, "
                   f"{run.checkpoint_bytes_written:,} B journalled locally")
-    return 0
-
-
-def _sync_batched(
-    args: argparse.Namespace,
-    old_side: dict[str, bytes],
-    new_side: dict[str, bytes],
-) -> int:
-    from repro.collection import sync_collection_batched
-
-    report = sync_collection_batched(
-        old_side, new_side, _config_from_args(args)
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "method": report.method,
-                    "total_bytes": report.total_bytes,
-                    "manifest_bytes": report.manifest_bytes,
-                    "changed_bytes": report.changed_transfer_bytes,
-                    "added_bytes": report.added_bytes,
-                    "files_changed": report.files_changed,
-                    "files_unchanged": report.files_unchanged,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"method          : {report.method}")
-        print(f"files           : {report.files_changed} changed, "
-              f"{report.files_unchanged} unchanged")
-        print(f"bytes on wire   : {report.total_bytes:,}")
     return 0
 
 
@@ -646,9 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="dispatch multi-worker payloads through the "
                            "zero-copy shared-memory arena (default: auto "
                            "when available; --no-arena forces pickling)")
-    sync.add_argument("--batched", action="store_true",
-                      help="share roundtrips across all changed files "
-                           "(only with --method ours)")
     sync.add_argument("--pipeline", action="store_true",
                       help="interleave the changed files' protocol rounds "
                            "over one multiplexed channel, hiding link "
@@ -656,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "step per file)")
     sync.add_argument("--window", type=int, default=8,
                       help="max files in flight under --pipeline "
-                           "(default 8)")
+                           "(default 8; the number of changed files or "
+                           "more runs them all in lockstep)")
     sync.add_argument("--delta-memo", action=argparse.BooleanOptionalAction,
                       default=None,
                       help="memoize delta instruction lists and payloads "

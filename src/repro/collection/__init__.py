@@ -19,11 +19,7 @@ from repro.collection.store import (
     save_manifest,
 )
 from repro.collection.scrub import ScrubReport, StoreScrubber
-from repro.collection.sync import (
-    CollectionReport,
-    sync_collection,
-    sync_collection_batched,
-)
+from repro.collection.sync import CollectionReport, sync_collection
 
 __all__ = [
     "CollectionReport",
@@ -42,5 +38,4 @@ __all__ = [
     "reconcile_manifests",
     "save_manifest",
     "sync_collection",
-    "sync_collection_batched",
 ]

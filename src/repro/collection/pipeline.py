@@ -10,23 +10,24 @@ supervised method, :meth:`~repro.resilience.SyncSupervisor.lane` with
 its retries, fallback ladder, breakers, deadlines and checkpoints) over
 a private channel whose sends are recorded, which keeps the file's wire
 transcript and byte accounting bit-identical to a sequential run.  The
-:class:`CollectionScheduler` steps up to ``window`` lanes per wave,
-coalescing each wave's recorded messages into shared multiplexed batches
-(:func:`~repro.net.frame.encode_mux_batch`) on one
-:class:`~repro.net.channel.SimulatedChannel`, whose direction-reversal
-count — and therefore the modelled propagation cost — collapses by
-roughly the window factor.
+:class:`CollectionScheduler` mirrors up to ``window`` lanes' recorded
+messages onto one shared :class:`~repro.net.channel.SimulatedChannel`,
+one multiplexed batch (:func:`~repro.net.frame.encode_mux_batch`) per
+direction turn, so the shared link's direction reversals — and with
+them the modelled propagation cost — collapse by roughly the window
+factor.  A window at least the number of changed files runs every file
+in one lockstep batch sequence.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ProtocolError, ReproError
-from repro.net.channel import LinkModel, SimulatedChannel
+from repro.net.channel import LinkModel, SentMessage, SimulatedChannel
 from repro.net.frame import (
-    MuxSubframe,
     decode_mux_batch,
     encode_mux_batch,
     mux_overhead_bytes,
@@ -43,9 +44,12 @@ MUX_PHASE = "mux"
 
 @dataclass
 class _Lane:
-    """One in-flight file: its step generator and recorded sends."""
+    """One in-flight file: its step generator and recorded sends.
 
-    stream_id: int
+    ``transcript[flushed:]`` is the lane's outbox: what it sent on its
+    private channel that the shared link has not carried yet.
+    """
+
     task: FileTask
     steps: object
     transcript: list = field(default_factory=list)
@@ -54,6 +58,11 @@ class _Lane:
     cpu_s: float = 0.0
     result: FileResult | None = None
     reconstructed: bytes | None = None
+
+    @property
+    def done(self) -> bool:
+        """Finished stepping, and the shared link carried all it sent."""
+        return self.result is not None and self.flushed == len(self.transcript)
 
 
 @dataclass
@@ -81,19 +90,23 @@ class PipelineRun:
 
 
 class CollectionScheduler:
-    """Step up to ``window`` per-file lanes, one wave at a time.
+    """Mirror up to ``window`` per-file lanes onto one shared link, one
+    batch per direction turn.
 
-    Every wave runs one step of each in-flight lane (handshake, one
-    protocol round, or the endgame) on its private channel, then flushes
-    the wave's outbound messages onto the shared channel as multiplexed
-    batches: slot ``j`` carries message ``j`` of every lane's step,
-    grouped by direction (client→server first), one shared send per
-    direction group.  Homogeneous files therefore cost the shared link
-    one lane's worth of direction reversals per wave instead of one per
-    lane — the latency-hiding the paper's batching model assumes.
+    Batches alternate client→server and server→client.  In each, every
+    active lane contributes its whole next *run* — its consecutive
+    messages in that direction.  A lane is stepped whenever its outbox
+    is empty, so a run merges across step boundaries: round *r*'s
+    closing server→client message rides with round *r+1*'s server→client
+    hashes.  The schedule stays causally honest: a lane's next run goes
+    out in a later batch than its previous one, and one endpoint sends a
+    whole run.  A lane that finishes is replaced at once, and the new
+    lane joins the current batch if its first message goes that way.  So
+    consecutive batches never share a direction, and the shared link's
+    roundtrips equal its batch count (``waves``).
 
     The decoded batches are checked against the lanes' originals on
-    every flush, so "per-file transcripts bit-identical modulo
+    every send, so "per-file transcripts bit-identical modulo
     interleaving" is enforced at runtime, not just in tests.
     """
 
@@ -123,27 +136,33 @@ class CollectionScheduler:
         lane with ``FileResult.error`` set, as in
         :meth:`~repro.parallel.executor.SyncExecutor.run`.
         """
-        pending = []
-        for stream_id, task in enumerate(tasks):
+        lanes = []
+        for task in tasks:
             transcript = []
             steps = self.method.lane(
                 task.name, task.old, task.new, recorder=transcript
             )
-            pending.append(_Lane(stream_id, task, steps, transcript))
+            lanes.append(_Lane(task, steps, transcript))
+        pending = deque(lanes)
+        active = [pending.popleft() for _ in range(min(self.window, len(lanes)))]
+        direction = Direction.CLIENT_TO_SERVER
+        while active:
+            runs = []
+            index = 0
+            while index < len(active):
+                lane = active[index]
+                runs.append(self._take_run(lane, direction, capture_errors))
+                if lane.done:
+                    del active[index]
+                    if pending:
+                        active.append(pending.popleft())
+                else:
+                    index += 1
+            if any(runs):
+                self._send_batch(direction, runs)
+            direction = direction.opposite
         run = PipelineRun()
-        active: list[_Lane] = []
-        cursor = 0
-        while cursor < len(pending) or active:
-            while cursor < len(pending) and len(active) < self.window:
-                active.append(pending[cursor])
-                cursor += 1
-            self.waves += 1
-            self.shared.mark_round(self.waves)
-            for lane in active:
-                self._step_lane(lane, capture_errors)
-            self._flush_wave(active)
-            active = [lane for lane in active if lane.result is None]
-        for lane in pending:
+        for lane in lanes:
             run.files.append(lane.result)
             run.transcripts[lane.task.name] = lane.transcript
             if lane.reconstructed is not None:
@@ -158,6 +177,25 @@ class CollectionScheduler:
             self.shared.stats.roundtrips,
         )
         return run
+
+    # ------------------------------------------------------------------
+    def _take_run(
+        self, lane: _Lane, direction: Direction, capture_errors: bool
+    ) -> list[SentMessage]:
+        """Pop the lane's next run in ``direction``, stepping the lane
+        whenever its outbox runs dry."""
+        run = []
+        while True:
+            if lane.flushed == len(lane.transcript):
+                if lane.result is not None:
+                    return run
+                self._step_lane(lane, capture_errors)
+                continue
+            message = lane.transcript[lane.flushed]
+            if message.direction is not direction:
+                return run
+            run.append(message)
+            lane.flushed += 1
 
     # ------------------------------------------------------------------
     def _step_lane(self, lane: _Lane, capture_errors: bool) -> None:
@@ -181,51 +219,19 @@ class CollectionScheduler:
             )
 
     # ------------------------------------------------------------------
-    def _flush_wave(self, lanes: list[_Lane]) -> None:
-        """Mirror a wave's private-channel traffic onto the shared link."""
-        wave = []
-        for lane in lanes:
-            wave.append((lane, lane.transcript[lane.flushed :]))
-            lane.flushed = len(lane.transcript)
-        depth = max((len(messages) for _lane, messages in wave), default=0)
-        for slot in range(depth):
-            present = [
-                (lane, messages[slot])
-                for lane, messages in wave
-                if slot < len(messages)
-            ]
-            for direction in (
-                Direction.CLIENT_TO_SERVER,
-                Direction.SERVER_TO_CLIENT,
-            ):
-                group = [
-                    (lane, message)
-                    for lane, message in present
-                    if message.direction is direction
-                ]
-                if not group:
-                    continue
-                subframes = [
-                    MuxSubframe(
-                        stream_id=lane.stream_id,
-                        round_index=message.round_index,
-                        seq=slot,
-                        bit_length=message.bits,
-                        payload=message.payload,
-                    )
-                    for lane, message in group
-                ]
-                batch = encode_mux_batch(subframes)
-                self.shared.send(direction, batch, MUX_PHASE)
-                decoded = decode_mux_batch(self.shared.receive(direction))
-                if [
-                    (sub.stream_id, sub.bit_length, sub.payload)
-                    for sub in decoded
-                ] != [
-                    (sub.stream_id, sub.bit_length, sub.payload)
-                    for sub in subframes
-                ]:
-                    raise ProtocolError(
-                        "multiplexed batch did not round-trip bit-identically"
-                    )
-                self.mux_overhead += mux_overhead_bytes(batch, subframes)
+    def _send_batch(
+        self, direction: Direction, runs: list[list[SentMessage]]
+    ) -> None:
+        """Carry one batch of runs, one per active lane, on the shared link."""
+        self.waves += 1
+        self.shared.mark_round(self.waves)
+        framed = [
+            [(message.bits, message.payload) for message in run] for run in runs
+        ]
+        batch = encode_mux_batch(framed)
+        self.shared.send(direction, batch, MUX_PHASE)
+        if decode_mux_batch(self.shared.receive(direction), len(runs)) != framed:
+            raise ProtocolError(
+                "multiplexed batch did not round-trip bit-identically"
+            )
+        self.mux_overhead += mux_overhead_bytes(batch, framed)

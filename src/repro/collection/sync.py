@@ -59,6 +59,8 @@ class CollectionReport:
     #: multiplexed channel's count for the pipelined path — and
     #: ``link_wall_clock_s`` the modelled wall clock those bytes and
     #: reversals cost on the configured :class:`~repro.net.LinkModel`.
+    #: ``waves`` counts the pipelined path's shared batches, one per
+    #: direction turn, so it equals that path's ``roundtrips_on_wire``.
     pipelined: bool = False
     waves: int = 0
     mux_overhead_bytes: int = 0
@@ -147,62 +149,6 @@ class CollectionReport:
 
 
 _OUTCOME_FIELDS = frozenset(spec.name for spec in fields(MethodOutcome))
-
-
-def sync_collection_batched(
-    client_files: dict[str, bytes],
-    server_files: dict[str, bytes],
-    config=None,
-    verify: bool = True,
-) -> CollectionReport:
-    """Like :func:`sync_collection` with our protocol, but every changed
-    file shares the same roundtrips (``repro.core.synchronize_batch``).
-
-    This is the deployment mode the paper assumes for large collections:
-    recursive splitting costs latency once per *collection*, not once per
-    file.
-    """
-    from repro.core.batch import synchronize_batch
-
-    client_manifest = Manifest.of_collection(client_files)
-    server_manifest = Manifest.of_collection(server_files)
-    diff = diff_manifests(client_manifest, server_manifest)
-
-    report = CollectionReport(
-        method="ours-batched",
-        manifest_bytes=server_manifest.wire_bytes(),
-        diff=diff,
-        caches=dict.fromkeys(cache_counters(), 0),  # not measured here
-    )
-    for name in diff.unchanged:
-        report.reconstructed[name] = client_files[name]
-    for name in diff.added:
-        payload = zlib.compress(server_files[name], 9)
-        report.added.total_bytes += len(payload)
-        report.reconstructed[name] = zlib.decompress(payload)
-
-    if diff.changed:
-        batch = synchronize_batch(
-            {name: client_files[name] for name in diff.changed},
-            {name: server_files[name] for name in diff.changed},
-            config,
-        )
-        report.reconstructed.update(batch.reconstructed)
-        # Attribute the shared cost to one aggregate outcome entry.
-        report.per_file["<batch>"] = MethodOutcome(
-            total_bytes=batch.total_bytes,
-            client_to_server=batch.stats.client_to_server_bytes,
-            server_to_client=batch.stats.server_to_client_bytes,
-            breakdown=dict(batch.stats.breakdown()),
-        )
-
-    if verify:
-        for name, data in server_files.items():
-            if report.reconstructed.get(name) != data:
-                raise IntegrityError(
-                    f"batched reconstruction differs at {name}"
-                )
-    return report
 
 
 def _transfer_added(
@@ -363,8 +309,10 @@ def sync_collection(
     Pipelined scheduling (DESIGN §16): ``pipeline=True`` interleaves the
     changed files' protocol rounds — up to ``window`` in flight — over
     one multiplexed channel so the link's round-trip latency is paid per
-    *wave* instead of per file per round
-    (:class:`~repro.collection.pipeline.CollectionScheduler`).  Each file
+    shared batch instead of per file per round
+    (:class:`~repro.collection.pipeline.CollectionScheduler`); a
+    ``window`` of at least the number of changed files runs them all in
+    lockstep.  Each file
     runs the same per-file driver as the sequential path (the
     supervisor's, when any resilience option is set), so per-file
     transcripts, byte accounting and round checkpoints stay bit-identical

@@ -12,7 +12,6 @@ from repro.core.adaptive import (
     choose_config,
     probe_similarity,
 )
-from repro.core.batch import BatchReport, synchronize_batch
 from repro.core.broadcast import BroadcastReport, synchronize_broadcast
 from repro.core.blocks import Block, BlockStatus, BlockTracker, HashKind
 from repro.core.client import Candidate, ClientSession
@@ -23,8 +22,6 @@ from repro.core.protocol import CoreSyncSession, SyncResult, synchronize
 from repro.core.server import ServerSession
 
 __all__ = [
-    "BatchReport",
-    "synchronize_batch",
     "BroadcastReport",
     "synchronize_broadcast",
     "Block",

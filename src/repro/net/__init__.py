@@ -23,7 +23,6 @@ from repro.net.chaos import (
 from repro.net.faults import FaultEvent, FaultKind, FaultPlan, FaultyChannel
 from repro.net.frame import (
     FRAME_OVERHEAD,
-    MuxSubframe,
     decode_frame,
     decode_mux_batch,
     encode_frame,
@@ -42,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "FaultyChannel",
     "LinkModel",
-    "MuxSubframe",
     "ScheduledFaultPlan",
     "SimulatedChannel",
     "TransferStats",

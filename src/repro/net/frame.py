@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 from repro.exceptions import FrameCorruptionError
 from repro.io.varint import decode_uvarint, encode_uvarint
@@ -61,99 +60,121 @@ def decode_frame(frame: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Multiplexed sub-frames (the pipelined collection scheduler's wire unit)
+# Multiplexed batches (the pipelined collection scheduler's wire unit)
 # ----------------------------------------------------------------------
 #
-# A pipelined collection drives many per-file sessions over ONE shared
-# channel, so each coalesced batch must say which file and which protocol
-# round every payload belongs to.  A batch is::
+# A pipelined collection drives many per-file sessions (*lanes*) over ONE
+# shared channel.  Each shared send is one *batch* in one direction, and
+# it carries every in-flight lane's whole next *run*: the lane's
+# consecutive messages in that direction.  Both ends know which lanes are
+# active and in which order they joined (files join in manifest order as
+# earlier ones finish), so stream ids, rounds and sequence numbers are
+# implicit.  A batch carries only what the receiver cannot derive::
 #
-#     count (uvarint) | subframe | subframe | ...
+#     presence bitmap ((lanes + 7) // 8 bytes, little-endian; bit i set
+#                      when active lane i sends in this batch)
+#     | per present lane: run length (uvarint), then bit_length
+#                         (uvarint) per message
+#     | payloads ((bit_length + 7) // 8 bytes each), in the same order
 #
-# and each sub-frame::
-#
-#     stream_id (uvarint) | round (uvarint) | seq (uvarint)
-#     | bit_length (uvarint) | payload ((bit_length + 7) // 8 bytes)
-#
-# ``stream_id`` keys the file's lane, ``round`` the protocol round the
-# message belongs to, and ``seq`` the per-lane message serial — enough
-# for a receiver to demultiplex and re-order deterministically.  The
-# payload's byte length is derived from ``bit_length`` (the channel
+# The payload's byte length is derived from ``bit_length`` (the channel
 # enforces ``0 <= 8*len - bits < 8``), so no separate length field is
 # spent.  Like the CRC framing above, mux header bytes are *overhead*
 # around untouched protocol payloads: the scheduler accounts them
 # separately (``mux_overhead_bytes``) instead of charging them to any
 # per-file phase bucket.
 
-
-@dataclass(frozen=True)
-class MuxSubframe:
-    """One demultiplexed message of a coalesced batch."""
-
-    stream_id: int
-    round_index: int
-    seq: int
-    bit_length: int
-    payload: bytes
+#: One lane's run in a batch: ``(bit_length, payload)`` per message.
+MuxRun = list[tuple[int, bytes]]
 
 
-def encode_mux_batch(subframes: list[MuxSubframe]) -> bytes:
-    """Pack sub-frames into one batch payload."""
-    out = bytearray()
-    out += encode_uvarint(len(subframes))
-    for sub in subframes:
-        if (len(sub.payload) * 8 - sub.bit_length) not in range(8):
-            raise ValueError(
-                f"bit_length={sub.bit_length} inconsistent with a "
-                f"{len(sub.payload)}-byte payload"
-            )
-        out += encode_uvarint(sub.stream_id)
-        out += encode_uvarint(sub.round_index)
-        out += encode_uvarint(sub.seq)
-        out += encode_uvarint(sub.bit_length)
-        out += sub.payload
-    return bytes(out)
+def encode_mux_batch(runs: list[MuxRun]) -> bytes:
+    """Pack one batch; ``runs[i]`` is active lane ``i``'s run, ``[]``
+    for a lane that sends nothing in it."""
+    bitmap = 0
+    header = bytearray()
+    payloads = bytearray()
+    for lane, run in enumerate(runs):
+        if not run:
+            continue
+        bitmap |= 1 << lane
+        header += encode_uvarint(len(run))
+        for bit_length, payload in run:
+            if (len(payload) * 8 - bit_length) not in range(8):
+                raise ValueError(
+                    f"bit_length={bit_length} inconsistent with a "
+                    f"{len(payload)}-byte payload"
+                )
+            header += encode_uvarint(bit_length)
+            payloads += payload
+    width = (len(runs) + 7) // 8
+    return bitmap.to_bytes(width, "little") + bytes(header) + bytes(payloads)
 
 
-def decode_mux_batch(batch: bytes) -> list[MuxSubframe]:
-    """Inverse of :func:`encode_mux_batch`.
+def decode_mux_batch(batch: bytes, lanes: int) -> list[MuxRun]:
+    """Inverse of :func:`encode_mux_batch` for a receiver with ``lanes``
+    active lanes.
 
-    Raises :class:`FrameCorruptionError` on truncation or trailing
-    garbage — a mangled batch must never demultiplex silently.
+    Raises :class:`FrameCorruptionError` on truncation, trailing garbage
+    or any length the batch cannot hold — a mangled batch must never
+    demultiplex silently.
     """
+    if lanes < 0:
+        raise ValueError(f"lanes must be non-negative, got {lanes}")
+    width = (lanes + 7) // 8
+    if len(batch) < width:
+        raise FrameCorruptionError(
+            f"mux batch of {len(batch)} bytes is shorter than the "
+            f"{width}-byte presence bitmap"
+        )
+    bitmap = int.from_bytes(batch[:width], "little")
+    if bitmap >> lanes:
+        raise FrameCorruptionError(
+            f"presence bitmap marks lanes beyond the {lanes} active"
+        )
+    offset = width
+    run_bits: list[list[int]] = []
     try:
-        count, offset = decode_uvarint(batch, 0)
-        subframes: list[MuxSubframe] = []
-        for _ in range(count):
-            stream_id, offset = decode_uvarint(batch, offset)
-            round_index, offset = decode_uvarint(batch, offset)
-            seq, offset = decode_uvarint(batch, offset)
-            bit_length, offset = decode_uvarint(batch, offset)
-            length = (bit_length + 7) // 8
-            if offset + length > len(batch):
+        for lane in range(lanes):
+            bits: list[int] = []
+            run_bits.append(bits)
+            if not bitmap >> lane & 1:
+                continue
+            count, offset = decode_uvarint(batch, offset)
+            # Every message spends at least one header byte, so a run
+            # longer than the bytes left is corrupt before it is read.
+            if not 0 < count <= len(batch) - offset:
                 raise FrameCorruptionError(
-                    f"mux sub-frame announces {length} payload bytes but "
-                    f"only {len(batch) - offset} remain"
+                    f"lane {lane} announces a run of {count} messages "
+                    f"with {len(batch) - offset} bytes left"
                 )
-            subframes.append(
-                MuxSubframe(
-                    stream_id,
-                    round_index,
-                    seq,
-                    bit_length,
-                    batch[offset : offset + length],
-                )
-            )
-            offset += length
-    except (IndexError, ValueError) as error:
+            for _ in range(count):
+                bit_length, offset = decode_uvarint(batch, offset)
+                bits.append(bit_length)
+    except ValueError as error:
         raise FrameCorruptionError(f"undecodable mux batch: {error}") from error
+    runs: list[MuxRun] = []
+    for bits in run_bits:
+        run: MuxRun = []
+        for bit_length in bits:
+            end = offset + (bit_length + 7) // 8
+            if end > len(batch):
+                raise FrameCorruptionError(
+                    f"mux payload announces {(bit_length + 7) // 8} bytes "
+                    f"but only {len(batch) - offset} remain"
+                )
+            run.append((bit_length, batch[offset:end]))
+            offset = end
+        runs.append(run)
     if offset != len(batch):
         raise FrameCorruptionError(
             f"mux batch carries {len(batch) - offset} trailing bytes"
         )
-    return subframes
+    return runs
 
 
-def mux_overhead_bytes(batch: bytes, subframes: list[MuxSubframe]) -> int:
+def mux_overhead_bytes(batch: bytes, runs: list[MuxRun]) -> int:
     """Header bytes the batch spends beyond its protocol payloads."""
-    return len(batch) - sum(len(sub.payload) for sub in subframes)
+    return len(batch) - sum(
+        len(payload) for run in runs for _bits, payload in run
+    )

@@ -53,6 +53,8 @@ _KIND_HEADER = 0x01
 _KIND_ROUND = 0x02
 _KIND_COMMIT = 0x03
 
+_DIRECTIONS = frozenset(direction.value for direction in Direction)
+
 #: Fault-injection hook for crash tests: when set to an integer N, the
 #: process SIGKILLs itself immediately after durably writing its Nth
 #: checkpoint record — modelling a crash between two protocol rounds.
@@ -77,8 +79,15 @@ def _pack_str(out: bytearray, text: str) -> None:
     _pack_bytes(out, text.encode("utf-8"))
 
 
+def _unpack_uvarint(data: bytes, offset: int) -> tuple[int, int]:
+    try:
+        return decode_uvarint(data, offset)
+    except ValueError as error:
+        raise CheckpointFormatError(f"bad varint in record: {error}") from error
+
+
 def _unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
-    length, offset = decode_uvarint(data, offset)
+    length, offset = _unpack_uvarint(data, offset)
     if offset + length > len(data):
         raise CheckpointFormatError("truncated byte field in record")
     return data[offset : offset + length], offset + length
@@ -86,7 +95,10 @@ def _unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
 
 def _unpack_str(data: bytes, offset: int) -> tuple[str, int]:
     raw, offset = _unpack_bytes(data, offset)
-    return raw.decode("utf-8"), offset
+    try:
+        return raw.decode("utf-8"), offset
+    except UnicodeDecodeError as error:
+        raise CheckpointFormatError(f"non-UTF-8 text in record: {error}") from error
 
 
 def config_digest(config: object) -> bytes:
@@ -195,17 +207,21 @@ class RoundCheckpoint:
 
     @classmethod
     def decode(cls, data: bytes) -> "RoundCheckpoint":
-        round_index, offset = decode_uvarint(data, 0)
+        round_index, offset = _unpack_uvarint(data, 0)
         payload, offset = _unpack_bytes(data, offset)
-        count, offset = decode_uvarint(data, offset)
+        count, offset = _unpack_uvarint(data, offset)
         bits = []
         for _ in range(count):
             direction, offset = _unpack_str(data, offset)
+            if direction not in _DIRECTIONS:
+                raise CheckpointFormatError(
+                    f"unknown direction {direction!r} in record"
+                )
             phase, offset = _unpack_str(data, offset)
-            nbits, offset = decode_uvarint(data, offset)
+            nbits, offset = _unpack_uvarint(data, offset)
             bits.append((direction, phase, nbits))
-        messages, offset = decode_uvarint(data, offset)
-        roundtrips, _offset = decode_uvarint(data, offset)
+        messages, offset = _unpack_uvarint(data, offset)
+        roundtrips, _offset = _unpack_uvarint(data, offset)
         return cls(round_index, payload, tuple(bits), messages, roundtrips)
 
     def digest(self) -> bytes:
@@ -298,7 +314,7 @@ class SessionJournal:
                     head = RoundCheckpoint.decode(body)
                 elif kind == _KIND_COMMIT:
                     head = None  # finished session: nothing to salvage
-        except (CheckpointFormatError, ValueError):
+        except CheckpointFormatError:
             pass  # stop at the first undecodable record
         return identity, head
 

@@ -15,7 +15,7 @@ how many attempts were burnt, and what the recovery cost on the wire and
 in (estimated) wall-clock.  The attempt loop is a step generator
 (:meth:`SyncSupervisor.lane`): ``sync_file`` drives it to completion,
 and the pipelined :class:`~repro.collection.pipeline.CollectionScheduler`
-steps many files' lanes in waves over one link.
+steps many files' lanes over one shared link.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointStore` the
 supervisor additionally makes retries *cheap*: checkpoint-capable rungs

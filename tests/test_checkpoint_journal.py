@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.net.channel import SimulatedChannel
@@ -74,6 +76,25 @@ class TestRecords:
         assert config_digest(base) != config_digest(
             ProtocolConfig(min_block_size=32)
         )
+
+    @pytest.mark.parametrize(
+        "decode", [RoundCheckpoint.decode, SessionIdentity.decode]
+    )
+    def test_random_bytes_raise_typed_error(self, decode):
+        """Garbage records decode or raise CheckpointFormatError — never
+        a bare ValueError or UnicodeDecodeError."""
+        rng = random.Random(7)
+        for _ in range(300):
+            data = rng.randbytes(rng.randrange(64))
+            try:
+                decode(data)
+            except CheckpointFormatError:
+                pass
+
+    def test_unknown_direction_rejected(self):
+        checkpoint = RoundCheckpoint(1, b"", (("sideways", "map", 8),), 1, 1)
+        with pytest.raises(CheckpointFormatError, match="direction"):
+            RoundCheckpoint.decode(checkpoint.encode())
 
 
 class TestJournalLifecycle:

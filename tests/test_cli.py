@@ -127,23 +127,37 @@ class TestSyncCommand:
 
 
 class TestBatchedSync:
+    """A window of at least the changed-file count batches them all."""
+
     def test_batched_directory(self, dir_pair, capsys):
         old_dir, new_dir = dir_pair
-        assert main(["sync", str(old_dir), str(new_dir), "--batched"]) == 0
-        assert "ours-batched" in capsys.readouterr().out
+        assert main(["sync", str(old_dir), str(new_dir), "--pipeline",
+                     "--window", "8"]) == 0
+        assert "waves" in capsys.readouterr().out
 
     def test_batched_json(self, dir_pair, capsys):
         old_dir, new_dir = dir_pair
-        assert main(["sync", str(old_dir), str(new_dir), "--batched",
-                     "--json"]) == 0
+        assert main(["sync", str(old_dir), str(new_dir), "--pipeline",
+                     "--window", "8", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "ours-batched"
+        assert payload["method"] == "ours"
+        assert payload["pipelined"]
+        assert payload["roundtrips_on_wire"] == payload["waves"] > 0
 
-    def test_batched_requires_ours(self, dir_pair, capsys):
+    def test_full_window_runs_any_method(self, dir_pair, capsys):
         old_dir, new_dir = dir_pair
-        assert main(["sync", str(old_dir), str(new_dir), "--batched",
-                     "--method", "rsync"]) == 2
-        assert "requires" in capsys.readouterr().err
+        assert main(["sync", str(old_dir), str(new_dir), "--pipeline",
+                     "--window", "8", "--method", "rsync", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "rsync"
+        assert payload["pipelined"]
+
+    def test_batched_flag_is_gone(self, dir_pair, capsys):
+        old_dir, new_dir = dir_pair
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sync", str(old_dir), str(new_dir), "--batched"])
+        assert exit_info.value.code == 2
+        assert "--batched" in capsys.readouterr().err
 
 
 class TestTraceCommand:

@@ -56,36 +56,39 @@ class TestSyncCollection:
         ) == len(tree.new)
 
 
+def full_window(old_side, new_side, method=None):
+    """One pipelined window holding every changed file: lockstep batches."""
+    return sync_collection(
+        old_side, new_side, method or OursMethod(),
+        pipeline=True, window=max(len(old_side), 1),
+    )
+
+
 class TestBatchedCollectionSync:
     def test_reconstruction(self, tree):
-        from repro.collection import sync_collection_batched
-
-        report = sync_collection_batched(tree.old, tree.new)
+        report = full_window(tree.old, tree.new)
         assert report.reconstructed == tree.new
-        assert report.method == "ours-batched"
+        assert report.method == "ours"
+        assert report.roundtrips_on_wire == report.waves
 
     def test_totals_consistent(self, tree):
-        from repro.collection import sync_collection_batched
-
-        report = sync_collection_batched(tree.old, tree.new)
+        report = full_window(tree.old, tree.new)
         summary = report.summary()
         assert summary["total"] == (
             summary["manifest"] + summary["changed"] + summary["added"]
         )
 
     def test_comparable_bytes_to_per_file_mode(self, tree):
-        from repro.collection import sync_collection_batched
-
-        batched = sync_collection_batched(tree.old, tree.new)
+        batched = full_window(tree.old, tree.new)
         per_file = sync_collection(tree.old, tree.new, OursMethod())
         assert batched.total_bytes <= per_file.total_bytes * 1.05
+        assert batched.roundtrips_on_wire < per_file.roundtrips_on_wire
 
     def test_config_respected(self, tree):
-        from repro.collection import sync_collection_batched
         from repro.core import ProtocolConfig
 
-        report = sync_collection_batched(
-            tree.old, tree.new, ProtocolConfig(max_rounds=2)
+        report = full_window(
+            tree.old, tree.new, OursMethod(ProtocolConfig(max_rounds=2))
         )
         assert report.reconstructed == tree.new
 

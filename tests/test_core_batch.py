@@ -1,13 +1,37 @@
-"""Tests for batched (roundtrip-sharing) synchronization."""
+"""Full-window batching: every changed file shares each roundtrip.
+
+A pipelined collection whose window holds every changed file runs all of
+them in lockstep over one shared link — the paper's "many files can be
+processed simultaneously".  These are the guarantees the retired
+lockstep batch mode made, held against that one scheduler.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import ProtocolConfig, synchronize, synchronize_batch
+from repro.bench.methods import OursMethod
+from repro.collection.sync import sync_collection
+from repro.core import ProtocolConfig, synchronize
 from repro.net import SimulatedChannel
 from repro.workloads import gcc_like, make_web_collection
 from tests.conftest import make_version_pair
+
+
+def full_window(old_side, new_side, config=None):
+    """Synchronise with every changed file in one window."""
+    changed = sum(
+        1
+        for name in new_side
+        if name in old_side and old_side[name] != new_side[name]
+    )
+    return sync_collection(
+        old_side,
+        new_side,
+        OursMethod(config),
+        pipeline=True,
+        window=max(changed, 1),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -23,32 +47,37 @@ def batch_pair():
 class TestCorrectness:
     def test_every_file_reconstructed(self, batch_pair):
         old_side, new_side = batch_pair
-        report = synchronize_batch(old_side, new_side)
+        report = full_window(old_side, new_side)
         assert report.reconstructed == new_side
 
     def test_unchanged_files_listed(self, batch_pair):
         old_side, new_side = batch_pair
-        report = synchronize_batch(old_side, new_side)
+        report = full_window(old_side, new_side)
         expected = {n for n in old_side if old_side[n] == new_side[n]}
-        assert set(report.unchanged_files) == expected
+        assert set(report.diff.unchanged) == expected
+        assert expected.isdisjoint(report.per_file)
 
     def test_empty_batch(self):
-        report = synchronize_batch({}, {})
+        report = full_window({}, {})
         assert report.reconstructed == {}
-        assert report.rounds == 0
+        assert report.waves == report.roundtrips_on_wire == 0
 
     def test_single_file_matches_protocol(self):
         old, new = make_version_pair(seed=600, nbytes=12000)
-        report = synchronize_batch({"f": old}, {"f": new})
+        report = full_window({"f": old}, {"f": new})
         assert report.reconstructed["f"] == new
+        assert report.per_file["f"].total_bytes == synchronize(old, new).total_bytes
 
     def test_names_only_on_one_side_ignored(self):
+        """Only files on both sides run a lane; the rest are added or
+        dropped outside the shared batches."""
         old, new = make_version_pair(seed=601, nbytes=4000)
-        report = synchronize_batch(
+        report = full_window(
             {"common": old, "client-only": b"x"},
             {"common": new, "server-only": b"y"},
         )
-        assert set(report.reconstructed) == {"common"}
+        assert set(report.per_file) == {"common"}
+        assert report.reconstructed == {"common": new, "server-only": b"y"}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -62,9 +91,7 @@ class TestCorrectness:
     )
     def test_variants(self, batch_pair, overrides):
         old_side, new_side = batch_pair
-        report = synchronize_batch(
-            old_side, new_side, ProtocolConfig(**overrides)
-        )
+        report = full_window(old_side, new_side, ProtocolConfig(**overrides))
         assert report.reconstructed == new_side
 
 
@@ -72,7 +99,7 @@ class TestAmortization:
     def test_roundtrips_shared_not_summed(self, batch_pair):
         """The whole point: batch roundtrips ~ per-round, not per-file."""
         old_side, new_side = batch_pair
-        report = synchronize_batch(old_side, new_side)
+        report = full_window(old_side, new_side)
 
         per_file_roundtrips = 0
         for name in old_side:
@@ -81,30 +108,28 @@ class TestAmortization:
                                  channel=channel)
             assert result.reconstructed == new_side[name]
             per_file_roundtrips += channel.stats.roundtrips
-        assert report.roundtrips < per_file_roundtrips / 3
+        assert report.roundtrips_on_wire < per_file_roundtrips / 3
 
     def test_bytes_comparable_to_per_file(self, batch_pair):
         old_side, new_side = batch_pair
-        report = synchronize_batch(old_side, new_side)
+        report = full_window(old_side, new_side)
         per_file_total = 0
         for name in old_side:
             result = synchronize(old_side[name], new_side[name])
             per_file_total += result.total_bytes
-        # Sharing byte boundaries can only help; no more than 5% apart.
-        assert report.total_bytes <= per_file_total * 1.05
+        # Each file's protocol payload is unchanged by the shared link.
+        assert report.changed_transfer_bytes <= per_file_total * 1.05
 
     def test_roundtrips_grow_with_rounds_not_files(self):
         small = make_web_collection(page_count=6, days=(0, 1), seed=9)
         large = make_web_collection(page_count=18, days=(0, 1), seed=9)
-        report_small = synchronize_batch(
-            small.snapshot(0), small.snapshot(1)
-        )
-        report_large = synchronize_batch(
-            large.snapshot(0), large.snapshot(1)
-        )
+        report_small = full_window(small.snapshot(0), small.snapshot(1))
+        report_large = full_window(large.snapshot(0), large.snapshot(1))
         assert report_large.reconstructed == large.snapshot(1)
         # Tripling the file count must not triple the roundtrips.
-        assert report_large.roundtrips < 2 * max(report_small.roundtrips, 1)
+        assert report_large.roundtrips_on_wire < 2 * max(
+            report_small.roundtrips_on_wire, 1
+        )
 
 
 class TestFallback:
@@ -125,22 +150,23 @@ class TestFallback:
             return delta
 
         monkeypatch.setattr(server_module.ServerSession, "emit_delta", sabotage)
-        report = synchronize_batch(
-            {"a": old_a, "b": old_b}, {"a": new_a, "b": new_b}
-        )
+        report = full_window({"a": old_a, "b": old_b}, {"a": new_a, "b": new_b})
         assert report.reconstructed == {"a": new_a, "b": new_b}
-        assert report.fallback_files == ["a"]
+        fell_back = sorted(
+            name
+            for name, outcome in report.per_file.items()
+            if "s2c/fallback" in outcome.breakdown
+        )
+        assert fell_back == ["a"]
 
 
 class TestBatchWithRefinement:
     def test_refinement_composes_with_batching(self, batch_pair):
-        from repro.core import ProtocolConfig, synchronize_batch
-
         old_side, new_side = batch_pair
         config = ProtocolConfig(
             min_block_size=128,
             continuation_min_block_size=None,
             refine_boundaries=True,
         )
-        report = synchronize_batch(old_side, new_side, config)
+        report = full_window(old_side, new_side, config)
         assert report.reconstructed == new_side

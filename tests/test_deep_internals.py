@@ -9,7 +9,6 @@ import pytest
 
 from repro.collection import Manifest, diff_manifests, reconcile_manifests
 from repro.core import ProtocolConfig
-from repro.core.batch import _FileState
 from tests.conftest import make_version_pair
 
 
@@ -80,20 +79,9 @@ class TestMultiroundTokens:
 
 
 class TestBatchInternals:
-    def test_file_state_defaults(self):
-        from repro.core.client import ClientSession
-        from repro.core.server import ServerSession
-
-        state = _FileState(
-            name="f",
-            client=ClientSession(b"old", ProtocolConfig()),
-            server=ServerSession(b"new", ProtocolConfig()),
-        )
-        assert not state.unchanged
-        assert state.reconstructed is None
-
     def test_batch_handles_mixed_sizes(self):
-        from repro.core import synchronize_batch
+        from repro.bench.methods import OursMethod
+        from repro.collection import sync_collection
 
         pairs = {}
         servers = {}
@@ -106,9 +94,11 @@ class TestBatchInternals:
         servers["empty"] = b"now it has content"
         pairs["same"] = b"frozen"
         servers["same"] = b"frozen"
-        report = synchronize_batch(pairs, servers)
+        report = sync_collection(
+            pairs, servers, OursMethod(), pipeline=True, window=len(pairs)
+        )
         assert report.reconstructed == servers
-        assert "same" in report.unchanged_files
+        assert "same" in report.diff.unchanged
 
 
 class TestRefinementBookkeeping:

@@ -16,17 +16,20 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.methods import MultiroundRsyncMethod, OursMethod, RsyncMethod
 from repro.collection import CollectionScheduler
 from repro.collection.sync import sync_collection
 from repro.exceptions import FrameCorruptionError
 from repro.net import FaultPlan, LinkModel, SimulatedChannel
+from repro.io.varint import encode_uvarint
 from repro.net.frame import (
-    MuxSubframe,
     decode_mux_batch,
     encode_mux_batch,
     mux_overhead_bytes,
@@ -56,44 +59,117 @@ def make_collection(count=6, nbytes=9000, edits=6, seed=900):
 
 
 # ----------------------------------------------------------------------
-# Mux sub-frame format
+# Mux batch format
 # ----------------------------------------------------------------------
 class TestMuxFrame:
-    def subframes(self):
+    def runs(self):
         return [
-            MuxSubframe(0, 3, 0, 8 * 5, b"hello"),
-            # Bit-packed payload: 12 bits in 2 bytes (4 padding bits).
-            MuxSubframe(7, 1, 0, 12, b"\xab\xc0"),
-            MuxSubframe(130, 0, 2, 0, b""),
+            [(8 * 5, b"hello")],
+            [],  # an active lane with nothing to send this turn
+            # Bit-packed payload: 12 bits in 2 bytes (4 padding bits),
+            # then an empty message in the same run.
+            [(12, b"\xab\xc0"), (0, b"")],
         ]
 
     def test_roundtrip(self):
-        subframes = self.subframes()
-        batch = encode_mux_batch(subframes)
-        assert decode_mux_batch(batch) == subframes
-        overhead = mux_overhead_bytes(batch, subframes)
+        runs = self.runs()
+        batch = encode_mux_batch(runs)
+        assert decode_mux_batch(batch, len(runs)) == runs
+        overhead = mux_overhead_bytes(batch, runs)
         assert overhead == len(batch) - 7
-        assert overhead > 0
+        # One bitmap byte, two run lengths and three bit lengths.
+        assert overhead == 6
 
     def test_empty_batch(self):
-        assert decode_mux_batch(encode_mux_batch([])) == []
+        assert decode_mux_batch(encode_mux_batch([]), 0) == []
+        assert decode_mux_batch(encode_mux_batch([[], []]), 2) == [[], []]
 
     def test_truncation_raises(self):
-        batch = encode_mux_batch(self.subframes())
-        for cut in (1, len(batch) // 2, len(batch) - 1):
+        batch = encode_mux_batch(self.runs())
+        for cut in (0, 1, len(batch) // 2, len(batch) - 1):
             with pytest.raises(FrameCorruptionError):
-                decode_mux_batch(batch[:cut])
+                decode_mux_batch(batch[:cut], 3)
 
     def test_trailing_bytes_raise(self):
-        batch = encode_mux_batch(self.subframes())
+        batch = encode_mux_batch(self.runs())
         with pytest.raises(FrameCorruptionError):
-            decode_mux_batch(batch + b"\x00")
+            decode_mux_batch(batch + b"\x00", 3)
 
     def test_encode_rejects_inconsistent_bit_length(self):
         with pytest.raises(ValueError):
-            encode_mux_batch([MuxSubframe(0, 0, 0, 9, b"x")])
+            encode_mux_batch([[(9, b"x")]])
         with pytest.raises(ValueError):
-            encode_mux_batch([MuxSubframe(0, 0, 0, 24, b"xy")])
+            encode_mux_batch([[(24, b"xy")]])
+
+    def test_presence_beyond_active_lanes_raises(self):
+        batch = encode_mux_batch(self.runs())
+        with pytest.raises(FrameCorruptionError, match="beyond"):
+            decode_mux_batch(batch, 2)
+
+    def test_huge_announced_lengths_rejected_before_use(self):
+        # Lane 0 present, announcing 2**62 messages; then a plausible run
+        # whose one message announces 2**62 bits.
+        huge = encode_uvarint(2**62)
+        for batch in (b"\x01" + huge, b"\x01\x01" + huge + b"x"):
+            started = time.perf_counter()
+            with pytest.raises(FrameCorruptionError):
+                decode_mux_batch(batch, 1)
+            assert time.perf_counter() - started < 0.5
+
+
+def _message():
+    return st.integers(0, 80).flatmap(
+        lambda bits: st.tuples(
+            st.just(bits),
+            st.binary(min_size=(bits + 7) // 8, max_size=(bits + 7) // 8),
+        )
+    )
+
+
+_RUNS = st.lists(st.lists(_message(), max_size=4), max_size=64)
+_LANES = st.integers(0, 64)
+
+
+def _decode_within_bound(batch: bytes, lanes: int):
+    """Messages or a typed error, quickly: never another exception."""
+    started = time.perf_counter()
+    try:
+        runs = decode_mux_batch(batch, lanes)
+    except FrameCorruptionError:
+        runs = None
+    assert time.perf_counter() - started < 1.0
+    if runs is not None:
+        assert len(runs) == lanes
+    return runs
+
+
+class TestMuxDecoderFuzz:
+    """The decoder takes untrusted bytes: arbitrary input, crossed with
+    any active-lane count, yields runs or ``FrameCorruptionError``."""
+
+    @given(batch=st.binary(max_size=300), lanes=_LANES)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, batch, lanes):
+        runs = _decode_within_bound(batch, lanes)
+        if runs is not None:
+            assert decode_mux_batch(encode_mux_batch(runs), lanes) == runs
+
+    @given(runs=_RUNS, lanes=_LANES, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_valid_batches(self, runs, lanes, data):
+        batch = encode_mux_batch(runs)
+        assert decode_mux_batch(batch, len(runs)) == runs
+        mutation = data.draw(st.sampled_from(["flip", "cut", "insert", "none"]))
+        if mutation == "flip" and batch:
+            at = data.draw(st.integers(0, len(batch) - 1))
+            bit = data.draw(st.integers(0, 7))
+            batch = batch[:at] + bytes([batch[at] ^ (1 << bit)]) + batch[at + 1 :]
+        elif mutation == "cut" and batch:
+            batch = batch[: data.draw(st.integers(0, len(batch) - 1))]
+        elif mutation == "insert":
+            at = data.draw(st.integers(0, len(batch)))
+            batch = batch[:at] + data.draw(st.binary(min_size=1, max_size=3)) + batch[at:]
+        _decode_within_bound(batch, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +332,8 @@ class TestPipelineParity:
 
     def test_session_less_method_pipelines_as_one_step_lanes(self):
         """A method without a step-wise session (rsync) is one step per
-        file: it takes one wave per window of files and moves the same
-        bytes as the sequential run."""
+        file: each window of files costs two shared batches (signatures
+        up, deltas down) and moves the same bytes as the sequential run."""
         old_side, new_side = make_collection(count=4)
         sequential = sync_collection(old_side, new_side, RsyncMethod(), link=LINK)
         pipelined = sync_collection(
@@ -266,7 +342,7 @@ class TestPipelineParity:
         )
         assert pipelined.per_file == sequential.per_file
         assert pipelined.reconstructed == new_side
-        assert pipelined.waves == 2
+        assert pipelined.waves == pipelined.roundtrips_on_wire == 4
         assert pipelined.roundtrips_on_wire < sequential.roundtrips_on_wire
 
     @pytest.mark.parametrize(
@@ -314,11 +390,76 @@ def slow_link_subset(count=24):
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     old_side, new_side = inputs.slow_link(1)
-    names = sorted(new_side)[:count]
+    names = sorted(new_side)[:count]  # count=None: every file
     return (
         {name: old_side[name] for name in names},
         {name: new_side[name] for name in names},
     )
+
+
+def counter_view_tree():
+    """The seeded tree every counter-view scenario runs on."""
+    from tests.test_counter_views import _tree
+
+    return _tree()
+
+
+LEDGER_INPUTS = {
+    "counter-view-tree": counter_view_tree,
+    "slow-link-24": slow_link_subset,
+}
+
+
+class TestSharedLinkLedger:
+    """Every byte on the shared link is a lane's recorded payload or mux
+    header, and every batch is one direction turn."""
+
+    @pytest.mark.parametrize("window", [1, 8, "all"])
+    @pytest.mark.parametrize("inputs", sorted(LEDGER_INPUTS))
+    def test_bytes_and_turns(self, inputs, window):
+        old_side, new_side = LEDGER_INPUTS[inputs]()
+        tasks = [
+            FileTask(name, old_side[name], new_side[name])
+            for name in sorted(new_side)
+            if name in old_side and old_side[name] != new_side[name]
+        ]
+        scheduler = CollectionScheduler(
+            OursMethod(),
+            window=len(tasks) if window == "all" else window,
+            link=LINK,
+        )
+        run = scheduler.run(tasks)
+        lane_bytes = sum(
+            len(message.payload)
+            for transcript in run.transcripts.values()
+            for message in transcript
+        )
+        assert run.shared_stats.total_bytes == (
+            lane_bytes + run.mux_overhead_bytes
+        )
+        assert run.roundtrips_on_wire == run.waves
+
+    @pytest.mark.parametrize("inputs", sorted(LEDGER_INPUTS))
+    def test_window_one_matches_sequential(self, inputs):
+        old_side, new_side = LEDGER_INPUTS[inputs]()
+        sequential = sync_collection(old_side, new_side, OursMethod(), link=LINK)
+        pipelined = sync_collection(
+            old_side, new_side, OursMethod(), link=LINK,
+            pipeline=True, window=1,
+        )
+        assert pipelined.per_file == sequential.per_file
+        assert pipelined.roundtrips_on_wire <= sequential.roundtrips_on_wire
+
+    def test_full_window_beats_lockstep_on_slow_link(self):
+        """The whole slow-link collection in one window needs no more
+        roundtrips than the retired lockstep batch path's 65."""
+        old_side, new_side = slow_link_subset(count=None)
+        report = sync_collection(
+            old_side, new_side, OursMethod(), link=LINK,
+            pipeline=True, window=len(new_side),
+        )
+        assert report.reconstructed == new_side
+        assert report.roundtrips_on_wire == report.waves <= 65
 
 
 class TestPipelineCacheCounters:

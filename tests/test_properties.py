@@ -155,11 +155,15 @@ def test_multiround_always_exact(pair):
 @given(pair=related_pair())
 @settings(max_examples=15, deadline=None)
 def test_batch_reconstruction_matches_single(pair):
-    """Batched and single-file modes agree on the reconstruction."""
-    from repro.core import synchronize_batch
+    """Full-window batched and single-file modes agree on the
+    reconstruction."""
+    from repro.bench.methods import OursMethod
+    from repro.collection import sync_collection
 
     old, new = pair
-    report = synchronize_batch({"f": old}, {"f": new})
+    report = sync_collection(
+        {"f": old}, {"f": new}, OursMethod(), pipeline=True, window=1
+    )
     single = synchronize(old, new)
     assert report.reconstructed["f"] == single.reconstructed == new
 

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.methods import OursMethod
+from repro.collection import CollectionScheduler
 from repro.core import (
     ENGINE_ENV,
     ENGINES,
@@ -24,10 +26,10 @@ from repro.core import (
     default_engine,
     resolve_engine,
     synchronize,
-    synchronize_batch,
 )
 from repro.multiround import MultiroundConfig, multiround_rsync_sync
 from repro.net.channel import SimulatedChannel
+from repro.parallel import FileTask
 from repro.resilience import RoundCheckpoint
 from tests.conftest import make_version_pair
 
@@ -247,42 +249,40 @@ class TestMultiroundParity:
 
 
 # ----------------------------------------------------------------------
-# Batched collection sync (combined sections, shared roundtrips)
+# Full-window collection batches (every changed file shares each turn)
 # ----------------------------------------------------------------------
 class TestBatchParity:
     @pytest.mark.parametrize("seed", [1650, 1651])
-    def test_wire_and_stats_identical(self, seed):
+    def test_wire_and_stats_identical(self, seed, monkeypatch):
         rng = random.Random(seed)
-        client_files, server_files = {}, {}
+        tasks = []
         for index in range(4):
             old, new = make_version_pair(
                 seed=seed * 100 + index,
                 nbytes=rng.randrange(300, 9000),
                 edits=rng.randrange(1, 8),
             )
-            name = f"f{index}.txt"
-            client_files[name] = old
-            server_files[name] = new
-        # One unchanged file: the batch layer must skip it identically.
-        client_files["same.txt"] = server_files["same.txt"] = b"s" * 2000
+            tasks.append(FileTask(f"f{index}.txt", old, new))
+        # An identical pair rides along: both engines must agree on it too.
+        tasks.append(FileTask("same.txt", b"s" * 2000, b"s" * 2000))
 
-        vec_channel, scalar_channel = recording_channel(), recording_channel()
-        vec = synchronize_batch(
-            client_files, server_files, channel=vec_channel,
-            engine="vectorized",
-        )
-        scalar = synchronize_batch(
-            client_files, server_files, channel=scalar_channel,
-            engine="scalar",
+        schedulers = {}
+        for engine in ENGINES:
+            monkeypatch.setenv(ENGINE_ENV, engine)
+            scheduler = CollectionScheduler(OursMethod(), window=len(tasks))
+            scheduler.shared.recorder = []
+            schedulers[engine] = (scheduler, scheduler.run(tasks))
+        (vec_scheduler, vec), (scalar_scheduler, scalar) = (
+            schedulers["vectorized"],
+            schedulers["scalar"],
         )
         assert vec.reconstructed == scalar.reconstructed
-        for name, data in server_files.items():
-            if name in vec.reconstructed:
-                assert vec.reconstructed[name] == data
-        assert vec.rounds == scalar.rounds
-        assert vec.unchanged_files == scalar.unchanged_files
-        assert vec.fallback_files == scalar.fallback_files
-        assert_same_wire(vec_channel, scalar_channel)
+        for task in tasks:
+            assert vec.reconstructed[task.name] == task.new
+        assert [f.outcome for f in vec.files] == [f.outcome for f in scalar.files]
+        assert vec.transcripts == scalar.transcripts
+        assert vec.waves == scalar.waves
+        assert_same_wire(vec_scheduler.shared, scalar_scheduler.shared)
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +298,6 @@ class TestEngineSelection:
             synchronize(old, new, engine="bogus")
         with pytest.raises(ValueError, match="engine"):
             multiround_rsync_sync(old, new, engine="bogus")
-        with pytest.raises(ValueError, match="engine"):
-            synchronize_batch({"f": old}, {"f": new}, engine="bogus")
 
     def test_env_var_selects_engine(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "scalar")
