@@ -68,7 +68,7 @@ DEFAULT_DELTA_FILE_KB = 96
 DEFAULT_SCALAR_FILES = 4
 
 #: End-to-end protocol runs are expensive (a full multi-round sync per
-#: file), so the protocol gate times a single cold-cache pass per engine.
+#: file), so the protocol gate times a single cold-cache pass.
 DEFAULT_PROTOCOL_ROUNDS = 1
 
 #: Pipeline-latency workload: 64 small changed files over a 300 ms-RTT
@@ -198,19 +198,6 @@ class PerfBaseline:
         return sequential_op.seconds / pipelined_op.seconds
 
     @property
-    def protocol_speedup(self) -> float:
-        """Whole-round engine speedup: vectorized MB/s over scalar MB/s.
-
-        Throughput-based (not raw seconds) because the scalar oracle is
-        timed on a payload subset of the same workload.
-        """
-        scalar_op = self.ops.get("protocol_sync_scalar")
-        vector_op = self.ops.get("protocol_sync_vectorized")
-        if scalar_op is None or vector_op is None or scalar_op.mb_per_s <= 0:
-            return 0.0
-        return vector_op.mb_per_s / scalar_op.mb_per_s
-
-    @property
     def reuse_speedup(self) -> float:
         """Nth-client memo speedup: cold serve wall clock / warm.
 
@@ -243,10 +230,6 @@ class PerfBaseline:
             derived["executor_arena_speedup"] = round(self.arena_speedup, 3)
         if self.delta_speedup:
             derived["delta_vectorized_speedup"] = round(self.delta_speedup, 3)
-        if self.protocol_speedup:
-            derived["protocol_vectorized_speedup"] = round(
-                self.protocol_speedup, 3
-            )
         if self.pipeline_speedup:
             derived["pipeline_latency_speedup"] = round(
                 self.pipeline_speedup, 3
@@ -560,49 +543,35 @@ def measure_protocol(
     file_kb: int = DEFAULT_DELTA_FILE_KB,
     rounds: int = DEFAULT_PROTOCOL_ROUNDS,
     seed: int = DEFAULT_SEED,
-    scalar_files: int = DEFAULT_SCALAR_FILES,
 ) -> PerfBaseline:
-    """Time the whole-round protocol engines on the seeded mixed workload.
+    """Time the core protocol on the seeded mixed workload.
 
-    Two ops make up the BENCH_protocol record:
-
-    * ``protocol_sync_vectorized`` — end-to-end :func:`repro.core.synchronize`
-      with the batched engine over every pair;
-    * ``protocol_sync_scalar`` — the scalar parity oracle over the first
-      ``scalar_files`` pairs (MB/s normalises by payload).
-
-    Each timed pass starts from a cold :func:`~repro.parallel.cache.
-    default_cache` — the shared content-keyed :class:`HashIndexCache`
-    would otherwise hand whichever engine runs second prebuilt indexes
-    and corrupt the ratio.
+    One op makes up the BENCH_protocol record:
+    ``protocol_sync_vectorized``, end-to-end
+    :func:`repro.core.synchronize` over every pair — an absolute number
+    the tolerance gate compares against the committed record.  Each timed
+    pass starts from a cold :func:`~repro.parallel.cache.default_cache`.
     """
     from repro.core import ProtocolConfig, synchronize
     from repro.parallel.cache import reset_default_cache
 
     pairs = build_delta_workload(files=files, file_kb=file_kb, seed=seed)
     config = ProtocolConfig()
-    ops: dict[str, OpTiming] = {}
 
-    def run_engine(engine: str, count: int) -> None:
+    def run_all() -> None:
         reset_default_cache()
-        for reference, target in pairs[:count]:
-            synchronize(reference, target, config, engine=engine)
+        for reference, target in pairs:
+            synchronize(reference, target, config)
 
     rounds = max(1, rounds)
-    ops["protocol_sync_vectorized"] = OpTiming(
-        "protocol_sync_vectorized",
-        _best_of(rounds, lambda: run_engine("vectorized", files)),
-        sum(len(target) for _reference, target in pairs),
-        rounds,
-    )
-
-    scalar_files = max(1, min(scalar_files, files))
-    ops["protocol_sync_scalar"] = OpTiming(
-        "protocol_sync_scalar",
-        _best_of(rounds, lambda: run_engine("scalar", scalar_files)),
-        sum(len(target) for _reference, target in pairs[:scalar_files]),
-        rounds,
-    )
+    ops = {
+        "protocol_sync_vectorized": OpTiming(
+            "protocol_sync_vectorized",
+            _best_of(rounds, run_all),
+            sum(len(target) for _reference, target in pairs),
+            rounds,
+        )
+    }
     reset_default_cache()
 
     environment = {
@@ -615,7 +584,6 @@ def measure_protocol(
         "file_kb": file_kb,
         "rounds": rounds,
         "seed": seed,
-        "scalar_files": scalar_files,
     }
     return PerfBaseline(workload=workload, ops=ops, environment=environment)
 
@@ -815,9 +783,6 @@ def render_baseline(baseline: PerfBaseline) -> str:
     delta = baseline.delta_speedup
     if delta:
         title += f"; vectorized delta match {delta:.2f}x over scalar"
-    protocol = baseline.protocol_speedup
-    if protocol:
-        title += f"; vectorized protocol {protocol:.2f}x over scalar"
     pipeline = baseline.pipeline_speedup
     if pipeline:
         title += f"; pipelined wall clock {pipeline:.2f}x over sequential"

@@ -14,7 +14,7 @@ from repro.core.adaptive import (
 )
 from repro.core.broadcast import BroadcastReport, synchronize_broadcast
 from repro.core.blocks import Block, BlockStatus, BlockTracker, HashKind
-from repro.core.client import Candidate, ClientSession
+from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
 from repro.core.engine import ENGINE_ENV, ENGINES, default_engine, resolve_engine
 from repro.core.filemap import FileMap, MatchEntry
@@ -31,7 +31,6 @@ __all__ = [
     "probe_similarity",
     "BlockStatus",
     "BlockTracker",
-    "Candidate",
     "ClientSession",
     "CoreSyncSession",
     "ENGINES",

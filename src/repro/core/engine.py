@@ -1,16 +1,17 @@
-"""Protocol-engine selection: vectorized whole-round vs scalar oracle.
+"""Round-engine selection for the multiround protocol.
 
-Both protocol stacks (:func:`repro.core.protocol.synchronize` and
-:func:`repro.multiround.protocol.multiround_rsync_sync`) ship two round
+:func:`repro.multiround.protocol.multiround_rsync_sync` ships two round
 engines that put byte-identical traffic on the wire:
 
 * ``"vectorized"`` (default) processes every round as whole-block numpy
   arrays — one batched map construction, one batched candidate lookup,
   batched verification scheduling;
 * ``"scalar"`` is the original block-at-a-time loop, kept as the parity
-  oracle and the perf-baseline denominator (``engine="scalar"`` or
-  ``REPRO_PROTOCOL_ENGINE=scalar``), exactly like the delta matcher's
-  ``REPRO_DELTA_ENGINE`` (DESIGN §12).
+  oracle (``engine="scalar"`` or ``REPRO_PROTOCOL_ENGINE=scalar``),
+  exactly like the delta matcher's ``REPRO_DELTA_ENGINE`` (DESIGN §12).
+
+The core protocol (:func:`repro.core.synchronize`) has a single engine,
+the array frontier; its oracle is the golden transcript set (DESIGN §13).
 
 The contract mirrors the delta engine's: an explicit ``engine=`` argument
 is validated and raises ``ValueError`` on garbage, while a garbage

@@ -7,12 +7,12 @@ from a few facts:
 
 * every *current* block is a just-split child, so the frontier is fully
   described by the parent geometry plus the parent's known (global) hash
-  value, and :meth:`~repro.core.blocks.Block.split` deterministically
-  rebuilds the children (including sibling links for derived hashes);
-* the confirmed-match adjacency sets are projections of the ordered
-  ``confirmed_regions`` list (order preserved — ``local_anchor`` breaks
-  distance ties first-wins);
-* the client's source-position dictionaries are projections of its
+  width and value, and the split rule deterministically rebuilds the
+  sibling pairs;
+* the confirmed-match adjacency arrays are projections of the ordered
+  ``confirmed_regions`` list (order preserved — the local-anchor search
+  breaks distance ties by confirmation order);
+* the client's source-position maps are projections of its
   :class:`~repro.core.filemap.FileMap` entries.
 
 :func:`snapshot_round_state` serializes exactly those facts (varint
@@ -20,76 +20,139 @@ format, opaque to the journal layer); :func:`restore_round_state` rebuilds
 two fresh sessions into the identical mid-protocol state, so a resumed
 run continues with the same plans, the same hash widths and the same
 delta reference as the interrupted one would have.
+
+The decoder trusts nothing: every count is checked against the bytes
+left before anything is allocated, and the decoded geometry must be
+possible for the two files at hand (parents inside the server file,
+ascending and disjoint; hash widths at most 32 bits with values that fit;
+confirmed regions and map entries inside the files).  Anything else
+raises :class:`~repro.exceptions.ProtocolError`, which the supervisor
+treats as recoverable.
 """
 
 from __future__ import annotations
 
-from repro.core.blocks import Block, BlockTracker
+import numpy as np
+
+from repro.core.blocks import BlockTracker
 from repro.core.client import ClientSession
 from repro.core.server import ServerSession
 from repro.exceptions import ProtocolError
 from repro.io.varint import decode_uvarint, encode_uvarint
 
+#: Largest field value the decoder accepts (keeps int64 arithmetic exact).
+_MAX_FIELD = (1 << 62) - 1
+#: Widest known hash a frontier parent can carry.
+_MAX_HASH_WIDTH = 32
 
-def _pack_bytes(out: bytearray, data: bytes) -> None:
-    out += encode_uvarint(len(data))
-    out += data
 
-
-def _unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
-    length, offset = decode_uvarint(data, offset)
-    if offset + length > len(data):
-        raise ProtocolError("truncated snapshot field")
-    return data[offset : offset + length], offset + length
+def _encode_all(out: bytearray, values) -> None:
+    out += b"".join(encode_uvarint(value) for value in values)
 
 
 def _encode_tracker(out: bytearray, tracker: BlockTracker) -> None:
     out += encode_uvarint(tracker.level)
-    current = tracker.current
-    if len(current) % 2:
+    rows = tracker.starts.size
+    if rows % 2 or (rows and not tracker.paired):
         raise ProtocolError("frontier is not made of sibling pairs")
-    out += encode_uvarint(len(current) // 2)
-    for index in range(0, len(current), 2):
-        parent = current[index].parent
-        if parent is None or parent is not current[index + 1].parent:
-            raise ProtocolError("frontier is not made of sibling pairs")
-        out += encode_uvarint(parent.start)
-        out += encode_uvarint(parent.length)
-        out += encode_uvarint(parent.known_width)
-        out += encode_uvarint(parent.known_value)
+    lengths = tracker.lengths
+    out += encode_uvarint(rows // 2)
+    _encode_all(
+        out,
+        np.column_stack([
+            tracker.starts[0::2],
+            lengths[0::2] + lengths[1::2],
+            tracker.parent_known_width,
+            tracker.parent_known_value.astype(np.int64),
+        ]).ravel().tolist(),
+    )
     out += encode_uvarint(len(tracker.confirmed_regions))
-    for start, length in tracker.confirmed_regions:
-        out += encode_uvarint(start)
-        out += encode_uvarint(length)
+    _encode_all(
+        out, [field for region in tracker.confirmed_regions for field in region]
+    )
 
 
-def _decode_tracker(
-    tracker: BlockTracker, data: bytes, offset: int
-) -> int:
-    level, offset = decode_uvarint(data, offset)
-    pair_count, offset = decode_uvarint(data, offset)
-    current: list[Block] = []
-    for _ in range(pair_count):
-        start, offset = decode_uvarint(data, offset)
-        length, offset = decode_uvarint(data, offset)
-        known_width, offset = decode_uvarint(data, offset)
-        known_value, offset = decode_uvarint(data, offset)
-        parent = Block(start=start, length=length, level=level - 1)
-        parent.known_width = known_width
-        parent.known_value = known_value
-        current.extend(parent.split())
-    region_count, offset = decode_uvarint(data, offset)
-    regions: list[tuple[int, int]] = []
-    for _ in range(region_count):
-        start, offset = decode_uvarint(data, offset)
-        length, offset = decode_uvarint(data, offset)
-        regions.append((start, length))
-    tracker.level = level
-    tracker.current = current
-    tracker.confirmed_regions = regions
-    tracker.confirmed_starts = {start for start, _length in regions}
-    tracker.confirmed_ends = {start + length for start, length in regions}
-    return offset
+class _Reader:
+    """Varint cursor over a snapshot that raises only ``ProtocolError``."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.offset = 0
+
+    def uint(self) -> int:
+        try:
+            value, self.offset = decode_uvarint(self.data, self.offset)
+        except ValueError as error:
+            raise ProtocolError(f"malformed snapshot: {error}") from None
+        if value > _MAX_FIELD:
+            raise ProtocolError("snapshot field out of range")
+        return value
+
+    def table(self, columns: int) -> np.ndarray:
+        """A count-prefixed table of ``columns`` varints per row."""
+        count = self.uint()
+        if count * columns > len(self.data) - self.offset:
+            raise ProtocolError("snapshot count exceeds the payload")
+        fields = [self.uint() for _ in range(count * columns)]
+        return np.asarray(fields, dtype=np.int64).reshape(count, columns)
+
+    def blob(self) -> bytes:
+        length = self.uint()
+        if length > len(self.data) - self.offset:
+            raise ProtocolError("truncated snapshot field")
+        self.offset += length
+        return self.data[self.offset - length : self.offset]
+
+
+def _check_disjoint(starts: np.ndarray, ends: np.ndarray, what: str) -> None:
+    """Sorted-by-start regions must not overlap."""
+    if bool((starts[1:] < ends[:-1]).any()):
+        raise ProtocolError(f"snapshot {what} overlap")
+
+
+def _check_inside(
+    starts: np.ndarray, lengths: np.ndarray, limit: int, minimum: int, what: str
+) -> None:
+    if bool((lengths < minimum).any()) or bool(
+        (starts + lengths > limit).any()
+    ):
+        raise ProtocolError(f"snapshot {what} outside the file")
+
+
+def _decode_tracker(reader: _Reader, server_length: int):
+    """Parse and check one tracker; returns the arguments to restore it."""
+    level = reader.uint()
+    parents = reader.table(4)
+    regions = reader.table(2)
+    starts, lengths, known_width, known_value = parents.T
+    # Every parent splits into two non-empty children.
+    _check_inside(starts, lengths, server_length, 2, "frontier parent")
+    _check_disjoint(starts, starts + lengths, "frontier parents")
+    if parents.size and level == 0:
+        raise ProtocolError("snapshot frontier at level 0")
+    if bool((known_width > _MAX_HASH_WIDTH).any()) or bool(
+        (known_value >> known_width).any()
+    ):
+        raise ProtocolError("snapshot known hash does not fit its width")
+    _check_inside(regions[:, 0], regions[:, 1], server_length, 1, "region")
+    order = np.argsort(regions[:, 0], kind="stable")
+    _check_disjoint(
+        regions[order, 0], regions[order, 0] + regions[order, 1], "regions"
+    )
+    return (
+        level,
+        starts,
+        lengths,
+        known_width,
+        known_value.astype(np.uint64),
+        [tuple(region) for region in regions.tolist()],
+    )
+
+
+def _restore_tracker(tracker: BlockTracker, decoded) -> None:
+    *frontier, regions = decoded
+    tracker.restore_frontier(*frontier)
+    tracker.restore_confirmed(regions)
 
 
 def snapshot_round_state(
@@ -103,19 +166,21 @@ def snapshot_round_state(
     if client.server_fingerprint is None:
         raise ProtocolError("cannot snapshot before the handshake")
     out = bytearray()
-    out += encode_uvarint(rounds)
-    out += encode_uvarint(continuation_candidates)
-    out += encode_uvarint(continuation_accepted)
-    _pack_bytes(out, client.server_fingerprint)
+    _encode_all(out, (rounds, continuation_candidates, continuation_accepted))
+    out += encode_uvarint(len(client.server_fingerprint))
+    out += client.server_fingerprint
     _encode_tracker(out, server.tracker)
     _encode_tracker(out, client._require_tracker())
-    file_map = client._require_map()
-    entries = file_map.entries()
+    entries = client._require_map().entries()
     out += encode_uvarint(len(entries))
-    for entry in entries:
-        out += encode_uvarint(entry.start)
-        out += encode_uvarint(entry.length)
-        out += encode_uvarint(entry.source)
+    _encode_all(
+        out,
+        [
+            field
+            for entry in entries
+            for field in (entry.start, entry.length, entry.source)
+        ],
+    )
     return bytes(out)
 
 
@@ -126,27 +191,35 @@ def restore_round_state(
 
     Returns ``(rounds, continuation_candidates, continuation_accepted)``
     so the protocol loop continues its counters where they stopped.
+    Raises :class:`~repro.exceptions.ProtocolError` on a payload that is
+    malformed or impossible for these two files; the sessions are left
+    untouched in that case.
     """
-    rounds, offset = decode_uvarint(payload, 0)
-    continuation_candidates, offset = decode_uvarint(payload, offset)
-    continuation_accepted, offset = decode_uvarint(payload, offset)
-    fingerprint, offset = _unpack_bytes(payload, offset)
+    server_length = len(server.data)
+    reader = _Reader(payload)
+    rounds = reader.uint()
+    continuation_candidates = reader.uint()
+    continuation_accepted = reader.uint()
+    fingerprint = reader.blob()
+    server_tracker = _decode_tracker(reader, server_length)
+    client_tracker = _decode_tracker(reader, server_length)
+    entries = reader.table(3)
+    if reader.offset != len(payload):
+        raise ProtocolError("trailing bytes after the snapshot")
+    starts, lengths, sources = entries.T
+    _check_inside(starts, lengths, server_length, 1, "map entry")
+    _check_inside(sources, lengths, len(client.data), 1, "map source")
 
     # Replay the handshake's effects from local knowledge: the lengths
     # both sides exchanged are the lengths of the files they still hold.
     server.set_client_length(len(client.data))
-    client.process_handshake(fingerprint, len(server.data))
-
-    offset = _decode_tracker(server.tracker, payload, offset)
-    offset = _decode_tracker(client._require_tracker(), payload, offset)
+    client.process_handshake(fingerprint, server_length)
+    _restore_tracker(server.tracker, server_tracker)
+    _restore_tracker(client._require_tracker(), client_tracker)
 
     file_map = client._require_map()
-    entry_count, offset = decode_uvarint(payload, offset)
-    for _ in range(entry_count):
-        start, offset = decode_uvarint(payload, offset)
-        length, offset = decode_uvarint(payload, offset)
-        source, offset = decode_uvarint(payload, offset)
+    for start, length, source in entries.tolist():
         file_map.add(start, length, source)
-        client._source_after_end[start + length] = source + length
-        client._source_at_start[start] = source
+    client._source_after_end.set_many(starts + lengths, sources + lengths)
+    client._source_at_start.set_many(starts, sources)
     return rounds, continuation_candidates, continuation_accepted

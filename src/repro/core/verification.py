@@ -19,6 +19,7 @@ from repro.grouptesting.strategies import (
     BatchSpec,
     VerificationStrategy,
 )
+from repro.hashing.strong import StrongHasher
 
 ItemT = TypeVar("ItemT")
 
@@ -85,3 +86,28 @@ def batch_wire_bits(units: list[list[ItemT]], batch: BatchSpec) -> int:
 def strategy_max_batches(strategy: VerificationStrategy) -> int:
     """Number of client→server batches the exchange may need."""
     return len(strategy.batches)
+
+
+def region_verification_values(
+    strong: StrongHasher,
+    data: bytes,
+    units: list[list[tuple[int, int]]],
+    batch: BatchSpec,
+) -> list[int]:
+    """One verification hash per unit of ``(offset, length)`` regions.
+
+    Both endpoints call this on their own file: the client on the
+    candidate positions it claims, the server on the blocks themselves.
+    """
+    bits = batch.bits
+    if batch.mode is BatchMode.INDIVIDUAL:
+        return [
+            strong.bits(data[offset : offset + length], bits)
+            for ((offset, length),) in units
+        ]
+    return [
+        strong.group_bits(
+            (data[offset : offset + length] for offset, length in unit), bits
+        )
+        for unit in units
+    ]

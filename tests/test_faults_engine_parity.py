@@ -1,18 +1,20 @@
-"""Cross-engine fault-injection parity: vectorized vs scalar.
+"""Cross-engine fault-injection parity: vectorized vs scalar multiround.
 
-The two protocol round engines promise byte-identical wire traffic, so
-under a *fixed fault schedule* every downstream resilience observable —
-retry counts, rung descent, retransmission accounting, failure histories
-— must be identical too.  Each case builds a fresh same-seed fault plan
-per engine (the plan is stateful) and flips the engine via the
-``REPRO_PROTOCOL_ENGINE`` environment default both stacks honour.
+The multiround protocol's two round engines promise byte-identical wire
+traffic, so under a *fixed fault schedule* every downstream resilience
+observable — retry counts, rung descent, retransmission accounting,
+failure histories — must be identical too.  Each case supervises the
+multiround method as the primary rung, builds a fresh same-seed fault
+plan per engine (the plan is stateful) and flips the engine via the
+``REPRO_PROTOCOL_ENGINE`` environment default.  (The core protocol has
+one engine; its wire bytes are pinned by ``tests/test_golden_core.py``.)
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.methods import OursMethod
+from repro.bench.methods import MultiroundRsyncMethod
 from repro.collection import sync_collection
 from repro.core.engine import ENGINE_ENV, ENGINES
 from repro.exceptions import SyncFailedError
@@ -56,7 +58,7 @@ def _supervised_fingerprint(monkeypatch, engine, make_plan, pair,
         if adaptive
         else RetryPolicy(max_attempts=3)
     )
-    supervisor = SyncSupervisor(OursMethod(), retry=retry,
+    supervisor = SyncSupervisor(MultiroundRsyncMethod(), retry=retry,
                                 fault_plan=make_plan())
     old, new = pair
     outcome = supervisor.sync_file(old, new)
@@ -88,7 +90,7 @@ class TestSupervisedFileParity:
         for engine in ENGINES:
             monkeypatch.setenv(ENGINE_ENV, engine)
             supervisor = SyncSupervisor(
-                OursMethod(),
+                MultiroundRsyncMethod(),
                 retry=RetryPolicy(max_attempts=2),
                 fault_plan=FaultPlan(seed=4, corrupt_rate=1.0),
             )
@@ -96,7 +98,7 @@ class TestSupervisedFileParity:
                 supervisor.sync_file(old, new)
             captured[engine] = (info.value.attempts, info.value.history)
         assert captured["vectorized"] == captured["scalar"]
-        assert captured["vectorized"][0] == 8  # 4 rungs x 2 attempts
+        assert captured["vectorized"][0] == 6  # 3 rungs x 2 attempts
 
 
 class TestCollectionParity:
@@ -112,7 +114,7 @@ class TestCollectionParity:
         for engine in ENGINES:
             monkeypatch.setenv(ENGINE_ENV, engine)
             report = sync_collection(
-                tree.old, tree.new, OursMethod(),
+                tree.old, tree.new, MultiroundRsyncMethod(),
                 fault_plan=FaultPlan.uniform(0.08, seed=44),
                 on_error="fallback",
                 adaptive_retry=adaptive,

@@ -254,14 +254,15 @@ class TestPipelineParity:
             assert run.transcripts[name] == channel.recorder, name
 
     def test_cross_engine_parity(self, monkeypatch):
-        """Scalar and vectorized engines put identical bytes through the
-        pipelined scheduler — wire figures included."""
+        """The multiround protocol's scalar and vectorized engines put
+        identical bytes through the pipelined scheduler — wire figures
+        included."""
         old_side, new_side = make_collection(count=4)
         reports = {}
         for engine in ("scalar", "vectorized"):
             monkeypatch.setenv("REPRO_PROTOCOL_ENGINE", engine)
             reports[engine] = sync_collection(
-                old_side, new_side, OursMethod(), link=LINK,
+                old_side, new_side, MultiroundRsyncMethod(), link=LINK,
                 pipeline=True, window=4,
             )
         scalar, vectorized = reports["scalar"], reports["vectorized"]

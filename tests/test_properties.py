@@ -118,12 +118,8 @@ def test_mirrored_plans_identical(pair):
     ):
         server_plan = planner(server.tracker)
         client_plan = planner(client.tracker)
-        assert [
-            (a.kind, a.width, a.block.start, a.block.length)
-            for a in server_plan
-        ] == [
-            (a.kind, a.width, a.block.start, a.block.length)
-            for a in client_plan
+        assert [field.tolist() for field in server_plan] == [
+            field.tolist() for field in client_plan
         ]
 
 

@@ -1,12 +1,15 @@
-"""Engine parity: the vectorized round engine vs the scalar oracle.
+"""Parity suites for the two protocol stacks.
 
-The whole-round engine rewrite (DESIGN §13) keeps the original per-block
-loops alive as a parity oracle behind ``engine="scalar"``.  The contract
-this suite pins down: both engines put **byte-identical traffic** on the
-wire, report identical :class:`TransferStats`, and write interchangeable
-round checkpoints — so a session checkpointed under one engine resumes
-cleanly under the other, and every correctness test exercised against
-one engine speaks for both.
+*Core protocol:* there is one round engine (the array frontier, DESIGN
+§13) and ``tests/test_golden_core.py`` pins its wire bytes.  The parity
+pinned here is between an uninterrupted session and the same session
+resumed from each of its round checkpoints: the resumed run must put the
+rest of the original transcript on the wire, write the same later
+checkpoints and end with the same stats.
+
+*Multiround rsync:* the vectorized round engine against the scalar
+oracle kept behind ``engine="scalar"`` — byte-identical traffic,
+identical :class:`TransferStats`, interchangeable round checkpoints.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.methods import OursMethod
+from repro.bench.methods import MultiroundRsyncMethod
 from repro.collection import CollectionScheduler
 from repro.core import (
     ENGINE_ENV,
@@ -53,12 +56,44 @@ class Recorder:
         )
 
 
-def run_core(old, new, config=None, engine="vectorized", checkpointer=None):
+def run_core(old, new, config=None, checkpointer=None):
     channel = recording_channel()
-    result = synchronize(
-        old, new, config, channel, checkpointer=checkpointer, engine=engine
-    )
+    result = synchronize(old, new, config, channel, checkpointer=checkpointer)
     return result, channel
+
+
+def wire(messages):
+    """A transcript without round tags (a resumed channel starts at 0)."""
+    return [
+        (m.direction, m.payload, m.phase, m.bits) for m in messages
+    ]
+
+
+def assert_resume_parity(old, new, config=None, min_checkpoints=0):
+    """Resuming from every round checkpoint reproduces the whole run."""
+    recorder = Recorder()
+    baseline, channel = run_core(old, new, config, checkpointer=recorder)
+    assert baseline.reconstructed == new
+    assert len(recorder.checkpoints) >= min_checkpoints
+    for at, checkpoint in enumerate(recorder.checkpoints):
+        resumed_channel = recording_channel()
+        checkpoint.seed_stats(resumed_channel.stats)
+        later = Recorder()
+        resumed = synchronize(
+            old, new, config, resumed_channel,
+            checkpointer=later, resume_from=checkpoint,
+        )
+        assert resumed.reconstructed == new
+        assert resumed.rounds == baseline.rounds
+        assert resumed.stats.bits_by == baseline.stats.bits_by
+        assert resumed.stats.messages == baseline.stats.messages
+        assert wire(resumed_channel.recorder) == wire(
+            channel.recorder[checkpoint.messages:]
+        ), f"resume from round {checkpoint.round_index} diverged"
+        assert [c.payload for c in later.checkpoints] == [
+            c.payload for c in recorder.checkpoints[at + 1:]
+        ]
+    return recorder
 
 
 def run_multiround(old, new, config=None, engine="vectorized",
@@ -102,12 +137,7 @@ class TestCoreParity:
     @pytest.mark.parametrize("config", CORE_CONFIGS)
     def test_wire_and_stats_identical(self, config):
         old, new = make_version_pair(seed=1601, nbytes=16000, edits=8)
-        vec, vec_channel = run_core(old, new, config, "vectorized")
-        scalar, scalar_channel = run_core(old, new, config, "scalar")
-        assert vec.reconstructed == new
-        assert scalar.reconstructed == new
-        assert vec.rounds == scalar.rounds
-        assert_same_wire(vec_channel, scalar_channel)
+        assert_resume_parity(old, new, config, min_checkpoints=2)
 
     @pytest.mark.parametrize("seed", range(1610, 1618))
     def test_randomized_version_pairs(self, seed):
@@ -117,10 +147,7 @@ class TestCoreParity:
             nbytes=rng.randrange(200, 24000),
             edits=rng.randrange(1, 14),
         )
-        vec, vec_channel = run_core(old, new, None, "vectorized")
-        scalar, scalar_channel = run_core(old, new, None, "scalar")
-        assert vec.reconstructed == new == scalar.reconstructed
-        assert_same_wire(vec_channel, scalar_channel)
+        assert_resume_parity(old, new)
 
     @pytest.mark.parametrize(
         "old,new",
@@ -134,10 +161,7 @@ class TestCoreParity:
         ids=["both-empty", "empty-old", "empty-new", "identical", "runs"],
     )
     def test_edge_inputs(self, old, new):
-        vec, vec_channel = run_core(old, new, None, "vectorized")
-        scalar, scalar_channel = run_core(old, new, None, "scalar")
-        assert vec.reconstructed == new == scalar.reconstructed
-        assert_same_wire(vec_channel, scalar_channel)
+        assert_resume_parity(old, new)
 
     @given(
         old=st.binary(max_size=3000),
@@ -148,45 +172,14 @@ class TestCoreParity:
     def test_hypothesis_spliced_edits(self, old, junk, cut):
         at = min(cut, len(old))
         new = old[:at] + junk + old[at + len(junk):]
-        vec, vec_channel = run_core(old, new, None, "vectorized")
-        scalar, scalar_channel = run_core(old, new, None, "scalar")
-        assert vec.reconstructed == new == scalar.reconstructed
-        assert_same_wire(vec_channel, scalar_channel)
+        assert_resume_parity(old, new)
 
     def test_checkpoints_bit_identical(self):
         old, new = make_version_pair(seed=1620, nbytes=15000, edits=8)
-        vec_recorder, scalar_recorder = Recorder(), Recorder()
-        run_core(old, new, engine="vectorized", checkpointer=vec_recorder)
-        run_core(old, new, engine="scalar", checkpointer=scalar_recorder)
-        assert len(vec_recorder.checkpoints) >= 2
-        assert vec_recorder.checkpoints == scalar_recorder.checkpoints
-
-    @pytest.mark.parametrize(
-        "crash_engine,resume_engine",
-        [("vectorized", "scalar"), ("scalar", "vectorized")],
-    )
-    def test_cross_engine_resume(self, crash_engine, resume_engine):
-        """A checkpoint written by one engine resumes under the other —
-        the SIGKILL-then-different-binary scenario."""
-        old, new = make_version_pair(seed=1621, nbytes=15000, edits=8)
-        recorder = Recorder()
-        baseline, _ = run_core(
-            old, new, engine=crash_engine, checkpointer=recorder
-        )
-        assert len(recorder.checkpoints) >= 2
-        for checkpoint in recorder.checkpoints:
-            channel = SimulatedChannel()
-            checkpoint.seed_stats(channel.stats)
-            resumed = synchronize(
-                old, new, channel=channel, resume_from=checkpoint,
-                engine=resume_engine,
-            )
-            assert resumed.reconstructed == new
-            assert resumed.rounds == baseline.rounds
-            assert resumed.stats.bits_by == baseline.stats.bits_by, (
-                f"{resume_engine} resume from {crash_engine} checkpoint "
-                f"at round {checkpoint.round_index} diverged"
-            )
+        first = assert_resume_parity(old, new, min_checkpoints=2)
+        again = Recorder()
+        run_core(old, new, checkpointer=again)
+        assert again.checkpoints == first.checkpoints
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +262,9 @@ class TestBatchParity:
         schedulers = {}
         for engine in ENGINES:
             monkeypatch.setenv(ENGINE_ENV, engine)
-            scheduler = CollectionScheduler(OursMethod(), window=len(tasks))
+            scheduler = CollectionScheduler(
+                MultiroundRsyncMethod(), window=len(tasks)
+            )
             scheduler.shared.recorder = []
             schedulers[engine] = (scheduler, scheduler.run(tasks))
         (vec_scheduler, vec), (scalar_scheduler, scalar) = (
@@ -295,8 +290,6 @@ class TestEngineSelection:
     def test_explicit_engine_validated(self):
         old, new = make_version_pair(seed=1660, nbytes=2000, edits=2)
         with pytest.raises(ValueError, match="engine"):
-            synchronize(old, new, engine="bogus")
-        with pytest.raises(ValueError, match="engine"):
             multiround_rsync_sync(old, new, engine="bogus")
 
     def test_env_var_selects_engine(self, monkeypatch):
@@ -311,7 +304,7 @@ class TestEngineSelection:
         monkeypatch.setenv(ENGINE_ENV, "turbo9000")
         assert default_engine() == "vectorized"
         old, new = make_version_pair(seed=1661, nbytes=2000, edits=2)
-        result = synchronize(old, new)
+        result = multiround_rsync_sync(old, new)
         assert result.reconstructed == new
 
     def test_explicit_argument_beats_env(self, monkeypatch):

@@ -466,14 +466,15 @@ class TestHappyPathByteIdentity:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_both_protocol_engines(self, tree, engine):
         """The adaptive layer is engine-agnostic: identical clean-run
-        reports whichever round engine the protocol uses."""
+        reports whichever round engine the multiround protocol uses."""
         code = (
-            "from repro.bench.methods import OursMethod\n"
+            "from repro.bench.methods import MultiroundRsyncMethod\n"
             "from repro.collection import sync_collection\n"
             "from repro.workloads import gcc_like\n"
             "tree = gcc_like(scale=0.05, seed=23)\n"
-            "plain = sync_collection(tree.old, tree.new, OursMethod())\n"
-            "adaptive = sync_collection(tree.old, tree.new, OursMethod(),\n"
+            "method = MultiroundRsyncMethod\n"
+            "plain = sync_collection(tree.old, tree.new, method())\n"
+            "adaptive = sync_collection(tree.old, tree.new, method(),\n"
             "    adaptive_retry=True, breaker_threshold=3,\n"
             "    deadline_s=3600.0)\n"
             "assert adaptive.summary() == plain.summary()\n"
