@@ -447,7 +447,7 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
 
     Five baselines make up the perf gate: the parallel-substrate record
     (``BENCH_parallel.json``), the delta-encode throughput record
-    (``BENCH_delta.json``), the whole-round protocol-engine record
+    (``BENCH_delta.json``), the core protocol throughput record
     (``BENCH_protocol.json``), the pipelined-scheduler latency record
     (``BENCH_pipeline.json``), and the cross-file reuse record
     (``BENCH_reuse.json``).  All are measured, printed, and compared
@@ -720,10 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(substrate ops only)")
     bench_perf.add_argument("--protocol-baseline",
                             default="BENCH_protocol.json",
-                            help="protocol-engine baseline JSON to "
+                            help="core protocol baseline JSON to "
                                  "compare against or update")
     bench_perf.add_argument("--no-protocol", action="store_true",
-                            help="skip the protocol-engine measurement")
+                            help="skip the core protocol measurement")
     bench_perf.add_argument("--pipeline-baseline",
                             default="BENCH_pipeline.json",
                             help="pipelined-scheduler latency baseline JSON "

@@ -160,3 +160,49 @@ class TestDistribution:
             seen.add(value)
         # Birthday bound: ~2000^2 / 2^17 ≈ 30 expected; allow slack.
         assert collisions < 120
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=32),
+            st.integers(min_value=0, max_value=32),
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=1, max_value=1 << 20),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_batched_decomposition_matches_scalar(rows):
+    """decompose_right_widths == truncate + decompose_right_packed."""
+    import numpy as np
+
+    from repro.hashing.scan import decompose_right_widths
+
+    widths, parent_widths, parents, lefts, lengths = [], [], [], [], []
+    expected = []
+    for width, extra, parent, left, length in rows:
+        parent_width = min(32, width + extra)
+        parent &= (1 << parent_width) - 1
+        left &= (1 << width) - 1
+        expected.append(
+            DecomposableAdler.decompose_right_packed(
+                DecomposableAdler.truncate(parent, parent_width, width),
+                left, width, length,
+            )
+        )
+        widths.append(width)
+        parent_widths.append(parent_width)
+        parents.append(parent)
+        lefts.append(left)
+        lengths.append(length)
+    got = decompose_right_widths(
+        np.asarray(parents, dtype=np.uint64),
+        np.asarray(parent_widths),
+        np.asarray(lefts, dtype=np.uint64),
+        np.asarray(widths),
+        np.asarray(lengths),
+    )
+    assert got.tolist() == expected
