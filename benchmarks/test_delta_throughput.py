@@ -1,11 +1,11 @@
-"""Delta-matching engine micro-benchmark on the paper's tree workloads.
+"""Delta-matching micro-benchmark on the paper's tree workloads.
 
 The perf gate in ``test_perf_baseline.py`` watches a synthetic seeded
 workload; this module answers the practical question instead: on the
 gcc/emacs-style source-tree version pairs the paper evaluates (§6.1),
-how much faster is the vectorized matching engine than the scalar
-oracle — and do both engines still emit byte-identical instruction
-lists on every real-ish pair?
+how much faster is :func:`compute_instructions` than the per-position
+``_scan_scalar`` loop called directly — and do both still emit
+byte-identical instruction lists on every real-ish pair?
 
 The parity assertion here is the benchmark-side complement of the
 randomized suite in ``tests/test_delta_parity.py``: same property,
@@ -20,7 +20,13 @@ import pytest
 
 from conftest import publish
 from repro.bench.report import render_table
-from repro.delta.matcher import ReferenceMatcher, compute_instructions
+from repro.delta.matcher import (
+    _SEED_HASHER,
+    ReferenceMatcher,
+    _scan_scalar,
+    compute_instructions,
+)
+from repro.hashing.scan import window_hashes
 
 #: Per-tree cap on timed pairs — keeps the scalar side of the benchmark
 #: to a few seconds while still covering dozens of files.
@@ -36,12 +42,25 @@ def _changed_pairs(tree) -> list[tuple[str, bytes, bytes]]:
     return pairs[:MAX_PAIRS]
 
 
-def _time_engine(engine: str, pairs, matchers, rounds: int = 3) -> float:
+def scalar_instructions(old: bytes, new: bytes, matcher: ReferenceMatcher):
+    """Window hashes plus the per-position scan, bypassing the probe."""
+    return _scan_scalar(
+        matcher, memoryview(old), new, memoryview(new),
+        window_hashes(new, matcher.seed_length, _SEED_HASHER),
+        matcher.seed_length,
+    )
+
+
+def vectorized_instructions(old: bytes, new: bytes, matcher: ReferenceMatcher):
+    return compute_instructions(old, new, matcher=matcher)
+
+
+def _time_engine(match, pairs, matchers, rounds: int = 3) -> float:
     best = float("inf")
     for _ in range(rounds):
         started = time.perf_counter()
         for (_name, old, new), matcher in zip(pairs, matchers):
-            compute_instructions(old, new, matcher=matcher, engine=engine)
+            match(old, new, matcher)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -55,14 +74,12 @@ def test_vectorized_engine_speedup_on_tree_workloads(tree_fixture, request):
 
     # Parity first: every pair must produce byte-identical instructions.
     for (name, old, new), matcher in zip(pairs, matchers):
-        scalar = compute_instructions(old, new, matcher=matcher,
-                                      engine="scalar")
-        vectorized = compute_instructions(old, new, matcher=matcher,
-                                          engine="vectorized")
-        assert scalar == vectorized, f"engines diverged on {name}"
+        scalar = scalar_instructions(old, new, matcher)
+        vectorized = vectorized_instructions(old, new, matcher)
+        assert scalar == vectorized, f"scans diverged on {name}"
 
-    scalar_s = _time_engine("scalar", pairs, matchers)
-    vector_s = _time_engine("vectorized", pairs, matchers)
+    scalar_s = _time_engine(scalar_instructions, pairs, matchers)
+    vector_s = _time_engine(vectorized_instructions, pairs, matchers)
     target_bytes = sum(len(new) for _name, _old, new in pairs)
     speedup = scalar_s / vector_s if vector_s > 0 else 0.0
 
@@ -84,9 +101,9 @@ def test_vectorized_engine_speedup_on_tree_workloads(tree_fixture, request):
             ),
         ),
     )
-    # Source trees are copy-heavy (small edits), where the two engines
-    # are closest; the vectorized engine must still not lose.
+    # Source trees are copy-heavy (small edits), where the two scans are
+    # closest; compute_instructions must still not lose.
     assert speedup >= 0.8, (
-        f"vectorized engine slower than scalar on {tree_fixture} "
+        f"compute_instructions slower than scalar on {tree_fixture} "
         f"({speedup:.2f}x)"
     )

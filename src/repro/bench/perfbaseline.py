@@ -470,21 +470,29 @@ def measure_delta(
     seed: int = DEFAULT_SEED,
     scalar_files: int = DEFAULT_SCALAR_FILES,
 ) -> PerfBaseline:
-    """Time the delta-matching engines on the seeded mixed workload.
+    """Time delta matching on the seeded mixed workload.
 
     Three ops make up the BENCH_delta record:
 
     * ``delta_index_build`` — ``ReferenceMatcher`` construction (the
       cost the :class:`~repro.parallel.cache.ReferenceIndexCache`
       amortises away on repeated references);
-    * ``delta_match_vectorized`` — the batched engine over every pair;
-    * ``delta_match_scalar`` — the oracle loop over the first
+    * ``delta_match_vectorized`` — :func:`compute_instructions` over
+      every pair;
+    * ``delta_match_scalar`` — window hashes plus the per-position
+      ``_scan_scalar`` loop, called directly, over the first
       ``scalar_files`` pairs (MB/s normalises by payload).
 
-    Matchers are prebuilt so both engines time the matching loop itself,
-    not index construction; payload counts *target* bytes matched.
+    Matchers are prebuilt so both ops time the matching itself, not
+    index construction; payload counts *target* bytes matched.
     """
-    from repro.delta.matcher import ReferenceMatcher, compute_instructions
+    from repro.delta.matcher import (
+        _SEED_HASHER,
+        ReferenceMatcher,
+        _scan_scalar,
+        compute_instructions,
+    )
+    from repro.hashing.scan import window_hashes
 
     pairs = build_delta_workload(files=files, file_kb=file_kb, seed=seed)
     matchers = [ReferenceMatcher(reference) for reference, _target in pairs]
@@ -501,15 +509,24 @@ def measure_delta(
         build_rounds,
     )
 
-    def run_engine(engine: str, count: int) -> None:
+    def run_vectorized() -> None:
+        for (reference, target), matcher in zip(pairs, matchers):
+            compute_instructions(reference, target, matcher=matcher)
+
+    def run_scalar(count: int) -> None:
         for (reference, target), matcher in zip(pairs[:count], matchers[:count]):
-            compute_instructions(
-                reference, target, matcher=matcher, engine=engine
+            _scan_scalar(
+                matcher,
+                memoryview(reference),
+                target,
+                memoryview(target),
+                window_hashes(target, matcher.seed_length, _SEED_HASHER),
+                matcher.seed_length,
             )
 
     ops["delta_match_vectorized"] = OpTiming(
         "delta_match_vectorized",
-        _best_of(rounds, lambda: run_engine("vectorized", files)),
+        _best_of(rounds, run_vectorized),
         sum(len(target) for _reference, target in pairs),
         rounds,
     )
@@ -518,7 +535,7 @@ def measure_delta(
     scalar_rounds = max(1, rounds - 1)
     ops["delta_match_scalar"] = OpTiming(
         "delta_match_scalar",
-        _best_of(scalar_rounds, lambda: run_engine("scalar", scalar_files)),
+        _best_of(scalar_rounds, lambda: run_scalar(scalar_files)),
         sum(len(target) for _reference, target in pairs[:scalar_files]),
         scalar_rounds,
     )

@@ -13,10 +13,9 @@ from repro.core.adaptive import (
     probe_similarity,
 )
 from repro.core.broadcast import BroadcastReport, synchronize_broadcast
-from repro.core.blocks import Block, BlockStatus, BlockTracker, HashKind
+from repro.core.blocks import BlockTracker, HashKind
 from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
-from repro.core.engine import ENGINE_ENV, ENGINES, default_engine, resolve_engine
 from repro.core.filemap import FileMap, MatchEntry
 from repro.core.protocol import CoreSyncSession, SyncResult, synchronize
 from repro.core.server import ServerSession
@@ -24,19 +23,13 @@ from repro.core.server import ServerSession
 __all__ = [
     "BroadcastReport",
     "synchronize_broadcast",
-    "Block",
     "ProbeResult",
     "adaptive_synchronize",
     "choose_config",
     "probe_similarity",
-    "BlockStatus",
     "BlockTracker",
     "ClientSession",
     "CoreSyncSession",
-    "ENGINES",
-    "ENGINE_ENV",
-    "default_engine",
-    "resolve_engine",
     "FileMap",
     "HashKind",
     "MatchEntry",

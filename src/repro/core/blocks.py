@@ -15,25 +15,21 @@ state.  After level 0 the frontier is always made of sibling pairs, so
 the sibling of row ``i`` is row ``i ^ 1`` and its parent is pair
 ``i // 2``; what the client knows about each parent's hash lives in the
 per-pair ``parent_known_width``/``parent_known_value`` arrays.
-:class:`Block` remains for the broadcast and multiround protocols, which
-walk their own trees block by block.
+
+The tree's geometry is two functions shared by every protocol that
+walks a block tree (core, multiround, broadcast):
+:func:`partition_blocks` cuts the level-0 blocks and
+:func:`split_blocks` halves a set of blocks into interleaved sibling
+pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from repro.core.config import ProtocolConfig
-
-
-class BlockStatus(Enum):
-    ACTIVE = "active"  # candidate for hashing at the current level
-    MATCHED = "matched"  # confirmed equal to some client region
-    SPLIT = "split"  # unmatched; replaced by its two children
-    EXHAUSTED = "exhausted"  # unmatched and too small to recurse further
 
 
 class HashKind(Enum):
@@ -57,49 +53,35 @@ KIND_OF_CODE = (
 )
 
 
-@dataclass
-class Block:
-    """One node of a block-at-a-time splitting tree over the server file."""
+def partition_blocks(
+    length: int, block_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level 0: ``[0, length)`` cut into ``block_size`` blocks.
 
-    start: int
-    length: int
-    level: int
-    parent: "Block | None" = None
-    is_left: bool = True
-    status: BlockStatus = BlockStatus.ACTIVE
-    children: "tuple[Block, Block] | None" = None
+    Returns int64 ``(starts, lengths)``; only the last block may be
+    shorter.
+    """
+    starts = np.arange(0, length, block_size, dtype=np.int64)
+    return starts, np.minimum(block_size, length - starts)
 
-    @property
-    def end(self) -> int:
-        return self.start + self.length
 
-    @property
-    def sibling(self) -> "Block | None":
-        if self.parent is None or self.parent.children is None:
-            return None
-        left, right = self.parent.children
-        return right if self is left else left
+def split_blocks(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two children of every given block, as one frontier.
 
-    def split(self) -> "tuple[Block, Block]":
-        """Create the two children (left gets the extra byte if odd)."""
-        left_length = (self.length + 1) // 2
-        left = Block(
-            start=self.start,
-            length=left_length,
-            level=self.level + 1,
-            parent=self,
-            is_left=True,
-        )
-        right = Block(
-            start=self.start + left_length,
-            length=self.length - left_length,
-            level=self.level + 1,
-            parent=self,
-            is_left=False,
-        )
-        self.children = (left, right)
-        self.status = BlockStatus.SPLIT
-        return left, right
+    Children come left then right, so the sibling of row ``i`` is row
+    ``i ^ 1`` and its parent is input row ``i // 2``; the left child
+    gets the odd byte.
+    """
+    left = (lengths + 1) // 2
+    child_starts = np.empty(2 * starts.size, dtype=np.int64)
+    child_lengths = np.empty_like(child_starts)
+    child_starts[0::2] = starts
+    child_starts[1::2] = starts + left
+    child_lengths[0::2] = left
+    child_lengths[1::2] = lengths - left
+    return child_starts, child_lengths
 
 
 def _member(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -128,9 +110,9 @@ class BlockTracker:
         self.target_length = target_length
         #: A block splits while both children reach the floor size.
         self._split_length = 2 * config.floor_block_size
-        start_size = config.resolve_start_block_size(target_length)
-        starts = np.arange(0, target_length, start_size, dtype=np.int64)
-        lengths = np.minimum(start_size, target_length - starts)
+        starts, lengths = partition_blocks(
+            target_length, config.resolve_start_block_size(target_length)
+        )
         empty = np.zeros(0, dtype=np.int64)
         self._set_frontier(0, starts, lengths, empty, empty.astype(np.uint64))
         self.restore_confirmed([])
@@ -170,19 +152,12 @@ class BlockTracker:
         parent_known_width: np.ndarray,
         parent_known_value: np.ndarray,
     ) -> None:
-        """Rebuild the frontier as the children of the given parents.
-
-        Children come left then right; the left one gets the odd byte.
-        """
-        left = (parent_lengths + 1) // 2
-        starts = np.empty(2 * parent_starts.size, dtype=np.int64)
-        lengths = np.empty_like(starts)
-        starts[0::2] = parent_starts
-        starts[1::2] = parent_starts + left
-        lengths[0::2] = left
-        lengths[1::2] = parent_lengths - left
+        """Rebuild the frontier as the children of the given parents."""
         self._set_frontier(
-            level, starts, lengths, parent_known_width, parent_known_value
+            level,
+            *split_blocks(parent_starts, parent_lengths),
+            parent_known_width,
+            parent_known_value,
         )
 
     def restore_confirmed(self, regions: list[tuple[int, int]]) -> None:

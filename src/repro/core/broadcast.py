@@ -24,17 +24,17 @@ clients.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.blocks import Block
+from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
 from repro.core.server import ServerSession
 from repro.core.verification import VerificationPools, make_units
-from repro.exceptions import ProtocolError
-from repro.hashing.decomposable import DecomposableAdler
+from repro.hashing.scan import decompose_right_widths, pack_to_width
 from repro.hashing.strong import file_fingerprint
 from repro.io.bitstream import BitReader, BitWriter
 from repro.net.channel import SimulatedChannel
@@ -71,28 +71,38 @@ class BroadcastReport:
 
 def _broadcast_levels(
     server_length: int, config: ProtocolConfig
-) -> list[list[Block]]:
-    """The full (unpruned) block tree, level by level.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The full (unpruned) block tree: ``(starts, lengths)`` per level.
 
     Client-independent by construction: every block splits down to the
-    global minimum regardless of who matched what.
+    global minimum regardless of who matched what.  Below level 0 each
+    level is made of sibling pairs, the children of the blocks of the
+    level above that split (:func:`_splits`).
     """
-    start = config.resolve_start_block_size(server_length)
-    level: list[Block] = []
-    offset = 0
-    while offset < server_length:
-        length = min(start, server_length - offset)
-        level.append(Block(start=offset, length=length, level=0))
-        offset += length
+    starts, lengths = partition_blocks(
+        server_length, config.resolve_start_block_size(server_length)
+    )
     levels = []
-    while level:
-        levels.append(level)
-        next_level: list[Block] = []
-        for block in level:
-            if block.length // 2 >= config.min_block_size:
-                next_level.extend(block.split())
-        level = next_level
+    while starts.size:
+        levels.append((starts, lengths))
+        split = _splits(lengths, config)
+        starts, lengths = split_blocks(starts[split], lengths[split])
     return levels
+
+
+def _splits(lengths: np.ndarray, config: ProtocolConfig) -> np.ndarray:
+    """Rows of a level whose children make up the next level."""
+    return lengths // 2 >= config.min_block_size
+
+
+def _derives_right(depth: int, config: ProtocolConfig) -> bool:
+    """Whether a level's right children stay out of the shared stream.
+
+    Below the top level the right sibling is derivable for every client
+    (the parent hash is always in the stream), so with decomposable
+    hashes only the left children (the even rows) are sent.
+    """
+    return depth > 0 and config.use_decomposable
 
 
 def synchronize_broadcast(
@@ -119,8 +129,7 @@ def synchronize_broadcast(
     global_bits = config.resolve_global_hash_bits(max(widest_client, 2))
 
     levels = _broadcast_levels(len(server_data), config)
-    server_template = ServerSession(server_data, config)
-    hasher = DecomposableAdler(seed=config.hash_seed)
+    server_prefix = ServerSession(server_data, config).prefix
 
     # --- The shared stream: fingerprint + every level's hashes ----------
     shared_channel = SimulatedChannel()
@@ -133,19 +142,16 @@ def synchronize_broadcast(
     )
     level_payloads: list[bytes] = [shared_channel.receive(Direction.SERVER_TO_CLIENT)]
 
-    for depth, level in enumerate(levels):
+    for depth, (starts, lengths) in enumerate(levels):
+        step = 2 if _derives_right(depth, config) else 1
         stream = BitWriter()
-        for block in level:
-            # Decomposable suppression: below the top level the right
-            # sibling is derivable for every client (the parent hash is
-            # always in the stream).
-            if depth > 0 and not block.is_left and config.use_decomposable:
-                continue
-            packed = DecomposableAdler.pack(
-                server_template.prefix.block_pair(block.start, block.length),
+        stream.write_many(
+            pack_to_width(
+                server_prefix.block_pairs(starts[::step], lengths[::step]),
                 global_bits,
-            )
-            stream.write(packed, global_bits)
+            ),
+            global_bits,
+        )
         shared_channel.send(
             Direction.SERVER_TO_CLIENT, stream.getvalue(), PHASE_BROADCAST,
             bits=stream.bit_length,
@@ -168,61 +174,53 @@ def synchronize_broadcast(
             report.per_client_stats[name] = channel.stats
             continue
 
-        client_levels = _broadcast_levels(len(server_data), config)
-        server_levels = _broadcast_levels(len(server_data), config)
-        matched_regions: list[tuple[int, int]] = []
-        #: Parsed/derived hash values, persistent across levels so right
-        #: children can be decomposed from their parent's value.
-        values: dict[int, int] = {}
-
-        for depth, (payload, client_level, server_level) in enumerate(
-            zip(level_payloads[1:], client_levels, server_levels)
+        # Per row of the current level: its hash value and whether an
+        # accepted ancestor already covers it (in a binary split tree a
+        # block lies inside another only if that one is its ancestor).
+        values = covered = None
+        for depth, ((starts, lengths), payload) in enumerate(
+            zip(levels, level_payloads[1:])
         ):
-            reader = BitReader(payload)
-            candidates: list[tuple[Block, int]] = []
-            server_blocks: list[Block] = []
-            for c_block, s_block in zip(client_level, server_level):
-                if depth > 0 and not c_block.is_left and config.use_decomposable:
-                    parent = c_block.parent
-                    sibling = c_block.sibling
-                    assert parent is not None and sibling is not None
-                    value = DecomposableAdler.decompose_right_packed(
-                        values[id(parent)],
-                        values[id(sibling)],
-                        global_bits,
-                        c_block.length,
-                    )
-                else:
-                    value = reader.read(global_bits)
-                values[id(c_block)] = value
-                # Skip blocks inside an already-matched ancestor region.
-                if any(
-                    start <= c_block.start and c_block.end <= start + length
-                    for start, length in matched_regions
-                ):
-                    continue
-                positions = client._index(c_block.length).lookup(
-                    value, global_bits,
-                    max_results=config.max_candidate_positions,
-                )
-                if positions:
-                    candidates.append((c_block, positions[0]))
-                    server_blocks.append(s_block)
-            # Private verification for this level's candidates.
-            accepted_c, accepted_s = _verify_unicast(
-                channel, client, server, config, candidates, server_blocks
+            derive = _derives_right(depth, config)
+            step = 2 if derive else 1
+            level_values = np.empty(starts.size, dtype=np.uint64)
+            level_values[::step] = BitReader(payload).read_many(
+                starts.size // step, global_bits
             )
-            accepted = np.asarray(
-                [(block.start, block.length, position)
-                 for block, position in accepted_c],
-                dtype=np.int64,
-            ).reshape(-1, 3)
-            client.record_accepted(accepted[:, 0], accepted[:, 1], accepted[:, 2])
-            for (c_block, _position), s_block in zip(accepted_c, accepted_s):
-                matched_regions.append((c_block.start, c_block.length))
-                server.tracker.confirmed_regions.append(
-                    (s_block.start, s_block.length)
+            if derive:
+                level_values[1::2] = decompose_right_widths(
+                    values, global_bits, level_values[0::2],
+                    global_bits, lengths[1::2],
                 )
+            values = level_values
+            covered = (
+                np.repeat(covered, 2) if depth
+                else np.zeros(starts.size, dtype=bool)
+            )
+
+            # Each open row's candidate: the first client position with
+            # its hash (``lookup(...)[0]``), one batch per block length.
+            positions = np.full(starts.size, -1, dtype=np.int64)
+            open_rows = np.flatnonzero(~covered)
+            for length in np.unique(lengths[open_rows]).tolist():
+                rows = open_rows[lengths[open_rows] == length]
+                positions[rows] = client._index(length).lookup_many(
+                    values[rows], global_bits
+                )
+            found = np.flatnonzero(positions >= 0)
+            accepted = _verify_unicast(
+                channel, client, server, config,
+                np.column_stack(
+                    (starts[found], lengths[found], positions[found])
+                ).tolist(),
+            )
+            client.record_accepted(accepted[:, 0], accepted[:, 1], accepted[:, 2])
+            server.tracker.confirmed_regions.extend(
+                zip(accepted[:, 0].tolist(), accepted[:, 1].tolist())
+            )
+            covered[starts.searchsorted(accepted[:, 0])] = True
+            split = _splits(lengths, config)
+            values, covered = values[split], covered[split]
 
         delta = server.emit_delta()
         channel.send(Direction.SERVER_TO_CLIENT, delta, PHASE_DELTA)
@@ -230,8 +228,6 @@ def synchronize_broadcast(
             channel.receive(Direction.SERVER_TO_CLIENT)
         )
         if reconstructed is None:
-            import zlib
-
             channel.send(
                 Direction.SERVER_TO_CLIENT,
                 zlib.compress(server_data, 9),
@@ -250,34 +246,27 @@ def _verify_unicast(
     client: ClientSession,
     server: ServerSession,
     config: ProtocolConfig,
-    candidates: list[tuple[Block, int]],
-    server_blocks: list[Block],
-) -> tuple[list[tuple[Block, int]], list[Block]]:
+    candidates: list[tuple[int, int, int]],
+) -> np.ndarray:
     """Private verification, mirroring the unicast protocol's exchange.
 
-    Accepted candidate/block pairs keep their alignment so callers can
-    zip them.
+    ``candidates`` are ``(start, length, position)`` rows: a server
+    block and the client position its hash matched.  Returns the
+    accepted rows as an int64 ``(k, 3)`` array, in acceptance order.
     """
-    if len(candidates) != len(server_blocks):
-        raise ProtocolError("broadcast candidate lists diverged")
-    strategy = config.strategy()
-    # Keep (candidate, block) pairs together through the pools.
-    paired = list(zip(candidates, server_blocks))
-    client_pools: VerificationPools = VerificationPools(main=list(paired))
-    for batch in strategy.batches:
-        selection = client_pools.select(batch)
+    pools: VerificationPools = VerificationPools(main=candidates)
+    for batch in config.strategy().batches:
+        selection = pools.select(batch)
         if not selection:
             continue
         units = make_units(selection, batch)
         values = client.verification_values(
-            [
-                [(position, block.length) for (block, position), _ in unit]
-                for unit in units
-            ],
+            [[(position, length) for _, length, position in unit]
+             for unit in units],
             batch,
         )
         expected = server.verification_values(
-            [[(block.start, block.length) for _, block in unit] for unit in units],
+            [[(start, length) for start, length, _ in unit] for unit in units],
             batch,
         )
         writer = BitWriter()
@@ -288,14 +277,12 @@ def _verify_unicast(
             bits=writer.bit_length,
         )
         bitmap = BitWriter()
-        for ok in passed:
-            bitmap.write_bit(ok)
+        bitmap.write_flags(passed)
         channel.send(
             Direction.SERVER_TO_CLIENT, bitmap.getvalue(), PHASE_UNICAST,
             bits=bitmap.bit_length,
         )
         channel.receive(Direction.CLIENT_TO_SERVER)
         channel.receive(Direction.SERVER_TO_CLIENT)
-        client_pools.apply(batch, units, passed)
-    accepted = client_pools.finish()
-    return [pair[0] for pair in accepted], [pair[1] for pair in accepted]
+        pools.apply(batch, units, passed)
+    return np.asarray(pools.finish(), dtype=np.int64).reshape(-1, 3)

@@ -72,7 +72,7 @@ def _encode_tracker(out: bytearray, tracker: BlockTracker) -> None:
     )
 
 
-class _Reader:
+class SnapshotReader:
     """Varint cursor over a snapshot that raises only ``ProtocolError``."""
 
     def __init__(self, data: bytes) -> None:
@@ -96,21 +96,25 @@ class _Reader:
         fields = [self.uint() for _ in range(count * columns)]
         return np.asarray(fields, dtype=np.int64).reshape(count, columns)
 
-    def blob(self) -> bytes:
-        length = self.uint()
+    def raw(self, length: int) -> bytes:
+        """The next ``length`` bytes, verbatim."""
         if length > len(self.data) - self.offset:
             raise ProtocolError("truncated snapshot field")
         self.offset += length
         return self.data[self.offset - length : self.offset]
 
+    def blob(self) -> bytes:
+        """A length-prefixed byte field."""
+        return self.raw(self.uint())
 
-def _check_disjoint(starts: np.ndarray, ends: np.ndarray, what: str) -> None:
+
+def check_disjoint(starts: np.ndarray, ends: np.ndarray, what: str) -> None:
     """Sorted-by-start regions must not overlap."""
     if bool((starts[1:] < ends[:-1]).any()):
         raise ProtocolError(f"snapshot {what} overlap")
 
 
-def _check_inside(
+def check_inside(
     starts: np.ndarray, lengths: np.ndarray, limit: int, minimum: int, what: str
 ) -> None:
     if bool((lengths < minimum).any()) or bool(
@@ -119,24 +123,24 @@ def _check_inside(
         raise ProtocolError(f"snapshot {what} outside the file")
 
 
-def _decode_tracker(reader: _Reader, server_length: int):
+def _decode_tracker(reader: SnapshotReader, server_length: int):
     """Parse and check one tracker; returns the arguments to restore it."""
     level = reader.uint()
     parents = reader.table(4)
     regions = reader.table(2)
     starts, lengths, known_width, known_value = parents.T
     # Every parent splits into two non-empty children.
-    _check_inside(starts, lengths, server_length, 2, "frontier parent")
-    _check_disjoint(starts, starts + lengths, "frontier parents")
+    check_inside(starts, lengths, server_length, 2, "frontier parent")
+    check_disjoint(starts, starts + lengths, "frontier parents")
     if parents.size and level == 0:
         raise ProtocolError("snapshot frontier at level 0")
     if bool((known_width > _MAX_HASH_WIDTH).any()) or bool(
         (known_value >> known_width).any()
     ):
         raise ProtocolError("snapshot known hash does not fit its width")
-    _check_inside(regions[:, 0], regions[:, 1], server_length, 1, "region")
+    check_inside(regions[:, 0], regions[:, 1], server_length, 1, "region")
     order = np.argsort(regions[:, 0], kind="stable")
-    _check_disjoint(
+    check_disjoint(
         regions[order, 0], regions[order, 0] + regions[order, 1], "regions"
     )
     return (
@@ -196,7 +200,7 @@ def restore_round_state(
     untouched in that case.
     """
     server_length = len(server.data)
-    reader = _Reader(payload)
+    reader = SnapshotReader(payload)
     rounds = reader.uint()
     continuation_candidates = reader.uint()
     continuation_accepted = reader.uint()
@@ -207,8 +211,8 @@ def restore_round_state(
     if reader.offset != len(payload):
         raise ProtocolError("trailing bytes after the snapshot")
     starts, lengths, sources = entries.T
-    _check_inside(starts, lengths, server_length, 1, "map entry")
-    _check_inside(sources, lengths, len(client.data), 1, "map source")
+    check_inside(starts, lengths, server_length, 1, "map entry")
+    check_inside(sources, lengths, len(client.data), 1, "map source")
 
     # Replay the handshake's effects from local knowledge: the lengths
     # both sides exchanged are the lengths of the files they still hold.

@@ -13,24 +13,17 @@ Both share the greedy hash-chain matcher in :mod:`repro.delta.matcher`.
 """
 
 from repro.delta.instructions import Add, Copy, Instruction, apply_instructions
-from repro.delta.matcher import (
-    ENGINES,
-    ReferenceMatcher,
-    compute_instructions,
-    default_engine,
-)
+from repro.delta.matcher import ReferenceMatcher, compute_instructions
 from repro.delta.encoder import zdelta_decode, zdelta_encode, zdelta_size
 from repro.delta.vcdiff import vcdiff_decode, vcdiff_encode, vcdiff_size
 
 __all__ = [
     "Add",
     "Copy",
-    "ENGINES",
     "Instruction",
     "ReferenceMatcher",
     "apply_instructions",
     "compute_instructions",
-    "default_engine",
     "vcdiff_decode",
     "vcdiff_encode",
     "vcdiff_size",

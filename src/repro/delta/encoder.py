@@ -74,12 +74,11 @@ def _zdelta_encode_cold(
     target: bytes,
     seed_length: int,
     matcher: ReferenceMatcher | None,
-    engine: str | None,
     memo,
 ) -> bytes:
     instructions = compute_instructions(
         reference, target, seed_length=seed_length, matcher=matcher,
-        engine=engine, memo=memo,
+        memo=memo,
     )
     ops, literals = _encode_streams(instructions)
     compressed_ops = zlib.compress(ops, 9)
@@ -111,16 +110,12 @@ def zdelta_encode(
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     matcher: ReferenceMatcher | None = None,
-    engine: str | None = None,
     memo=None,
 ) -> bytes:
     """Encode ``target`` relative to ``reference``.
 
-    ``engine`` passes through to
-    :func:`~repro.delta.matcher.compute_instructions`; both engines
-    produce byte-identical deltas.  ``memo`` memoizes the encoded
-    payload by content pair (tri-state, see
-    :func:`~repro.delta.matcher.resolve_memo`): a hit returns the
+    ``memo`` memoizes the encoded payload by content pair (tri-state,
+    see :func:`~repro.delta.matcher.resolve_memo`): a hit returns the
     byte-identical payload without matching or compressing anything.
     """
     from repro.delta.matcher import resolve_memo
@@ -128,7 +123,7 @@ def zdelta_encode(
     resolved = resolve_memo(memo)
     if resolved is None:
         return _zdelta_encode_cold(
-            reference, target, seed_length, matcher, engine, memo=False
+            reference, target, seed_length, matcher, memo=False
         )
     old_fingerprint, new_fingerprint = _pair_fingerprints(
         reference, target, matcher
@@ -139,7 +134,7 @@ def zdelta_encode(
         new_fingerprint,
         seed_length,
         lambda: _zdelta_encode_cold(
-            reference, target, seed_length, matcher, engine, memo=resolved
+            reference, target, seed_length, matcher, memo=resolved
         ),
     )
 
@@ -172,7 +167,6 @@ def zdelta_size(
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     matcher: ReferenceMatcher | None = None,
-    engine: str | None = None,
     memo=None,
 ) -> int:
     """Size in bytes of the zdelta encoding (the paper's lower bound).
@@ -188,6 +182,6 @@ def zdelta_size(
     return len(
         zdelta_encode(
             reference, target, seed_length=seed_length, matcher=matcher,
-            engine=engine, memo=memo,
+            memo=memo,
         )
     )

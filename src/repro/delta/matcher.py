@@ -5,19 +5,18 @@ index the reference by seed-length windows, then scan the target greedily,
 extending candidate matches forward (and backward into pending literals)
 and emitting COPY/ADD instructions.
 
-Two matching engines produce byte-identical instruction lists:
+Two scans produce byte-identical instruction lists, and the input picks
+between them:
 
-* ``"vectorized"`` (default) resolves the candidate range of *every*
+* :func:`_scan_vectorized` resolves the candidate range of *every*
   target position with one batched ``searchsorted`` pair, then walks a
   precomputed next-candidate jump table so the greedy loop touches only
   positions that can possibly start a match — candidate-free stretches
-  are consumed as one batched literal run in O(1).  A cheap sampled
-  probe first detects copy-dominated targets (small source edits) and
-  routes them through the scalar loop, whose cost scales with literal
-  bytes instead of target length.
-* ``"scalar"`` is the original per-position loop, kept as the parity
-  oracle and perf baseline (``engine="scalar"`` or
-  ``REPRO_DELTA_ENGINE=scalar``).
+  are consumed as one batched literal run in O(1).
+* :func:`_scan_scalar` is the per-position loop.  Its cost scales with
+  literal bytes instead of target length, so a cheap sampled probe
+  (:func:`_copy_dominated`) routes copy-dominated targets (small source
+  edits) to it.  It is also the parity reference of the batched scan.
 
 The scalar loop pays two binary searches per unmatched byte in the
 Python interpreter; on literal-heavy targets that is the dominant CPU
@@ -25,8 +24,6 @@ cost of the whole delta phase (see ``BENCH_delta.json``).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -44,19 +41,6 @@ _SEED_HASHER = DecomposableAdler(seed=0x5EED)
 
 DEFAULT_SEED_LENGTH = 16
 DEFAULT_MAX_CANDIDATES = 8
-
-#: Valid values for the ``engine`` argument of :func:`compute_instructions`.
-ENGINES = ("vectorized", "scalar")
-
-#: Environment override for the default engine (parity bisection, perf
-#: comparisons): ``REPRO_DELTA_ENGINE=scalar`` selects the oracle loop.
-ENGINE_ENV = "REPRO_DELTA_ENGINE"
-
-
-def default_engine() -> str:
-    """The engine used when :func:`compute_instructions` gets ``engine=None``."""
-    engine = os.environ.get(ENGINE_ENV, "vectorized")
-    return engine if engine in ENGINES else "vectorized"
 
 
 def _common_prefix_length(a: memoryview, b: memoryview) -> int:
@@ -226,7 +210,6 @@ def compute_instructions(
     seed_length: int = DEFAULT_SEED_LENGTH,
     min_match: int | None = None,
     matcher: ReferenceMatcher | None = None,
-    engine: str | None = None,
     cache=None,
     memo=None,
 ) -> list[Instruction]:
@@ -239,15 +222,12 @@ def compute_instructions(
     never rebuild the argsort index.  Pass ``cache=False`` for a private
     uncached build, or a specific cache instance to use instead.
 
-    ``engine`` selects the matching core (see module docstring); both
-    engines emit byte-identical instruction lists.
-
     ``memo`` memoizes the finished instruction list by *content pair*
     (:class:`~repro.reuse.memo.DeltaMemoCache`): a hit skips hashing and
-    matching entirely and is byte-identical to a fresh run on either
-    engine.  ``None`` defers to the process-wide switch
-    (``REPRO_DELTA_MEMO`` / ``sync_collection(delta_memo=True)``),
-    ``False`` opts out, an instance is consulted unconditionally.
+    matching entirely and is byte-identical to a fresh run.  ``None``
+    defers to the process-wide switch (``REPRO_DELTA_MEMO`` /
+    ``sync_collection(delta_memo=True)``), ``False`` opts out, an
+    instance is consulted unconditionally.
     """
     if min_match is None:
         min_match = seed_length
@@ -255,16 +235,10 @@ def compute_instructions(
         # min_match < 1 would let a zero-length "best match" emit an
         # empty COPY without advancing — an infinite loop, not a knob.
         raise ValueError(f"min_match must be >= 1, got {min_match}")
-    if engine is None:
-        engine = default_engine()
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
     memo = resolve_memo(memo)
     if memo is not None:
-        # Keyed purely by content identity and matching parameters; the
-        # engine is deliberately absent (both emit identical streams),
-        # so a hit primed by one engine serves the other.
+        # Keyed purely by content identity and matching parameters.
         old_fingerprint = (
             matcher.fingerprint
             if matcher is not None
@@ -276,12 +250,11 @@ def compute_instructions(
             matcher.seed_length if matcher is not None else seed_length,
             min_match,
             lambda: _compute_cold(
-                reference, target, seed_length, min_match, matcher, engine,
-                cache,
+                reference, target, seed_length, min_match, matcher, cache
             ),
         )
     return _compute_cold(
-        reference, target, seed_length, min_match, matcher, engine, cache
+        reference, target, seed_length, min_match, matcher, cache
     )
 
 
@@ -291,7 +264,6 @@ def _compute_cold(
     seed_length: int,
     min_match: int,
     matcher: ReferenceMatcher | None,
-    engine: str,
     cache,
 ) -> list[Instruction]:
     """The actual matching work (everything a memo hit skips)."""
@@ -303,11 +275,6 @@ def _compute_cold(
     target_view = memoryview(target)
     reference_view = memoryview(reference)
     target_hashes = window_hashes(target, matcher.seed_length, _SEED_HASHER)
-
-    if engine == "scalar":
-        return _scan_scalar(
-            matcher, reference_view, target, target_view, target_hashes, min_match
-        )
     return _scan_vectorized(
         matcher, reference_view, target, target_view, target_hashes, min_match
     )
@@ -321,7 +288,8 @@ def _scan_scalar(
     target_hashes: np.ndarray,
     min_match: int,
 ) -> list[Instruction]:
-    """The original per-position greedy loop — the parity oracle."""
+    """The per-position greedy loop (copy-dominated targets; the parity
+    reference of :func:`_scan_vectorized`)."""
     instructions: list[Instruction] = []
     literals = bytearray()
     position = 0

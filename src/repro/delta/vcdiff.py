@@ -80,12 +80,11 @@ def _vcdiff_encode_cold(
     target: bytes,
     seed_length: int,
     matcher: ReferenceMatcher | None,
-    engine: str | None,
     memo,
 ) -> bytes:
     instructions = compute_instructions(
         reference, target, seed_length=seed_length, matcher=matcher,
-        engine=engine, memo=memo,
+        memo=memo,
     )
     compressed = zlib.compress(_encode_body(instructions), 6)
     return bytes([_MAGIC]) + encode_uvarint(len(compressed)) + compressed
@@ -96,16 +95,12 @@ def vcdiff_encode(
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     matcher: ReferenceMatcher | None = None,
-    engine: str | None = None,
     memo=None,
 ) -> bytes:
     """Encode ``target`` relative to ``reference`` in the VCDIFF-ish format.
 
-    ``engine`` passes through to
-    :func:`~repro.delta.matcher.compute_instructions`; both engines
-    produce byte-identical deltas.  ``memo`` memoizes the encoded
-    payload by content pair (tri-state, see
-    :func:`~repro.delta.matcher.resolve_memo`).
+    ``memo`` memoizes the encoded payload by content pair (tri-state,
+    see :func:`~repro.delta.matcher.resolve_memo`).
     """
     from repro.delta.encoder import _pair_fingerprints
     from repro.delta.matcher import resolve_memo
@@ -113,7 +108,7 @@ def vcdiff_encode(
     resolved = resolve_memo(memo)
     if resolved is None:
         return _vcdiff_encode_cold(
-            reference, target, seed_length, matcher, engine, memo=False
+            reference, target, seed_length, matcher, memo=False
         )
     old_fingerprint, new_fingerprint = _pair_fingerprints(
         reference, target, matcher
@@ -124,7 +119,7 @@ def vcdiff_encode(
         new_fingerprint,
         seed_length,
         lambda: _vcdiff_encode_cold(
-            reference, target, seed_length, matcher, engine, memo=resolved
+            reference, target, seed_length, matcher, memo=resolved
         ),
     )
 
@@ -149,7 +144,6 @@ def vcdiff_size(
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     matcher: ReferenceMatcher | None = None,
-    engine: str | None = None,
     memo=None,
 ) -> int:
     """Size in bytes of the vcdiff-style encoding.
@@ -165,6 +159,6 @@ def vcdiff_size(
     return len(
         vcdiff_encode(
             reference, target, seed_length=seed_length, matcher=matcher,
-            engine=engine, memo=memo,
+            memo=memo,
         )
     )

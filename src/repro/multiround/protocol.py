@@ -17,11 +17,20 @@ surgical repair round (:mod:`repro.core.repair`) localizes and
 re-fetches only the divergent blocks, with the full-transfer fallback
 reserved for damage repair cannot cure.
 
+The frontier of client blocks is two int64 arrays (``starts``,
+``lengths``) cut and split by the block-tree geometry of
+:mod:`repro.core.blocks`, so every round is a fixed number of numpy
+calls: one batched hash message, one batched lookup per block length,
+one bitmap.
+
 Checkpointing: the state both endpoints carry across a round boundary is
 tiny and flat — the active block frontier, the pinned matches, and the
 round index — so ``multiround_rsync_sync`` can snapshot it after every
 completed round (``checkpointer``) and continue from such a snapshot
 (``resume_from``) instead of restarting a torn session from round 0.
+The snapshot decoder trusts nothing: a payload that is malformed or
+impossible for the two files raises
+:class:`~repro.exceptions.ProtocolError` before the session is touched.
 """
 
 from __future__ import annotations
@@ -31,14 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocks import Block, BlockStatus
-from repro.core.engine import resolve_engine
+from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.repair import (
     DEFAULT_REPAIR_FANOUT,
     PHASE_REPAIR,
     repair_exchange,
 )
-from repro.exceptions import DeltaFormatError, SyncStalledError
+from repro.core.snapshot import SnapshotReader, check_disjoint, check_inside
+from repro.exceptions import DeltaFormatError, ProtocolError, SyncStalledError
 from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import HashIndex, PrefixHasher, pack_to_width
 from repro.hashing.strong import file_fingerprint
@@ -135,54 +144,49 @@ class _Pinned:
     server_start: int
 
 
-def _initial_blocks(length: int, block_size: int) -> list[Block]:
-    blocks = []
-    offset = 0
-    while offset < length:
-        size = min(block_size, length - offset)
-        blocks.append(Block(start=offset, length=size, level=0))
-        offset += size
-    return blocks
-
-
 def encode_round_state(
-    expected_fingerprint: bytes, blocks: list[Block], pinned: list[_Pinned]
+    expected_fingerprint: bytes,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    pinned: list[_Pinned],
 ) -> bytes:
-    """Serialize the cross-round reconciliation state (varint format)."""
-    out = bytearray()
-    out += expected_fingerprint
-    out += encode_uvarint(len(blocks))
-    for block in blocks:
-        out += encode_uvarint(block.start)
-        out += encode_uvarint(block.length)
-    out += encode_uvarint(len(pinned))
+    """Serialize the cross-round reconciliation state (varint format).
+
+    The 16-byte fingerprint, then the frontier's ``(start, length)``
+    rows and the pins' ``(client_start, length, server_start)`` rows,
+    each count-prefixed.
+    """
+    fields = [starts.size, *np.column_stack((starts, lengths)).ravel().tolist()]
+    fields.append(len(pinned))
     for pin in pinned:
-        out += encode_uvarint(pin.client_start)
-        out += encode_uvarint(pin.length)
-        out += encode_uvarint(pin.server_start)
-    return bytes(out)
+        fields += (pin.client_start, pin.length, pin.server_start)
+    return expected_fingerprint + b"".join(map(encode_uvarint, fields))
 
 
 def decode_round_state(
-    payload: bytes,
-) -> tuple[bytes, list[Block], list[_Pinned]]:
-    """Inverse of :func:`encode_round_state`."""
-    expected_fingerprint = payload[:16]
-    offset = 16
-    count, offset = decode_uvarint(payload, offset)
-    blocks = []
-    for _ in range(count):
-        start, offset = decode_uvarint(payload, offset)
-        length, offset = decode_uvarint(payload, offset)
-        blocks.append(Block(start=start, length=length, level=0))
-    count, offset = decode_uvarint(payload, offset)
-    pinned = []
-    for _ in range(count):
-        client_start, offset = decode_uvarint(payload, offset)
-        length, offset = decode_uvarint(payload, offset)
-        server_start, offset = decode_uvarint(payload, offset)
-        pinned.append(_Pinned(client_start, length, server_start))
-    return expected_fingerprint, blocks, pinned
+    payload: bytes, old_length: int, new_length: int
+) -> tuple[bytes, np.ndarray, np.ndarray, list[_Pinned]]:
+    """Inverse of :func:`encode_round_state`, checked against the files.
+
+    Raises :class:`~repro.exceptions.ProtocolError` unless every varint
+    terminates, every count fits the bytes left, the frontier rows lie
+    in the old file with positive lengths, ascending and disjoint, every
+    pin lies inside both files and no bytes trail.
+    """
+    reader = SnapshotReader(payload)
+    expected_fingerprint = reader.raw(16)
+    frontier = reader.table(2)
+    pins = reader.table(3)
+    if reader.offset != len(payload):
+        raise ProtocolError("trailing bytes after the round state")
+    starts, lengths = frontier.T
+    check_inside(starts, lengths, old_length, 1, "frontier block")
+    check_disjoint(starts, starts + lengths, "frontier blocks")
+    client_starts, pin_lengths, server_starts = pins.T
+    check_inside(client_starts, pin_lengths, old_length, 1, "pin")
+    check_inside(server_starts, pin_lengths, new_length, 1, "pin")
+    pinned = [_Pinned(*row) for row in pins.tolist()]
+    return expected_fingerprint, starts, lengths, pinned
 
 
 class MultiroundSession:
@@ -202,7 +206,7 @@ class MultiroundSession:
 
     Every completed round is checkpointed through ``checkpointer`` (when
     given) with the same :func:`encode_round_state` payloads as before,
-    so checkpoints stay interchangeable between schedulers and engines.
+    so checkpoints stay interchangeable between schedulers.
     """
 
     def __init__(
@@ -211,13 +215,11 @@ class MultiroundSession:
         new_data: bytes,
         config: MultiroundConfig | None = None,
         checkpointer=None,
-        engine: str | None = None,
     ) -> None:
         self.old_data = old_data
         self.new_data = new_data
         self.config = config or MultiroundConfig()
         self.checkpointer = checkpointer
-        self.engine = resolve_engine(engine)
         self.rounds = 0
         self.pinned: list[_Pinned] = []
         self.expected_fingerprint = b""
@@ -227,10 +229,7 @@ class MultiroundSession:
         self._server_fingerprint = file_fingerprint(new_data)
         self._index_cache: HashIndexCache = default_cache()
         self._server_indexes: dict[int, HashIndex] = {}
-        # Engine-specific frontier: Block objects (scalar) or two int64
-        # arrays (vectorized); both advance in the same interleaved
-        # left/right order Block.split produces.
-        self._blocks: list[Block] = []
+        # The active frontier of client blocks.
         self._starts = np.empty(0, dtype=np.int64)
         self._lengths = np.empty(0, dtype=np.int64)
 
@@ -256,8 +255,13 @@ class MultiroundSession:
     def start(self, channel: SimulatedChannel, resume_from=None) -> None:
         """Run the handshake, or restore a checkpointed round boundary."""
         if resume_from is not None:
-            self.expected_fingerprint, blocks, self.pinned = (
-                decode_round_state(resume_from.payload)
+            (
+                self.expected_fingerprint,
+                self._starts,
+                self._lengths,
+                self.pinned,
+            ) = decode_round_state(
+                resume_from.payload, len(self.old_data), len(self.new_data)
             )
             self.rounds = resume_from.round_index
         else:
@@ -271,27 +275,16 @@ class MultiroundSession:
             self.expected_fingerprint = BitReader(
                 channel.receive(Direction.SERVER_TO_CLIENT)
             ).read_bytes(16)
-            blocks = _initial_blocks(
+            self._starts, self._lengths = partition_blocks(
                 len(self.old_data), self.config.start_block_size
             )
             self.pinned = []
             self.rounds = 0
-        if self.engine == "scalar":
-            self._blocks = blocks
-        else:
-            self._starts = np.fromiter(
-                (b.start for b in blocks), dtype=np.int64, count=len(blocks)
-            )
-            self._lengths = np.fromiter(
-                (b.length for b in blocks), dtype=np.int64, count=len(blocks)
-            )
         self._started = True
 
     @property
     def active_blocks(self) -> int:
         """Blocks still on the reconciliation frontier."""
-        if self.engine == "scalar":
-            return len(self._blocks)
         return int(self._starts.size)
 
     @property
@@ -300,17 +293,8 @@ class MultiroundSession:
         return self._started and self.active_blocks == 0
 
     def _frontier_state(self) -> bytes:
-        if self.engine == "scalar":
-            frontier = self._blocks
-        else:
-            frontier = [
-                Block(start=start, length=length, level=0)
-                for start, length in zip(
-                    self._starts.tolist(), self._lengths.tolist()
-                )
-            ]
         return encode_round_state(
-            self.expected_fingerprint, frontier, self.pinned
+            self.expected_fingerprint, self._starts, self._lengths, self.pinned
         )
 
     # ------------------------------------------------------------------
@@ -327,67 +311,14 @@ class MultiroundSession:
                 f"converging"
             )
         channel.mark_round(self.rounds)
-        if self.engine == "scalar":
-            self._step_scalar(channel)
-        else:
-            self._step_vectorized(channel)
+        self._exchange_round(channel)
         if self.checkpointer is not None:
             self.checkpointer.record_round(
                 self.rounds, self._frontier_state(), channel.stats
             )
 
-    def _step_scalar(self, channel: SimulatedChannel) -> None:
-        """Parity oracle: the original block-at-a-time round body."""
-        config = self.config
-        blocks = self._blocks
-        message = BitWriter()
-        for block in blocks:
-            packed = DecomposableAdler.pack(
-                self._client_prefix.block_pair(block.start, block.length),
-                config.hash_bits,
-            )
-            message.write(packed, config.hash_bits)
-        channel.send(
-            Direction.CLIENT_TO_SERVER, message.getvalue(), PHASE_MAP,
-            bits=message.bit_length,
-        )
-
-        reader = BitReader(channel.receive(Direction.CLIENT_TO_SERVER))
-        bitmap = BitWriter()
-        matches_this_round: list[tuple[Block, int]] = []
-        for block in blocks:
-            value = reader.read(config.hash_bits)
-            index = self._server_index(block.length)
-            positions = index.lookup(value, config.hash_bits, max_results=1)
-            matched = bool(positions)
-            bitmap.write_bit(matched)
-            if matched:
-                matches_this_round.append((block, positions[0]))
-        channel.send(
-            Direction.SERVER_TO_CLIENT, bitmap.getvalue(), PHASE_MAP,
-            bits=bitmap.bit_length,
-        )
-
-        # Both sides advance identically from the bitmap.
-        confirm = BitReader(channel.receive(Direction.SERVER_TO_CLIENT))
-        next_blocks: list[Block] = []
-        match_cursor = 0
-        for block in blocks:
-            if confirm.read_bit():
-                matched_block, server_position = matches_this_round[match_cursor]
-                match_cursor += 1
-                self.pinned.append(
-                    _Pinned(block.start, block.length, server_position)
-                )
-                block.status = BlockStatus.MATCHED
-            elif block.length // 2 >= config.min_block_size:
-                next_blocks.extend(block.split())
-            else:
-                block.status = BlockStatus.EXHAUSTED
-        self._blocks = next_blocks
-
-    def _step_vectorized(self, channel: SimulatedChannel) -> None:
-        """Whole-round engine: the active frontier is two int64 arrays."""
+    def _exchange_round(self, channel: SimulatedChannel) -> None:
+        """One round: hashes up, bitmap down, pin or split every block."""
         config = self.config
         starts, lengths = self._starts, self._lengths
         hash_bits = config.hash_bits
@@ -430,15 +361,9 @@ class MultiroundSession:
             )
         )
         split = ~flags & (lengths // 2 >= config.min_block_size)
-        split_starts = starts[split]
-        split_lengths = lengths[split]
-        left_lengths = (split_lengths + 1) // 2
-        self._starts = np.empty(2 * split_starts.size, dtype=np.int64)
-        self._lengths = np.empty(2 * split_starts.size, dtype=np.int64)
-        self._starts[0::2] = split_starts
-        self._starts[1::2] = split_starts + left_lengths
-        self._lengths[0::2] = left_lengths
-        self._lengths[1::2] = split_lengths - left_lengths
+        self._starts, self._lengths = split_blocks(
+            starts[split], lengths[split]
+        )
 
     # ------------------------------------------------------------------
     def finish(self, channel: SimulatedChannel) -> MultiroundResult:
@@ -565,7 +490,6 @@ def multiround_rsync_sync(
     channel: SimulatedChannel | None = None,
     checkpointer=None,
     resume_from=None,
-    engine: str | None = None,
 ) -> MultiroundResult:
     """Synchronise ``old_data`` to ``new_data`` with multiround rsync.
 
@@ -578,12 +502,8 @@ def multiround_rsync_sync(
     round.  A resumed call assumes the caller seeded ``channel.stats``
     with the checkpoint's counters (the supervisor's resume handshake
     does), so the returned stats describe the whole logical session.
-
-    ``engine`` selects the round engine (``"vectorized"`` | ``"scalar"``,
-    ``None`` = the ``REPRO_PROTOCOL_ENGINE`` environment default).  Both
-    engines put byte-identical traffic on the wire and record
-    bit-identical round checkpoints, so a checkpoint written by one
-    engine resumes cleanly under the other.
+    A checkpoint payload that is malformed or impossible for these two
+    files raises :class:`~repro.exceptions.ProtocolError`.
 
     This is the sequential driver over :class:`MultiroundSession`; the
     pipelined collection scheduler drives the same state machine with
@@ -592,7 +512,7 @@ def multiround_rsync_sync(
     if channel is None:
         channel = SimulatedChannel()
     session = MultiroundSession(
-        old_data, new_data, config, checkpointer=checkpointer, engine=engine
+        old_data, new_data, config, checkpointer=checkpointer
     )
     session.start(channel, resume_from=resume_from)
     while not session.done:

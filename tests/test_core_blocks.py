@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import ProtocolConfig
-from repro.core.blocks import Block, BlockStatus, BlockTracker
+from repro.core.blocks import BlockTracker, partition_blocks, split_blocks
 
 
 def make_tracker(target_length: int = 4096, **overrides) -> BlockTracker:
@@ -46,6 +46,12 @@ class TestInitialPartition:
         tracker = make_tracker(100, start_block_size=1024)
         assert tracker.lengths.tolist() == [100]
 
+    def test_partition_helper(self):
+        starts, lengths = partition_blocks(2500, 1024)
+        assert starts.tolist() == [0, 1024, 2048]
+        assert lengths.tolist() == [1024, 1024, 452]
+        assert partition_blocks(0, 1024)[0].size == 0
+
 
 class TestSplitting:
     def test_split_halves_with_left_bias(self):
@@ -56,14 +62,14 @@ class TestSplitting:
         # Row i's sibling is row i ^ 1; both share parent pair i // 2.
         match(tracker, 0)
         assert tracker.sibling_matched().tolist() == [False, True]
-        # The block-at-a-time Block used by broadcast/multiround agrees.
-        block = Block(start=0, length=101, level=0)
-        left, right = block.split()
-        assert (left.length, right.length) == (51, 50)
-        assert left.start == 0 and right.start == 51
-        assert left.is_left and not right.is_left
-        assert left.sibling is right and right.sibling is left
-        assert block.status is BlockStatus.SPLIT
+        # The geometry helper the multiround and broadcast walkers share
+        # agrees, and interleaves the children of several parents.
+        starts, lengths = split_blocks(
+            np.asarray([0, 200], dtype=np.int64),
+            np.asarray([101, 64], dtype=np.int64),
+        )
+        assert starts.tolist() == [0, 51, 200, 232]
+        assert lengths.tolist() == [51, 50, 32, 32]
 
     def test_advance_splits_active_blocks(self):
         tracker = make_tracker(2048, start_block_size=1024)

@@ -1,8 +1,9 @@
-"""Engine parity and reference-index cache behaviour for the delta core.
+"""Scan parity and reference-index cache behaviour for the delta core.
 
-The vectorized matching engine (ISSUE 5 / DESIGN §12) must emit
-*byte-identical* instruction lists to the scalar oracle on every input —
-not merely decode to the same target.  The first half of this module
+:func:`compute_instructions` (the batched scan, DESIGN §12) must emit
+*byte-identical* instruction lists to the per-position ``_scan_scalar``
+loop, called directly as the reference, on every input — not merely
+decode to the same target.  The first half of this module
 attacks that property with structured adversarial cases and a
 hypothesis sweep; the second half pins down the
 :class:`~repro.parallel.cache.ReferenceIndexCache` contract: repeated
@@ -20,13 +21,15 @@ from hypothesis import strategies as st
 
 from repro.delta.encoder import zdelta_encode
 from repro.delta.instructions import apply_instructions
+from repro.delta import matcher as matcher_module
 from repro.delta.matcher import (
-    ENGINE_ENV,
-    ENGINES,
+    _SEED_HASHER,
     ReferenceMatcher,
+    _copy_dominated,
+    _scan_scalar,
     compute_instructions,
-    default_engine,
 )
+from repro.hashing.scan import window_hashes
 from repro.delta.vcdiff import vcdiff_encode
 from repro.parallel import FileTask, SyncExecutor
 from repro.parallel.cache import (
@@ -46,13 +49,27 @@ def _fresh_reference_cache():
     reset_default_reference_cache()
 
 
+def scalar_instructions(
+    reference: bytes,
+    target: bytes,
+    seed_length: int = 16,
+    min_match: int | None = None,
+) -> list:
+    """The reference: window hashes plus the per-position scan."""
+    matcher = ReferenceMatcher(reference, seed_length)
+    return _scan_scalar(
+        matcher,
+        memoryview(reference),
+        target,
+        memoryview(target),
+        window_hashes(target, seed_length, _SEED_HASHER),
+        seed_length if min_match is None else min_match,
+    )
+
+
 def _assert_parity(reference: bytes, target: bytes, **kwargs) -> None:
-    scalar = compute_instructions(
-        reference, target, engine="scalar", cache=False, **kwargs
-    )
-    vectorized = compute_instructions(
-        reference, target, engine="vectorized", cache=False, **kwargs
-    )
+    scalar = scalar_instructions(reference, target, **kwargs)
+    vectorized = compute_instructions(reference, target, cache=False, **kwargs)
     assert scalar == vectorized
     assert apply_instructions(reference, vectorized) == target
 
@@ -117,24 +134,46 @@ class TestEngineParity:
 
 
 class TestEngineSelection:
-    def test_engines_tuple_is_the_contract(self):
-        assert ENGINES == ("vectorized", "scalar")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            compute_instructions(b"ref", b"tgt", engine="simd")
+    """The input, not a switch, picks the scan: a sampled probe sends
+    copy-dominated targets to the per-position loop."""
 
     def test_min_match_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_match"):
             compute_instructions(b"ref" * 20, b"tgt" * 20, min_match=0)
 
-    def test_env_override_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        assert default_engine() == "scalar"
+    @staticmethod
+    def _scalar_calls(monkeypatch, reference: bytes, target: bytes) -> int:
+        calls = []
 
-    def test_env_garbage_falls_back_to_vectorized(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "definitely-not-an-engine")
-        assert default_engine() == "vectorized"
+        def counting_scan(*args):
+            calls.append(args)
+            return _scan_scalar(*args)
+
+        monkeypatch.setattr(matcher_module, "_scan_scalar", counting_scan)
+        result = compute_instructions(reference, target, cache=False)
+        assert apply_instructions(reference, result) == target
+        return len(calls)
+
+    def test_copy_dominated_target_selects_scalar(self, monkeypatch):
+        rng = random.Random(11)
+        reference = rng.randbytes(64 * 1024)
+        target = reference[:30000] + b"edit" + reference[30000:]
+        matcher = ReferenceMatcher(reference)
+        assert _copy_dominated(
+            matcher, window_hashes(target, 16, _SEED_HASHER)
+        )
+        assert self._scalar_calls(monkeypatch, reference, target) == 1
+
+    def test_literal_heavy_target_stays_batched(self, monkeypatch):
+        rng = random.Random(12)
+        reference = rng.randbytes(64 * 1024)
+        target = _structured_target("mixed", reference, rng)
+        target += rng.randbytes(len(target))
+        matcher = ReferenceMatcher(reference)
+        assert not _copy_dominated(
+            matcher, window_hashes(target, 16, _SEED_HASHER)
+        )
+        assert self._scalar_calls(monkeypatch, reference, target) == 0
 
 
 class TestMatcherReuseCheck:

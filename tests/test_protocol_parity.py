@@ -7,9 +7,11 @@ resumed from each of its round checkpoints: the resumed run must put the
 rest of the original transcript on the wire, write the same later
 checkpoints and end with the same stats.
 
-*Multiround rsync:* the vectorized round engine against the scalar
-oracle kept behind ``engine="scalar"`` — byte-identical traffic,
-identical :class:`TransferStats`, interchangeable round checkpoints.
+*Multiround rsync:* the session's array frontier against
+:func:`reference_map_phase`, a plain block-at-a-time round body over
+ints — identical map-phase messages, pins and round checkpoints — plus
+the same resume-from-every-checkpoint parity as the core protocol.
+``tests/test_golden_multiround.py`` pins its whole wire.
 """
 
 from __future__ import annotations
@@ -22,16 +24,20 @@ from hypothesis import strategies as st
 
 from repro.bench.methods import MultiroundRsyncMethod
 from repro.collection import CollectionScheduler
-from repro.core import (
-    ENGINE_ENV,
-    ENGINES,
-    ProtocolConfig,
-    default_engine,
-    resolve_engine,
-    synchronize,
+from repro.core import ProtocolConfig, synchronize
+from repro.hashing.decomposable import DecomposableAdler
+from repro.hashing.scan import HashIndex, PrefixHasher
+from repro.hashing.strong import file_fingerprint
+from repro.io.bitstream import BitWriter
+from repro.io.varint import encode_uvarint
+from repro.multiround import (
+    MultiroundConfig,
+    MultiroundSession,
+    multiround_rsync_sync,
 )
-from repro.multiround import MultiroundConfig, multiround_rsync_sync
+from repro.multiround.protocol import PHASE_MAP
 from repro.net.channel import SimulatedChannel
+from repro.net.metrics import Direction
 from repro.parallel import FileTask
 from repro.resilience import RoundCheckpoint
 from tests.conftest import make_version_pair
@@ -69,17 +75,23 @@ def wire(messages):
     ]
 
 
-def assert_resume_parity(old, new, config=None, min_checkpoints=0):
-    """Resuming from every round checkpoint reproduces the whole run."""
+def assert_resume_parity(old, new, config=None, min_checkpoints=0,
+                         sync=synchronize):
+    """Resuming from every round checkpoint reproduces the whole run.
+
+    ``sync`` is the protocol's driver (:func:`synchronize` or
+    :func:`multiround_rsync_sync`).
+    """
     recorder = Recorder()
-    baseline, channel = run_core(old, new, config, checkpointer=recorder)
+    channel = recording_channel()
+    baseline = sync(old, new, config, channel, checkpointer=recorder)
     assert baseline.reconstructed == new
     assert len(recorder.checkpoints) >= min_checkpoints
     for at, checkpoint in enumerate(recorder.checkpoints):
         resumed_channel = recording_channel()
         checkpoint.seed_stats(resumed_channel.stats)
         later = Recorder()
-        resumed = synchronize(
+        resumed = sync(
             old, new, config, resumed_channel,
             checkpointer=later, resume_from=checkpoint,
         )
@@ -96,20 +108,89 @@ def assert_resume_parity(old, new, config=None, min_checkpoints=0):
     return recorder
 
 
-def run_multiround(old, new, config=None, engine="vectorized",
-                   checkpointer=None):
+def reference_map_phase(old: bytes, new: bytes, config=None) -> list:
+    """The multiround map phase, one block at a time over plain ints.
+
+    The parity reference of :class:`MultiroundSession`'s array frontier.
+    Returns one entry per round: the client's hash message and the
+    server's bitmap (each as ``(payload, bits)``), then the frontier of
+    ``(start, length)`` blocks and the ``(client_start, length,
+    server_start)`` pins after the round.
+    """
+    config = config or MultiroundConfig()
+    bits = config.hash_bits
+    hasher = DecomposableAdler(seed=config.hash_seed)
+    prefix = PrefixHasher(old, hasher)
+    indexes: dict[int, HashIndex] = {}
+    size = config.start_block_size
+    blocks = [
+        (start, min(size, len(old) - start))
+        for start in range(0, len(old), size)
+    ]
+    pinned: list[tuple[int, int, int]] = []
+    rounds = []
+    while blocks:
+        message = BitWriter()
+        bitmap = BitWriter()
+        next_blocks = []
+        for start, length in blocks:
+            value = DecomposableAdler.pack(prefix.block_pair(start, length), bits)
+            message.write(value, bits)
+            if length not in indexes:
+                data = new if length <= len(new) else b""
+                indexes[length] = HashIndex(data, length, hasher)
+            positions = indexes[length].lookup(value, bits, max_results=1)
+            bitmap.write_bit(bool(positions))
+            if positions:
+                pinned.append((start, length, positions[0]))
+            elif length // 2 >= config.min_block_size:
+                left = (length + 1) // 2
+                next_blocks += [(start, left), (start + left, length - left)]
+        rounds.append((
+            (message.getvalue(), message.bit_length),
+            (bitmap.getvalue(), bitmap.bit_length),
+            list(next_blocks),
+            list(pinned),
+        ))
+        blocks = next_blocks
+    return rounds
+
+
+def reference_checkpoint(new: bytes, frontier, pinned) -> bytes:
+    """The round-state payload the session should record for a round."""
+    fields = [len(frontier), *(f for block in frontier for f in block),
+              len(pinned), *(f for pin in pinned for f in pin)]
+    return file_fingerprint(new) + b"".join(map(encode_uvarint, fields))
+
+
+def assert_matches_reference(old, new, config=None) -> Recorder:
+    """Run a real session; its map phase must equal the reference's."""
     channel = recording_channel()
-    result = multiround_rsync_sync(
-        old, new, config, channel, checkpointer=checkpointer, engine=engine
-    )
-    return result, channel
+    recorder = Recorder()
+    session = MultiroundSession(old, new, config, checkpointer=recorder)
+    session.start(channel)
+    while not session.done:
+        session.step_round(channel)
+    pins = [(p.client_start, p.length, p.server_start) for p in session.pinned]
+    result = session.finish(channel)
+    assert result.reconstructed == new
 
-
-def assert_same_wire(vec_channel, scalar_channel):
-    assert vec_channel.recorder == scalar_channel.recorder
-    assert vec_channel.stats.bits_by == scalar_channel.stats.bits_by
-    assert vec_channel.stats.messages == scalar_channel.stats.messages
-    assert vec_channel.stats.roundtrips == scalar_channel.stats.roundtrips
+    rounds = reference_map_phase(old, new, config)
+    expected = []
+    for message, bitmap, _frontier, _pins in rounds:
+        expected += [(Direction.CLIENT_TO_SERVER, *message),
+                     (Direction.SERVER_TO_CLIENT, *bitmap)]
+    assert [
+        (m.direction, m.payload, m.bits)
+        for m in channel.recorder if m.phase == PHASE_MAP
+    ] == expected
+    assert pins == (rounds[-1][3] if rounds else [])
+    assert result.rounds == len(rounds)
+    assert [c.payload for c in recorder.checkpoints] == [
+        reference_checkpoint(new, frontier, round_pins)
+        for _message, _bitmap, frontier, round_pins in rounds
+    ]
+    return recorder
 
 
 # ----------------------------------------------------------------------
@@ -194,51 +275,63 @@ class TestMultiroundParity:
             nbytes=rng.randrange(500, 20000),
             edits=rng.randrange(1, 12),
         )
-        vec, vec_channel = run_multiround(old, new, None, "vectorized")
-        scalar, scalar_channel = run_multiround(old, new, None, "scalar")
-        assert vec.reconstructed == new == scalar.reconstructed
-        assert vec.rounds == scalar.rounds
-        assert_same_wire(vec_channel, scalar_channel)
+        assert_matches_reference(old, new)
 
     def test_edge_inputs(self):
         config = MultiroundConfig()
-        for old, new in [(b"", b""), (b"", b"x" * 900), (b"y" * 900, b"")]:
-            vec, vec_channel = run_multiround(old, new, config, "vectorized")
-            scalar, scalar_channel = run_multiround(old, new, config, "scalar")
-            assert vec.reconstructed == new == scalar.reconstructed
-            assert_same_wire(vec_channel, scalar_channel)
+        for old, new in [(b"", b""), (b"", b"x" * 900), (b"y" * 900, b""),
+                         (b"z", b"z"), (b"y" * 900, b"y" * 900)]:
+            assert_matches_reference(old, new, config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MultiroundConfig(start_block_size=256, min_block_size=16),
+            MultiroundConfig(hash_bits=16),
+            MultiroundConfig(start_block_size=4096, min_block_size=2),
+        ],
+        ids=["small-blocks", "hash-bits-16", "down-to-two-bytes"],
+    )
+    def test_config_cells(self, config):
+        old, new = make_version_pair(seed=1637, nbytes=9000, edits=6)
+        assert_matches_reference(old, new, config)
 
     def test_checkpoints_bit_identical(self):
         old, new = make_version_pair(seed=1640, nbytes=15000, edits=8)
-        vec_recorder, scalar_recorder = Recorder(), Recorder()
-        run_multiround(old, new, engine="vectorized",
-                       checkpointer=vec_recorder)
-        run_multiround(old, new, engine="scalar",
-                       checkpointer=scalar_recorder)
-        assert len(vec_recorder.checkpoints) >= 2
-        assert vec_recorder.checkpoints == scalar_recorder.checkpoints
+        first = assert_matches_reference(old, new)
+        assert len(first.checkpoints) >= 2
+        again = Recorder()
+        multiround_rsync_sync(old, new, checkpointer=again)
+        assert again.checkpoints == first.checkpoints
 
-    @pytest.mark.parametrize(
-        "crash_engine,resume_engine",
-        [("vectorized", "scalar"), ("scalar", "vectorized")],
-    )
-    def test_cross_engine_resume(self, crash_engine, resume_engine):
-        old, new = make_version_pair(seed=1641, nbytes=15000, edits=8)
-        recorder = Recorder()
-        baseline, _ = run_multiround(
-            old, new, engine=crash_engine, checkpointer=recorder
+    @pytest.mark.parametrize("seed", [1641, 1642])
+    def test_resume_from_every_checkpoint(self, seed):
+        old, new = make_version_pair(seed=seed, nbytes=15000, edits=8)
+        assert_resume_parity(
+            old, new, min_checkpoints=2, sync=multiround_rsync_sync
         )
-        assert len(recorder.checkpoints) >= 2
-        for checkpoint in recorder.checkpoints:
-            channel = SimulatedChannel()
-            checkpoint.seed_stats(channel.stats)
-            resumed = multiround_rsync_sync(
-                old, new, channel=channel, resume_from=checkpoint,
-                engine=resume_engine,
-            )
-            assert resumed.reconstructed == new
-            assert resumed.rounds == baseline.rounds
-            assert resumed.stats.bits_by == baseline.stats.bits_by
+
+    def test_resume_parity_with_collision_repair(self):
+        """Resumed runs also reproduce a repair endgame (8-bit hashes
+        pin blocks at wrong positions; the fingerprint catches it)."""
+        old, new = make_version_pair(seed=1643, nbytes=6000, edits=4)
+        assert_resume_parity(
+            old, new, MultiroundConfig(hash_bits=8, start_block_size=512),
+            min_checkpoints=1, sync=multiround_rsync_sync,
+        )
+
+    @given(
+        old=st.binary(max_size=3000),
+        junk=st.binary(max_size=200),
+        cut=st.integers(min_value=0, max_value=3000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_hypothesis_spliced_edits(self, old, junk, cut):
+        at = min(cut, len(old))
+        new = old[:at] + junk + old[at + len(junk):]
+        config = MultiroundConfig(start_block_size=512, min_block_size=16)
+        assert_matches_reference(old, new, config)
+        assert_resume_parity(old, new, config, sync=multiround_rsync_sync)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +339,9 @@ class TestMultiroundParity:
 # ----------------------------------------------------------------------
 class TestBatchParity:
     @pytest.mark.parametrize("seed", [1650, 1651])
-    def test_wire_and_stats_identical(self, seed, monkeypatch):
+    def test_wire_and_stats_identical(self, seed):
+        """Every file's transcript under the full window equals its own
+        sequential run's; an identical pair rides along."""
         rng = random.Random(seed)
         tasks = []
         for index in range(4):
@@ -256,57 +351,16 @@ class TestBatchParity:
                 edits=rng.randrange(1, 8),
             )
             tasks.append(FileTask(f"f{index}.txt", old, new))
-        # An identical pair rides along: both engines must agree on it too.
         tasks.append(FileTask("same.txt", b"s" * 2000, b"s" * 2000))
 
-        schedulers = {}
-        for engine in ENGINES:
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            scheduler = CollectionScheduler(
-                MultiroundRsyncMethod(), window=len(tasks)
-            )
-            scheduler.shared.recorder = []
-            schedulers[engine] = (scheduler, scheduler.run(tasks))
-        (vec_scheduler, vec), (scalar_scheduler, scalar) = (
-            schedulers["vectorized"],
-            schedulers["scalar"],
+        scheduler = CollectionScheduler(
+            MultiroundRsyncMethod(), window=len(tasks)
         )
-        assert vec.reconstructed == scalar.reconstructed
-        for task in tasks:
-            assert vec.reconstructed[task.name] == task.new
-        assert [f.outcome for f in vec.files] == [f.outcome for f in scalar.files]
-        assert vec.transcripts == scalar.transcripts
-        assert vec.waves == scalar.waves
-        assert_same_wire(vec_scheduler.shared, scalar_scheduler.shared)
-
-
-# ----------------------------------------------------------------------
-# Engine selection (explicit argument + environment default)
-# ----------------------------------------------------------------------
-class TestEngineSelection:
-    def test_engines_registry(self):
-        assert ENGINES == ("vectorized", "scalar")
-
-    def test_explicit_engine_validated(self):
-        old, new = make_version_pair(seed=1660, nbytes=2000, edits=2)
-        with pytest.raises(ValueError, match="engine"):
-            multiround_rsync_sync(old, new, engine="bogus")
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        assert default_engine() == "scalar"
-        assert resolve_engine(None) == "scalar"
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        assert resolve_engine(None) == "vectorized"
-
-    def test_env_var_garbage_falls_back_to_vectorized(self, monkeypatch):
-        """A typo'd deploy knob must not abort syncs — fall back safely."""
-        monkeypatch.setenv(ENGINE_ENV, "turbo9000")
-        assert default_engine() == "vectorized"
-        old, new = make_version_pair(seed=1661, nbytes=2000, edits=2)
-        result = multiround_rsync_sync(old, new)
-        assert result.reconstructed == new
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        assert resolve_engine("scalar") == "scalar"
+        run = scheduler.run(tasks)
+        for task, result in zip(tasks, run.files):
+            assert run.reconstructed[task.name] == task.new
+            channel = recording_channel()
+            multiround_rsync_sync(task.old, task.new, channel=channel)
+            assert run.transcripts[task.name] == channel.recorder, task.name
+            assert result.outcome.total_bytes == channel.stats.total_bytes
+        assert run.waves == run.roundtrips_on_wire

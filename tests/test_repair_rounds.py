@@ -148,19 +148,19 @@ class TestProtocolIntegration:
         assert result.repaired and not result.used_fallback
         assert 0 < result.repair_bytes < len(new) // 4
 
-    def test_engine_parity_under_forced_collision(self, pair):
-        old, new = pair
-        results = {}
-        for engine in ("scalar", "vectorized"):
-            plan = CollisionFaultPlan(seed=6)
-            results[engine] = multiround_rsync_sync(
-                old, new, channel=plan.channel(), engine=engine
-            )
-        scalar, vectorized = results["scalar"], results["vectorized"]
-        assert scalar.reconstructed == vectorized.reconstructed == new
-        assert scalar.stats.breakdown() == vectorized.stats.breakdown()
-        assert scalar.repair_rounds == vectorized.repair_rounds
-        assert scalar.repair_bytes == vectorized.repair_bytes
+    def test_engine_parity_under_forced_collision(self):
+        """The whole forced-collision run — transcript, checkpoints and
+        repair figures — equals what both former multiround round
+        engines produced (``golden_multiround.json``)."""
+        from tests.test_golden_multiround import (
+            _golden,
+            as_json,
+            collision_fixture,
+        )
+
+        assert as_json(collision_fixture()) == (
+            _golden()["cases"]["forced-collision"]
+        )
 
     def test_repair_disabled_falls_back(self, pair):
         old, new = pair

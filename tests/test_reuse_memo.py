@@ -2,7 +2,8 @@
 
 The memo's contract is strict (DESIGN §17): a hit changes wall-clock
 only — instruction lists and payloads must be byte-identical to fresh
-computation, across both matching engines and all executor substrates,
+computation (and to the per-position reference scan), on all executor
+substrates,
 and a default (switched-off) run must leave reports untouched.
 """
 
@@ -23,6 +24,7 @@ from repro.delta import (
     zdelta_size,
 )
 from repro.parallel import arena_available
+from tests.test_delta_parity import scalar_instructions
 from repro.reuse import (
     DeltaMemoCache,
     default_delta_memo,
@@ -110,15 +112,15 @@ class TestByteIdentity:
         assert vcdiff_decode(old, cached) == new
 
     def test_cross_engine_instruction_hit(self):
-        """Engines emit identical streams, so the engine is not part of
-        the key: a hit primed by one engine serves the other."""
+        """A hit serves the cached list itself, and that list equals both
+        a cold run and the per-position reference scan."""
         old, new = _pair(seed=17)
         set_delta_memo_enabled(True)
-        primed = compute_instructions(old, new, engine="vectorized")
-        served = compute_instructions(old, new, engine="scalar")
+        primed = compute_instructions(old, new)
+        served = compute_instructions(old, new)
         assert served is primed  # the same cached object
-        cold = compute_instructions(old, new, engine="scalar", memo=False)
-        assert served == cold
+        assert served == compute_instructions(old, new, memo=False)
+        assert served == scalar_instructions(old, new)
 
     def test_explicit_memo_instance(self):
         old, new = _pair(seed=19)
