@@ -8,11 +8,10 @@ sides plus the coder parameters, so the 2nd..Nth identical request is a
 dict hit instead of a matcher run.
 
 Byte-identity guarantee: keys are ``(old fingerprint, new fingerprint,
-method, params)``.  Both matching engines are guaranteed to emit
-identical instruction streams (the whole point of the scalar parity
-oracle), so the engine is deliberately *not* part of the key — a hit
-primed by one engine serves the other, and the cached-vs-cold parity
-tests pin that equivalence.  A memo hit therefore changes wall-clock
+method, params)``.  Which scan produced a list is not part of the key:
+both scans emit identical instruction streams (the per-position scan is
+the parity reference), and the cached-vs-cold parity tests pin that
+equivalence.  A memo hit therefore changes wall-clock
 only, never a single wire byte.
 
 The cache is consulted on two tiers:
