@@ -18,7 +18,7 @@ from repro.bench import OursMethod, render_table, run_method_on_collection
 from repro.bench.export import export_runs, run_to_row
 from repro.net import FaultPlan
 from repro.net.chaos import chaos_plan
-from repro.resilience import RetryPolicy
+from repro.resilience import AdaptiveRetryPolicy, RetryPolicy
 from repro.workloads import gcc_like, make_web_collection
 
 FAULT_RATES = (0.0, 0.02, 0.05, 0.10)
@@ -102,7 +102,8 @@ def test_adaptive_vs_static_under_bursty_chaos():
     adaptive = run_method_on_collection(
         OursMethod(), tree.old, tree.new,
         on_error="raise", fault_plan=bursty_plan(),
-        adaptive_retry=True, breaker_threshold=3, deadline_s=deadline_s,
+        retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3,
+        deadline_s=deadline_s,
     )
 
     # Graceful degradation: pathological files are *reported* — the call

@@ -138,6 +138,7 @@ def run_soak(
     """
     from repro.bench.methods import OursMethod
     from repro.collection import sync_collection
+    from repro.resilience import AdaptiveRetryPolicy
     from repro.workloads import gcc_like
 
     if profile not in SOAK_PROFILES:
@@ -167,7 +168,7 @@ def run_soak(
                 workers=1,
                 on_error="skip",
                 fault_plan=plan,
-                adaptive_retry=adaptive,
+                retry_policy=AdaptiveRetryPolicy() if adaptive else None,
                 deadline_s=deadline_s if adaptive else None,
                 breaker_threshold=breaker_threshold if adaptive else None,
             )
@@ -318,6 +319,7 @@ def run_scrub_soak(
     """
     from repro.collection import CollectionStore, Manifest, StoreScrubber
     from repro.net.chaos import BitRotPlan
+    from repro.resilience import AdaptiveRetryPolicy
     from repro.workloads import gcc_like
 
     if profile not in SCRUB_SOAK_PROFILES:
@@ -381,7 +383,7 @@ def run_scrub_soak(
                 source,
                 report=merged,
                 fault_plan=chaos_plan(shape, seed=seed, rate=rate),
-                adaptive_retry=adaptive,
+                retry_policy=AdaptiveRetryPolicy() if adaptive else None,
                 on_error="fallback",
                 workers=1,
             )

@@ -45,17 +45,26 @@ _METHOD_FACTORIES = {
 }
 
 
-def _worker_count(text: str) -> int:
-    """argparse type for --workers: non-negative int, 0 = one per CPU."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 0 (0 = one per CPU), got {value}"
-        )
-    return value
+def _positive(kind=int, zero_ok: bool = False):
+    """argparse type: a ``kind`` number above zero (or zero, if allowed).
+
+    Out-of-range values become a usage error (exit 2) at parse time
+    instead of a ``ValueError`` from deep inside the run.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            )
+        if not (value > 0 or (zero_ok and value == 0)):
+            bound = ">= 0" if zero_ok else "> 0"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
 
 
 def _config_from_args(args: argparse.Namespace) -> ProtocolConfig:
@@ -89,11 +98,26 @@ def _fault_plan_from_args(args: argparse.Namespace):
 
 
 def _retry_policy_from_args(args: argparse.Namespace):
-    if args.retries is None:
-        return None
-    from repro.resilience import RetryPolicy
+    """--retries sets the schedule; --adaptive-retry picks the AIMD policy."""
+    from repro.resilience import AdaptiveRetryPolicy, RetryPolicy
 
-    return RetryPolicy(max_attempts=args.retries)
+    schedule = {} if args.retries is None else {"max_attempts": args.retries}
+    if args.adaptive_retry:
+        return AdaptiveRetryPolicy(**schedule)
+    return RetryPolicy(**schedule) if schedule else None
+
+
+def _checkpoints_from_args(args: argparse.Namespace):
+    """--checkpoint-dir/--resume as a CheckpointStore (None if neither).
+
+    ``--resume`` without ``--checkpoint-dir`` raises
+    :class:`~repro.exceptions.ResumeRefusedError`.
+    """
+    if args.checkpoint_dir is None and not args.resume:
+        return None
+    from repro.resilience import CheckpointStore
+
+    return CheckpointStore(args.checkpoint_dir, resume=args.resume)
 
 
 def _cmd_sync(args: argparse.Namespace) -> int:
@@ -117,10 +141,8 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         on_error=args.on_error,
         fault_plan=fault_plan,
         retry_policy=_retry_policy_from_args(args),
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
+        checkpoints=_checkpoints_from_args(args),
         store=args.output,
-        adaptive_retry=args.adaptive_retry,
         deadline_s=args.deadline,
         run_deadline_s=args.run_deadline,
         breaker_threshold=args.breaker_threshold,
@@ -301,11 +323,13 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
                   "collection to fetch damaged entries from)",
                   file=sys.stderr)
             return 2
+        from repro.resilience import AdaptiveRetryPolicy
+
         source = _load_side(Path(args.source))
         repaired = scrubber.repair(
             source,
             report=report,
-            adaptive_retry=True,
+            retry_policy=AdaptiveRetryPolicy(),
             on_error="fallback",
         )
     if args.json:
@@ -592,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="block size for --method rsync")
     sync.add_argument("--json", action="store_true",
                       help="machine-readable output")
-    sync.add_argument("--workers", type=_worker_count, default=1,
+    sync.add_argument("--workers", type=_positive(zero_ok=True), default=1,
                       help="process count for changed-file fan-out "
                            "(0 = one per CPU)")
     sync.add_argument("--arena", action=argparse.BooleanOptionalAction,
@@ -605,15 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "over one multiplexed channel, hiding link "
                            "latency (methods without rounds take one "
                            "step per file)")
-    sync.add_argument("--window", type=int, default=8,
+    sync.add_argument("--window", type=_positive(), default=8,
                       help="max files in flight under --pipeline "
                            "(default 8; the number of changed files or "
                            "more runs them all in lockstep)")
-    sync.add_argument("--delta-memo", action=argparse.BooleanOptionalAction,
-                      default=None,
+    sync.add_argument("--delta-memo", action="store_true",
                       help="memoize delta instruction lists and payloads "
-                           "by content fingerprint pair (default: off, or "
-                           "the REPRO_DELTA_MEMO env setting)")
+                           "by content fingerprint pair")
     sync.add_argument("--sibling-refs", action="store_true",
                       help="delta-encode added files against similar "
                            "sibling files already on the client "
@@ -630,21 +652,21 @@ def build_parser() -> argparse.ArgumentParser:
                       default="fallback",
                       help="per-file error isolation: abort, keep the old "
                            "copy, or rescue with a full transfer")
-    sync.add_argument("--retries", type=int, default=None,
+    sync.add_argument("--retries", type=_positive(), default=None,
                       help="retry attempts per ladder rung before "
                            "degrading (default: supervisor default of 3)")
     sync.add_argument("--adaptive-retry", action="store_true",
                       help="replace the static retry schedule with the "
                            "health-aware AIMD policy (widens backoff on "
                            "transient faults, tightens on clean streaks)")
-    sync.add_argument("--deadline", type=float, default=None,
+    sync.add_argument("--deadline", type=_positive(float), default=None,
                       help="per-file simulated-time budget in seconds; a "
                            "file over budget is reported failed with its "
                            "checkpointed rounds salvaged")
-    sync.add_argument("--run-deadline", type=float, default=None,
+    sync.add_argument("--run-deadline", type=_positive(float), default=None,
                       help="whole-run simulated-time budget in seconds "
                            "shared by every file (forces --workers 1)")
-    sync.add_argument("--breaker-threshold", type=int, default=None,
+    sync.add_argument("--breaker-threshold", type=_positive(), default=None,
                       help="open a per-file circuit breaker after this "
                            "many consecutive failed attempts")
     sync.add_argument("--checkpoint-dir", default=None,
@@ -696,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="gcc")
     bench.add_argument("--scale", type=float, default=0.1)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--workers", type=_worker_count, default=1,
+    bench.add_argument("--workers", type=_positive(zero_ok=True), default=1,
                        help="process count for changed-file fan-out "
                             "(0 = one per CPU)")
     bench.add_argument("--arena", action=argparse.BooleanOptionalAction,
@@ -742,7 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_perf.add_argument("--tolerance", type=float, default=0.5,
                             help="allowed slowdown fraction before an op "
                                  "counts as a regression (0.5 = 50%%)")
-    bench_perf.add_argument("--workers", type=_worker_count, default=4,
+    bench_perf.add_argument("--workers", type=_positive(zero_ok=True),
+                            default=4,
                             help="executor worker count for the dispatch "
                                  "measurements (0 = one per CPU)")
     bench_perf.add_argument("--json", action="store_true",
@@ -766,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--static", action="store_true",
                        help="run the static retry baseline instead of the "
                             "adaptive stack (no breakers, no deadlines)")
-    chaos.add_argument("--breaker-threshold", type=int, default=3,
+    chaos.add_argument("--breaker-threshold", type=_positive(), default=3,
                        help="per-file breaker threshold for adaptive runs")
     chaos.add_argument("--json", action="store_true",
                        help="print the matrix as JSON instead of a table")

@@ -236,8 +236,8 @@ class StoreScrubber:
         ``method`` defaults to the multiround protocol (whose surgical
         repair rounds handle any collision the rot may induce);
         ``sync_kwargs`` pass through to
-        :func:`~repro.collection.sync.sync_collection` — supervisors,
-        fault plans, adaptive retry, everything.
+        :func:`~repro.collection.sync.sync_collection` — fault plans,
+        static or adaptive retry policies, checkpoints, everything.
         """
         from repro.collection.sync import sync_collection
 

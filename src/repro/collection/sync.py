@@ -223,22 +223,18 @@ def sync_collection(
     change_detection: str = "manifest",
     workers: int | None = 1,
     use_arena: bool | None = None,
-    executor: SyncExecutor | None = None,
     on_error: str = "raise",
     fault_plan=None,
     retry_policy=None,
     link=None,
-    checkpoint_dir=None,
-    resume: bool = False,
     checkpoints=None,
     store=None,
-    adaptive_retry=False,
     deadline_s: float | None = None,
     run_deadline_s: float | None = None,
-    breaker_threshold=None,
+    breaker_threshold: int | None = None,
     pipeline: bool = False,
     window: int = 8,
-    delta_memo: bool | None = None,
+    delta_memo: bool = False,
     sibling_refs: bool = False,
     resemblance_threshold: float = 0.5,
 ) -> CollectionReport:
@@ -252,9 +248,9 @@ def sync_collection(
     method.  With ``verify`` (default) the reconstructed collection is
     checked byte-for-byte.
 
-    ``workers`` (or a preconfigured ``executor``) fans the changed files
-    out over a process pool; results are reassembled in manifest order so
-    the report's byte accounting is identical to the serial run.
+    ``workers`` fans the changed files out over a process pool; results
+    are reassembled in manifest order so the report's byte accounting is
+    identical to the serial run.
     ``workers=None`` uses one process per CPU.  ``use_arena`` picks the
     dispatch substrate for the pool: ``None`` (default) ships payloads
     through a zero-copy shared-memory arena when the platform supports
@@ -263,7 +259,8 @@ def sync_collection(
 
     Resilience: passing a ``fault_plan``
     (:class:`~repro.net.faults.FaultPlan`) and/or a ``retry_policy``
-    (:class:`~repro.resilience.RetryPolicy`) wraps ``method`` in a
+    (a static :class:`~repro.resilience.RetryPolicy` or an
+    :class:`~repro.resilience.AdaptiveRetryPolicy`) wraps ``method`` in a
     :class:`~repro.resilience.SyncSupervisor` that retries and degrades
     down a fallback ladder per file.  ``on_error`` controls per-file
     error isolation when a file still cannot be synchronised:
@@ -275,27 +272,26 @@ def sync_collection(
       transfer, charged to its outcome and recorded in
       ``report.fallbacks``; the update never raises.
 
-    Resumable sessions: ``checkpoint_dir`` (or a preconfigured
-    ``checkpoints`` :class:`~repro.resilience.CheckpointStore`) makes
-    every checkpoint-capable file session journal its round boundaries
-    there, one file per entry; retries resume from the last completed
-    round.  ``resume=True`` additionally honours journals left by a
-    *previous* (crashed) run — it requires a durable checkpoint location
-    and raises :class:`~repro.exceptions.ResumeRefusedError` without one.
-    All three parameters default to off, leaving behaviour and byte
-    accounting identical to a run without them.
+    Resumable sessions: ``checkpoints`` (a
+    :class:`~repro.resilience.CheckpointStore`) makes every
+    checkpoint-capable file session journal its round boundaries there,
+    one file per entry; retries resume from the last completed round.  A
+    store built with ``resume=True`` additionally honours journals left
+    by a *previous* (crashed) run; such a store needs a durable root, so
+    it cannot be built without one.  Off by default, leaving behaviour
+    and byte accounting identical to a run without it.
 
     ``store`` (a :class:`~repro.collection.store.CollectionStore` or a
     directory path) materialises the reconstructed collection on disk,
     every file written atomically — a crash mid-update can orphan
     temporaries but never tear a visible file.
 
-    Adaptive resilience (DESIGN §14): ``adaptive_retry`` (``True`` or an
-    :class:`~repro.resilience.AdaptiveRetryPolicy`) replaces the static
-    backoff with AIMD scaling, seeded jitter and failure-signature
-    ladder routing; ``breaker_threshold`` (an int, or a preconfigured
-    :class:`~repro.resilience.BreakerBoard`) gives every file a circuit
-    breaker; ``deadline_s`` bounds the simulated seconds spent per file
+    Adaptive resilience (DESIGN §14): an
+    :class:`~repro.resilience.AdaptiveRetryPolicy` as ``retry_policy``
+    replaces the static backoff with AIMD scaling, seeded jitter and
+    failure-signature ladder routing; ``breaker_threshold`` gives every
+    file a circuit breaker that opens after that many consecutive
+    failures; ``deadline_s`` bounds the simulated seconds spent per file
     and ``run_deadline_s`` across the whole run (run deadlines force
     serial execution so the shared budget is charged deterministically).
     With breakers or deadlines configured the run *degrades gracefully*:
@@ -303,7 +299,7 @@ def sync_collection(
     ``report.failed`` (keeping the client copy) even under
     ``on_error="raise"``, which then raises
     :class:`~repro.exceptions.SyncFailedError` only for other errors.
-    All four default to off, leaving behaviour byte-identical to a run
+    All default to off, leaving behaviour byte-identical to a run
     without them.
 
     Pipelined scheduling (DESIGN §16): ``pipeline=True`` interleaves the
@@ -318,19 +314,18 @@ def sync_collection(
     transcripts, byte accounting and round checkpoints stay bit-identical
     to the sequential run on a clean link; only ``roundtrips_on_wire``
     and ``link_wall_clock_s`` collapse.  Compute stays serial and in
-    process, so an explicit ``executor`` is rejected.
+    process, so ``workers`` and ``use_arena`` do not apply.
 
-    Cross-file reuse (DESIGN §17): ``delta_memo`` scopes the process-wide
+    Cross-file reuse (DESIGN §17): ``delta_memo`` sets the process-wide
     delta-memo switch for this update — ``True`` memoizes instruction
     lists and encoded payloads by content pair (byte-identical, wall-clock
-    only), ``False`` forces it off, ``None`` (default) defers to
-    ``REPRO_DELTA_MEMO``.  ``sibling_refs`` serves *added* files (no
-    previous version on the client) by content identity when the client
-    already holds the same bytes under another name (a rename — counted
-    in ``report.dedup_hits``) or as a delta against the most similar
-    client file clearing ``resemblance_threshold`` (min-hash estimate,
-    counted in ``report.sibling_refs_used``); the compressed full
-    transfer remains the fallback, and the cheaper of delta and full
+    only), ``False`` (default) keeps them cold.  ``sibling_refs`` serves
+    *added* files (no previous version on the client) by content identity
+    when the client already holds the same bytes under another name (a
+    rename — counted in ``report.dedup_hits``) or as a delta against the
+    most similar client file clearing ``resemblance_threshold`` (min-hash
+    estimate, counted in ``report.sibling_refs_used``); the compressed
+    full transfer remains the fallback, and the cheaper of delta and full
     always wins, so enabling it never costs wire bytes.  Both knobs
     default to off, leaving reports byte-identical to a run without them.
     """
@@ -338,21 +333,6 @@ def sync_collection(
         raise ValueError(
             f"on_error must be 'raise', 'skip' or 'fallback', "
             f"got {on_error!r}"
-        )
-    if pipeline and executor is not None:
-        raise ValueError(
-            "pipeline=True runs its lanes in process; drop executor="
-        )
-    if checkpoints is None and checkpoint_dir is not None:
-        from repro.resilience import CheckpointStore
-
-        checkpoints = CheckpointStore(checkpoint_dir, resume=resume)
-    if resume and (checkpoints is None or checkpoints.root is None):
-        from repro.exceptions import ResumeRefusedError
-
-        raise ResumeRefusedError(
-            "resume=True needs a durable checkpoint location "
-            "(checkpoint_dir or a CheckpointStore with a root)"
         )
     budget = None
     if run_deadline_s is not None:
@@ -363,34 +343,11 @@ def sync_collection(
         # file in sequence; pool workers each mutate their own pickled
         # copy, so a run deadline forces serial execution.
         workers = 1
-        executor = None
-    if adaptive_retry:
-        from repro.resilience import AdaptiveRetryPolicy
-
-        if isinstance(adaptive_retry, AdaptiveRetryPolicy):
-            retry_policy = adaptive_retry
-        elif not isinstance(retry_policy, AdaptiveRetryPolicy):
-            # Mirror a given static schedule into the adaptive policy so
-            # `adaptive_retry=True` composes with `retry_policy=...`.
-            schedule_kwargs = {}
-            if retry_policy is not None:
-                schedule_kwargs = dict(
-                    max_attempts=retry_policy.max_attempts,
-                    base_backoff_s=retry_policy.base_backoff_s,
-                    multiplier=retry_policy.multiplier,
-                    max_backoff_s=retry_policy.max_backoff_s,
-                )
-            retry_policy = AdaptiveRetryPolicy(**schedule_kwargs)
     breakers = None
     if breaker_threshold is not None:
         from repro.resilience import BreakerBoard
 
-        if isinstance(breaker_threshold, BreakerBoard):
-            breakers = breaker_threshold
-        else:
-            breakers = BreakerBoard(
-                failure_threshold=int(breaker_threshold)
-            )
+        breakers = BreakerBoard(failure_threshold=breaker_threshold)
     graceful = (
         breakers is not None or deadline_s is not None or budget is not None
     )
@@ -416,7 +373,7 @@ def sync_collection(
 
     from repro.reuse.memo import delta_memo_scope
 
-    with delta_memo_scope(None if delta_memo is None else bool(delta_memo)):
+    with delta_memo_scope(delta_memo):
         client_manifest = Manifest.of_collection(client_files)
         server_manifest = Manifest.of_collection(server_files)
         if change_detection == "manifest":
@@ -478,8 +435,7 @@ def sync_collection(
             results = run.files
             received = run.reconstructed
         else:
-            if executor is None:
-                executor = SyncExecutor(workers=workers, use_arena=use_arena)
+            executor = SyncExecutor(workers=workers, use_arena=use_arena)
             batch = executor.run(method, tasks, capture_errors=capture_errors)
             report.workers = batch.workers_used
             report.caches = batch.caches

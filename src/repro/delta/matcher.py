@@ -225,7 +225,7 @@ def compute_instructions(
     ``memo`` memoizes the finished instruction list by *content pair*
     (:class:`~repro.reuse.memo.DeltaMemoCache`): a hit skips hashing and
     matching entirely and is byte-identical to a fresh run.  ``None``
-    defers to the process-wide switch (``REPRO_DELTA_MEMO`` /
+    defers to the process-wide switch (``set_delta_memo_enabled`` /
     ``sync_collection(delta_memo=True)``), ``False`` opts out, an
     instance is consulted unconditionally.
     """

@@ -91,9 +91,10 @@ class WorkloadError(ReproError):
 class ResumeRefusedError(ReproError):
     """A resumable run was requested but cannot be honoured.
 
-    Raised when ``resume=True`` is asked for without a durable checkpoint
-    location to resume *from* — silently starting over would hide exactly
-    the restart cost the caller tried to avoid.
+    Raised when a :class:`~repro.resilience.CheckpointStore` is built with
+    ``resume=True`` but no durable root to resume *from* — silently
+    starting over would hide exactly the restart cost the caller tried to
+    avoid.
     """
 
 

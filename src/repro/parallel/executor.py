@@ -185,8 +185,8 @@ def _worker_init(
     Runs once per worker process instead of once per chunk, so the warm
     state (arena mapping, hash-index and reference-index cache capacity,
     delta-memo switch) persists across every chunk the worker handles.
-    ``memo_enabled`` re-asserts the parent's resolved delta-memo switch
-    so spawn-based pools match fork-based ones.
+    ``memo_enabled`` re-asserts the parent's delta-memo switch so
+    spawn-based pools match fork-based ones.
     """
     global _worker_arena
     if arena_name is not None:

@@ -40,7 +40,7 @@ import signal
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exceptions import FrameCorruptionError, ReproError
+from repro.exceptions import FrameCorruptionError, ReproError, ResumeRefusedError
 from repro.io.varint import decode_uvarint, encode_uvarint
 from repro.net.frame import FRAME_OVERHEAD, decode_frame, encode_frame
 from repro.net.metrics import Direction, TransferStats
@@ -385,11 +385,18 @@ class CheckpointStore:
     attempts within one process); a directory makes them durable, one
     file per collection entry, so a *restarted* run started with
     ``resume=True`` can pick every interrupted file up at its last
-    completed round.  Instances are picklable and cheap, so the parallel
+    completed round.  ``resume=True`` without a root raises
+    :class:`~repro.exceptions.ResumeRefusedError`: there is nothing to
+    resume *from*.  Instances are picklable and cheap, so the parallel
     executor can ship them to worker processes.
     """
 
     def __init__(self, root: str | Path | None = None, resume: bool = False) -> None:
+        if resume and root is None:
+            raise ResumeRefusedError(
+                "resume=True needs a durable checkpoint location "
+                "(a CheckpointStore with a root)"
+            )
         self.root = Path(root) if root is not None else None
         self.resume = resume
 

@@ -25,7 +25,6 @@ from repro.reuse.dedup import DedupStore
 from repro.reuse.memo import (
     DEFAULT_MEMO_BYTES,
     DEFAULT_MEMO_ENTRIES,
-    MEMO_ENV,
     DeltaMemoCache,
     default_delta_memo,
     delta_memo_enabled,
@@ -62,7 +61,6 @@ __all__ = [
     "DedupStore",
     "DeltaMemoCache",
     "FileDecision",
-    "MEMO_ENV",
     "MinHashSketch",
     "SimilarityIndex",
     "content_shingles",

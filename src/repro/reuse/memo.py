@@ -21,9 +21,8 @@ The cache is consulted on two tiers:
   is unconditionally safe and free of benchmark distortion.
 * ``compute_instructions`` / ``zdelta_encode`` / ``vcdiff_encode``
   consult it only when memoization is switched on — via
-  :func:`set_delta_memo_enabled`, the ``REPRO_DELTA_MEMO`` environment
-  variable, or ``sync_collection(delta_memo=True)`` — so cold-path
-  timing benchmarks stay honest by default.
+  :func:`set_delta_memo_enabled` or ``sync_collection(delta_memo=True)``
+  — so cold-path timing benchmarks stay honest by default.
 
 Like the hash-index caches, the memo is process-local: pool workers
 inherit the parent's by fork and their hit/miss deltas are folded back
@@ -31,8 +30,6 @@ by the executor.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.parallel.cache import ContentKeyedCache
 
@@ -43,11 +40,6 @@ DEFAULT_MEMO_ENTRIES = 512
 #: small next to the reference indexes, but a fleet of large files could
 #: still pile up — 64 MiB bounds the worst case.
 DEFAULT_MEMO_BYTES = 64 * 1024 * 1024
-
-#: Environment toggle for the gated tier (``1``/``true``/``on``/``yes``).
-MEMO_ENV = "REPRO_DELTA_MEMO"
-
-_TRUTHY = ("1", "true", "on", "yes")
 
 
 class DeltaMemoCache(ContentKeyedCache):
@@ -115,9 +107,8 @@ class DeltaMemoCache(ContentKeyedCache):
 
 _default_memo = DeltaMemoCache()
 
-#: Tri-state switch for the gated tier: ``None`` defers to the
-#: environment, a bool is an explicit in-process override.
-_memo_enabled: bool | None = None
+#: Process-wide switch for the gated tier (off by default).
+_memo_enabled = False
 
 
 def default_delta_memo() -> DeltaMemoCache:
@@ -140,13 +131,11 @@ def reset_default_delta_memo(
 
 def delta_memo_enabled() -> bool:
     """Whether the gated tier (encode/instructions memoization) is on."""
-    if _memo_enabled is not None:
-        return _memo_enabled
-    return os.environ.get(MEMO_ENV, "").lower() in _TRUTHY
+    return _memo_enabled
 
 
-def set_delta_memo_enabled(enabled: bool | None) -> None:
-    """Switch the gated tier on/off (``None`` defers to ``REPRO_DELTA_MEMO``)."""
+def set_delta_memo_enabled(enabled: bool) -> None:
+    """Switch the gated tier on or off."""
     global _memo_enabled
     _memo_enabled = enabled
 
@@ -158,15 +147,14 @@ class delta_memo_scope:
     run never leaks the setting into subsequent cold benchmarks.
     """
 
-    def __init__(self, enabled: bool | None) -> None:
+    def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
-        self._previous: bool | None = None
+        self._previous = False
 
     def __enter__(self) -> "delta_memo_scope":
         global _memo_enabled
         self._previous = _memo_enabled
-        if self.enabled is not None:
-            _memo_enabled = self.enabled
+        _memo_enabled = self.enabled
         return self
 
     def __exit__(self, *exc_info) -> None:

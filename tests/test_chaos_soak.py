@@ -28,7 +28,11 @@ from repro.net.chaos import (
     ScheduledFaultPlan,
     chaos_plan,
 )
-from repro.resilience.adaptive import BreakerState, CircuitBreaker
+from repro.resilience.adaptive import (
+    AdaptiveRetryPolicy,
+    BreakerState,
+    CircuitBreaker,
+)
 
 
 class TestChaosProfile:
@@ -196,7 +200,7 @@ class TestPipelinedChaosCells:
                 OursMethod(),
                 on_error="skip",
                 fault_plan=chaos_plan(shape, seed=seed, rate=rate),
-                adaptive_retry=True,
+                retry_policy=AdaptiveRetryPolicy(),
                 deadline_s=deadline_s,
                 breaker_threshold=3,
                 pipeline=True,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.bench.methods import OursMethod
+from repro.cli import build_parser, main
+from repro.resilience import AdaptiveRetryPolicy, SyncSupervisor
 from tests.conftest import make_version_pair
 
 
@@ -115,15 +119,14 @@ class TestSyncCommand:
         ]) == 0
         assert "reuse" in capsys.readouterr().out
 
-    def test_no_delta_memo_flag(self, file_pair, capsys):
-        old_path, new_path = file_pair
-        assert main([
-            "sync", str(old_path), str(new_path), "--no-delta-memo",
-            "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["delta_memo_hits"] == 0
-        assert payload["delta_memo_misses"] == 0
+    def test_resume_without_checkpoint_dir_fails_cleanly(
+        self, dir_pair, capsys
+    ):
+        old_dir, new_dir = dir_pair
+        assert main(["sync", str(old_dir), str(new_dir), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "durable checkpoint location" in err
 
 
 class TestBatchedSync:
@@ -186,10 +189,57 @@ class TestBenchCommand:
         assert "ours" in capsys.readouterr().out
 
 
+#: Every option string of ``repro sync``: removing or renaming a flag
+#: must be a deliberate change to this set.
+SYNC_FLAGS = {
+    "-h", "--help", "--method", "--min-block", "--continuation-min",
+    "--verification", "--rsync-block", "--json", "--workers", "--arena",
+    "--no-arena", "--pipeline", "--window", "--delta-memo",
+    "--sibling-refs", "--resemblance-threshold", "--fault-rate",
+    "--fault-seed", "--on-error", "--retries", "--adaptive-retry",
+    "--deadline", "--run-deadline", "--breaker-threshold",
+    "--checkpoint-dir", "--resume", "--output",
+}
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_sync_flag_set_is_pinned(self):
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            option
+            for action in commands.choices["sync"]._actions
+            for option in action.option_strings
+        }
+        assert flags == SYNC_FLAGS
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--pipeline", "--window", "0"],
+            ["--window", "0"],
+            ["--retries", "0", "--fault-rate", "0.1"],
+            ["--breaker-threshold", "0", "--fault-rate", "0.1"],
+            ["--deadline", "-1"],
+            ["--run-deadline", "-5"],
+            ["--workers", "-1"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_out_of_range_value_is_a_usage_error(
+        self, dir_pair, capsys, flags
+    ):
+        old_dir, new_dir = dir_pair
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sync", str(old_dir), str(new_dir), *flags])
+        assert exit_info.value.code == 2
+        assert "must be >" in capsys.readouterr().err
 
     def test_unknown_method_rejected(self, file_pair):
         old_path, new_path = file_pair
@@ -244,6 +294,45 @@ class TestAdaptiveFlags:
             plain.pop(key)
             adaptive.pop(key)
         assert adaptive == plain
+
+    def test_adaptive_retry_runs_one_attempt_per_rung(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--adaptive-retry --retries 1``: the AIMD policy takes the
+        static schedule, so every file fails each rung at most once and
+        its retry count is the index of the rung that delivered it."""
+        old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+        old_dir.mkdir()
+        new_dir.mkdir()
+        for index in range(4):
+            old, new = make_version_pair(seed=80 + index, nbytes=6000)
+            (old_dir / f"f{index}.bin").write_bytes(old)
+            (new_dir / f"f{index}.bin").write_bytes(new)
+        runs = []
+        real = cli.run_method_on_collection
+
+        def spy(*args, **kwargs):
+            runs.append((kwargs["retry_policy"], real(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, "run_method_on_collection", spy)
+        assert main([
+            "sync", str(old_dir), str(new_dir), "--json",
+            "--adaptive-retry", "--retries", "1",
+            "--fault-rate", "0.3", "--fault-seed", "3",
+        ]) == 0
+        capsys.readouterr()
+        ((policy, run),) = runs
+        assert isinstance(policy, AdaptiveRetryPolicy)
+        assert policy.max_attempts == 1
+        rungs = [OursMethod().name] + [
+            rung.name for rung in SyncSupervisor(OursMethod()).ladder
+        ]
+        report = run.report
+        assert report.total_retries > 0
+        for name in report.per_file:
+            delivered_by = report.fallbacks.get(name, rungs[0])
+            assert report.retries.get(name, 0) == rungs.index(delivered_by)
 
 
 class TestPipelineFlag:

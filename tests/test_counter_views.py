@@ -19,6 +19,7 @@ intended change to a reported value::
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
 )
-from repro.resilience import RetryPolicy
+from repro.resilience import AdaptiveRetryPolicy, CheckpointStore, RetryPolicy
 from repro.reuse.memo import reset_default_delta_memo
 from repro.workloads import gcc_like
 from tests.conftest import make_version_pair
@@ -82,12 +83,12 @@ SCENARIOS = {
         _tree,
         {"fault_plan": ("uniform", 0.5, 5), "on_error": "fallback"},
     ),
-    "checkpoints": (OursMethod, _tree, {"checkpoint_dir": "journals"}),
+    "checkpoints": (OursMethod, _tree, {"checkpoints": "journals"}),
     "checkpoints-faults": (
         OursMethod,
         _tree,
         {
-            "checkpoint_dir": "journals",
+            "checkpoints": "journals",
             "fault_plan": ("disconnect", 40, 33),
             "retry_policy": RetryPolicy(max_attempts=4),
             "on_error": "fallback",
@@ -98,7 +99,7 @@ SCENARIOS = {
         _tree,
         {
             "fault_plan": ("uniform", 0.3, 7),
-            "adaptive_retry": True,
+            "retry_policy": AdaptiveRetryPolicy(),
             "breaker_threshold": 3,
             "deadline_s": 120.0,
             "on_error": "skip",
@@ -134,11 +135,12 @@ def _cold_caches() -> None:
 def scenario_row(name: str, workdir: Path) -> dict[str, object]:
     """The export row of one scenario, run with cold caches."""
     method, inputs, options = SCENARIOS[name]
-    options = dict(options)
+    options = copy.deepcopy(options)  # a fresh, unused retry policy
     if "fault_plan" in options:
         options["fault_plan"] = _fault_plan(options["fault_plan"])
-    if "checkpoint_dir" in options:
-        options["checkpoint_dir"] = workdir / options["checkpoint_dir"]
+    if "checkpoints" in options:
+        journals = workdir / options["checkpoints"]
+        options["checkpoints"] = CheckpointStore(journals)
     old, new = inputs()
     _cold_caches()
     return run_to_row(run_method_on_collection(method(), old, new, **options))

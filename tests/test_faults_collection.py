@@ -19,7 +19,11 @@ from repro.collection import sync_collection
 from repro.exceptions import IntegrityError, ReproError, SyncFailedError
 from repro.net import FaultPlan
 from repro.parallel import FileTask, SyncExecutor
-from repro.resilience import RetryPolicy
+from repro.resilience import (
+    AdaptiveRetryPolicy,
+    CheckpointStore,
+    RetryPolicy,
+)
 from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.workloads import gcc_like
 
@@ -134,11 +138,13 @@ class TestDegradationLadderPipelined(TestDegradationLadder):
 RESILIENCE = {
     "static-retry": lambda tmp_path: {"retry_policy": RetryPolicy()},
     "adaptive": lambda tmp_path: {
-        "adaptive_retry": True,
+        "retry_policy": AdaptiveRetryPolicy(),
         "breaker_threshold": 3,
         "deadline_s": 120.0,
     },
-    "checkpoints": lambda tmp_path: {"checkpoint_dir": tmp_path / "journals"},
+    "checkpoints": lambda tmp_path: {
+        "checkpoints": CheckpointStore(tmp_path / "journals")
+    },
 }
 
 

@@ -207,7 +207,7 @@ def collection_outcome(adaptive: bool) -> dict:
         tree.old, tree.new, MultiroundRsyncMethod(),
         fault_plan=FaultPlan.uniform(0.08, seed=44),
         on_error="fallback",
-        adaptive_retry=adaptive,
+        retry_policy=AdaptiveRetryPolicy() if adaptive else None,
     )
     assert report.reconstructed == tree.new
     return {
@@ -249,7 +249,8 @@ def adaptive_clean_summary() -> list:
     plain = sync_collection(tree.old, tree.new, MultiroundRsyncMethod())
     adaptive = sync_collection(
         tree.old, tree.new, MultiroundRsyncMethod(),
-        adaptive_retry=True, breaker_threshold=3, deadline_s=3600.0,
+        retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3,
+        deadline_s=3600.0,
     )
     assert adaptive.summary() == plain.summary()
     assert adaptive.health_score == 1.0

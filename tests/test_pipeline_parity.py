@@ -34,11 +34,12 @@ from repro.net.frame import (
     encode_mux_batch,
     mux_overhead_bytes,
 )
-from repro.parallel import FileTask, SyncExecutor, arena_available
+from repro.parallel import FileTask, arena_available
 from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
 )
+from repro.resilience import CheckpointStore
 from repro.reuse.memo import reset_default_delta_memo
 from tests.conftest import make_version_pair
 
@@ -295,11 +296,12 @@ class TestPipelineParity:
         old_side, new_side = make_collection(count=3)
         sequential = sync_collection(
             old_side, new_side, OursMethod(), link=LINK,
-            checkpoint_dir=tmp_path / "seq",
+            checkpoints=CheckpointStore(tmp_path / "seq"),
         )
         pipelined = sync_collection(
             old_side, new_side, OursMethod(), link=LINK,
-            checkpoint_dir=tmp_path / "pipe", pipeline=True, window=3,
+            checkpoints=CheckpointStore(tmp_path / "pipe"),
+            pipeline=True, window=3,
         )
         assert pipelined.per_file == sequential.per_file
         assert pipelined.checkpoint_bytes_written > 0
@@ -320,11 +322,6 @@ class TestPipelineParity:
         with pytest.raises(ValueError, match="window"):
             sync_collection(
                 old_side, new_side, OursMethod(), pipeline=True, window=0
-            )
-        with pytest.raises(ValueError, match="executor"):
-            sync_collection(
-                old_side, new_side, OursMethod(), pipeline=True,
-                executor=SyncExecutor(),
             )
 
     def test_session_less_method_pipelines_as_one_step_lanes(self):

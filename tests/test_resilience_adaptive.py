@@ -430,7 +430,7 @@ class TestHappyPathByteIdentity:
         plain = sync_collection(tree.old, tree.new, OursMethod())
         adaptive = sync_collection(
             tree.old, tree.new, OursMethod(),
-            adaptive_retry=True, breaker_threshold=3, deadline_s=3600.0,
+            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
         )
         assert adaptive.summary() == plain.summary()
         assert adaptive.health_score == 1.0
@@ -445,7 +445,7 @@ class TestHappyPathByteIdentity:
         adaptive = sync_collection(
             tree.old, tree.new, OursMethod(),
             workers=2, use_arena=use_arena,
-            adaptive_retry=True, breaker_threshold=3, deadline_s=3600.0,
+            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
         )
         assert adaptive.summary() == plain.summary()
         assert adaptive.health_score == 1.0
@@ -455,7 +455,7 @@ class TestHappyPathByteIdentity:
         plain = sync_collection(tree.old, tree.new, OursMethod())
         budgeted = sync_collection(
             tree.old, tree.new, OursMethod(),
-            workers=4, adaptive_retry=True, run_deadline_s=1e9,
+            workers=4, retry_policy=AdaptiveRetryPolicy(), run_deadline_s=1e9,
         )
         assert budgeted.summary() == plain.summary()
         assert budgeted.workers == 1  # run budget implies serial
@@ -472,7 +472,7 @@ class TestHappyPathByteIdentity:
         plain = sync_collection(tree.old, tree.new, MultiroundRsyncMethod())
         adaptive = sync_collection(
             tree.old, tree.new, MultiroundRsyncMethod(), workers=workers,
-            adaptive_retry=True, breaker_threshold=3, deadline_s=3600.0,
+            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
         )
         assert adaptive.summary() == plain.summary()
         assert adaptive.workers == workers
@@ -491,7 +491,7 @@ class TestCollectionGracefulDegradation:
         report = sync_collection(
             tree.old, tree.new, OursMethod(),
             fault_plan=plan, on_error="raise",
-            adaptive_retry=True, breaker_threshold=2, deadline_s=600.0,
+            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=2, deadline_s=600.0,
         )
         assert report.files_failed == len(report.failed)
         assert report.files_failed >= 1
@@ -513,7 +513,7 @@ class TestCollectionGracefulDegradation:
         report = sync_collection(
             tree.old, tree.new, OursMethod(),
             fault_plan=plan, on_error="skip",
-            adaptive_retry=True, breaker_threshold=2,
+            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=2,
         )
         assert report.files_failed >= 1
         assert report.total_retries >= 1  # doomed attempts still counted

@@ -190,10 +190,8 @@ class TestSupervisedResumeSavings:
         assert CheckpointStore(tmp_path).pending() == []
 
     def test_resume_refused_without_durable_location(self):
-        old = {"a": b"x" * 100}
-        new = {"a": b"y" * 100}
         with pytest.raises(ResumeRefusedError):
-            sync_collection(old, new, OursMethod(), resume=True)
+            CheckpointStore(None, resume=True)
 
 
 class TestCollectionCheckpointing:
@@ -214,7 +212,7 @@ class TestCollectionCheckpointing:
             old_files,
             new_files,
             OursMethod(),
-            checkpoint_dir=tmp_path / "ckpt",
+            checkpoints=CheckpointStore(tmp_path / "ckpt"),
         )
         assert checked.total_bytes == plain.total_bytes
         assert checked.resume_handshake_bits == 0

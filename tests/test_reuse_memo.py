@@ -38,10 +38,10 @@ from repro.reuse import (
 @pytest.fixture(autouse=True)
 def fresh_memo():
     reset_default_delta_memo()
-    set_delta_memo_enabled(None)
+    set_delta_memo_enabled(False)
     yield
     reset_default_delta_memo()
-    set_delta_memo_enabled(None)
+    set_delta_memo_enabled(False)
 
 
 def _pair(seed: int = 11, nbytes: int = 20_000, edits: int = 8):
@@ -63,14 +63,11 @@ class TestGating:
         assert default_delta_memo().stats.hits == 0
         assert default_delta_memo().stats.misses == 0
 
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_MEMO", "1")
-        assert delta_memo_enabled() is True
-        monkeypatch.setenv("REPRO_DELTA_MEMO", "off")
+    def test_explicit_switch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DELTA_MEMO", "1")  # no longer read
         assert delta_memo_enabled() is False
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_MEMO", "1")
+        set_delta_memo_enabled(True)
+        assert delta_memo_enabled() is True
         set_delta_memo_enabled(False)
         assert delta_memo_enabled() is False
 
@@ -79,8 +76,10 @@ class TestGating:
         with delta_memo_scope(True):
             assert delta_memo_enabled() is True
         assert delta_memo_enabled() is False
-        with delta_memo_scope(None):  # None leaves the switch alone
+        set_delta_memo_enabled(True)
+        with delta_memo_scope(False):  # a scope always sets the switch
             assert delta_memo_enabled() is False
+        assert delta_memo_enabled() is True
 
     def test_size_tier_always_memoized(self):
         old, new = _pair()
