@@ -21,11 +21,12 @@ two fresh sessions into the identical mid-protocol state, so a resumed
 run continues with the same plans, the same hash widths and the same
 delta reference as the interrupted one would have.
 
-The decoder trusts nothing: every count is checked against the bytes
-left before anything is allocated, and the decoded geometry must be
-possible for the two files at hand (parents inside the server file,
-ascending and disjoint; hash widths at most 32 bits with values that fit;
-confirmed regions and map entries inside the files).  Anything else
+The decoder trusts nothing: its :class:`~repro.io.varint.VarintReader`
+checks every count against the bytes left before anything is allocated,
+and the decoded geometry must be possible for the two files at hand
+(parents inside the server file, ascending and disjoint; hash widths at
+most 32 bits with values that fit; confirmed regions and map entries
+inside the files).  Anything else
 raises :class:`~repro.exceptions.ProtocolError`, which the supervisor
 treats as recoverable.
 """
@@ -38,10 +39,8 @@ from repro.core.blocks import BlockTracker
 from repro.core.client import ClientSession
 from repro.core.server import ServerSession
 from repro.exceptions import ProtocolError
-from repro.io.varint import decode_uvarint, encode_uvarint
+from repro.io.varint import VarintReader, encode_uvarint
 
-#: Largest field value the decoder accepts (keeps int64 arithmetic exact).
-_MAX_FIELD = (1 << 62) - 1
 #: Widest known hash a frontier parent can carry.
 _MAX_HASH_WIDTH = 32
 
@@ -72,42 +71,6 @@ def _encode_tracker(out: bytearray, tracker: BlockTracker) -> None:
     )
 
 
-class SnapshotReader:
-    """Varint cursor over a snapshot that raises only ``ProtocolError``."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.offset = 0
-
-    def uint(self) -> int:
-        try:
-            value, self.offset = decode_uvarint(self.data, self.offset)
-        except ValueError as error:
-            raise ProtocolError(f"malformed snapshot: {error}") from None
-        if value > _MAX_FIELD:
-            raise ProtocolError("snapshot field out of range")
-        return value
-
-    def table(self, columns: int) -> np.ndarray:
-        """A count-prefixed table of ``columns`` varints per row."""
-        count = self.uint()
-        if count * columns > len(self.data) - self.offset:
-            raise ProtocolError("snapshot count exceeds the payload")
-        fields = [self.uint() for _ in range(count * columns)]
-        return np.asarray(fields, dtype=np.int64).reshape(count, columns)
-
-    def raw(self, length: int) -> bytes:
-        """The next ``length`` bytes, verbatim."""
-        if length > len(self.data) - self.offset:
-            raise ProtocolError("truncated snapshot field")
-        self.offset += length
-        return self.data[self.offset - length : self.offset]
-
-    def blob(self) -> bytes:
-        """A length-prefixed byte field."""
-        return self.raw(self.uint())
-
-
 def check_disjoint(starts: np.ndarray, ends: np.ndarray, what: str) -> None:
     """Sorted-by-start regions must not overlap."""
     if bool((starts[1:] < ends[:-1]).any()):
@@ -123,7 +86,7 @@ def check_inside(
         raise ProtocolError(f"snapshot {what} outside the file")
 
 
-def _decode_tracker(reader: SnapshotReader, server_length: int):
+def _decode_tracker(reader: VarintReader, server_length: int):
     """Parse and check one tracker; returns the arguments to restore it."""
     level = reader.uint()
     parents = reader.table(4)
@@ -200,7 +163,7 @@ def restore_round_state(
     untouched in that case.
     """
     server_length = len(server.data)
-    reader = SnapshotReader(payload)
+    reader = VarintReader(payload, ProtocolError)
     rounds = reader.uint()
     continuation_candidates = reader.uint()
     continuation_accepted = reader.uint()
@@ -208,8 +171,7 @@ def restore_round_state(
     server_tracker = _decode_tracker(reader, server_length)
     client_tracker = _decode_tracker(reader, server_length)
     entries = reader.table(3)
-    if reader.offset != len(payload):
-        raise ProtocolError("trailing bytes after the snapshot")
+    reader.end()
     starts, lengths, sources = entries.T
     check_inside(starts, lengths, server_length, 1, "map entry")
     check_inside(sources, lengths, len(client.data), 1, "map source")

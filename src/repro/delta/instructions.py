@@ -21,6 +21,15 @@ class Copy:
         if self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
 
+    @classmethod
+    def decoded(cls, offset: int, length: int) -> "Copy":
+        """A copy read off the wire: bad fields raise ``DeltaFormatError``."""
+        if offset < 0 or length <= 0:
+            raise DeltaFormatError(
+                f"copy of {length} bytes at offset {offset} is malformed"
+            )
+        return cls(offset, length)
+
 
 @dataclass(frozen=True)
 class Add:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import zlib
 
+from repro.delta.encoder import _inflate
 from repro.delta.instructions import Add, Copy, Instruction, apply_instructions
 from repro.delta.matcher import (
     DEFAULT_SEED_LENGTH,
@@ -20,58 +21,47 @@ from repro.delta.matcher import (
     compute_instructions,
 )
 from repro.exceptions import DeltaFormatError
-from repro.io.varint import decode_uvarint, encode_uvarint
+from repro.io.varint import (
+    VarintReader,
+    decode_token_stream,
+    encode_token_stream,
+    encode_uvarint,
+)
 
 _MAGIC = 0x56  # 'V'
-_OP_ADD = 0x00
-_OP_COPY = 0x01
 
 
 def _encode_body(instructions: list[Instruction]) -> bytes:
-    body = bytearray()
+    """The shared token grammar; a COPY carries ``(address, length)``."""
+    tokens = []
     here = 0  # number of target bytes produced so far
     for instruction in instructions:
         if isinstance(instruction, Copy):
-            body.append(_OP_COPY)
             # Self-relative address: distance from the current target
             # position, zig-zag style (reference offsets near "here" are
             # common for aligned data and encode small).
             distance = here - instruction.offset
             zigzag = 2 * distance if distance >= 0 else -2 * distance - 1
-            body += encode_uvarint(zigzag)
-            body += encode_uvarint(instruction.length)
+            tokens.append((zigzag, instruction.length))
             here += instruction.length
         else:
-            body.append(_OP_ADD)
-            body += encode_uvarint(len(instruction.data))
-            body += instruction.data
+            tokens.append(instruction.data)
             here += len(instruction.data)
-    return bytes(body)
+    return encode_token_stream(tokens)
 
 
 def _decode_body(body: bytes) -> list[Instruction]:
     instructions: list[Instruction] = []
-    position = 0
     here = 0
-    while position < len(body):
-        opcode = body[position]
-        position += 1
-        if opcode == _OP_COPY:
-            zigzag, position = decode_uvarint(body, position)
+    for token in decode_token_stream(body, 2, DeltaFormatError):
+        if isinstance(token, tuple):
+            zigzag, length = token
             distance = zigzag // 2 if zigzag % 2 == 0 else -(zigzag + 1) // 2
-            length, position = decode_uvarint(body, position)
-            instructions.append(Copy(here - distance, length))
-            here += length
-        elif opcode == _OP_ADD:
-            length, position = decode_uvarint(body, position)
-            data = body[position : position + length]
-            if len(data) != length:
-                raise DeltaFormatError("vcdiff literal run truncated")
-            position += length
-            instructions.append(Add(data))
+            instructions.append(Copy.decoded(here - distance, length))
             here += length
         else:
-            raise DeltaFormatError(f"unknown vcdiff opcode {opcode:#x}")
+            instructions.append(Add(token))
+            here += len(token)
     return instructions
 
 
@@ -128,14 +118,9 @@ def vcdiff_decode(reference: bytes, delta: bytes) -> bytes:
     """Reconstruct the target from ``reference`` and a vcdiff payload."""
     if not delta or delta[0] != _MAGIC:
         raise DeltaFormatError("bad vcdiff magic")
-    length, position = decode_uvarint(delta, 1)
-    end = position + length
-    if end > len(delta):
-        raise DeltaFormatError("vcdiff body truncated")
-    try:
-        body = zlib.decompress(delta[position:end])
-    except zlib.error as error:
-        raise DeltaFormatError(f"vcdiff body corrupt: {error}") from error
+    body = _inflate(
+        VarintReader(delta, DeltaFormatError, offset=1).blob(), "vcdiff body"
+    )
     return apply_instructions(reference, _decode_body(body))
 
 

@@ -46,13 +46,20 @@ from repro.core.repair import (
     PHASE_REPAIR,
     repair_exchange,
 )
-from repro.core.snapshot import SnapshotReader, check_disjoint, check_inside
+from repro.core.snapshot import check_disjoint, check_inside
+from repro.delta.instructions import Add, Copy, apply_instructions
 from repro.exceptions import DeltaFormatError, ProtocolError, SyncStalledError
 from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import HashIndex, PrefixHasher, pack_to_width
 from repro.hashing.strong import file_fingerprint
 from repro.io.bitstream import BitReader, BitWriter
-from repro.io.varint import decode_uvarint, encode_uvarint
+from repro.io.varint import (
+    StreamToken,
+    VarintReader,
+    decode_token_stream,
+    encode_token_stream,
+    encode_uvarint,
+)
 from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction, TransferStats
 from repro.parallel.cache import HashIndexCache, default_cache
@@ -61,9 +68,6 @@ PHASE_HANDSHAKE = "handshake"
 PHASE_MAP = "map"
 PHASE_DELTA = "delta"
 PHASE_FALLBACK = "fallback"
-
-_TOKEN_LITERAL = 0x00
-_TOKEN_BLOCK = 0x01
 
 
 @dataclass(frozen=True)
@@ -173,12 +177,11 @@ def decode_round_state(
     in the old file with positive lengths, ascending and disjoint, every
     pin lies inside both files and no bytes trail.
     """
-    reader = SnapshotReader(payload)
+    reader = VarintReader(payload, ProtocolError)
     expected_fingerprint = reader.raw(16)
     frontier = reader.table(2)
     pins = reader.table(3)
-    if reader.offset != len(payload):
-        raise ProtocolError("trailing bytes after the round state")
+    reader.end()
     starts, lengths = frontier.T
     check_inside(starts, lengths, old_length, 1, "frontier block")
     check_disjoint(starts, starts + lengths, "frontier blocks")
@@ -374,56 +377,31 @@ class MultiroundSession:
         by_server_position = sorted(
             self.pinned, key=lambda p: (p.server_start, -p.length)
         )
-        tokens = bytearray()
-        literals_pending = bytearray()
+        tokens: list[StreamToken] = []
         cursor = 0
-
-        def flush_literals() -> None:
-            nonlocal literals_pending
-            if literals_pending:
-                tokens.append(_TOKEN_LITERAL)
-                tokens.extend(encode_uvarint(len(literals_pending)))
-                tokens.extend(literals_pending)
-                literals_pending = bytearray()
-
         for pin in by_server_position:
             if pin.server_start < cursor:
                 continue  # overlaps something already covered
             if pin.server_start > cursor:
-                literals_pending.extend(new_data[cursor : pin.server_start])
-            flush_literals()
-            tokens.append(_TOKEN_BLOCK)
-            tokens.extend(encode_uvarint(pin.client_start))
-            tokens.extend(encode_uvarint(pin.length))
+                tokens.append(new_data[cursor : pin.server_start])
+            tokens.append((pin.client_start, pin.length))
             cursor = pin.server_start + pin.length
         if cursor < len(new_data):
-            literals_pending.extend(new_data[cursor:])
-        flush_literals()
-        delta_payload = zlib.compress(bytes(tokens), 9)
+            tokens.append(new_data[cursor:])
+        delta_payload = zlib.compress(encode_token_stream(tokens), 9)
         channel.send(Direction.SERVER_TO_CLIENT, delta_payload, PHASE_DELTA)
 
         # --- Client reconstruction -------------------------------------
         raw = zlib.decompress(channel.receive(Direction.SERVER_TO_CLIENT))
-        out = bytearray()
-        position = 0
         try:
-            while position < len(raw):
-                kind = raw[position]
-                position += 1
-                if kind == _TOKEN_LITERAL:
-                    length, position = decode_uvarint(raw, position)
-                    out += raw[position : position + length]
-                    position += length
-                elif kind == _TOKEN_BLOCK:
-                    client_start, position = decode_uvarint(raw, position)
-                    length, position = decode_uvarint(raw, position)
-                    out += old_data[client_start : client_start + length]
-                else:
-                    raise DeltaFormatError(f"unknown token {kind:#x}")
+            reconstructed = apply_instructions(old_data, [
+                Copy.decoded(*token) if isinstance(token, tuple)
+                else Add(token)
+                for token in decode_token_stream(raw, 2, DeltaFormatError)
+            ])
         except DeltaFormatError:
-            out = bytearray()  # force the fallback below
+            reconstructed = b""  # force the fallback below
 
-        reconstructed = bytes(out)
         used_fallback = False
         collisions_detected = 0
         repaired = False

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from repro.exceptions import ChannelClosedError
+from repro.exceptions import ChannelClosedError, DeltaFormatError
+from repro.io.varint import decode_token_stream, encode_token_stream
 from repro.net.channel import LinkModel, SimulatedChannel
 from repro.net.frame import decode_frame, encode_frame
 from repro.net.metrics import Direction
@@ -306,96 +307,67 @@ class CollisionFaultPlan(FaultPlan):
                 raw = zlib.decompress(payload[prefix:])
             except zlib.error:
                 continue
-            mutated = self._mutate_tokens(raw, rsync_refs=(prefix == 16))
-            if mutated is None:
+            rsync_refs = prefix == 16
+            copy_fields = 1 if rsync_refs else 2
+            try:
+                tokens = decode_token_stream(
+                    raw, copy_fields, DeltaFormatError
+                )
+            except DeltaFormatError:
                 return None
-            return payload[:prefix] + zlib.compress(mutated, 9)
+            if not self._mutate_tokens(tokens, rsync_refs):
+                return None
+            return payload[:prefix] + zlib.compress(
+                encode_token_stream(tokens), 9
+            )
         return None
 
-    def _mutate_tokens(self, raw: bytes, rsync_refs: bool) -> bytes | None:
-        """Flip one byte inside a literal run, preserving stream shape.
+    def _mutate_tokens(self, tokens: list, rsync_refs: bool) -> bool:
+        """Flip one byte inside a literal, preserving stream shape.
 
-        Shared token grammar: ``0x00`` literal (varint length + bytes),
-        ``0x01`` copy (rsync: varint block index; multiround: varint
-        client_start + varint length).  When the stream carries no
-        mutable literal, retarget a copy token instead: rsync copies get
-        their block index nudged to an adjacent interior block,
-        multiround copies their ``client_start`` shifted back one length
-        — both substitute equally-sized wrong source bytes.
+        Tokens are the shared COPY/ADD grammar: literal bytes, or a copy's
+        fields (rsync: the block index; multiround: client_start and
+        length).  When the stream carries no literal, retarget a copy
+        instead: rsync copies get their block index nudged to an adjacent
+        interior block, multiround copies their ``client_start`` shifted
+        back one length — both substitute equally-sized wrong source
+        bytes.  Mutates ``tokens`` in place; ``False`` when nothing is
+        safe to hit.
         """
-        from repro.io.varint import decode_uvarint, encode_uvarint
-
-        literal_spans: list[tuple[int, int]] = []  # (data_start, length)
-        copy_tokens: list[tuple[int, int, tuple[int, ...]]] = []
-        position = 0
-        try:
-            while position < len(raw):
-                kind = raw[position]
-                position += 1
-                if kind == 0x00:
-                    length, position = decode_uvarint(raw, position)
-                    if position + length > len(raw):
-                        return None
-                    if length > 0:
-                        literal_spans.append((position, length))
-                    position += length
-                elif kind == 0x01:
-                    start = position
-                    first, position = decode_uvarint(raw, position)
-                    if rsync_refs:
-                        copy_tokens.append((start, position, (first,)))
-                    else:
-                        second, position = decode_uvarint(raw, position)
-                        copy_tokens.append((start, position, (first, second)))
-                else:
-                    return None
-        except (IndexError, ValueError):
-            return None
-
-        if literal_spans:
-            data_start, length = literal_spans[
-                self._rng.randrange(len(literal_spans))
-            ]
-            at = data_start + self._rng.randrange(length)
-            mutated = bytearray(raw)
-            mutated[at] ^= self._rng.randrange(1, 256)
-            return bytes(mutated)
+        literals = [
+            at for at, token in enumerate(tokens)
+            if not isinstance(token, tuple)
+        ]
+        if literals:
+            at = literals[self._rng.randrange(len(literals))]
+            data = bytearray(tokens[at])
+            flip = self._rng.randrange(len(data))
+            data[flip] ^= self._rng.randrange(1, 256)
+            tokens[at] = bytes(data)
+            return True
 
         if rsync_refs:
             # Retarget a reference to a different interior block: indexes
             # below the maximum seen are full-size, so lengths hold.
-            indexes = sorted({args[0] for _s, _e, args in copy_tokens})
-            interior = indexes[:-1]
+            interior = sorted({index for (index,) in tokens})[:-1]
             if len(interior) < 2:
-                return None
-            victim_index = self._rng.choice(interior)
+                return False
+            victim = self._rng.choice(interior)
             replacement = self._rng.choice(
-                [i for i in interior if i != victim_index]
+                [i for i in interior if i != victim]
             )
-            for start, end, args in copy_tokens:
-                if args[0] == victim_index:
-                    return (
-                        raw[:start]
-                        + encode_uvarint(replacement)
-                        + raw[end:]
-                    )
-            return None
+            tokens[tokens.index((victim,))] = (replacement,)
+            return True
 
         # Multiround: shift a copy's client_start back by its own length
         # (stays in range — the original window already fits).
         candidates = [
-            (start, end, args)
-            for start, end, args in copy_tokens
-            if args[0] >= args[1] > 0
+            at for at, (client_start, length) in enumerate(tokens)
+            if client_start >= length > 0
         ]
         if not candidates:
-            return None
-        start, end, (client_start, length) = candidates[
-            self._rng.randrange(len(candidates))
-        ]
-        return (
-            raw[:start]
-            + encode_uvarint(client_start - length)
-            + encode_uvarint(length)
-            + raw[end:]
-        )
+            return False
+        at = candidates[self._rng.randrange(len(candidates))]
+        client_start, length = tokens[at]
+        tokens[at] = (client_start - length, length)
+        return True

@@ -27,7 +27,7 @@ import struct
 import zlib
 
 from repro.exceptions import FrameCorruptionError
-from repro.io.varint import decode_uvarint, encode_uvarint
+from repro.io.varint import VarintReader, encode_uvarint
 
 _HEADER = struct.Struct(">II")
 
@@ -132,44 +132,27 @@ def decode_mux_batch(batch: bytes, lanes: int) -> list[MuxRun]:
         raise FrameCorruptionError(
             f"presence bitmap marks lanes beyond the {lanes} active"
         )
-    offset = width
+    reader = VarintReader(batch, FrameCorruptionError, offset=width)
     run_bits: list[list[int]] = []
-    try:
-        for lane in range(lanes):
-            bits: list[int] = []
-            run_bits.append(bits)
-            if not bitmap >> lane & 1:
-                continue
-            count, offset = decode_uvarint(batch, offset)
-            # Every message spends at least one header byte, so a run
-            # longer than the bytes left is corrupt before it is read.
-            if not 0 < count <= len(batch) - offset:
-                raise FrameCorruptionError(
-                    f"lane {lane} announces a run of {count} messages "
-                    f"with {len(batch) - offset} bytes left"
-                )
-            for _ in range(count):
-                bit_length, offset = decode_uvarint(batch, offset)
-                bits.append(bit_length)
-    except ValueError as error:
-        raise FrameCorruptionError(f"undecodable mux batch: {error}") from error
+    for lane in range(lanes):
+        bits: list[int] = []
+        run_bits.append(bits)
+        if not bitmap >> lane & 1:
+            continue
+        count = reader.uint()
+        # Every message spends at least one header byte, so a run
+        # longer than the bytes left is corrupt before it is read.
+        if not 0 < count <= reader.remaining:
+            raise FrameCorruptionError(
+                f"lane {lane} announces a run of {count} messages "
+                f"with {reader.remaining} bytes left"
+            )
+        for _ in range(count):
+            bits.append(reader.uint())
     runs: list[MuxRun] = []
     for bits in run_bits:
-        run: MuxRun = []
-        for bit_length in bits:
-            end = offset + (bit_length + 7) // 8
-            if end > len(batch):
-                raise FrameCorruptionError(
-                    f"mux payload announces {(bit_length + 7) // 8} bytes "
-                    f"but only {len(batch) - offset} remain"
-                )
-            run.append((bit_length, batch[offset:end]))
-            offset = end
-        runs.append(run)
-    if offset != len(batch):
-        raise FrameCorruptionError(
-            f"mux batch carries {len(batch) - offset} trailing bytes"
-        )
+        runs.append([(n, reader.raw((n + 7) // 8)) for n in bits])
+    reader.end()
     return runs
 
 

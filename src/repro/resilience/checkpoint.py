@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import FrameCorruptionError, ReproError, ResumeRefusedError
-from repro.io.varint import decode_uvarint, encode_uvarint
+from repro.io.varint import VarintReader, encode_uvarint
 from repro.net.frame import FRAME_OVERHEAD, decode_frame, encode_frame
 from repro.net.metrics import Direction, TransferStats
 
@@ -67,7 +67,7 @@ class CheckpointFormatError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# Varint-based serialization helpers
+# Varint-based serialization helpers (decoding: VarintReader)
 # ----------------------------------------------------------------------
 
 def _pack_bytes(out: bytearray, data: bytes) -> None:
@@ -77,28 +77,6 @@ def _pack_bytes(out: bytearray, data: bytes) -> None:
 
 def _pack_str(out: bytearray, text: str) -> None:
     _pack_bytes(out, text.encode("utf-8"))
-
-
-def _unpack_uvarint(data: bytes, offset: int) -> tuple[int, int]:
-    try:
-        return decode_uvarint(data, offset)
-    except ValueError as error:
-        raise CheckpointFormatError(f"bad varint in record: {error}") from error
-
-
-def _unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
-    length, offset = _unpack_uvarint(data, offset)
-    if offset + length > len(data):
-        raise CheckpointFormatError("truncated byte field in record")
-    return data[offset : offset + length], offset + length
-
-
-def _unpack_str(data: bytes, offset: int) -> tuple[str, int]:
-    raw, offset = _unpack_bytes(data, offset)
-    try:
-        return raw.decode("utf-8"), offset
-    except UnicodeDecodeError as error:
-        raise CheckpointFormatError(f"non-UTF-8 text in record: {error}") from error
 
 
 def config_digest(config: object) -> bytes:
@@ -136,11 +114,8 @@ class SessionIdentity:
 
     @classmethod
     def decode(cls, data: bytes) -> "SessionIdentity":
-        protocol, offset = _unpack_str(data, 0)
-        old_fp, offset = _unpack_bytes(data, offset)
-        new_fp, offset = _unpack_bytes(data, offset)
-        cfg, _offset = _unpack_bytes(data, offset)
-        return cls(protocol, old_fp, new_fp, cfg)
+        reader = VarintReader(data, CheckpointFormatError)
+        return cls(reader.text(), reader.blob(), reader.blob(), reader.blob())
 
 
 @dataclass(frozen=True)
@@ -207,22 +182,20 @@ class RoundCheckpoint:
 
     @classmethod
     def decode(cls, data: bytes) -> "RoundCheckpoint":
-        round_index, offset = _unpack_uvarint(data, 0)
-        payload, offset = _unpack_bytes(data, offset)
-        count, offset = _unpack_uvarint(data, offset)
+        reader = VarintReader(data, CheckpointFormatError)
+        round_index = reader.uint()
+        payload = reader.blob()
         bits = []
-        for _ in range(count):
-            direction, offset = _unpack_str(data, offset)
+        for _ in range(reader.uint()):
+            direction = reader.text()
             if direction not in _DIRECTIONS:
                 raise CheckpointFormatError(
                     f"unknown direction {direction!r} in record"
                 )
-            phase, offset = _unpack_str(data, offset)
-            nbits, offset = _unpack_uvarint(data, offset)
-            bits.append((direction, phase, nbits))
-        messages, offset = _unpack_uvarint(data, offset)
-        roundtrips, _offset = _unpack_uvarint(data, offset)
-        return cls(round_index, payload, tuple(bits), messages, roundtrips)
+            bits.append((direction, reader.text(), reader.uint()))
+        return cls(
+            round_index, payload, tuple(bits), reader.uint(), reader.uint()
+        )
 
     def digest(self) -> bytes:
         """16-byte fingerprint of the record, used by the resume handshake."""

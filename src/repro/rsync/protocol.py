@@ -29,7 +29,12 @@ from repro.core.repair import (
 )
 from repro.exceptions import DeltaFormatError
 from repro.hashing.strong import file_fingerprint
-from repro.io.varint import decode_uvarint, encode_uvarint
+from repro.io.varint import (
+    VarintReader,
+    decode_token_stream,
+    encode_token_stream,
+    encode_uvarint,
+)
 from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction, TransferStats
 from repro.rsync.matcher import Literal, Reference, Token, apply_tokens, match_tokens
@@ -42,9 +47,6 @@ from repro.rsync.signature import (
 #: rsync's default block size (the tool's historical default is around
 #: 700 bytes; the paper benchmarks "rsync with default block size").
 DEFAULT_BLOCK_SIZE = 700
-
-_TOKEN_LITERAL = 0x00
-_TOKEN_REFERENCE = 0x01
 
 
 @dataclass
@@ -73,17 +75,13 @@ class RsyncResult:
 
 
 def encode_tokens(tokens: list[Token]) -> bytes:
-    """Serialise and compress the server's token stream."""
-    raw = bytearray()
-    for token in tokens:
-        if isinstance(token, Reference):
-            raw.append(_TOKEN_REFERENCE)
-            raw += encode_uvarint(token.index)
-        else:
-            raw.append(_TOKEN_LITERAL)
-            raw += encode_uvarint(len(token.data))
-            raw += token.data
-    return zlib.compress(bytes(raw), 9)
+    """Serialise and compress the server's token stream (one copy field:
+    the block index)."""
+    stream = [
+        (token.index,) if isinstance(token, Reference) else token.data
+        for token in tokens
+    ]
+    return zlib.compress(encode_token_stream(stream), 9)
 
 
 def decode_tokens(payload: bytes) -> list[Token]:
@@ -92,54 +90,32 @@ def decode_tokens(payload: bytes) -> list[Token]:
         raw = zlib.decompress(payload)
     except zlib.error as error:
         raise DeltaFormatError(f"token stream corrupt: {error}") from error
-    tokens: list[Token] = []
-    position = 0
-    while position < len(raw):
-        kind = raw[position]
-        position += 1
-        if kind == _TOKEN_REFERENCE:
-            index, position = decode_uvarint(raw, position)
-            tokens.append(Reference(index))
-        elif kind == _TOKEN_LITERAL:
-            length, position = decode_uvarint(raw, position)
-            data = raw[position : position + length]
-            if len(data) != length:
-                raise DeltaFormatError("literal token truncated")
-            position += length
-            tokens.append(Literal(bytes(data)))
-        else:
-            raise DeltaFormatError(f"unknown token kind {kind:#x}")
-    return tokens
+    return [
+        Reference(token[0]) if isinstance(token, tuple) else Literal(token)
+        for token in decode_token_stream(raw, 1, DeltaFormatError)
+    ]
 
 
 def _parse_signatures(payload: bytes) -> list:
     """Parse the client's signature message back into signature objects."""
     from repro.rsync.signature import BlockSignature
 
-    block_size, position = decode_uvarint(payload, 0)
-    strong_bytes, position = decode_uvarint(payload, position)
-    file_length, position = decode_uvarint(payload, position)
+    reader = VarintReader(payload, DeltaFormatError)
+    block_size = reader.uint()
+    strong_bytes = reader.uint()
+    remaining = reader.uint()
     signatures = []
-    index = 0
-    remaining = file_length
-    entry_size = ROLLING_BYTES + strong_bytes
-    while position < len(payload):
-        if position + entry_size > len(payload):
-            raise DeltaFormatError("signature message truncated")
-        rolling = int.from_bytes(payload[position : position + ROLLING_BYTES], "big")
-        position += ROLLING_BYTES
-        strong = payload[position : position + strong_bytes]
-        position += strong_bytes
+    while reader.remaining:
+        entry = reader.raw(ROLLING_BYTES + strong_bytes)
         signatures.append(
             BlockSignature(
-                index=index,
+                index=len(signatures),
                 length=min(block_size, remaining),
-                rolling=rolling,
-                strong=strong,
+                rolling=int.from_bytes(entry[:ROLLING_BYTES], "big"),
+                strong=entry[ROLLING_BYTES:],
             )
         )
         remaining -= min(block_size, remaining)
-        index += 1
     return signatures
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import synchronize
 from repro.multiround import MultiroundConfig, multiround_rsync_sync
+from repro.net.channel import SimulatedChannel
 from repro.rsync import rsync_sync
 from tests.conftest import make_version_pair
 
@@ -72,6 +74,25 @@ class TestCorrectness:
             old, bytes(new), MultiroundConfig(hash_bits=8)
         )
         assert result.reconstructed == bytes(new)
+
+    def test_truncated_token_stream_takes_the_fallback(self):
+        """A delta stream that ends mid-varint is a decode failure the
+        client answers with the full transfer, not an exception."""
+
+        class TruncatingChannel(SimulatedChannel):
+            def send(self, direction, payload, phase, bits=None):
+                if phase == "delta":
+                    # A copy token whose first field never terminates.
+                    payload = zlib.compress(
+                        zlib.decompress(payload) + b"\x01\x80"
+                    )
+                super().send(direction, payload, phase, bits)
+
+        old, new = make_version_pair(seed=62, nbytes=8000, edits=4)
+        result = multiround_rsync_sync(old, new, channel=TruncatingChannel())
+        assert result.used_fallback
+        assert result.collisions_detected == 1
+        assert result.reconstructed == new
 
 
 class TestProgression:
