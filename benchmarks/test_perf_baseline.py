@@ -3,9 +3,8 @@ baselines (BENCH_parallel.json, BENCH_delta.json, BENCH_protocol.json).
 
 Runs the same measurements that produced the committed baselines (see
 ``repro.bench.perfbaseline``) and fails if any op has slowed past the
-tolerance, if the zero-copy arena dispatch has lost its edge over the
-pickle path, or if the vectorized delta matcher has lost its edge over
-the scalar oracle.  The core protocol has a single engine, so its record
+tolerance, or if the vectorized delta matcher has lost its edge over the
+scalar oracle.  The core protocol has a single engine, so its record
 is one absolute op checked against the tolerance only.
 
 Environment knobs (CI machines differ from the reference box):
@@ -13,8 +12,6 @@ Environment knobs (CI machines differ from the reference box):
 * ``REPRO_PERF_WORKERS``     executor workers (default 4)
 * ``REPRO_PERF_TOLERANCE``   allowed slowdown fraction vs the committed
   baseline (default 2.0, i.e. 3x budget — generous for shared runners)
-* ``REPRO_PERF_MIN_SPEEDUP`` arena-over-pickle floor for the *current*
-  machine (default 1.05; the committed baseline itself must show >= 1.3)
 * ``REPRO_PERF_MIN_DELTA_SPEEDUP`` vectorized-over-scalar delta floor
   for the *current* machine (default 1.5; the committed baseline itself
   must show >= 3.0)
@@ -50,7 +47,6 @@ from repro.bench.perfbaseline import (
     render_baseline,
     save_baseline,
 )
-from repro.parallel import arena_available
 
 REPO_ROOT = Path(__file__).parent.parent
 BASELINE_PATH = REPO_ROOT / DEFAULT_BASELINE_NAME
@@ -61,7 +57,6 @@ REUSE_BASELINE_PATH = REPO_ROOT / DEFAULT_REUSE_BASELINE_NAME
 
 WORKERS = int(os.environ.get("REPRO_PERF_WORKERS", "4"))
 TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "2.0"))
-MIN_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_SPEEDUP", "1.05"))
 MIN_DELTA_SPEEDUP = float(
     os.environ.get("REPRO_PERF_MIN_DELTA_SPEEDUP", "1.5")
 )
@@ -71,10 +66,6 @@ MIN_PIPELINE_SPEEDUP = float(
 MIN_REUSE_SPEEDUP = float(
     os.environ.get("REPRO_PERF_MIN_REUSE_SPEEDUP", "5.0")
 )
-
-#: The committed reference baseline must demonstrate this dispatch
-#: speedup (the PR 4 acceptance floor), independent of this machine.
-COMMITTED_SPEEDUP_FLOOR = 1.3
 
 #: The committed delta baseline must demonstrate this vectorized-over-
 #: scalar matching speedup (the ISSUE 5 acceptance floor).
@@ -106,35 +97,10 @@ def current():
     return baseline
 
 
-def test_committed_baseline_demonstrates_arena_speedup(committed):
-    """The checked-in trajectory point must show the >= 1.3x dispatch win."""
-    assert committed.arena_speedup >= COMMITTED_SPEEDUP_FLOOR, (
-        f"committed BENCH_parallel.json records arena speedup "
-        f"{committed.arena_speedup:.2f}x < {COMMITTED_SPEEDUP_FLOOR}x"
-    )
-    assert committed.ops["executor_arena"].payload_bytes == (
-        committed.ops["executor_pickle"].payload_bytes
-    )
-
-
 def test_no_op_regressed_past_tolerance(current, committed):
     publish("perf_baseline", render_baseline(current))
     findings = compare_baselines(current, committed, tolerance=TOLERANCE)
     assert not findings, "\n".join(findings)
-
-
-@pytest.mark.skipif(
-    not arena_available(), reason="POSIX shared memory unavailable"
-)
-def test_arena_dispatch_still_faster_than_pickle(current):
-    """The zero-copy path must keep beating pickling on this machine."""
-    assert "executor_arena" in current.ops, (
-        "arena path did not engage despite arena_available()"
-    )
-    assert current.arena_speedup >= MIN_SPEEDUP, (
-        f"arena dispatch speedup {current.arena_speedup:.2f}x fell below "
-        f"the {MIN_SPEEDUP}x floor on this machine"
-    )
 
 
 # ----------------------------------------------------------------------

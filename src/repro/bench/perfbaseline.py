@@ -5,15 +5,14 @@ of up to a few MB of raw data per second" — CPU throughput, not wire
 bytes, is the deployment bottleneck.  This harness pins that throughput
 down so it cannot silently regress: it times the core substrate ops
 (vectorised window-hash scan, rsync token matching, zdelta encoding, the
-end-to-end protocol) and the collection executor's two dispatch
-substrates (zero-copy shared-memory arena vs. classic pickle) on fixed
-seeded workloads, then writes or compares a JSON baseline.
+end-to-end protocol) and the collection executor's pickle dispatch on
+fixed seeded workloads, then writes or compares a JSON baseline.
 
 The executor measurement uses a fingerprint *probe* method — it MD5s
 both payloads and nothing else — so the number isolates the dispatch
 substrate itself (serialization, page traffic, scheduling) rather than
-protocol compute.  Timings are best-of-``rounds`` wall clock, which is
-the steady-state figure the arena pool is designed for.
+protocol compute.  Timings are best-of-``rounds`` wall clock, the
+steady-state figure of a warm process.
 
 Baselines are machine-specific: compare runs against a baseline recorded
 on comparable hardware and use a generous tolerance in CI (the committed
@@ -159,15 +158,6 @@ class PerfBaseline:
     schema: int = SCHEMA_VERSION
 
     @property
-    def arena_speedup(self) -> float:
-        """Collection-sync dispatch speedup: pickle time / arena time."""
-        pickle_op = self.ops.get("executor_pickle")
-        arena_op = self.ops.get("executor_arena")
-        if pickle_op is None or arena_op is None or arena_op.seconds <= 0:
-            return 0.0
-        return pickle_op.seconds / arena_op.seconds
-
-    @property
     def delta_speedup(self) -> float:
         """Delta-match speedup: vectorized MB/s over scalar MB/s.
 
@@ -226,8 +216,6 @@ class PerfBaseline:
 
     def to_json(self) -> str:
         derived: dict[str, float] = {}
-        if self.arena_speedup:
-            derived["executor_arena_speedup"] = round(self.arena_speedup, 3)
         if self.delta_speedup:
             derived["delta_vectorized_speedup"] = round(self.delta_speedup, 3)
         if self.pipeline_speedup:
@@ -382,7 +370,7 @@ def measure(
     """
     from repro.delta import zdelta_encode
     from repro.hashing import DecomposableAdler, window_hashes
-    from repro.parallel import FileTask, SyncExecutor, arena_available
+    from repro.parallel import FileTask, SyncExecutor
     from repro.rsync import compute_signatures, match_tokens
 
     old_side, new_side = build_workload(files=files, file_kb=file_kb, seed=seed)
@@ -425,33 +413,20 @@ def measure(
         rounds,
     )
 
-    # --- collection-sync dispatch: pickle vs zero-copy arena ----------
+    # --- collection-sync dispatch over the process pool ---------------
     probe = FingerprintProbeMethod()
-
-    pickle_executor = SyncExecutor(workers=workers, use_arena=False)
+    executor = SyncExecutor(workers=workers)
     record(
         "executor_pickle",
-        _best_of(rounds, lambda: pickle_executor.run(probe, tasks)),
+        _best_of(rounds, lambda: executor.run(probe, tasks)),
         payload,
         rounds,
     )
-
-    if arena_available():
-        arena_executor = SyncExecutor(workers=workers, use_arena=True)
-        sample_batch = arena_executor.run(probe, tasks)
-        if sample_batch.arena_used:
-            record(
-                "executor_arena",
-                _best_of(rounds, lambda: arena_executor.run(probe, tasks)),
-                payload,
-                rounds,
-            )
 
     environment = {
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "arena_available": arena_available(),
     }
     workload = {
         "files": files,
@@ -794,9 +769,6 @@ def render_baseline(baseline: PerfBaseline) -> str:
     )
     if "workers" in baseline.workload:
         title += f", workers={baseline.workload['workers']}"
-    arena = baseline.arena_speedup
-    if arena:
-        title += f"; arena speedup {arena:.2f}x over pickle dispatch"
     delta = baseline.delta_speedup
     if delta:
         title += f"; vectorized delta match {delta:.2f}x over scalar"

@@ -137,7 +137,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         old_side,
         new_side,
         workers=args.workers or None,
-        use_arena=args.arena,
         on_error=args.on_error,
         fault_plan=fault_plan,
         retry_policy=_retry_policy_from_args(args),
@@ -174,9 +173,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         print(f"workers         : {run.workers} "
               f"(cpu {run.cpu_seconds:.2f}s, cache "
               f"{run.cache_hits}/{run.cache_hits + run.cache_misses} hits)")
-        if run.arena_used:
-            print(f"arena           : {run.arena_bytes:,} B shared-memory "
-                  f"payload (zero-copy dispatch)")
         if fault_plan is not None or run.retries or run.failed_files:
             print(f"resilience      : {run.retries} retries, "
                   f"{run.fallback_files} fallbacks, "
@@ -570,7 +566,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             old_side,
             new_side,
             workers=args.workers or None,
-            use_arena=args.arena,
         )
         rows.append(
             [
@@ -619,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     sync.add_argument("--workers", type=_positive(zero_ok=True), default=1,
                       help="process count for changed-file fan-out "
                            "(0 = one per CPU)")
-    sync.add_argument("--arena", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="dispatch multi-worker payloads through the "
-                           "zero-copy shared-memory arena (default: auto "
-                           "when available; --no-arena forces pickling)")
     sync.add_argument("--pipeline", action="store_true",
                       help="interleave the changed files' protocol rounds "
                            "over one multiplexed channel, hiding link "
@@ -721,15 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=_positive(zero_ok=True), default=1,
                        help="process count for changed-file fan-out "
                             "(0 = one per CPU)")
-    bench.add_argument("--arena", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="dispatch multi-worker payloads through the "
-                            "zero-copy shared-memory arena (default: auto)")
     bench.set_defaults(handler=_cmd_bench, bench_action=None)
     bench_sub = bench.add_subparsers(dest="bench_action")
     bench_perf = bench_sub.add_parser(
-        "perf", help="time core substrate ops and the arena vs pickle "
-                     "dispatch paths; compare against BENCH_parallel.json"
+        "perf", help="time core substrate ops and pickle dispatch; "
+                     "compare against BENCH_parallel.json"
     )
     bench_perf.add_argument("--baseline", default="BENCH_parallel.json",
                             help="baseline JSON to compare against or "

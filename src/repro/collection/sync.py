@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 
 from repro.syncmethod import MethodOutcome, SyncMethod
@@ -48,8 +49,6 @@ class CollectionReport:
     per_file_seconds: dict[str, float] = field(default_factory=dict)
     cpu_seconds: float = 0.0
     caches: dict[str, int] = field(default_factory=dict)
-    arena_used: bool = False
-    arena_bytes: int = 0
     retries: dict[str, int] = field(default_factory=dict)
     fallbacks: dict[str, str] = field(default_factory=dict)
     failed: dict[str, str] = field(default_factory=dict)
@@ -155,34 +154,45 @@ def _transfer_added(
     report: CollectionReport,
     client_files: dict[str, bytes],
     server_files: dict[str, bytes],
-    added,
     client_manifest: Manifest,
     sibling_refs: bool,
     resemblance_threshold: float,
 ) -> None:
-    """Transfer the files the client lacks entirely.
+    """Transfer the files the client lacks entirely, after the changed ones.
 
     Default: compressed full transfer, exactly the pre-reuse behaviour.
     With ``sibling_refs`` each added file is first matched by content
-    identity (the client already holds these bytes under another name —
-    a rename, zero wire bytes beyond the manifest) and then against the
-    most similar client file by min-hash resemblance (delta-coded when
-    that beats the full transfer).  Every decision takes the cheaper
-    payload, so the option never costs bytes.
+    identity against the client's manifest (the client already holds
+    these bytes under another name — a rename, zero wire bytes beyond
+    the manifest).  Otherwise the server looks for the most similar file
+    both sides hold by now — the unchanged files plus every changed file
+    delivered in this update, in the server's version — by min-hash
+    resemblance, and sends the cheaper of a delta against it and the full
+    transfer.  The choice is charged: one uvarint per such file, ``0``
+    for a full transfer, ``i + 1`` for a delta against the ``i``-th of
+    the sorted shared names (omitted when nothing is shared, as there is
+    no choice to name).
     """
     account = report.added
-    index = None
     by_fingerprint: dict[bytes, str] = {}
-    if sibling_refs and client_files:
-        from repro.reuse.similarity import SimilarityIndex
-
+    shared: list[str] = []
+    index = None
+    if sibling_refs:
         # Earliest name wins per content (sorted = deterministic).
         for name in sorted(client_files, reverse=True):
             by_fingerprint[client_manifest.entries[name]] = name
+        shared = sorted(
+            name
+            for name in report.diff.unchanged + report.diff.changed
+            if name not in report.failed
+        )
+    if shared:
+        from repro.reuse.similarity import SimilarityIndex
+
         index = SimilarityIndex()
-        for name in sorted(client_files):
-            index.add(name, client_files[name])
-    for name in added:
+        for name in shared:
+            index.add(name, server_files[name])
+    for name in report.diff.added:
         new = server_files[name]
         payload = zlib.compress(new, 9)
         if by_fingerprint:
@@ -201,16 +211,21 @@ def _transfer_added(
             )
             if candidate is not None:
                 from repro.delta.encoder import zdelta_decode, zdelta_encode
+                from repro.io.varint import uvarint_size
 
                 sibling_name, _resemblance = candidate
-                sibling = client_files[sibling_name]
-                delta = zdelta_encode(sibling, new)
-                if len(delta) < len(payload):
-                    account.total_bytes += len(delta)
+                delta = zdelta_encode(server_files[sibling_name], new)
+                choice = bisect_left(shared, sibling_name) + 1
+                cost = uvarint_size(choice) + len(delta)
+                if cost < len(payload) + 1:  # + the uvarint 0 of a full one
+                    account.total_bytes += cost
                     account.sibling_refs_used += 1
-                    account.bytes_saved_vs_self_ref += len(payload) - len(delta)
-                    report.reconstructed[name] = zdelta_decode(sibling, delta)
+                    account.bytes_saved_vs_self_ref += len(payload) - cost
+                    report.reconstructed[name] = zdelta_decode(
+                        report.reconstructed[sibling_name], delta
+                    )
                     continue
+            account.total_bytes += 1  # the uvarint 0: sent in full
         account.total_bytes += len(payload)
         report.reconstructed[name] = zlib.decompress(payload)
 
@@ -222,7 +237,6 @@ def sync_collection(
     verify: bool = True,
     change_detection: str = "manifest",
     workers: int | None = 1,
-    use_arena: bool | None = None,
     on_error: str = "raise",
     fault_plan=None,
     retry_policy=None,
@@ -251,11 +265,7 @@ def sync_collection(
     ``workers`` fans the changed files out over a process pool; results
     are reassembled in manifest order so the report's byte accounting is
     identical to the serial run.
-    ``workers=None`` uses one process per CPU.  ``use_arena`` picks the
-    dispatch substrate for the pool: ``None`` (default) ships payloads
-    through a zero-copy shared-memory arena when the platform supports
-    it, ``False`` forces the classic pickle path, ``True`` insists on
-    trying the arena.  Reports are byte-identical either way.
+    ``workers=None`` uses one process per CPU.
 
     Resilience: passing a ``fault_plan``
     (:class:`~repro.net.faults.FaultPlan`) and/or a ``retry_policy``
@@ -314,7 +324,7 @@ def sync_collection(
     transcripts, byte accounting and round checkpoints stay bit-identical
     to the sequential run on a clean link; only ``roundtrips_on_wire``
     and ``link_wall_clock_s`` collapse.  Compute stays serial and in
-    process, so ``workers`` and ``use_arena`` do not apply.
+    process, so ``workers`` does not apply.
 
     Cross-file reuse (DESIGN §17): ``delta_memo`` sets the process-wide
     delta-memo switch for this update — ``True`` memoizes instruction
@@ -323,11 +333,13 @@ def sync_collection(
     *added* files (no previous version on the client) by content identity
     when the client already holds the same bytes under another name (a
     rename — counted in ``report.dedup_hits``) or as a delta against the
-    most similar client file clearing ``resemblance_threshold`` (min-hash
-    estimate, counted in ``report.sibling_refs_used``); the compressed
-    full transfer remains the fallback, and the cheaper of delta and full
-    always wins, so enabling it never costs wire bytes.  Both knobs
-    default to off, leaving reports byte-identical to a run without them.
+    most similar file both sides hold once the changed files are
+    delivered, clearing ``resemblance_threshold`` (min-hash estimate,
+    counted in ``report.sibling_refs_used``); the compressed full
+    transfer remains the fallback, and the cheaper of delta and full
+    always wins.  Naming the reference costs one uvarint per added file
+    that is not a rename.  Both knobs default to off, leaving reports
+    byte-identical to a run without them.
     """
     if on_error not in ("raise", "skip", "fallback"):
         raise ValueError(
@@ -398,16 +410,6 @@ def sync_collection(
 
         for name in diff.unchanged:
             report.reconstructed[name] = client_files[name]
-        if diff.added:
-            _transfer_added(
-                report,
-                client_files,
-                server_files,
-                diff.added,
-                client_manifest,
-                sibling_refs,
-                resemblance_threshold,
-            )
 
         tasks = [
             FileTask(name, client_files[name], server_files[name])
@@ -435,12 +437,10 @@ def sync_collection(
             results = run.files
             received = run.reconstructed
         else:
-            executor = SyncExecutor(workers=workers, use_arena=use_arena)
+            executor = SyncExecutor(workers=workers)
             batch = executor.run(method, tasks, capture_errors=capture_errors)
             report.workers = batch.workers_used
             report.caches = batch.caches
-            report.arena_used = batch.arena_used
-            report.arena_bytes = batch.arena_bytes
             results = batch.files
         for result in results:
             name = result.name
@@ -513,6 +513,18 @@ def sync_collection(
                 [o.client_to_server for o in outcomes],
                 [o.server_to_client for o in outcomes],
                 [o.roundtrips for o in outcomes],
+            )
+
+        if diff.added:
+            # After the changed files, so a sibling reference may name
+            # any file both sides hold by then.
+            _transfer_added(
+                report,
+                client_files,
+                server_files,
+                client_manifest,
+                sibling_refs,
+                resemblance_threshold,
             )
 
         if verify:

@@ -16,6 +16,14 @@ class ProtocolError(ReproError):
     """A synchronization protocol received a malformed or unexpected message."""
 
 
+class TruncatedMessageError(ProtocolError, EOFError):
+    """A bit-packed message ended before the value being read.
+
+    It is also an :class:`EOFError`, so code that catches running out of
+    input generically still does.
+    """
+
+
 class SyncStalledError(ProtocolError):
     """A session exceeded its round circuit without converging.
 

@@ -21,6 +21,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.exceptions import ProtocolError, TruncatedMessageError
+
 
 class BitWriter:
     """Accumulates unsigned integers with explicit bit widths.
@@ -155,12 +157,13 @@ class BitReader:
     def read(self, width: int) -> int:
         """Read an unsigned integer of ``width`` bits.
 
-        Raises ``EOFError`` if fewer than ``width`` bits remain.
+        Raises :class:`~repro.exceptions.TruncatedMessageError` if fewer
+        than ``width`` bits remain.
         """
         if width < 0:
             raise ValueError(f"width must be non-negative, got {width}")
         if width > self.remaining_bits:
-            raise EOFError(
+            raise TruncatedMessageError(
                 f"requested {width} bits but only {self.remaining_bits} remain"
             )
         value = 0
@@ -185,7 +188,7 @@ class BitReader:
     def _read_bit_array(self, total_bits: int) -> "np.ndarray":
         """Consume ``total_bits`` bits as a 0/1 ``uint8`` array."""
         if total_bits > self.remaining_bits:
-            raise EOFError(
+            raise TruncatedMessageError(
                 f"requested {total_bits} bits but only "
                 f"{self.remaining_bits} remain"
             )
@@ -242,7 +245,7 @@ class BitReader:
                 return value
             shift += 7
             if shift > 63:
-                raise ValueError("uvarint too long")
+                raise ProtocolError("uvarint too long")
 
 
 def _widths(count: int, width) -> "np.ndarray":

@@ -1,35 +1,21 @@
-"""Parallel execution engine, zero-copy arena, and content-keyed caches.
+"""Parallel execution engine and content-keyed caches.
 
-Three pieces turn the per-file protocol into a collection-scale engine:
+Two pieces turn the per-file protocol into a collection-scale engine:
 
 * :class:`~repro.parallel.executor.SyncExecutor` fans per-file
   synchronizations out over a process pool with deterministic result
   ordering, size-aware (LPT) chunk scheduling, and a serial fallback
   (``workers=1`` or no pool available).
-* :class:`~repro.parallel.arena.CollectionArena` packs every task's
-  payload bytes into one shared-memory segment so workers read them as
-  zero-copy memoryviews instead of receiving pickled copies; the
-  process-wide :class:`~repro.parallel.arena.ArenaPool` recycles warm
-  segments between batches.
 * :class:`~repro.parallel.cache.HashIndexCache` keys the expensive numpy
   window-hash indexes and prefix-sum buffers by
   ``(file_fingerprint, block_length, hash_table_id)`` so repeated syncs
   of the same data — version chains, benchmark repetitions — skip the
   rebuild entirely.
 
-See DESIGN.md §8 ("Scaling the collection phase") and §11 ("Zero-copy
-execution substrate").
+See DESIGN.md §8 ("Scaling the collection phase") and §11 ("Dispatch
+substrate").
 """
 
-from repro.parallel.arena import (
-    ArenaError,
-    ArenaPool,
-    CollectionArena,
-    Span,
-    SpanTask,
-    arena_available,
-    arena_pool,
-)
 from repro.parallel.cache import (
     DEFAULT_MAX_ENTRIES,
     DEFAULT_REFERENCE_ENTRIES,
@@ -50,11 +36,8 @@ from repro.parallel.executor import (
 )
 
 __all__ = [
-    "ArenaError",
-    "ArenaPool",
     "BatchResult",
     "CacheStats",
-    "CollectionArena",
     "ContentKeyedCache",
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_REFERENCE_ENTRIES",
@@ -62,11 +45,7 @@ __all__ = [
     "FileTask",
     "HashIndexCache",
     "ReferenceIndexCache",
-    "Span",
-    "SpanTask",
     "SyncExecutor",
-    "arena_available",
-    "arena_pool",
     "default_cache",
     "default_reference_cache",
     "reset_default_cache",

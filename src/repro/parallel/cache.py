@@ -280,9 +280,9 @@ class ReferenceIndexCache(ContentKeyedCache):
         key = ("refidx", fingerprint, seed_length)
 
         def build() -> ReferenceMatcher:
-            # Cached entries must own their bytes: a memoryview (e.g. a
-            # zero-copy arena window) would pin the backing segment past
-            # its lifetime and break the arena's leak-free teardown.
+            # Cached entries must own their bytes: a caller may pass a
+            # mutable bytearray (or a view of one) and change it after
+            # the call, which would silently corrupt the cached index.
             data = (
                 reference
                 if isinstance(reference, bytes)

@@ -10,20 +10,17 @@ split the manifest, so the collection phase parallelises embarrassingly.
 
 * **Deterministic results** — outcomes are reassembled in submission
   order, so a parallel collection report is byte-identical to the serial
-  one regardless of worker completion order or dispatch substrate.
-* **Zero-copy dispatch** — by default payload bytes travel through a
-  :class:`~repro.parallel.arena.CollectionArena` shared-memory segment:
-  task pickles shrink to ``(name, old_span, new_span)`` triples and
-  workers read payloads as zero-copy ``memoryview`` windows.  Where
-  shared memory is unavailable the executor transparently ships full
-  payloads through the classic pickle path instead (identical results).
+  one regardless of worker completion order.
+* **Pickle dispatch** — each chunk's payload bytes are pickled to its
+  worker.  At about 240 MB/s (``BENCH_parallel.json``) that is under 1%
+  of an update that syncs at a few MB/s (DESIGN §11).
 * **Size-aware scheduling** — chunks are submitted in descending
   payload-byte order (longest-processing-time heuristic), so a cluster
   of large files at the end of the manifest cannot become the straggler
   that idles every other worker.
-* **Warm workers** — a pool initializer attaches the arena once per
-  worker and pre-sizes the hash-index cache for the batch, instead of
-  re-attaching and re-growing per chunk.
+* **Warm workers** — a pool initializer pre-sizes the hash-index,
+  reference-index and delta-memo caches once per worker for the batch,
+  instead of re-growing them per chunk.
 * **Chunked dispatch** — many small files are shipped per task to
   amortise queue overhead; chunk size defaults to
   ``ceil(len(tasks) / (workers * 4))`` for load balance.
@@ -31,10 +28,9 @@ split the manifest, so the collection phase parallelises embarrassingly.
   method, or a pool that cannot be created (restricted environments) all
   degrade to the plain in-process loop with identical results.
 * **Crash isolation** — a chunk whose worker dies (or whose future
-  raises) is retried serially in the parent process instead of aborting
-  the whole run; ``BatchResult.chunk_retries`` counts how often.  The
-  retry always uses the parent's own payload bytes, so a torn arena can
-  never corrupt results.
+  raises) is retried serially in the parent process, from the parent's
+  own payload bytes, instead of aborting the whole run;
+  ``BatchResult.chunk_retries`` counts how often.
 * **Error capture** — with ``capture_errors=True`` a per-file
   :class:`~repro.exceptions.ReproError` becomes a ``FileResult`` with
   ``error`` set rather than an exception, so one poisoned file cannot
@@ -99,8 +95,6 @@ class BatchResult:
     workers_used: int = 1
     caches: dict[str, int] = field(default_factory=dict)
     chunk_retries: int = 0
-    arena_used: bool = False
-    arena_bytes: int = 0
 
     @property
     def cpu_seconds(self) -> float:
@@ -171,28 +165,18 @@ def _sync_one(
     )
 
 
-#: Worker-process arena mapping, installed once by :func:`_worker_init`.
-_worker_arena = None
-
-
 def _worker_init(
-    arena_name: str | None,
     cache_entries: int | None,
     memo_enabled: bool | None = None,
 ) -> None:
-    """Pool initializer: attach the arena once, pre-size the caches.
+    """Pool initializer: pre-size the caches once per worker.
 
     Runs once per worker process instead of once per chunk, so the warm
-    state (arena mapping, hash-index and reference-index cache capacity,
-    delta-memo switch) persists across every chunk the worker handles.
+    state (hash-index and reference-index cache capacity, delta-memo
+    switch) persists across every chunk the worker handles.
     ``memo_enabled`` re-asserts the parent's delta-memo switch so
     spawn-based pools match fork-based ones.
     """
-    global _worker_arena
-    if arena_name is not None:
-        from repro.parallel.arena import CollectionArena
-
-        _worker_arena = CollectionArena.attach(arena_name)
     if cache_entries is not None:
         from repro.parallel.cache import default_cache, default_reference_cache
 
@@ -219,27 +203,6 @@ def _run_chunk(
         for index, task in chunk
     ]
     return rows, cache_counters(since=before)
-
-
-def _run_chunk_spans(
-    method: SyncMethod,
-    chunk,
-    capture_errors: bool = False,
-) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
-    """Arena worker entry point: spans in, payloads read zero-copy.
-
-    Each ``(index, SpanTask)`` is materialised as a :class:`FileTask`
-    whose payloads are ``memoryview`` windows onto the worker's arena
-    mapping — no payload bytes ever cross the pipe.
-    """
-    arena = _worker_arena
-    if arena is None:  # initializer did not run: broken pool setup
-        raise RuntimeError("arena worker started without an arena mapping")
-    view_chunk = []
-    for index, span_task in chunk:
-        old, new = arena.task_views(span_task)
-        view_chunk.append((index, FileTask(span_task.name, old, new)))
-    return _run_chunk(method, view_chunk, capture_errors)
 
 
 _pickle_probe_cache: "weakref.WeakKeyDictionary[SyncMethod, bool]" = (
@@ -299,19 +262,12 @@ class SyncExecutor:
         Files per pool task.  ``None`` picks
         ``ceil(len(tasks) / (workers * 4))`` so each worker sees a few
         chunks for load balance without per-file dispatch overhead.
-    use_arena:
-        Dispatch substrate for the parallel path.  ``None`` (default)
-        uses the zero-copy shared-memory arena whenever the platform
-        supports it; ``True`` insists on trying it; ``False`` always
-        ships payloads through the pickle path.  Results are identical
-        either way.
     """
 
     def __init__(
         self,
         workers: int | None = 1,
         chunk_size: int | None = None,
-        use_arena: bool | None = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -321,7 +277,6 @@ class SyncExecutor:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.use_arena = use_arena
 
     # ------------------------------------------------------------------
     def run(
@@ -359,29 +314,6 @@ class SyncExecutor:
             caches=caches,
         )
 
-    def _acquire_arena(self, tasks: list[FileTask]):
-        """The (arena, span_tasks) pair for this batch, or (None, None).
-
-        Any shared-memory failure — probe, creation, packing — lands on
-        the pickle path rather than surfacing to the caller.
-        """
-        from repro.parallel.arena import arena_available, arena_pool
-
-        if self.use_arena is False:
-            return None, None
-        if self.use_arena is None and not arena_available():
-            return None, None
-        arena = None
-        try:
-            arena = arena_pool().acquire(
-                sum(task.total_bytes for task in tasks)
-            )
-            return arena, arena.pack(tasks)
-        except Exception:
-            if arena is not None:
-                arena_pool().release(arena)
-            return None, None
-
     def _run_parallel(
         self,
         method: SyncMethod,
@@ -403,52 +335,33 @@ class SyncExecutor:
         # batch cannot evict-thrash its own entries mid-run.
         cache_entries = 4 * len(tasks)
 
-        arena, span_tasks = self._acquire_arena(tasks)
         result = BatchResult(workers_used=workers_used)
-        try:
-            if arena is not None:
-                entry, arena_name = _run_chunk_spans, arena.name
-                payload_chunks = [
-                    [(index, span_tasks[index]) for index, _task in chunk]
-                    for chunk in chunks
-                ]
-                result.arena_used = True
-                result.arena_bytes = arena.used_bytes
-            else:
-                entry, arena_name = _run_chunk, None
-                payload_chunks = chunks
+        gathered = []
+        failed_chunks: list[list[tuple[int, FileTask]]] = []
+        from repro.reuse.memo import delta_memo_enabled
 
-            gathered = []
-            failed_chunks: list[list[tuple[int, FileTask]]] = []
-            from repro.reuse.memo import delta_memo_enabled
-
-            with ProcessPoolExecutor(
-                max_workers=workers_used,
-                initializer=_worker_init,
-                initargs=(arena_name, cache_entries, delta_memo_enabled()),
-            ) as pool:
-                order = _lpt_order(chunks)
-                futures = {
-                    position: pool.submit(
-                        entry, method, payload_chunks[position], capture_errors
-                    )
-                    for position in order
-                }
-                for position in order:
-                    try:
-                        gathered.append(futures[position].result())
-                    except Exception:
-                        # A crashed worker (or broken pool) loses its
-                        # chunk — and, once the pool is broken, every
-                        # chunk after it.  Those files are retried
-                        # serially below (always from the parent's own
-                        # payload bytes) instead of aborting the run.
-                        failed_chunks.append(chunks[position])
-        finally:
-            if arena is not None:
-                from repro.parallel.arena import arena_pool
-
-                arena_pool().release(arena)
+        with ProcessPoolExecutor(
+            max_workers=workers_used,
+            initializer=_worker_init,
+            initargs=(cache_entries, delta_memo_enabled()),
+        ) as pool:
+            order = _lpt_order(chunks)
+            futures = {
+                position: pool.submit(
+                    _run_chunk, method, chunks[position], capture_errors
+                )
+                for position in order
+            }
+            for position in order:
+                try:
+                    gathered.append(futures[position].result())
+                except Exception:
+                    # A crashed worker (or broken pool) loses its chunk —
+                    # and, once the pool is broken, every chunk after it.
+                    # Those files are retried serially below, from the
+                    # parent's own payload bytes, instead of aborting the
+                    # run.
+                    failed_chunks.append(chunks[position])
 
         for chunk in failed_chunks:
             gathered.append(_run_chunk(method, chunk, capture_errors))

@@ -193,8 +193,8 @@ class TestBenchCommand:
 #: must be a deliberate change to this set.
 SYNC_FLAGS = {
     "-h", "--help", "--method", "--min-block", "--continuation-min",
-    "--verification", "--rsync-block", "--json", "--workers", "--arena",
-    "--no-arena", "--pipeline", "--window", "--delta-memo",
+    "--verification", "--rsync-block", "--json", "--workers",
+    "--pipeline", "--window", "--delta-memo",
     "--sibling-refs", "--resemblance-threshold", "--fault-rate",
     "--fault-seed", "--on-error", "--retries", "--adaptive-retry",
     "--deadline", "--run-deadline", "--breaker-threshold",

@@ -31,7 +31,6 @@ from repro.bench.runner import run_method_on_collection
 from repro.cli import main
 from repro.net import FaultPlan
 from repro.net.faults import CollisionFaultPlan
-from repro.parallel import arena_available
 from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
@@ -70,8 +69,7 @@ def _repair_pair() -> tuple[dict[str, bytes], dict[str, bytes]]:
 #: name -> (method factory, input factory, run options).
 SCENARIOS = {
     "sequential": (OursMethod, _tree, {}),
-    "workers2-arena": (OursMethod, _tree, {"workers": 2, "use_arena": True}),
-    "workers2-pickle": (OursMethod, _tree, {"workers": 2, "use_arena": False}),
+    "workers2-pickle": (OursMethod, _tree, {"workers": 2}),
     "pipelined": (OursMethod, _tree, {"pipeline": True, "window": 8}),
     "faults-skip": (
         OursMethod,
@@ -174,8 +172,6 @@ def expected() -> dict:
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_row_matches_committed_values(name, expected, tmp_path):
-    if name == "workers2-arena" and not arena_available():
-        pytest.skip("POSIX shared memory unavailable")
     row = scenario_row(name, tmp_path)
     want = expected["rows"][name]
     assert set(row) == set(want)

@@ -26,6 +26,7 @@ from repro.core.server import ServerSession
 from repro.core.snapshot import restore_round_state, snapshot_round_state
 from repro.delta import vcdiff_decode, vcdiff_encode, zdelta_decode, zdelta_encode
 from repro.exceptions import DeltaFormatError, FrameCorruptionError, ProtocolError
+from repro.io.bitstream import BitReader, BitWriter
 from repro.multiround import multiround_rsync_sync
 from repro.multiround.protocol import decode_round_state
 from repro.net.channel import SimulatedChannel
@@ -115,6 +116,22 @@ def _round_checkpoints() -> list[bytes]:
     ]
 
 
+def _resume_proposal(data: bytes) -> tuple[int, bytes]:
+    """The resume handshake's proposal read (``resilience/recovery.py``)."""
+    reader = BitReader(data)
+    return reader.read_uvarint(), reader.read_bytes(16)
+
+
+def _resume_proposals() -> list[bytes]:
+    payloads = []
+    for round_index in (0, 3, 300):
+        writer = BitWriter()
+        writer.write_uvarint(round_index)
+        writer.write_bytes(bytes(range(16)))
+        payloads.append(writer.getvalue())
+    return payloads
+
+
 def _collide(payload: bytes) -> bytes:
     return CollisionFaultPlan(seed=5).collide(payload, "delta")
 
@@ -172,6 +189,9 @@ DECODERS = {
             encode_mux_batch([[(12, b"ab")], [], [(8, b"c"), (0, b"")]]),
             encode_mux_batch([[], [(16, b"xy")], []]),
         ],
+    ),
+    "bitreader": Decoder(
+        _resume_proposal, (ProtocolError,), _resume_proposals
     ),
     "collision-delta": Decoder(
         _collide, (), lambda: _rsync("delta") + _multiround_delta()
@@ -232,6 +252,8 @@ def test_mutated_valid_payloads(name, draw):
             "rsync-tokens", zlib.compress(b"\x01\x80"), id="rsync-copy-varint"
         ),
         pytest.param("rsync-signatures", b"\x80", id="signature-header"),
+        pytest.param("bitreader", b"", id="bitreader-empty"),
+        pytest.param("bitreader", b"\xff" * 10, id="bitreader-long-uvarint"),
         pytest.param(
             "zdelta",
             b"\x5a" + bytes([len(zlib.compress(b"\x00\x00"))])

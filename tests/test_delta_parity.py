@@ -243,7 +243,7 @@ class TestReferenceIndexCache:
         assert default_reference_cache().stats.lookups == 0
 
     def test_cached_matcher_owns_its_bytes(self):
-        backing = bytearray(b"arena-style mutable backing " * 30)
+        backing = bytearray(b"mutable backing " * 30)
         window = memoryview(backing)
         cache = ReferenceIndexCache()
         matcher = cache.matcher(bytes(window), 16)
@@ -253,7 +253,7 @@ class TestReferenceIndexCache:
 
     def test_worker_init_presizes_reference_cache(self):
         before = default_reference_cache().max_entries
-        _worker_init(None, before + 512)
+        _worker_init(before + 512)
         assert default_reference_cache().max_entries == before + 512
 
 
@@ -280,7 +280,7 @@ class TestExecutorCounterFold:
                      reference[: 256 * index] + b"#" + reference[256 * index:])
             for index in range(1, 9)
         ]
-        executor = SyncExecutor(workers=2, use_arena=False)
+        executor = SyncExecutor(workers=2)
         batch = executor.run(DeltaProbeMethod(), tasks)
         hits = batch.caches["ref_cache_hits"]
         misses = batch.caches["ref_cache_misses"]

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import os
+import signal
 
 import numpy as np
 import pytest
 
+from repro.bench import OursMethod
+from repro.collection import sync_collection
 from repro.hashing import DecomposableAdler, HashIndex, PrefixHasher
 from repro.parallel import (
     FileTask,
@@ -16,6 +19,10 @@ from repro.parallel import (
     reset_default_cache,
 )
 from repro.syncmethod import MethodOutcome, SyncMethod
+from repro.workloads import gcc_like
+
+from tests.test_faults_collection import _DoomedMethod
+from tests.test_parallel_sync import _assert_reports_identical
 
 
 class _CountingMethod(SyncMethod):
@@ -95,6 +102,103 @@ class TestSyncExecutor:
         batch = SyncExecutor(workers=1).run(_CountingMethod(), _tasks(3))
         assert all(r.elapsed_seconds >= 0.0 for r in batch.files)
         assert all(r.cpu_seconds >= 0.0 for r in batch.files)
+
+
+class _SigkilledOutsideParent(SyncMethod):
+    """SIGKILLs any process other than the one that built it: a worker
+    lost mid-chunk, which a serial retry in the parent cures."""
+
+    name = "sigkilled-outside-parent"
+    supports_pickle = True
+
+    def __init__(self) -> None:
+        self.parent_pid = os.getpid()
+
+    def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
+        if os.getpid() != self.parent_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return MethodOutcome(total_bytes=len(new), server_to_client=len(new))
+
+
+class TestErrorHandlingParity:
+    """The pool reports exactly what the serial path reports."""
+
+    files_old = {
+        "good.txt": b"old-good " * 50,
+        "bad.txt": b"POISON old " * 50,
+        "also.txt": b"more old " * 50,
+    }
+    files_new = {
+        "good.txt": b"new-good " * 50,
+        "bad.txt": b"POISON new " * 50,
+        "also.txt": b"more new " * 50,
+    }
+
+    @pytest.mark.parametrize("on_error", ["skip", "fallback"])
+    def test_capture_errors_parity(self, on_error):
+        serial, pool = (
+            sync_collection(
+                self.files_old,
+                self.files_new,
+                _DoomedMethod("POISON"),
+                workers=workers,
+                on_error=on_error,
+            )
+            for workers in (1, 2)
+        )
+        assert pool.workers == 2
+        _assert_reports_identical(serial, pool)
+        assert serial.failed == pool.failed
+        assert serial.fallbacks == pool.fallbacks
+
+    def test_fault_injection_parity(self):
+        """Under injected channel faults two pool runs (same workers, same
+        chunking, hence identical per-worker fault-plan streams) produce
+        identical reports, whatever order the workers finish in, and both
+        reconstruct the target.  The serial run is *not* compared
+        byte-for-byte: the fault plan is one RNG stream advanced in file
+        order, so partitioning files across workers legitimately realises
+        different faults than the serial order does."""
+        from repro.net import FaultPlan
+
+        tree = gcc_like(scale=0.05, seed=42)
+
+        def run():
+            return sync_collection(
+                tree.old,
+                tree.new,
+                OursMethod(),
+                fault_plan=FaultPlan.uniform(0.1, seed=7),
+                on_error="fallback",
+                workers=2,
+            )
+
+        first, second = run(), run()
+        _assert_reports_identical(first, second)
+        assert first.reconstructed == tree.new
+
+
+class TestCrashIsolation:
+    def test_sigkilled_worker_retried(self):
+        """A worker SIGKILLed mid-chunk loses nothing: the parent retries
+        the lost chunks from its own payload bytes, and the batch equals
+        the serial one."""
+        tasks = [
+            FileTask(f"f{index}", b"old " * 64, f"new-{index} ".encode() * 64)
+            for index in range(8)
+        ]
+        serial = SyncExecutor(workers=1).run(_SigkilledOutsideParent(), tasks)
+        batch = SyncExecutor(workers=2, chunk_size=2).run(
+            _SigkilledOutsideParent(), tasks
+        )
+        assert batch.chunk_retries >= 1
+        assert [result.name for result in batch.files] == [
+            task.name for task in tasks
+        ]
+        assert all(result.error is None for result in batch.files)
+        assert [result.outcome for result in batch.files] == [
+            result.outcome for result in serial.files
+        ]
 
 
 HASHER = DecomposableAdler(seed=5)

@@ -34,7 +34,7 @@ from repro.net.frame import (
     encode_mux_batch,
     mux_overhead_bytes,
 )
-from repro.parallel import FileTask, arena_available
+from repro.parallel import FileTask
 from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
@@ -270,7 +270,7 @@ class TestPipelineParity:
         )
 
     def test_cross_executor_parity(self):
-        """Serial, pickle-pool and arena-pool sequential runs all agree
+        """Serial and process-pool sequential runs both agree
         with the pipelined outcomes — the scheduler changes scheduling,
         never bytes."""
         old_side, new_side = make_collection(count=4)
@@ -278,13 +278,7 @@ class TestPipelineParity:
             old_side, new_side, OursMethod(), link=LINK,
             pipeline=True, window=4,
         )
-        variants = [
-            dict(workers=1),
-            dict(workers=2, use_arena=False),
-        ]
-        if arena_available():
-            variants.append(dict(workers=2, use_arena=True))
-        for kwargs in variants:
+        for kwargs in (dict(workers=1), dict(workers=2)):
             sequential = sync_collection(
                 old_side, new_side, OursMethod(), link=LINK, **kwargs
             )

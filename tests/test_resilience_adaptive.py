@@ -4,8 +4,8 @@ Unit coverage for the control loops plus the supervisor/collection
 integration invariants the issue pins down:
 
 * the happy path with the adaptive layer *enabled* stays byte-identical
-  to a plain run — across serial, multi-worker pickle, arena dispatch,
-  and the multiround protocol;
+  to a plain run — across serial and multi-worker dispatch, and the
+  multiround protocol;
 * a poisoned file trips its breaker and fails fast with partial
   accounting instead of consuming the run's retry budget;
 * deadline breach degrades gracefully: checkpointed rounds salvaged,
@@ -438,13 +438,11 @@ class TestHappyPathByteIdentity:
         assert adaptive.deadline_salvages == 0
         assert adaptive.adaptive_backoff_s == 0.0
 
-    @pytest.mark.parametrize("use_arena", [False, True],
-                             ids=["pickle", "arena"])
-    def test_parallel_dispatch(self, tree, use_arena):
+    def test_parallel_dispatch(self, tree):
         plain = sync_collection(tree.old, tree.new, OursMethod())
         adaptive = sync_collection(
             tree.old, tree.new, OursMethod(),
-            workers=2, use_arena=use_arena,
+            workers=2,
             retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
         )
         assert adaptive.summary() == plain.summary()

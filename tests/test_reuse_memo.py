@@ -23,7 +23,6 @@ from repro.delta import (
     zdelta_encode,
     zdelta_size,
 )
-from repro.parallel import arena_available
 from tests.test_delta_parity import scalar_instructions
 from repro.reuse import (
     DeltaMemoCache,
@@ -134,8 +133,6 @@ class TestByteIdentity:
 class TestCollectionParity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memoized_run_matches_cold_run(self, workers):
-        if workers > 1 and not arena_available():
-            pytest.skip("POSIX shared memory unavailable")
         rng = random.Random(23)
         old_side, new_side = {}, {}
         for i in range(6):

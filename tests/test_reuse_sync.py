@@ -7,6 +7,7 @@ import zlib
 
 from repro.bench.methods import OursMethod
 from repro.collection.sync import sync_collection
+from tests.test_faults_collection import _DoomedMethod
 
 
 def _random_bytes(seed: int, nbytes: int = 8_192) -> bytes:
@@ -72,7 +73,8 @@ class TestSiblingReferences:
         )
         without = sync_collection(client, server, OursMethod())
         assert with_refs.sibling_refs_used == 0
-        assert with_refs.added_bytes == without.added_bytes
+        # One uvarint 0 names the full transfer.
+        assert with_refs.added_bytes == without.added_bytes + 1
         assert with_refs.reconstructed == server
 
     def test_empty_client_falls_back_to_full(self):
@@ -98,6 +100,65 @@ class TestSiblingReferences:
         )
         assert gated.sibling_refs_used == 0
         assert gated.reconstructed == server
+
+
+class TestReferencesTheServerHolds:
+    """A sibling must be bytes both sides hold when the added file is sent."""
+
+    def _probe(self, sibling_of: bytes):
+        old_a = _random_bytes(30, 20_000)
+        new_a = _random_bytes(31, 20_000)
+        added = bytearray(sibling_of)
+        added[5_000:5_010] = b"0123456789"
+        client = {"A": old_a}
+        server = {"A": new_a, "B": bytes(added)}
+        return server, sync_collection(
+            client, server, OursMethod(), sibling_refs=True
+        )
+
+    def test_added_file_does_not_ride_on_a_replaced_version(self):
+        """``B`` is a near-copy of the client's *old* ``A``, which the
+        server replaced: it goes in full, behind the uvarint 0."""
+        server, report = self._probe(sibling_of=_random_bytes(30, 20_000))
+        assert report.sibling_refs_used == 0
+        assert report.added_bytes == len(zlib.compress(server["B"], 9)) + 1
+        assert report.reconstructed == server
+
+    def test_added_file_rides_on_the_delivered_version(self):
+        """A near-copy of the server's *new* ``A`` is a delta against it,
+        and the uvarint naming ``A`` (index 0 + 1) is charged."""
+        from repro.delta import zdelta_encode
+
+        server, report = self._probe(sibling_of=_random_bytes(31, 20_000))
+        assert report.sibling_refs_used == 1
+        assert report.added_bytes == len(
+            zdelta_encode(server["A"], server["B"])
+        ) + 1
+        assert report.bytes_saved_vs_self_ref == (
+            len(zlib.compress(server["B"], 9)) - report.added_bytes
+        )
+        assert report.reconstructed == server
+
+    def test_skipped_changed_file_is_no_sibling(self):
+        """A changed file the update failed to deliver is held by the
+        server only: its new version cannot serve as a reference."""
+        base = _random_bytes(32)
+        client = {"base.bin": _random_bytes(33), "other.bin": b"x" * 100}
+        server = {
+            "base.bin": b"POISON" + base,
+            "other.bin": b"x" * 100,
+            "similar.bin": b"POISON" + _edited(base, seed=34),
+        }
+        report = sync_collection(
+            client,
+            server,
+            _DoomedMethod("POISON"),
+            sibling_refs=True,
+            on_error="skip",
+        )
+        assert "base.bin" in report.failed
+        assert report.sibling_refs_used == 0
+        assert report.reconstructed["similar.bin"] == server["similar.bin"]
 
 
 class TestDefaultOffParity:
