@@ -18,7 +18,12 @@ from repro.bench import OursMethod, render_table, run_method_on_collection
 from repro.bench.export import export_runs, run_to_row
 from repro.net import FaultPlan
 from repro.net.chaos import chaos_plan
-from repro.resilience import AdaptiveRetryPolicy, RetryPolicy
+from repro.resilience import (
+    AdaptiveRetryPolicy,
+    BreakerBoard,
+    RetryPolicy,
+    SyncSupervisor,
+)
 from repro.workloads import gcc_like, make_web_collection
 
 FAULT_RATES = (0.0, 0.02, 0.05, 0.10)
@@ -36,11 +41,12 @@ def test_fault_overhead_vs_rate():
     rows = []
     baseline_bytes = None
     for rate in FAULT_RATES:
-        plan = FaultPlan.uniform(rate, seed=SEED) if rate else None
-        run = run_method_on_collection(
-            OursMethod(), old, new,
-            on_error="fallback", fault_plan=plan,
-        )
+        method = OursMethod()
+        if rate:
+            method = SyncSupervisor(
+                method, fault_plan=FaultPlan.uniform(rate, seed=SEED)
+            )
+        run = run_method_on_collection(method, old, new, on_error="fallback")
         assert run.failed_files == 0
         if baseline_bytes is None:
             baseline_bytes = run.total_bytes
@@ -95,15 +101,24 @@ def test_adaptive_vs_static_under_bursty_chaos():
         return chaos_plan("bursty", seed=9, rate=0.3)
 
     static = run_method_on_collection(
-        OursMethod(), tree.old, tree.new,
-        on_error="skip", fault_plan=bursty_plan(),
-        retry_policy=RetryPolicy(max_attempts=6),
+        SyncSupervisor(
+            OursMethod(),
+            retry=RetryPolicy(max_attempts=6),
+            fault_plan=bursty_plan(),
+        ),
+        tree.old, tree.new,
+        on_error="skip",
     )
     adaptive = run_method_on_collection(
-        OursMethod(), tree.old, tree.new,
-        on_error="raise", fault_plan=bursty_plan(),
-        retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3,
-        deadline_s=deadline_s,
+        SyncSupervisor(
+            OursMethod(),
+            retry=AdaptiveRetryPolicy(),
+            fault_plan=bursty_plan(),
+            breakers=BreakerBoard(failure_threshold=3),
+            deadline_s=deadline_s,
+        ),
+        tree.old, tree.new,
+        on_error="raise",
     )
 
     # Graceful degradation: pathological files are *reported* — the call

@@ -102,7 +102,13 @@ def run_method_on_collection(
     """Synchronise one collection pair and time it.
 
     ``options`` are :func:`~repro.collection.sync.sync_collection`'s.
+    A :class:`~repro.resilience.SyncSupervisor` run is named after the
+    method it supervises.
     """
+    from repro.resilience import SyncSupervisor
+
     started = time.perf_counter()
     report = sync_collection(old_files, new_files, method, **options)
+    if isinstance(method, SyncSupervisor):
+        method = method.method
     return CollectionRun(method.name, report, time.perf_counter() - started)

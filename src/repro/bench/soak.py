@@ -138,7 +138,11 @@ def run_soak(
     """
     from repro.bench.methods import OursMethod
     from repro.collection import sync_collection
-    from repro.resilience import AdaptiveRetryPolicy
+    from repro.resilience import (
+        AdaptiveRetryPolicy,
+        BreakerBoard,
+        SyncSupervisor,
+    )
     from repro.workloads import gcc_like
 
     if profile not in SOAK_PROFILES:
@@ -161,16 +165,19 @@ def run_soak(
             tree = gcc_like(scale=scale, seed=100 + seed)
             plan = chaos_plan(shape, seed=seed, rate=rate)
             started = time.perf_counter()
-            cell = sync_collection(
-                tree.old,
-                tree.new,
+            supervisor = SyncSupervisor(
                 method if method is not None else OursMethod(),
-                workers=1,
-                on_error="skip",
+                retry=AdaptiveRetryPolicy() if adaptive else None,
                 fault_plan=plan,
-                retry_policy=AdaptiveRetryPolicy() if adaptive else None,
+                breakers=(
+                    BreakerBoard(failure_threshold=breaker_threshold)
+                    if adaptive
+                    else None
+                ),
                 deadline_s=deadline_s if adaptive else None,
-                breaker_threshold=breaker_threshold if adaptive else None,
+            )
+            cell = sync_collection(
+                tree.old, tree.new, supervisor, workers=1, on_error="skip"
             )
             elapsed = time.perf_counter() - started
             synced = sum(
@@ -317,9 +324,10 @@ def run_scrub_soak(
     the stores somewhere inspectable; by default each cell works in a
     fresh temporary directory.
     """
+    from repro.bench.methods import MultiroundRsyncMethod
     from repro.collection import CollectionStore, Manifest, StoreScrubber
     from repro.net.chaos import BitRotPlan
-    from repro.resilience import AdaptiveRetryPolicy
+    from repro.resilience import AdaptiveRetryPolicy, SyncSupervisor
     from repro.workloads import gcc_like
 
     if profile not in SCRUB_SOAK_PROFILES:
@@ -382,8 +390,11 @@ def run_scrub_soak(
             repair = scrubber.repair(
                 source,
                 report=merged,
-                fault_plan=chaos_plan(shape, seed=seed, rate=rate),
-                retry_policy=AdaptiveRetryPolicy() if adaptive else None,
+                method=SyncSupervisor(
+                    MultiroundRsyncMethod(),
+                    retry=AdaptiveRetryPolicy() if adaptive else None,
+                    fault_plan=chaos_plan(shape, seed=seed, rate=rate),
+                ),
                 on_error="fallback",
                 workers=1,
             )

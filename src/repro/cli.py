@@ -88,36 +88,47 @@ def _load_side(path: Path) -> dict[str, bytes]:
     raise ReproError(f"{path} is neither a file nor a directory")
 
 
-def _fault_plan_from_args(args: argparse.Namespace):
-    """Build a FaultPlan from --fault-rate/--fault-seed (None if clean)."""
-    if not args.fault_rate:
-        return None
-    from repro.net.faults import FaultPlan
+def _supervised(method: SyncMethod, args: argparse.Namespace) -> SyncMethod:
+    """``method`` in a SyncSupervisor built from the resilience flags.
 
-    return FaultPlan.uniform(args.fault_rate, seed=args.fault_seed)
-
-
-def _retry_policy_from_args(args: argparse.Namespace):
-    """--retries sets the schedule; --adaptive-retry picks the AIMD policy."""
-    from repro.resilience import AdaptiveRetryPolicy, RetryPolicy
-
-    schedule = {} if args.retries is None else {"max_attempts": args.retries}
-    if args.adaptive_retry:
-        return AdaptiveRetryPolicy(**schedule)
-    return RetryPolicy(**schedule) if schedule else None
-
-
-def _checkpoints_from_args(args: argparse.Namespace):
-    """--checkpoint-dir/--resume as a CheckpointStore (None if neither).
-
-    ``--resume`` without ``--checkpoint-dir`` raises
+    ``--retries`` sets the schedule and ``--adaptive-retry`` picks the
+    AIMD policy.  Without any resilience flag ``method`` comes back
+    unwrapped.  ``--resume`` without ``--checkpoint-dir`` raises
     :class:`~repro.exceptions.ResumeRefusedError`.
     """
-    if args.checkpoint_dir is None and not args.resume:
-        return None
-    from repro.resilience import CheckpointStore
+    from repro.net.faults import FaultPlan
+    from repro.resilience import (
+        AdaptiveRetryPolicy,
+        BreakerBoard,
+        CheckpointStore,
+        DeadlineBudget,
+        RetryPolicy,
+        SyncSupervisor,
+    )
 
-    return CheckpointStore(args.checkpoint_dir, resume=args.resume)
+    schedule = {} if args.retries is None else {"max_attempts": args.retries}
+    options: dict[str, object] = {}
+    if args.adaptive_retry:
+        options["retry"] = AdaptiveRetryPolicy(**schedule)
+    elif schedule:
+        options["retry"] = RetryPolicy(**schedule)
+    if args.fault_rate:
+        options["fault_plan"] = FaultPlan.uniform(
+            args.fault_rate, seed=args.fault_seed
+        )
+    if args.checkpoint_dir is not None or args.resume:
+        options["checkpoints"] = CheckpointStore(
+            args.checkpoint_dir, resume=args.resume
+        )
+    if args.breaker_threshold is not None:
+        options["breakers"] = BreakerBoard(
+            failure_threshold=args.breaker_threshold
+        )
+    if args.deadline is not None:
+        options["deadline_s"] = args.deadline
+    if args.run_deadline is not None:
+        options["budget"] = DeadlineBudget(args.run_deadline)
+    return SyncSupervisor(method, **options) if options else method
 
 
 def _cmd_sync(args: argparse.Namespace) -> int:
@@ -130,26 +141,17 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         old_side = _load_side(old_path)
         new_side = _load_side(new_path)
 
-    fault_plan = _fault_plan_from_args(args)
-    method: SyncMethod = _METHOD_FACTORIES[args.method](args)
     run = run_method_on_collection(
-        method,
+        _supervised(_METHOD_FACTORIES[args.method](args), args),
         old_side,
         new_side,
         workers=args.workers or None,
         on_error=args.on_error,
-        fault_plan=fault_plan,
-        retry_policy=_retry_policy_from_args(args),
-        checkpoints=_checkpoints_from_args(args),
         store=args.output,
-        deadline_s=args.deadline,
-        run_deadline_s=args.run_deadline,
-        breaker_threshold=args.breaker_threshold,
         pipeline=args.pipeline,
         window=args.window,
         delta_memo=args.delta_memo,
         sibling_refs=args.sibling_refs,
-        resemblance_threshold=args.resemblance_threshold,
     )
     adaptive_active = (
         args.adaptive_retry
@@ -173,7 +175,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         print(f"workers         : {run.workers} "
               f"(cpu {run.cpu_seconds:.2f}s, cache "
               f"{run.cache_hits}/{run.cache_hits + run.cache_misses} hits)")
-        if fault_plan is not None or run.retries or run.failed_files:
+        if args.fault_rate or run.retries or run.failed_files:
             print(f"resilience      : {run.retries} retries, "
                   f"{run.fallback_files} fallbacks, "
                   f"{run.failed_files} failed, "
@@ -319,13 +321,15 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
                   "collection to fetch damaged entries from)",
                   file=sys.stderr)
             return 2
-        from repro.resilience import AdaptiveRetryPolicy
+        from repro.resilience import AdaptiveRetryPolicy, SyncSupervisor
 
         source = _load_side(Path(args.source))
         repaired = scrubber.repair(
             source,
             report=report,
-            retry_policy=AdaptiveRetryPolicy(),
+            method=SyncSupervisor(
+                MultiroundRsyncMethod(), retry=AdaptiveRetryPolicy()
+            ),
             on_error="fallback",
         )
     if args.json:
@@ -630,9 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="delta-encode added files against similar "
                            "sibling files already on the client "
                            "(min-hash resemblance lookup)")
-    sync.add_argument("--resemblance-threshold", type=float, default=0.5,
-                      help="minimum estimated resemblance before a "
-                           "sibling reference is attempted (default 0.5)")
     sync.add_argument("--fault-rate", type=float, default=0.0,
                       help="inject channel faults (corruption/truncation/"
                            "drops) at this per-message rate")

@@ -234,10 +234,10 @@ class StoreScrubber:
         through the crash-safe store and verified byte-for-byte.
 
         ``method`` defaults to the multiround protocol (whose surgical
-        repair rounds handle any collision the rot may induce);
-        ``sync_kwargs`` pass through to
-        :func:`~repro.collection.sync.sync_collection` — fault plans,
-        static or adaptive retry policies, checkpoints, everything.
+        repair rounds handle any collision the rot may induce); pass a
+        :class:`~repro.resilience.SyncSupervisor` wrapping it for fault
+        plans, retry policies or checkpoints.  ``sync_kwargs`` pass
+        through to :func:`~repro.collection.sync.sync_collection`.
         """
         from repro.collection.sync import sync_collection
 

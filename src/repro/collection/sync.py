@@ -156,7 +156,6 @@ def _transfer_added(
     server_files: dict[str, bytes],
     client_manifest: Manifest,
     sibling_refs: bool,
-    resemblance_threshold: float,
 ) -> None:
     """Transfer the files the client lacks entirely, after the changed ones.
 
@@ -206,9 +205,7 @@ def _transfer_added(
                 report.reconstructed[name] = client_files[twin]
                 continue
         if index is not None:
-            candidate = index.best_reference(
-                new, threshold=resemblance_threshold
-            )
+            candidate = index.best_reference(new)
             if candidate is not None:
                 from repro.delta.encoder import zdelta_decode, zdelta_encode
                 from repro.io.varint import uvarint_size
@@ -234,23 +231,15 @@ def sync_collection(
     client_files: dict[str, bytes],
     server_files: dict[str, bytes],
     method: SyncMethod,
-    verify: bool = True,
     change_detection: str = "manifest",
     workers: int | None = 1,
     on_error: str = "raise",
-    fault_plan=None,
-    retry_policy=None,
     link=None,
-    checkpoints=None,
     store=None,
-    deadline_s: float | None = None,
-    run_deadline_s: float | None = None,
-    breaker_threshold: int | None = None,
     pipeline: bool = False,
     window: int = 8,
     delta_memo: bool = False,
     sibling_refs: bool = False,
-    resemblance_threshold: float = 0.5,
 ) -> CollectionReport:
     """Update ``client_files`` to ``server_files`` using ``method``.
 
@@ -259,21 +248,15 @@ def sync_collection(
     reconciliation (``"reconcile"``, cost proportional to the number of
     changes).  Unchanged files cost nothing further; files only on the
     server are sent compressed; changed files go through the per-file
-    method.  With ``verify`` (default) the reconstructed collection is
-    checked byte-for-byte.
+    method.  The reconstructed collection is checked byte-for-byte.
 
     ``workers`` fans the changed files out over a process pool; results
     are reassembled in manifest order so the report's byte accounting is
     identical to the serial run.
     ``workers=None`` uses one process per CPU.
 
-    Resilience: passing a ``fault_plan``
-    (:class:`~repro.net.faults.FaultPlan`) and/or a ``retry_policy``
-    (a static :class:`~repro.resilience.RetryPolicy` or an
-    :class:`~repro.resilience.AdaptiveRetryPolicy`) wraps ``method`` in a
-    :class:`~repro.resilience.SyncSupervisor` that retries and degrades
-    down a fallback ladder per file.  ``on_error`` controls per-file
-    error isolation when a file still cannot be synchronised:
+    ``on_error`` controls per-file error isolation when a file cannot be
+    synchronised:
 
     * ``"raise"`` (default) — propagate the error, aborting the update;
     * ``"skip"`` — keep the client's copy, record the error in
@@ -282,35 +265,20 @@ def sync_collection(
       transfer, charged to its outcome and recorded in
       ``report.fallbacks``; the update never raises.
 
-    Resumable sessions: ``checkpoints`` (a
-    :class:`~repro.resilience.CheckpointStore`) makes every
-    checkpoint-capable file session journal its round boundaries there,
-    one file per entry; retries resume from the last completed round.  A
-    store built with ``resume=True`` additionally honours journals left
-    by a *previous* (crashed) run; such a store needs a durable root, so
-    it cannot be built without one.  Off by default, leaving behaviour
-    and byte accounting identical to a run without it.
+    Resilience (DESIGN §9, §10, §14): pass a
+    :class:`~repro.resilience.SyncSupervisor` as ``method``; it owns the
+    fault plan, retry policy, checkpoints, breakers, deadlines and its
+    own ``link``.  A supervisor that
+    :attr:`~repro.resilience.SyncSupervisor.degrades_gracefully` has the
+    files its breakers or deadlines refuse recorded in ``report.failed``
+    (keeping the client copy) even under ``on_error="raise"``; one that
+    :attr:`~repro.resilience.SyncSupervisor.shares_run_budget` runs
+    serially, so the budget is charged deterministically.
 
     ``store`` (a :class:`~repro.collection.store.CollectionStore` or a
     directory path) materialises the reconstructed collection on disk,
     every file written atomically — a crash mid-update can orphan
     temporaries but never tear a visible file.
-
-    Adaptive resilience (DESIGN §14): an
-    :class:`~repro.resilience.AdaptiveRetryPolicy` as ``retry_policy``
-    replaces the static backoff with AIMD scaling, seeded jitter and
-    failure-signature ladder routing; ``breaker_threshold`` gives every
-    file a circuit breaker that opens after that many consecutive
-    failures; ``deadline_s`` bounds the simulated seconds spent per file
-    and ``run_deadline_s`` across the whole run (run deadlines force
-    serial execution so the shared budget is charged deterministically).
-    With breakers or deadlines configured the run *degrades gracefully*:
-    a file refused by its breaker or out of budget is recorded in
-    ``report.failed`` (keeping the client copy) even under
-    ``on_error="raise"``, which then raises
-    :class:`~repro.exceptions.SyncFailedError` only for other errors.
-    All default to off, leaving behaviour byte-identical to a run
-    without them.
 
     Pipelined scheduling (DESIGN §16): ``pipeline=True`` interleaves the
     changed files' protocol rounds — up to ``window`` in flight — over
@@ -320,7 +288,7 @@ def sync_collection(
     ``window`` of at least the number of changed files runs them all in
     lockstep.  Each file
     runs the same per-file driver as the sequential path (the
-    supervisor's, when any resilience option is set), so per-file
+    supervisor's, when ``method`` is one), so per-file
     transcripts, byte accounting and round checkpoints stay bit-identical
     to the sequential run on a clean link; only ``roundtrips_on_wire``
     and ``link_wall_clock_s`` collapse.  Compute stays serial and in
@@ -334,54 +302,22 @@ def sync_collection(
     when the client already holds the same bytes under another name (a
     rename — counted in ``report.dedup_hits``) or as a delta against the
     most similar file both sides hold once the changed files are
-    delivered, clearing ``resemblance_threshold`` (min-hash estimate,
-    counted in ``report.sibling_refs_used``); the compressed full
-    transfer remains the fallback, and the cheaper of delta and full
-    always wins.  Naming the reference costs one uvarint per added file
-    that is not a rename.  Both knobs default to off, leaving reports
-    byte-identical to a run without them.
+    delivered, clearing
+    :data:`~repro.reuse.similarity.DEFAULT_RESEMBLANCE_THRESHOLD`
+    (min-hash estimate, counted in ``report.sibling_refs_used``); the
+    compressed full transfer remains the fallback, and the cheaper of
+    delta and full always wins.  Naming the reference costs one uvarint
+    per added file that is not a rename.  Both knobs default to off,
+    leaving reports byte-identical to a run without them.
     """
     if on_error not in ("raise", "skip", "fallback"):
         raise ValueError(
             f"on_error must be 'raise', 'skip' or 'fallback', "
             f"got {on_error!r}"
         )
-    budget = None
-    if run_deadline_s is not None:
-        from repro.resilience import DeadlineBudget
-
-        budget = DeadlineBudget(run_deadline_s)
-        # The run-level budget is shared mutable state charged by every
-        # file in sequence; pool workers each mutate their own pickled
-        # copy, so a run deadline forces serial execution.
+    graceful = getattr(method, "degrades_gracefully", False)
+    if getattr(method, "shares_run_budget", False):
         workers = 1
-    breakers = None
-    if breaker_threshold is not None:
-        from repro.resilience import BreakerBoard
-
-        breakers = BreakerBoard(failure_threshold=breaker_threshold)
-    graceful = (
-        breakers is not None or deadline_s is not None or budget is not None
-    )
-    if (
-        fault_plan is not None
-        or retry_policy is not None
-        or checkpoints is not None
-        or graceful
-    ):
-        from repro.resilience import SyncSupervisor
-
-        if not isinstance(method, SyncSupervisor):
-            method = SyncSupervisor(
-                method,
-                retry=retry_policy,
-                fault_plan=fault_plan,
-                link=link,
-                checkpoints=checkpoints,
-                breakers=breakers,
-                deadline_s=deadline_s,
-                budget=budget,
-            )
 
     from repro.reuse.memo import delta_memo_scope
 
@@ -497,7 +433,7 @@ def sync_collection(
                 report.retries[name] = result.outcome.retries
             if result.outcome.fallback_method:
                 report.fallbacks[name] = result.outcome.fallback_method
-            if verify and not result.outcome.correct:
+            if not result.outcome.correct:
                 raise IntegrityError(f"method {method.name} failed on {name}")
 
         outcomes = list(report.per_file.values())
@@ -524,17 +460,15 @@ def sync_collection(
                 server_files,
                 client_manifest,
                 sibling_refs,
-                resemblance_threshold,
             )
 
-        if verify:
-            for name, data in server_files.items():
-                if name in report.failed:
-                    continue  # explicitly skipped; the client keeps its copy
-                if report.reconstructed.get(name) != data:
-                    raise IntegrityError(
-                        f"collection reconstruction differs at {name}"
-                    )
+        for name, data in server_files.items():
+            if name in report.failed:
+                continue  # explicitly skipped; the client keeps its copy
+            if report.reconstructed.get(name) != data:
+                raise IntegrityError(
+                    f"collection reconstruction differs at {name}"
+                )
         if store is not None:
             from repro.collection.store import CollectionStore
 

@@ -212,6 +212,28 @@ class SyncSupervisor(SyncMethod):
         self.budget = budget
         self.name = f"supervised({method.name})"
 
+    @property
+    def degrades_gracefully(self) -> bool:
+        """Whether breakers or deadlines may refuse a file, typed.
+
+        A collection run records such a refusal in ``report.failed`` and
+        keeps the client's copy, even under ``on_error="raise"``.
+        """
+        return (
+            self.breakers is not None
+            or self.deadline_s is not None
+            or self.budget is not None
+        )
+
+    @property
+    def shares_run_budget(self) -> bool:
+        """Whether every file charges one shared run budget.
+
+        Pool workers would each charge their own pickled copy, so a
+        collection run with one is serial.
+        """
+        return self.budget is not None
+
     # ------------------------------------------------------------------
     def _make_channel(self, recorder) -> SimulatedChannel:
         if self.fault_plan is not None:

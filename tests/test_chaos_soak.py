@@ -30,6 +30,7 @@ from repro.net.chaos import (
 )
 from repro.resilience.adaptive import (
     AdaptiveRetryPolicy,
+    BreakerBoard,
     BreakerState,
     CircuitBreaker,
 )
@@ -188,6 +189,7 @@ class TestPipelinedChaosCells:
         from repro.bench.methods import OursMethod
         from repro.bench.soak import SOAK_PROFILES
         from repro.collection import sync_collection
+        from repro.resilience import SyncSupervisor
         from repro.workloads import gcc_like
 
         scale, rate, deadline_s = SOAK_PROFILES["short"]
@@ -197,12 +199,14 @@ class TestPipelinedChaosCells:
             return sync_collection(
                 tree.old,
                 tree.new,
-                OursMethod(),
+                SyncSupervisor(
+                    OursMethod(),
+                    retry=AdaptiveRetryPolicy(),
+                    fault_plan=chaos_plan(shape, seed=seed, rate=rate),
+                    breakers=BreakerBoard(failure_threshold=3),
+                    deadline_s=deadline_s,
+                ),
                 on_error="skip",
-                fault_plan=chaos_plan(shape, seed=seed, rate=rate),
-                retry_policy=AdaptiveRetryPolicy(),
-                deadline_s=deadline_s,
-                breaker_threshold=3,
                 pipeline=True,
                 window=8,
             )

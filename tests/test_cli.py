@@ -115,7 +115,6 @@ class TestSyncCommand:
         old_path, new_path = file_pair
         assert main([
             "sync", str(old_path), str(new_path), "--delta-memo",
-            "--resemblance-threshold", "0.7",
         ]) == 0
         assert "reuse" in capsys.readouterr().out
 
@@ -195,7 +194,7 @@ SYNC_FLAGS = {
     "-h", "--help", "--method", "--min-block", "--continuation-min",
     "--verification", "--rsync-block", "--json", "--workers",
     "--pipeline", "--window", "--delta-memo",
-    "--sibling-refs", "--resemblance-threshold", "--fault-rate",
+    "--sibling-refs", "--fault-rate",
     "--fault-seed", "--on-error", "--retries", "--adaptive-retry",
     "--deadline", "--run-deadline", "--breaker-threshold",
     "--checkpoint-dir", "--resume", "--output",
@@ -311,8 +310,8 @@ class TestAdaptiveFlags:
         runs = []
         real = cli.run_method_on_collection
 
-        def spy(*args, **kwargs):
-            runs.append((kwargs["retry_policy"], real(*args, **kwargs)))
+        def spy(method, *args, **kwargs):
+            runs.append((method.retry, real(method, *args, **kwargs)))
             return runs[-1][1]
 
         monkeypatch.setattr(cli, "run_method_on_collection", spy)

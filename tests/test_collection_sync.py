@@ -104,7 +104,3 @@ class TestVerification:
     def test_incorrect_method_raises(self, tree):
         with pytest.raises(IntegrityError):
             sync_collection(tree.old, tree.new, _BrokenMethod())
-
-    def test_verify_false_skips_check(self, tree):
-        report = sync_collection(tree.old, tree.new, _BrokenMethod(), verify=False)
-        assert report.total_bytes >= report.manifest_bytes

@@ -35,7 +35,13 @@ from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
 )
-from repro.resilience import AdaptiveRetryPolicy, CheckpointStore, RetryPolicy
+from repro.resilience import (
+    AdaptiveRetryPolicy,
+    BreakerBoard,
+    CheckpointStore,
+    RetryPolicy,
+    SyncSupervisor,
+)
 from repro.reuse.memo import reset_default_delta_memo
 from repro.workloads import gcc_like
 from tests.conftest import make_version_pair
@@ -66,7 +72,9 @@ def _repair_pair() -> tuple[dict[str, bytes], dict[str, bytes]]:
     return {"a.bin": old, "same.bin": b"same"}, {"a.bin": new, "same.bin": b"same"}
 
 
-#: name -> (method factory, input factory, run options).
+#: name -> (method factory, input factory, run options).  A
+#: ``"supervisor"`` option holds the keywords of the
+#: :class:`~repro.resilience.SyncSupervisor` the method runs under.
 SCENARIOS = {
     "sequential": (OursMethod, _tree, {}),
     "workers2-pickle": (OursMethod, _tree, {"workers": 2}),
@@ -74,21 +82,28 @@ SCENARIOS = {
     "faults-skip": (
         OursMethod,
         _tree,
-        {"fault_plan": ("uniform", 0.5, 5), "on_error": "skip"},
+        {"supervisor": {"fault_plan": ("uniform", 0.5, 5)}, "on_error": "skip"},
     ),
     "faults-fallback": (
         OursMethod,
         _tree,
-        {"fault_plan": ("uniform", 0.5, 5), "on_error": "fallback"},
+        {
+            "supervisor": {"fault_plan": ("uniform", 0.5, 5)},
+            "on_error": "fallback",
+        },
     ),
-    "checkpoints": (OursMethod, _tree, {"checkpoints": "journals"}),
+    "checkpoints": (
+        OursMethod, _tree, {"supervisor": {"checkpoints": "journals"}}
+    ),
     "checkpoints-faults": (
         OursMethod,
         _tree,
         {
-            "checkpoints": "journals",
-            "fault_plan": ("disconnect", 40, 33),
-            "retry_policy": RetryPolicy(max_attempts=4),
+            "supervisor": {
+                "checkpoints": "journals",
+                "fault_plan": ("disconnect", 40, 33),
+                "retry": RetryPolicy(max_attempts=4),
+            },
             "on_error": "fallback",
         },
     ),
@@ -96,17 +111,19 @@ SCENARIOS = {
         OursMethod,
         _tree,
         {
-            "fault_plan": ("uniform", 0.3, 7),
-            "retry_policy": AdaptiveRetryPolicy(),
-            "breaker_threshold": 3,
-            "deadline_s": 120.0,
+            "supervisor": {
+                "fault_plan": ("uniform", 0.3, 7),
+                "retry": AdaptiveRetryPolicy(),
+                "breakers": BreakerBoard(failure_threshold=3),
+                "deadline_s": 120.0,
+            },
             "on_error": "skip",
         },
     ),
     "collision-repair": (
         MultiroundRsyncMethod,
         _repair_pair,
-        {"fault_plan": ("collision", 2)},
+        {"supervisor": {"fault_plan": ("collision", 2)}},
     ),
     "sibling-refs": (OursMethod, _tree, {"sibling_refs": True}),
 }
@@ -132,16 +149,20 @@ def _cold_caches() -> None:
 
 def scenario_row(name: str, workdir: Path) -> dict[str, object]:
     """The export row of one scenario, run with cold caches."""
-    method, inputs, options = SCENARIOS[name]
+    factory, inputs, options = SCENARIOS[name]
     options = copy.deepcopy(options)  # a fresh, unused retry policy
-    if "fault_plan" in options:
-        options["fault_plan"] = _fault_plan(options["fault_plan"])
-    if "checkpoints" in options:
-        journals = workdir / options["checkpoints"]
-        options["checkpoints"] = CheckpointStore(journals)
+    method = factory()
+    supervision = options.pop("supervisor", None)
+    if supervision is not None:
+        if "fault_plan" in supervision:
+            supervision["fault_plan"] = _fault_plan(supervision["fault_plan"])
+        if "checkpoints" in supervision:
+            journals = workdir / supervision["checkpoints"]
+            supervision["checkpoints"] = CheckpointStore(journals)
+        method = SyncSupervisor(method, **supervision)
     old, new = inputs()
     _cold_caches()
-    return run_to_row(run_method_on_collection(method(), old, new, **options))
+    return run_to_row(run_method_on_collection(method, old, new, **options))
 
 
 def cli_payload(workdir: Path) -> dict[str, object]:

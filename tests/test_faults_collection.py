@@ -21,8 +21,11 @@ from repro.net import FaultPlan
 from repro.parallel import FileTask, SyncExecutor
 from repro.resilience import (
     AdaptiveRetryPolicy,
+    BreakerBoard,
     CheckpointStore,
+    DeadlineBudget,
     RetryPolicy,
+    SyncSupervisor,
 )
 from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.workloads import gcc_like
@@ -47,8 +50,9 @@ class TestHappyPathUnchanged:
         same summary, same per-file byte accounting, zero counters."""
         plain = sync_collection(tree.old, tree.new, OursMethod())
         resilient = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            retry_policy=RetryPolicy(), on_error="fallback",
+            tree.old, tree.new,
+            SyncSupervisor(OursMethod(), retry=RetryPolicy()),
+            on_error="fallback",
         )
         assert resilient.summary() == plain.summary()
         assert {
@@ -82,8 +86,9 @@ class TestDegradationLadder:
         self, tree, plan, options
     ):
         report = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            fault_plan=copy.deepcopy(plan), on_error="fallback", **options,
+            tree.old, tree.new,
+            SyncSupervisor(OursMethod(), fault_plan=copy.deepcopy(plan)),
+            on_error="fallback", **options,
         )
         assert report.reconstructed == tree.new
         assert report.files_failed == 0
@@ -99,8 +104,10 @@ class TestDegradationLadder:
         totals = []
         for rate in (0.0, 0.05, 0.15):
             report = sync_collection(
-                tree.old, tree.new, OursMethod(),
-                fault_plan=FaultPlan.uniform(rate, seed=35),
+                tree.old, tree.new,
+                SyncSupervisor(
+                    OursMethod(), fault_plan=FaultPlan.uniform(rate, seed=35)
+                ),
                 on_error="fallback",
                 **options,
             )
@@ -121,8 +128,10 @@ class TestDegradationLadder:
     def test_never_raises_with_fallback_across_seeds(self, tree, options):
         for seed in range(5):
             report = sync_collection(
-                tree.old, tree.new, OursMethod(),
-                fault_plan=FaultPlan.uniform(0.1, seed=seed),
+                tree.old, tree.new,
+                SyncSupervisor(
+                    OursMethod(), fault_plan=FaultPlan.uniform(0.1, seed=seed)
+                ),
                 on_error="fallback",
                 **options,
             )
@@ -136,10 +145,10 @@ class TestDegradationLadderPipelined(TestDegradationLadder):
 
 
 RESILIENCE = {
-    "static-retry": lambda tmp_path: {"retry_policy": RetryPolicy()},
+    "static-retry": lambda tmp_path: {"retry": RetryPolicy()},
     "adaptive": lambda tmp_path: {
-        "retry_policy": AdaptiveRetryPolicy(),
-        "breaker_threshold": 3,
+        "retry": AdaptiveRetryPolicy(),
+        "breakers": BreakerBoard(failure_threshold=3),
         "deadline_s": 120.0,
     },
     "checkpoints": lambda tmp_path: {
@@ -165,10 +174,13 @@ class TestPipelinedWindowOneParity:
         ):
             reports.append(
                 sync_collection(
-                    tree.old, tree.new, OursMethod(),
-                    fault_plan=FaultPlan.uniform(0.05, seed=36),
+                    tree.old, tree.new,
+                    SyncSupervisor(
+                        OursMethod(),
+                        fault_plan=FaultPlan.uniform(0.05, seed=36),
+                        **resilience(tmp_path / label),
+                    ),
                     on_error=on_error,
-                    **resilience(tmp_path / label),
                     **options,
                 )
             )
@@ -181,6 +193,60 @@ class TestPipelinedWindowOneParity:
         for name, data in tree.new.items():
             if name not in pipelined.failed:
                 assert pipelined.reconstructed[name] == data
+
+
+class TestSupervisorConfiguresTheRun:
+    """What the supervisor carries decides how the collection runs."""
+
+    @pytest.fixture(scope="class")
+    def probe_tree(self):
+        return gcc_like(scale=0.05, seed=3)
+
+    def test_breaker_refusals_do_not_abort_a_raise_run(self, probe_tree):
+        """Breakers degrade gracefully: under ``on_error="raise"`` the
+        files they refuse are reported, not raised."""
+        report = sync_collection(
+            probe_tree.old, probe_tree.new,
+            SyncSupervisor(
+                OursMethod(),
+                retry=AdaptiveRetryPolicy(),
+                fault_plan=FaultPlan.uniform(0.5, seed=7),
+                breakers=BreakerBoard(failure_threshold=1),
+            ),
+            on_error="raise",
+        )
+        assert report.files_failed > 0
+        assert all(
+            error.startswith("CircuitOpenError")
+            for error in report.failed.values()
+        )
+        for name, data in probe_tree.new.items():
+            expected = (
+                probe_tree.old[name] if name in report.failed else data
+            )
+            assert report.reconstructed[name] == expected
+
+    def test_run_budget_forces_a_serial_run(self, probe_tree):
+        """Pool workers would each charge a private copy of the budget,
+        so a supervisor with one runs serially at any ``workers``."""
+        reports = [
+            sync_collection(
+                probe_tree.old, probe_tree.new,
+                SyncSupervisor(
+                    OursMethod(),
+                    fault_plan=FaultPlan.uniform(0.3, seed=7),
+                    budget=DeadlineBudget(150.0),
+                ),
+                on_error="skip",
+                workers=workers,
+            )
+            for workers in (1, 2)
+        ]
+        serial, pooled = reports
+        assert serial.files_failed > 0
+        assert pooled.workers == 1
+        assert pooled.failed == serial.failed
+        assert pooled.total_bytes == serial.total_bytes
 
 
 class _DoomedMethod(SyncMethod):

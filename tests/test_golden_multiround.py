@@ -40,7 +40,12 @@ from repro.multiround import MultiroundConfig, multiround_rsync_sync
 from repro.net import FaultPlan
 from repro.net.channel import SimulatedChannel
 from repro.net.faults import CollisionFaultPlan, FaultKind
-from repro.resilience import AdaptiveRetryPolicy, RetryPolicy, SyncSupervisor
+from repro.resilience import (
+    AdaptiveRetryPolicy,
+    BreakerBoard,
+    RetryPolicy,
+    SyncSupervisor,
+)
 from repro.workloads import gcc_like, make_binary_pair, make_log_pair
 from tests.conftest import make_version_pair
 from tests.test_golden_core import (
@@ -203,11 +208,13 @@ def failure_history() -> dict:
 def collection_outcome(adaptive: bool) -> dict:
     """A gcc-like collection synced through faults with fallback."""
     tree = gcc_like(scale=0.05, seed=25)
-    report = sync_collection(
-        tree.old, tree.new, MultiroundRsyncMethod(),
+    supervisor = SyncSupervisor(
+        MultiroundRsyncMethod(),
+        retry=AdaptiveRetryPolicy() if adaptive else None,
         fault_plan=FaultPlan.uniform(0.08, seed=44),
-        on_error="fallback",
-        retry_policy=AdaptiveRetryPolicy() if adaptive else None,
+    )
+    report = sync_collection(
+        tree.old, tree.new, supervisor, on_error="fallback"
     )
     assert report.reconstructed == tree.new
     return {
@@ -247,11 +254,13 @@ def adaptive_clean_summary() -> list:
     """Clean gcc-like collection: adaptive retry changes nothing."""
     tree = gcc_like(scale=0.05, seed=23)
     plain = sync_collection(tree.old, tree.new, MultiroundRsyncMethod())
-    adaptive = sync_collection(
-        tree.old, tree.new, MultiroundRsyncMethod(),
-        retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3,
+    supervisor = SyncSupervisor(
+        MultiroundRsyncMethod(),
+        retry=AdaptiveRetryPolicy(),
+        breakers=BreakerBoard(failure_threshold=3),
         deadline_s=3600.0,
     )
+    adaptive = sync_collection(tree.old, tree.new, supervisor)
     assert adaptive.summary() == plain.summary()
     assert adaptive.health_score == 1.0
     return sorted(plain.summary().items())

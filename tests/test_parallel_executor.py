@@ -160,6 +160,7 @@ class TestErrorHandlingParity:
         order, so partitioning files across workers legitimately realises
         different faults than the serial order does."""
         from repro.net import FaultPlan
+        from repro.resilience import SyncSupervisor
 
         tree = gcc_like(scale=0.05, seed=42)
 
@@ -167,8 +168,9 @@ class TestErrorHandlingParity:
             return sync_collection(
                 tree.old,
                 tree.new,
-                OursMethod(),
-                fault_plan=FaultPlan.uniform(0.1, seed=7),
+                SyncSupervisor(
+                    OursMethod(), fault_plan=FaultPlan.uniform(0.1, seed=7)
+                ),
                 on_error="fallback",
                 workers=2,
             )

@@ -39,7 +39,7 @@ from repro.parallel.cache import (
     reset_default_cache,
     reset_default_reference_cache,
 )
-from repro.resilience import CheckpointStore
+from repro.resilience import CheckpointStore, SyncSupervisor
 from repro.reuse.memo import reset_default_delta_memo
 from tests.conftest import make_version_pair
 
@@ -289,13 +289,20 @@ class TestPipelineParity:
         accounting on a clean run."""
         old_side, new_side = make_collection(count=3)
         sequential = sync_collection(
-            old_side, new_side, OursMethod(), link=LINK,
-            checkpoints=CheckpointStore(tmp_path / "seq"),
+            old_side, new_side,
+            SyncSupervisor(
+                OursMethod(), link=LINK,
+                checkpoints=CheckpointStore(tmp_path / "seq"),
+            ),
+            link=LINK,
         )
         pipelined = sync_collection(
-            old_side, new_side, OursMethod(), link=LINK,
-            checkpoints=CheckpointStore(tmp_path / "pipe"),
-            pipeline=True, window=3,
+            old_side, new_side,
+            SyncSupervisor(
+                OursMethod(), link=LINK,
+                checkpoints=CheckpointStore(tmp_path / "pipe"),
+            ),
+            link=LINK, pipeline=True, window=3,
         )
         assert pipelined.per_file == sequential.per_file
         assert pipelined.checkpoint_bytes_written > 0
@@ -338,7 +345,7 @@ class TestPipelineParity:
         [
             {"fault_plan": "uniform", "on_error": "fallback"},
             {"deadline_s": 5.0, "on_error": "skip"},
-            {"retry_policy": "static", "on_error": "skip"},
+            {"retry": "static", "on_error": "skip"},
         ],
         ids=["faults", "deadline", "retries"],
     )
@@ -351,15 +358,18 @@ class TestPipelineParity:
         old_side, new_side = make_collection(count=4)
         reports = []
         for pipelined in (False, True):
-            kwargs = dict(options)
-            if kwargs.get("fault_plan"):
-                kwargs["fault_plan"] = FaultPlan.uniform(0.05, seed=11)
-            if kwargs.get("retry_policy"):
-                kwargs["retry_policy"] = RetryPolicy(max_attempts=2)
+            resilience = dict(options)
+            on_error = resilience.pop("on_error")
+            if resilience.get("fault_plan"):
+                resilience["fault_plan"] = FaultPlan.uniform(0.05, seed=11)
+            if resilience.get("retry"):
+                resilience["retry"] = RetryPolicy(max_attempts=2)
             reports.append(
                 sync_collection(
-                    old_side, new_side, OursMethod(), link=LINK,
-                    pipeline=pipelined, window=1, **kwargs,
+                    old_side, new_side,
+                    SyncSupervisor(OursMethod(), link=LINK, **resilience),
+                    link=LINK, on_error=on_error,
+                    pipeline=pipelined, window=1,
                 )
             )
         sequential, pipelined = reports

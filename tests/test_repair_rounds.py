@@ -231,13 +231,16 @@ class TestCounterPlumbing:
     def test_counters_flow_to_collection_report(self):
         from repro.bench.methods import MultiroundRsyncMethod
         from repro.collection import sync_collection
+        from repro.resilience import SyncSupervisor
 
         old, new = make_version_pair(seed=85, nbytes=30_000)
         client = {"a.bin": old, "same.bin": b"unchanged"}
         server = {"a.bin": new, "same.bin": b"unchanged"}
         plan = CollisionFaultPlan(seed=2)
         report = sync_collection(
-            client, server, MultiroundRsyncMethod(), fault_plan=plan
+            client,
+            server,
+            SyncSupervisor(MultiroundRsyncMethod(), fault_plan=plan),
         )
         assert report.reconstructed["a.bin"] == new
         assert report.collisions_detected == 1

@@ -411,6 +411,17 @@ def tree():
     return gcc_like(scale=0.05, seed=23)
 
 
+def _adaptive(method, breaker_threshold=3, deadline_s=3600.0, **options):
+    """``method`` under the full adaptive stack, as a collection run's."""
+    return SyncSupervisor(
+        method,
+        retry=AdaptiveRetryPolicy(),
+        breakers=BreakerBoard(failure_threshold=breaker_threshold),
+        deadline_s=deadline_s,
+        **options,
+    )
+
+
 def _summary_with_counters(report):
     return (
         report.summary(),
@@ -428,10 +439,7 @@ class TestHappyPathByteIdentity:
 
     def test_serial(self, tree):
         plain = sync_collection(tree.old, tree.new, OursMethod())
-        adaptive = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
-        )
+        adaptive = sync_collection(tree.old, tree.new, _adaptive(OursMethod()))
         assert adaptive.summary() == plain.summary()
         assert adaptive.health_score == 1.0
         assert adaptive.breaker_opens == 0
@@ -441,9 +449,7 @@ class TestHappyPathByteIdentity:
     def test_parallel_dispatch(self, tree):
         plain = sync_collection(tree.old, tree.new, OursMethod())
         adaptive = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            workers=2,
-            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
+            tree.old, tree.new, _adaptive(OursMethod()), workers=2
         )
         assert adaptive.summary() == plain.summary()
         assert adaptive.health_score == 1.0
@@ -452,8 +458,13 @@ class TestHappyPathByteIdentity:
     def test_run_deadline_forces_serial_but_identical(self, tree):
         plain = sync_collection(tree.old, tree.new, OursMethod())
         budgeted = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            workers=4, retry_policy=AdaptiveRetryPolicy(), run_deadline_s=1e9,
+            tree.old, tree.new,
+            SyncSupervisor(
+                OursMethod(),
+                retry=AdaptiveRetryPolicy(),
+                budget=DeadlineBudget(1e9),
+            ),
+            workers=4,
         )
         assert budgeted.summary() == plain.summary()
         assert budgeted.workers == 1  # run budget implies serial
@@ -469,8 +480,8 @@ class TestHappyPathByteIdentity:
         tree = gcc_like(scale=0.05, seed=23)
         plain = sync_collection(tree.old, tree.new, MultiroundRsyncMethod())
         adaptive = sync_collection(
-            tree.old, tree.new, MultiroundRsyncMethod(), workers=workers,
-            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=3, deadline_s=3600.0,
+            tree.old, tree.new, _adaptive(MultiroundRsyncMethod()),
+            workers=workers,
         )
         assert adaptive.summary() == plain.summary()
         assert adaptive.workers == workers
@@ -487,9 +498,12 @@ class TestCollectionGracefulDegradation:
         resilience failures: the poisoned file lands in report.failed."""
         plan = FaultPlan(seed=12, corrupt_rate=1.0)
         report = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            fault_plan=plan, on_error="raise",
-            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=2, deadline_s=600.0,
+            tree.old, tree.new,
+            _adaptive(
+                OursMethod(), breaker_threshold=2, deadline_s=600.0,
+                fault_plan=plan,
+            ),
+            on_error="raise",
         )
         assert report.files_failed == len(report.failed)
         assert report.files_failed >= 1
@@ -501,17 +515,26 @@ class TestCollectionGracefulDegradation:
         plan = FaultPlan(seed=12, corrupt_rate=1.0)
         with pytest.raises(SyncFailedError):
             sync_collection(
-                tree.old, tree.new, OursMethod(),
-                fault_plan=plan, on_error="raise",
-                retry_policy=RetryPolicy(max_attempts=1),
+                tree.old, tree.new,
+                SyncSupervisor(
+                    OursMethod(),
+                    retry=RetryPolicy(max_attempts=1),
+                    fault_plan=plan,
+                ),
+                on_error="raise",
             )
 
     def test_skip_mode_records_partial_accounting(self, tree):
         plan = FaultPlan(seed=13, corrupt_rate=1.0)
         report = sync_collection(
-            tree.old, tree.new, OursMethod(),
-            fault_plan=plan, on_error="skip",
-            retry_policy=AdaptiveRetryPolicy(), breaker_threshold=2,
+            tree.old, tree.new,
+            SyncSupervisor(
+                OursMethod(),
+                retry=AdaptiveRetryPolicy(),
+                fault_plan=plan,
+                breakers=BreakerBoard(failure_threshold=2),
+            ),
+            on_error="skip",
         )
         assert report.files_failed >= 1
         assert report.total_retries >= 1  # doomed attempts still counted

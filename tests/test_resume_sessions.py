@@ -211,8 +211,9 @@ class TestCollectionCheckpointing:
         checked = sync_collection(
             old_files,
             new_files,
-            OursMethod(),
-            checkpoints=CheckpointStore(tmp_path / "ckpt"),
+            SyncSupervisor(
+                OursMethod(), checkpoints=CheckpointStore(tmp_path / "ckpt")
+            ),
         )
         assert checked.total_bytes == plain.total_bytes
         assert checked.resume_handshake_bits == 0

@@ -88,17 +88,20 @@ class TestSiblingReferences:
         assert report.reconstructed == server
 
     def test_threshold_gates_the_sibling_path(self):
+        """An added file resembling no shared file is sent in full."""
         base = _random_bytes(12)
         client = {"base.bin": base}
-        server = dict(client, **{"similar.bin": _edited(base, seed=13)})
+        unrelated = _random_bytes(13)
+        server = dict(client, **{"unrelated.bin": unrelated})
         gated = sync_collection(
             client,
             server,
             OursMethod(),
             sibling_refs=True,
-            resemblance_threshold=0.999,
         )
         assert gated.sibling_refs_used == 0
+        # The uvarint 0 naming the full transfer, then the payload.
+        assert gated.added_bytes == 1 + len(zlib.compress(unrelated, 9))
         assert gated.reconstructed == server
 
 
