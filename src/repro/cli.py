@@ -67,6 +67,17 @@ def _positive(kind=int, zero_ok: bool = False):
     return parse
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a finite fraction in [0, 1] (a per-message rate)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _config_from_args(args: argparse.Namespace) -> ProtocolConfig:
     return ProtocolConfig(
         min_block_size=args.min_block,
@@ -150,7 +161,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         store=args.output,
         pipeline=args.pipeline,
         window=args.window,
-        delta_memo=args.delta_memo,
         sibling_refs=args.sibling_refs,
     )
     adaptive_active = (
@@ -196,8 +206,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
             print(f"pipeline        : {run.waves} waves, "
                   f"{run.mux_overhead_bytes:,} B mux framing overhead")
         if (
-            args.delta_memo
-            or args.sibling_refs
+            args.sibling_refs
             or run.dedup_hits
             or run.delta_memo_hits
             or run.sibling_refs_used
@@ -611,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="minimum block size for continuation hashes")
     sync.add_argument("--verification", choices=strategy_names(),
                       default="group2")
-    sync.add_argument("--rsync-block", type=int, default=700,
+    sync.add_argument("--rsync-block", type=_positive(), default=700,
                       help="block size for --method rsync")
     sync.add_argument("--json", action="store_true",
                       help="machine-readable output")
@@ -627,14 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max files in flight under --pipeline "
                            "(default 8; the number of changed files or "
                            "more runs them all in lockstep)")
-    sync.add_argument("--delta-memo", action="store_true",
-                      help="memoize delta instruction lists and payloads "
-                           "by content fingerprint pair")
     sync.add_argument("--sibling-refs", action="store_true",
                       help="delta-encode added files against similar "
                            "sibling files already on the client "
                            "(min-hash resemblance lookup)")
-    sync.add_argument("--fault-rate", type=float, default=0.0,
+    sync.add_argument("--fault-rate", type=_fraction, default=0.0,
                       help="inject channel faults (corruption/truncation/"
                            "drops) at this per-message rate")
     sync.add_argument("--fault-seed", type=int, default=0,
@@ -816,10 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
     scrub.add_argument("--cursor", default=None,
                        help="cursor file making bounded scrubs resumable "
                             "across invocations")
-    scrub.add_argument("--max-entries", type=int, default=None,
+    scrub.add_argument("--max-entries", type=_positive(), default=None,
                        help="audit at most this many entries, parking the "
                             "cursor for the next invocation")
-    scrub.add_argument("--rate-limit", type=int, default=None,
+    scrub.add_argument("--rate-limit", type=_positive(), default=None,
                        help="bound the audit's read bandwidth "
                             "(bytes/second)")
     scrub.add_argument("--no-quarantine", action="store_true",

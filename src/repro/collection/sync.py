@@ -238,7 +238,6 @@ def sync_collection(
     store=None,
     pipeline: bool = False,
     window: int = 8,
-    delta_memo: bool = False,
     sibling_refs: bool = False,
 ) -> CollectionReport:
     """Update ``client_files`` to ``server_files`` using ``method``.
@@ -268,7 +267,8 @@ def sync_collection(
     Resilience (DESIGN §9, §10, §14): pass a
     :class:`~repro.resilience.SyncSupervisor` as ``method``; it owns the
     fault plan, retry policy, checkpoints, breakers, deadlines and its
-    own ``link``.  A supervisor that
+    own ``link``, which prices the run's ``link_wall_clock_s`` too unless
+    ``link`` is given here.  A supervisor that
     :attr:`~repro.resilience.SyncSupervisor.degrades_gracefully` has the
     files its breakers or deadlines refuse recorded in ``report.failed``
     (keeping the client copy) even under ``on_error="raise"``; one that
@@ -294,21 +294,17 @@ def sync_collection(
     and ``link_wall_clock_s`` collapse.  Compute stays serial and in
     process, so ``workers`` does not apply.
 
-    Cross-file reuse (DESIGN §17): ``delta_memo`` sets the process-wide
-    delta-memo switch for this update — ``True`` memoizes instruction
-    lists and encoded payloads by content pair (byte-identical, wall-clock
-    only), ``False`` (default) keeps them cold.  ``sibling_refs`` serves
-    *added* files (no previous version on the client) by content identity
-    when the client already holds the same bytes under another name (a
-    rename — counted in ``report.dedup_hits``) or as a delta against the
-    most similar file both sides hold once the changed files are
-    delivered, clearing
-    :data:`~repro.reuse.similarity.DEFAULT_RESEMBLANCE_THRESHOLD`
+    Cross-file reuse (DESIGN §17): ``sibling_refs`` serves *added* files
+    (no previous version on the client) by content identity when the
+    client already holds the same bytes under another name (a rename —
+    counted in ``report.dedup_hits``) or as a delta against the most
+    similar file both sides hold once the changed files are delivered,
+    clearing :data:`~repro.reuse.similarity.DEFAULT_RESEMBLANCE_THRESHOLD`
     (min-hash estimate, counted in ``report.sibling_refs_used``); the
     compressed full transfer remains the fallback, and the cheaper of
     delta and full always wins.  Naming the reference costs one uvarint
-    per added file that is not a rename.  Both knobs default to off,
-    leaving reports byte-identical to a run without them.
+    per added file that is not a rename.  It defaults to off, leaving
+    reports byte-identical to a run without it.
     """
     if on_error not in ("raise", "skip", "fallback"):
         raise ValueError(
@@ -319,160 +315,162 @@ def sync_collection(
     if getattr(method, "shares_run_budget", False):
         workers = 1
 
-    from repro.reuse.memo import delta_memo_scope
+    from repro.resilience import SyncSupervisor
 
-    with delta_memo_scope(delta_memo):
-        client_manifest = Manifest.of_collection(client_files)
-        server_manifest = Manifest.of_collection(server_files)
-        if change_detection == "manifest":
-            diff = diff_manifests(client_manifest, server_manifest)
-            detection_bytes = server_manifest.wire_bytes()
-        elif change_detection == "reconcile":
-            from repro.collection.reconcile import reconcile_manifests
+    if link is None and isinstance(method, SyncSupervisor):
+        link = method.link  # one link model prices the whole report
 
-            diff, channel = reconcile_manifests(client_manifest, server_manifest)
-            detection_bytes = channel.stats.total_bytes
-        else:
-            raise ValueError(
-                f"change_detection must be 'manifest' or 'reconcile', "
-                f"got {change_detection!r}"
-            )
+    client_manifest = Manifest.of_collection(client_files)
+    server_manifest = Manifest.of_collection(server_files)
+    if change_detection == "manifest":
+        diff = diff_manifests(client_manifest, server_manifest)
+        detection_bytes = server_manifest.wire_bytes()
+    elif change_detection == "reconcile":
+        from repro.collection.reconcile import reconcile_manifests
 
-        report = CollectionReport(
-            method=method.name,
-            manifest_bytes=detection_bytes,
-            diff=diff,
+        diff, channel = reconcile_manifests(client_manifest, server_manifest)
+        detection_bytes = channel.stats.total_bytes
+    else:
+        raise ValueError(
+            f"change_detection must be 'manifest' or 'reconcile', "
+            f"got {change_detection!r}"
         )
 
-        for name in diff.unchanged:
-            report.reconstructed[name] = client_files[name]
+    report = CollectionReport(
+        method=method.name,
+        manifest_bytes=detection_bytes,
+        diff=diff,
+    )
 
-        tasks = [
-            FileTask(name, client_files[name], server_files[name])
-            for name in diff.changed
-        ]
-        # Breakers/deadlines promise graceful degradation, so their typed
-        # refusals must be captured (and skipped below) even when other
-        # errors still abort the run.
-        capture_errors = (on_error != "raise") or graceful
-        # The bytes each client rebuilt, where a pipelined session lane
-        # reports them; elsewhere a correct outcome stands for the server's.
-        received: dict[str, bytes] = {}
-        if pipeline:
-            from repro.collection.pipeline import CollectionScheduler
+    for name in diff.unchanged:
+        report.reconstructed[name] = client_files[name]
 
-            scheduler = CollectionScheduler(method, window=window, link=link)
-            before = cache_counters()
-            run = scheduler.run(tasks, capture_errors=capture_errors)
-            report.caches = cache_counters(since=before)
-            report.pipelined = True
-            report.waves = run.waves
-            report.mux_overhead_bytes = run.mux_overhead_bytes
-            report.roundtrips_on_wire = run.roundtrips_on_wire
-            report.link_wall_clock_s = run.link_wall_clock_s
-            results = run.files
-            received = run.reconstructed
-        else:
-            executor = SyncExecutor(workers=workers)
-            batch = executor.run(method, tasks, capture_errors=capture_errors)
-            report.workers = batch.workers_used
-            report.caches = batch.caches
-            results = batch.files
-        for result in results:
-            name = result.name
-            report.per_file_seconds[name] = result.elapsed_seconds
-            report.cpu_seconds += result.cpu_seconds
-            failed = result.error is not None or not result.outcome.correct
-            skip_this = failed and on_error == "skip"
-            if failed and on_error == "raise" and graceful:
-                if result.error is not None and result.error.startswith(
-                    ("DeadlineExceededError", "CircuitOpenError")
-                ):
-                    skip_this = True  # graceful degradation, not an abort
-                elif result.error is not None:
-                    from repro.exceptions import SyncFailedError
+    tasks = [
+        FileTask(name, client_files[name], server_files[name])
+        for name in diff.changed
+    ]
+    # Breakers/deadlines promise graceful degradation, so their typed
+    # refusals must be captured (and skipped below) even when other
+    # errors still abort the run.
+    capture_errors = (on_error != "raise") or graceful
+    # The bytes each client rebuilt, where a pipelined session lane
+    # reports them; elsewhere a correct outcome stands for the server's.
+    received: dict[str, bytes] = {}
+    if pipeline:
+        from repro.collection.pipeline import CollectionScheduler
 
-                    raise SyncFailedError(f"{name}: {result.error}")
-            if skip_this:
-                report.failed[name] = result.error or "IntegrityError: bad bytes"
-                report.per_file[name] = result.outcome
-                report.reconstructed[name] = client_files[name]
-                if result.outcome.retries:
-                    report.retries[name] = result.outcome.retries
-                continue
-            if failed and on_error == "fallback":
-                # Out-of-band rescue: a reliable compressed full transfer
-                # that keeps the doomed attempts' resilience accounting.
-                # Everything they sent is charged as retransmission on
-                # top of the rescue payload.
-                payload_bytes = len(zlib.compress(server_files[name], 9))
-                report.per_file[name] = replace(
-                    result.outcome,
-                    total_bytes=payload_bytes,
-                    client_to_server=0,
-                    server_to_client=payload_bytes,
-                    breakdown={"s2c/rescue": payload_bytes},
-                    correct=True,
-                    fallback_method="rescue-full",
-                    retransmitted_bytes=(
-                        result.outcome.retransmitted_bytes
-                        + result.outcome.total_bytes
-                    ),
-                    roundtrips=0,
-                    sibling_refs_used=0,
-                    bytes_saved_vs_self_ref=0,
-                )
-                report.fallbacks[name] = "rescue-full"
-                if result.outcome.retries:
-                    report.retries[name] = result.outcome.retries
-                report.reconstructed[name] = server_files[name]
-                continue
+        scheduler = CollectionScheduler(method, window=window, link=link)
+        before = cache_counters()
+        run = scheduler.run(tasks, capture_errors=capture_errors)
+        report.caches = cache_counters(since=before)
+        report.pipelined = True
+        report.waves = run.waves
+        report.mux_overhead_bytes = run.mux_overhead_bytes
+        report.roundtrips_on_wire = run.roundtrips_on_wire
+        report.link_wall_clock_s = run.link_wall_clock_s
+        results = run.files
+        received = run.reconstructed
+    else:
+        executor = SyncExecutor(workers=workers)
+        batch = executor.run(method, tasks, capture_errors=capture_errors)
+        report.workers = batch.workers_used
+        report.caches = batch.caches
+        results = batch.files
+    for result in results:
+        name = result.name
+        report.per_file_seconds[name] = result.elapsed_seconds
+        report.cpu_seconds += result.cpu_seconds
+        failed = result.error is not None or not result.outcome.correct
+        skip_this = failed and on_error == "skip"
+        if failed and on_error == "raise" and graceful:
+            if result.error is not None and result.error.startswith(
+                ("DeadlineExceededError", "CircuitOpenError")
+            ):
+                skip_this = True  # graceful degradation, not an abort
+            elif result.error is not None:
+                from repro.exceptions import SyncFailedError
+
+                raise SyncFailedError(f"{name}: {result.error}")
+        if skip_this:
+            report.failed[name] = result.error or "IntegrityError: bad bytes"
             report.per_file[name] = result.outcome
-            report.reconstructed[name] = received.get(name, server_files[name])
+            report.reconstructed[name] = client_files[name]
             if result.outcome.retries:
                 report.retries[name] = result.outcome.retries
-            if result.outcome.fallback_method:
-                report.fallbacks[name] = result.outcome.fallback_method
-            if not result.outcome.correct:
-                raise IntegrityError(f"method {method.name} failed on {name}")
-
-        outcomes = list(report.per_file.values())
-        if outcomes and not pipeline:
-            # Wire-latency accounting for the sequential path: each
-            # file's session pays its own direction reversals on the
-            # link, so the collection's cost is the per-file sum — the
-            # figure the pipelined scheduler collapses.
-            from repro.net.channel import LinkModel
-
-            report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
-            report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
-                [o.client_to_server for o in outcomes],
-                [o.server_to_client for o in outcomes],
-                [o.roundtrips for o in outcomes],
+            continue
+        if failed and on_error == "fallback":
+            # Out-of-band rescue: a reliable compressed full transfer
+            # that keeps the doomed attempts' resilience accounting.
+            # Everything they sent is charged as retransmission on
+            # top of the rescue payload.
+            payload_bytes = len(zlib.compress(server_files[name], 9))
+            report.per_file[name] = replace(
+                result.outcome,
+                total_bytes=payload_bytes,
+                client_to_server=0,
+                server_to_client=payload_bytes,
+                breakdown={"s2c/rescue": payload_bytes},
+                correct=True,
+                fallback_method="rescue-full",
+                retransmitted_bytes=(
+                    result.outcome.retransmitted_bytes
+                    + result.outcome.total_bytes
+                ),
+                roundtrips=0,
+                sibling_refs_used=0,
+                bytes_saved_vs_self_ref=0,
             )
+            report.fallbacks[name] = "rescue-full"
+            if result.outcome.retries:
+                report.retries[name] = result.outcome.retries
+            report.reconstructed[name] = server_files[name]
+            continue
+        report.per_file[name] = result.outcome
+        report.reconstructed[name] = received.get(name, server_files[name])
+        if result.outcome.retries:
+            report.retries[name] = result.outcome.retries
+        if result.outcome.fallback_method:
+            report.fallbacks[name] = result.outcome.fallback_method
+        if not result.outcome.correct:
+            raise IntegrityError(f"method {method.name} failed on {name}")
 
-        if diff.added:
-            # After the changed files, so a sibling reference may name
-            # any file both sides hold by then.
-            _transfer_added(
-                report,
-                client_files,
-                server_files,
-                client_manifest,
-                sibling_refs,
+    outcomes = list(report.per_file.values())
+    if outcomes and not pipeline:
+        # Wire-latency accounting for the sequential path: each
+        # file's session pays its own direction reversals on the
+        # link, so the collection's cost is the per-file sum — the
+        # figure the pipelined scheduler collapses.
+        from repro.net.channel import LinkModel
+
+        report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
+        report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
+            [o.client_to_server for o in outcomes],
+            [o.server_to_client for o in outcomes],
+            [o.roundtrips for o in outcomes],
+        )
+
+    if diff.added:
+        # After the changed files, so a sibling reference may name
+        # any file both sides hold by then.
+        _transfer_added(
+            report,
+            client_files,
+            server_files,
+            client_manifest,
+            sibling_refs,
+        )
+
+    for name, data in server_files.items():
+        if name in report.failed:
+            continue  # explicitly skipped; the client keeps its copy
+        if report.reconstructed.get(name) != data:
+            raise IntegrityError(
+                f"collection reconstruction differs at {name}"
             )
+    if store is not None:
+        from repro.collection.store import CollectionStore
 
-        for name, data in server_files.items():
-            if name in report.failed:
-                continue  # explicitly skipped; the client keeps its copy
-            if report.reconstructed.get(name) != data:
-                raise IntegrityError(
-                    f"collection reconstruction differs at {name}"
-                )
-        if store is not None:
-            from repro.collection.store import CollectionStore
-
-            if not isinstance(store, CollectionStore):
-                store = CollectionStore(store)
-            store.write_collection(report.reconstructed)
-        return report
+        if not isinstance(store, CollectionStore):
+            store = CollectionStore(store)
+        store.write_collection(report.reconstructed)
+    return report

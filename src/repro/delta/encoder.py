@@ -114,27 +114,25 @@ def zdelta_encode(
 ) -> bytes:
     """Encode ``target`` relative to ``reference``.
 
-    ``memo`` memoizes the encoded payload by content pair (tri-state,
-    see :func:`~repro.delta.matcher.resolve_memo`): a hit returns the
-    byte-identical payload without matching or compressing anything.
+    ``memo``, a :class:`~repro.reuse.memo.DeltaMemoCache`, memoizes the
+    encoded payload by content pair: a hit returns the byte-identical
+    payload without matching or compressing anything.  Without one
+    (``None``, the default) the payload is computed cold.
     """
-    from repro.delta.matcher import resolve_memo
-
-    resolved = resolve_memo(memo)
-    if resolved is None:
+    if memo is None:
         return _zdelta_encode_cold(
-            reference, target, seed_length, matcher, memo=False
+            reference, target, seed_length, matcher, memo=None
         )
     old_fingerprint, new_fingerprint = _pair_fingerprints(
         reference, target, matcher
     )
-    return resolved.payload(
+    return memo.payload(
         "zdelta",
         old_fingerprint,
         new_fingerprint,
         seed_length,
         lambda: _zdelta_encode_cold(
-            reference, target, seed_length, matcher, memo=resolved
+            reference, target, seed_length, matcher, memo=memo
         ),
     )
 
@@ -161,21 +159,18 @@ def zdelta_size(
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     matcher: ReferenceMatcher | None = None,
-    memo=None,
 ) -> int:
     """Size in bytes of the zdelta encoding (the paper's lower bound).
 
-    Always memoized by content pair (unless ``memo=False``): a size
+    Always memoized by content pair in the process-wide memo: a size
     probe is a pure measurement, so the runner's method-comparison grid
     never encodes the same ``(reference, target)`` pair twice.
     """
-    if memo is None:
-        from repro.reuse.memo import default_delta_memo
+    from repro.reuse.memo import default_delta_memo
 
-        memo = default_delta_memo()
     return len(
         zdelta_encode(
             reference, target, seed_length=seed_length, matcher=matcher,
-            memo=memo,
+            memo=default_delta_memo(),
         )
     )

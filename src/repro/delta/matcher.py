@@ -187,23 +187,6 @@ def _resolve_matcher(reference: bytes, seed_length: int, cache):
     return cache.matcher(reference, seed_length)
 
 
-def resolve_memo(memo):
-    """The :class:`~repro.reuse.memo.DeltaMemoCache` to consult, or ``None``.
-
-    Tri-state mirror of the ``cache`` parameter: ``False`` opts out
-    entirely, an instance is used as given, and ``None`` defers to the
-    process-wide switch (:func:`~repro.reuse.memo.delta_memo_enabled`) —
-    off by default, so cold-path benchmarks time real matcher work.
-    """
-    if memo is False:
-        return None
-    if memo is None:
-        from repro.reuse.memo import default_delta_memo, delta_memo_enabled
-
-        return default_delta_memo() if delta_memo_enabled() else None
-    return memo
-
-
 def compute_instructions(
     reference: bytes,
     target: bytes,
@@ -222,12 +205,10 @@ def compute_instructions(
     never rebuild the argsort index.  Pass ``cache=False`` for a private
     uncached build, or a specific cache instance to use instead.
 
-    ``memo`` memoizes the finished instruction list by *content pair*
-    (:class:`~repro.reuse.memo.DeltaMemoCache`): a hit skips hashing and
-    matching entirely and is byte-identical to a fresh run.  ``None``
-    defers to the process-wide switch (``set_delta_memo_enabled`` /
-    ``sync_collection(delta_memo=True)``), ``False`` opts out, an
-    instance is consulted unconditionally.
+    ``memo``, a :class:`~repro.reuse.memo.DeltaMemoCache`, memoizes the
+    finished instruction list by *content pair*: a hit skips hashing and
+    matching entirely and is byte-identical to a fresh run.  Without one
+    (``None``, the default) the list is computed cold.
     """
     if min_match is None:
         min_match = seed_length
@@ -236,7 +217,6 @@ def compute_instructions(
         # empty COPY without advancing — an infinite loop, not a knob.
         raise ValueError(f"min_match must be >= 1, got {min_match}")
 
-    memo = resolve_memo(memo)
     if memo is not None:
         # Keyed purely by content identity and matching parameters.
         old_fingerprint = (

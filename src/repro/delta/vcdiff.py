@@ -89,27 +89,25 @@ def vcdiff_encode(
 ) -> bytes:
     """Encode ``target`` relative to ``reference`` in the VCDIFF-ish format.
 
-    ``memo`` memoizes the encoded payload by content pair (tri-state,
-    see :func:`~repro.delta.matcher.resolve_memo`).
+    ``memo`` memoizes the encoded payload by content pair, like
+    :func:`~repro.delta.encoder.zdelta_encode`; ``None`` computes cold.
     """
     from repro.delta.encoder import _pair_fingerprints
-    from repro.delta.matcher import resolve_memo
 
-    resolved = resolve_memo(memo)
-    if resolved is None:
+    if memo is None:
         return _vcdiff_encode_cold(
-            reference, target, seed_length, matcher, memo=False
+            reference, target, seed_length, matcher, memo=None
         )
     old_fingerprint, new_fingerprint = _pair_fingerprints(
         reference, target, matcher
     )
-    return resolved.payload(
+    return memo.payload(
         "vcdiff",
         old_fingerprint,
         new_fingerprint,
         seed_length,
         lambda: _vcdiff_encode_cold(
-            reference, target, seed_length, matcher, memo=resolved
+            reference, target, seed_length, matcher, memo=memo
         ),
     )
 
@@ -129,21 +127,18 @@ def vcdiff_size(
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     matcher: ReferenceMatcher | None = None,
-    memo=None,
 ) -> int:
     """Size in bytes of the vcdiff-style encoding.
 
-    Always memoized by content pair (unless ``memo=False``), like
+    Always memoized by content pair in the process-wide memo, like
     :func:`~repro.delta.encoder.zdelta_size` — a size probe is a pure
     measurement, so the comparison grid never encodes a pair twice.
     """
-    if memo is None:
-        from repro.reuse.memo import default_delta_memo
+    from repro.reuse.memo import default_delta_memo
 
-        memo = default_delta_memo()
     return len(
         vcdiff_encode(
             reference, target, seed_length=seed_length, matcher=matcher,
-            memo=memo,
+            memo=default_delta_memo(),
         )
     )

@@ -165,30 +165,19 @@ def _sync_one(
     )
 
 
-def _worker_init(
-    cache_entries: int | None,
-    memo_enabled: bool | None = None,
-) -> None:
+def _worker_init(cache_entries: int) -> None:
     """Pool initializer: pre-size the caches once per worker.
 
-    Runs once per worker process instead of once per chunk, so the warm
-    state (hash-index and reference-index cache capacity, delta-memo
-    switch) persists across every chunk the worker handles.
-    ``memo_enabled`` re-asserts the parent's delta-memo switch so
-    spawn-based pools match fork-based ones.
+    Runs once per worker process instead of once per chunk, so the
+    hash-index, reference-index and delta-memo cache capacity persists
+    across every chunk the worker handles.
     """
-    if cache_entries is not None:
-        from repro.parallel.cache import default_cache, default_reference_cache
+    from repro.parallel.cache import default_cache, default_reference_cache
+    from repro.reuse.memo import default_delta_memo
 
-        default_cache().ensure_capacity(cache_entries)
-        default_reference_cache().ensure_capacity(cache_entries)
-        from repro.reuse.memo import default_delta_memo
-
-        default_delta_memo().ensure_capacity(cache_entries)
-    if memo_enabled is not None:
-        from repro.reuse.memo import set_delta_memo_enabled
-
-        set_delta_memo_enabled(memo_enabled)
+    default_cache().ensure_capacity(cache_entries)
+    default_reference_cache().ensure_capacity(cache_entries)
+    default_delta_memo().ensure_capacity(cache_entries)
 
 
 def _run_chunk(
@@ -338,12 +327,10 @@ class SyncExecutor:
         result = BatchResult(workers_used=workers_used)
         gathered = []
         failed_chunks: list[list[tuple[int, FileTask]]] = []
-        from repro.reuse.memo import delta_memo_enabled
-
         with ProcessPoolExecutor(
             max_workers=workers_used,
             initializer=_worker_init,
-            initargs=(cache_entries, delta_memo_enabled()),
+            initargs=(cache_entries,),
         ) as pool:
             order = _lpt_order(chunks)
             futures = {

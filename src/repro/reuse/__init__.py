@@ -27,10 +27,7 @@ from repro.reuse.memo import (
     DEFAULT_MEMO_ENTRIES,
     DeltaMemoCache,
     default_delta_memo,
-    delta_memo_enabled,
-    delta_memo_scope,
     reset_default_delta_memo,
-    set_delta_memo_enabled,
 )
 from repro.reuse.similarity import (
     DEFAULT_BANDS,
@@ -65,11 +62,8 @@ __all__ = [
     "SimilarityIndex",
     "content_shingles",
     "default_delta_memo",
-    "delta_memo_enabled",
-    "delta_memo_scope",
     "estimate_resemblance",
     "minhash_signature",
     "reset_default_delta_memo",
-    "set_delta_memo_enabled",
     "sketch",
 ]

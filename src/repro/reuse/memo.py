@@ -14,15 +14,14 @@ the parity reference), and the cached-vs-cold parity tests pin that
 equivalence.  A memo hit therefore changes wall-clock
 only, never a single wire byte.
 
-The cache is consulted on two tiers:
-
-* ``zdelta_size`` / ``vcdiff_size`` always go through it — they are
-  pure measurements (the runner's method-comparison grid), so caching
-  is unconditionally safe and free of benchmark distortion.
-* ``compute_instructions`` / ``zdelta_encode`` / ``vcdiff_encode``
-  consult it only when memoization is switched on — via
-  :func:`set_delta_memo_enabled` or ``sync_collection(delta_memo=True)``
-  — so cold-path timing benchmarks stay honest by default.
+One tier is memoized by itself: the size probes ``zdelta_size`` /
+``vcdiff_size`` always go through the process-wide memo
+(:func:`default_delta_memo`).  They are pure measurements (the runner's
+method-comparison grid), so caching them is safe and free of benchmark
+distortion.  ``compute_instructions`` / ``zdelta_encode`` /
+``vcdiff_encode`` consult a memo only when the caller hands one in
+(``memo=``, as :class:`~repro.reuse.broadcast.BroadcastDeltaServer`
+does for the one-server-many-clients case) and compute cold otherwise.
 
 Like the hash-index caches, the memo is process-local: pool workers
 inherit the parent's by fork and their hit/miss deltas are folded back
@@ -107,12 +106,9 @@ class DeltaMemoCache(ContentKeyedCache):
 
 _default_memo = DeltaMemoCache()
 
-#: Process-wide switch for the gated tier (off by default).
-_memo_enabled = False
-
 
 def default_delta_memo() -> DeltaMemoCache:
-    """The process-wide memo shared by the delta coders."""
+    """The process-wide memo the size probes consult."""
     return _default_memo
 
 
@@ -128,35 +124,3 @@ def reset_default_delta_memo(
     )
     return _default_memo
 
-
-def delta_memo_enabled() -> bool:
-    """Whether the gated tier (encode/instructions memoization) is on."""
-    return _memo_enabled
-
-
-def set_delta_memo_enabled(enabled: bool) -> None:
-    """Switch the gated tier on or off."""
-    global _memo_enabled
-    _memo_enabled = enabled
-
-
-class delta_memo_scope:
-    """Context manager scoping the gated tier (used by ``sync_collection``).
-
-    Restores the previous switch state on exit, so a memoized collection
-    run never leaks the setting into subsequent cold benchmarks.
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._previous = False
-
-    def __enter__(self) -> "delta_memo_scope":
-        global _memo_enabled
-        self._previous = _memo_enabled
-        _memo_enabled = self.enabled
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _memo_enabled
-        _memo_enabled = self._previous

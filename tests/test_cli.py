@@ -111,13 +111,6 @@ class TestSyncCommand:
         assert payload["dedup_hits"] == 1
         assert payload["added_bytes"] == 0
 
-    def test_delta_memo_flag_accepted(self, file_pair, capsys):
-        old_path, new_path = file_pair
-        assert main([
-            "sync", str(old_path), str(new_path), "--delta-memo",
-        ]) == 0
-        assert "reuse" in capsys.readouterr().out
-
     def test_resume_without_checkpoint_dir_fails_cleanly(
         self, dir_pair, capsys
     ):
@@ -193,7 +186,7 @@ class TestBenchCommand:
 SYNC_FLAGS = {
     "-h", "--help", "--method", "--min-block", "--continuation-min",
     "--verification", "--rsync-block", "--json", "--workers",
-    "--pipeline", "--window", "--delta-memo",
+    "--pipeline", "--window",
     "--sibling-refs", "--fault-rate",
     "--fault-seed", "--on-error", "--retries", "--adaptive-retry",
     "--deadline", "--run-deadline", "--breaker-threshold",
@@ -228,6 +221,7 @@ class TestParser:
             ["--deadline", "-1"],
             ["--run-deadline", "-5"],
             ["--workers", "-1"],
+            ["--method", "rsync", "--rsync-block", "0"],
         ],
         ids=lambda flags: " ".join(flags),
     )
@@ -237,6 +231,37 @@ class TestParser:
         old_dir, new_dir = dir_pair
         with pytest.raises(SystemExit) as exit_info:
             main(["sync", str(old_dir), str(new_dir), *flags])
+        assert exit_info.value.code == 2
+        assert "must be >" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["2", "-0.5", "nan", "inf"])
+    def test_fault_rate_outside_unit_interval_is_a_usage_error(
+        self, dir_pair, capsys, rate
+    ):
+        old_dir, new_dir = dir_pair
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sync", str(old_dir), str(new_dir), "--fault-rate", rate])
+        assert exit_info.value.code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-entries", "0"],
+            ["--max-entries", "-3"],
+            ["--rate-limit", "0"],
+            ["--rate-limit", "-1"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_scrub_out_of_range_value_is_a_usage_error(
+        self, tmp_path, capsys, flags
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "scrub", str(tmp_path),
+                "--manifest", str(tmp_path / "m.bin"), *flags,
+            ])
         assert exit_info.value.code == 2
         assert "must be >" in capsys.readouterr().err
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.bench import OursMethod, RsyncMethod, ZdeltaMethod
@@ -11,12 +13,25 @@ from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.workloads import gcc_like
 
 
+#: Every option of ``sync_collection`` after its three positional
+#: arguments: adding or removing one must be a deliberate change here.
+SYNC_COLLECTION_OPTIONS = (
+    "change_detection", "workers", "on_error", "link", "store",
+    "pipeline", "window", "sibling_refs",
+)
+
+
 @pytest.fixture(scope="module")
 def tree():
     return gcc_like(scale=0.08, seed=2)
 
 
 class TestSyncCollection:
+    def test_option_set_is_pinned(self):
+        parameters = list(inspect.signature(sync_collection).parameters)
+        assert parameters[:3] == ["client_files", "server_files", "method"]
+        assert tuple(parameters[3:]) == SYNC_COLLECTION_OPTIONS
+
     def test_reconstruction_matches_server(self, tree):
         report = sync_collection(tree.old, tree.new, OursMethod())
         assert report.reconstructed == tree.new

@@ -153,12 +153,12 @@ DECODERS = {
     "zdelta": Decoder(
         lambda data: zdelta_decode(OLD, data),
         (DeltaFormatError,),
-        lambda: [zdelta_encode(OLD, NEW, memo=False)],
+        lambda: [zdelta_encode(OLD, NEW)],
     ),
     "vcdiff": Decoder(
         lambda data: vcdiff_decode(OLD, data),
         (DeltaFormatError,),
-        lambda: [vcdiff_encode(OLD, NEW, memo=False)],
+        lambda: [vcdiff_encode(OLD, NEW)],
     ),
     "rsync-tokens": Decoder(
         decode_tokens,

@@ -17,7 +17,7 @@ import pytest
 from repro.bench.methods import OursMethod, ZdeltaMethod
 from repro.collection import sync_collection
 from repro.exceptions import IntegrityError, ReproError, SyncFailedError
-from repro.net import FaultPlan
+from repro.net import FaultPlan, LinkModel
 from repro.parallel import FileTask, SyncExecutor
 from repro.resilience import (
     AdaptiveRetryPolicy,
@@ -247,6 +247,34 @@ class TestSupervisorConfiguresTheRun:
         assert pooled.workers == 1
         assert pooled.failed == serial.failed
         assert pooled.total_bytes == serial.total_bytes
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_supervisor_link_prices_the_whole_report(
+        self, probe_tree, pipeline
+    ):
+        """Without ``link=``, the run is priced on the supervisor's link:
+        the modelled wall clock and the recovery time come from one
+        link model, the same figures as naming that link twice."""
+        slow = LinkModel(bandwidth_bps=1_000_000.0, latency_s=0.15)
+
+        def run(**link):
+            return sync_collection(
+                probe_tree.old, probe_tree.new,
+                SyncSupervisor(
+                    OursMethod(),
+                    fault_plan=FaultPlan.uniform(0.2, seed=7),
+                    link=slow,
+                ),
+                on_error="fallback",
+                pipeline=pipeline,
+                **link,
+            )
+
+        implied, named = run(), run(link=slow)
+        assert implied.recovery_seconds > 0
+        assert implied.recovery_seconds == named.recovery_seconds
+        assert implied.link_wall_clock_s == named.link_wall_clock_s
+        assert implied.roundtrips_on_wire == named.roundtrips_on_wire
 
 
 class _DoomedMethod(SyncMethod):

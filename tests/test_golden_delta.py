@@ -66,8 +66,8 @@ def _sent(channel: SimulatedChannel, phase: str) -> bytes:
 
 
 def pair_fixture(old: bytes, new: bytes) -> dict:
-    zdelta = zdelta_encode(old, new, memo=False)
-    vcdiff = vcdiff_encode(old, new, memo=False)
+    zdelta = zdelta_encode(old, new)
+    vcdiff = vcdiff_encode(old, new)
     assert zdelta_decode(old, zdelta) == new
     assert vcdiff_decode(old, vcdiff) == new
     channel = SimulatedChannel()

@@ -2,9 +2,9 @@
 
 The memo's contract is strict (DESIGN §17): a hit changes wall-clock
 only — instruction lists and payloads must be byte-identical to fresh
-computation (and to the per-position reference scan), on all executor
-substrates,
-and a default (switched-off) run must leave reports untouched.
+computation (and to the per-position reference scan).  The encoders
+consult a memo only when one is handed in, so a default run leaves
+reports untouched.
 """
 
 from __future__ import annotations
@@ -27,20 +27,15 @@ from tests.test_delta_parity import scalar_instructions
 from repro.reuse import (
     DeltaMemoCache,
     default_delta_memo,
-    delta_memo_enabled,
-    delta_memo_scope,
     reset_default_delta_memo,
-    set_delta_memo_enabled,
 )
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
     reset_default_delta_memo()
-    set_delta_memo_enabled(False)
     yield
     reset_default_delta_memo()
-    set_delta_memo_enabled(False)
 
 
 def _pair(seed: int = 11, nbytes: int = 20_000, edits: int = 8):
@@ -55,30 +50,11 @@ def _pair(seed: int = 11, nbytes: int = 20_000, edits: int = 8):
 
 class TestGating:
     def test_default_off(self):
-        assert delta_memo_enabled() is False
         old, new = _pair()
         zdelta_encode(old, new)
         zdelta_encode(old, new)
         assert default_delta_memo().stats.hits == 0
         assert default_delta_memo().stats.misses == 0
-
-    def test_explicit_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_MEMO", "1")  # no longer read
-        assert delta_memo_enabled() is False
-        set_delta_memo_enabled(True)
-        assert delta_memo_enabled() is True
-        set_delta_memo_enabled(False)
-        assert delta_memo_enabled() is False
-
-    def test_scope_restores_previous_state(self):
-        set_delta_memo_enabled(False)
-        with delta_memo_scope(True):
-            assert delta_memo_enabled() is True
-        assert delta_memo_enabled() is False
-        set_delta_memo_enabled(True)
-        with delta_memo_scope(False):  # a scope always sets the switch
-            assert delta_memo_enabled() is False
-        assert delta_memo_enabled() is True
 
     def test_size_tier_always_memoized(self):
         old, new = _pair()
@@ -91,21 +67,22 @@ class TestGating:
 class TestByteIdentity:
     def test_payload_hit_is_byte_identical(self):
         old, new = _pair()
-        cold = zdelta_encode(old, new, memo=False)
-        set_delta_memo_enabled(True)
-        primed = zdelta_encode(old, new)
-        cached = zdelta_encode(old, new)
-        assert default_delta_memo().stats.hits >= 1
+        cold = zdelta_encode(old, new)
+        memo = DeltaMemoCache()
+        primed = zdelta_encode(old, new, memo=memo)
+        cached = zdelta_encode(old, new, memo=memo)
+        assert memo.stats.hits >= 1
         assert primed == cold
         assert cached == cold
         assert zdelta_decode(old, cached) == new
 
     def test_vcdiff_payload_hit_is_byte_identical(self):
         old, new = _pair(seed=13)
-        cold = vcdiff_encode(old, new, memo=False)
-        set_delta_memo_enabled(True)
-        vcdiff_encode(old, new)
-        cached = vcdiff_encode(old, new)
+        cold = vcdiff_encode(old, new)
+        memo = DeltaMemoCache()
+        vcdiff_encode(old, new, memo=memo)
+        cached = vcdiff_encode(old, new, memo=memo)
+        assert memo.stats.hits >= 1
         assert cached == cold
         assert vcdiff_decode(old, cached) == new
 
@@ -113,11 +90,11 @@ class TestByteIdentity:
         """A hit serves the cached list itself, and that list equals both
         a cold run and the per-position reference scan."""
         old, new = _pair(seed=17)
-        set_delta_memo_enabled(True)
-        primed = compute_instructions(old, new)
-        served = compute_instructions(old, new)
+        memo = DeltaMemoCache()
+        primed = compute_instructions(old, new, memo=memo)
+        served = compute_instructions(old, new, memo=memo)
         assert served is primed  # the same cached object
-        assert served == compute_instructions(old, new, memo=False)
+        assert served == compute_instructions(old, new)
         assert served == scalar_instructions(old, new)
 
     def test_explicit_memo_instance(self):
@@ -131,35 +108,6 @@ class TestByteIdentity:
 
 
 class TestCollectionParity:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_memoized_run_matches_cold_run(self, workers):
-        rng = random.Random(23)
-        old_side, new_side = {}, {}
-        for i in range(6):
-            old, new = _pair(seed=100 + i, nbytes=8_000, edits=4)
-            old_side[f"f{i}"] = old
-            new_side[f"f{i}"] = new
-        # Duplicate content pair under another name: the memo's bread
-        # and butter.
-        old_side["twin"] = old_side["f0"]
-        new_side["twin"] = new_side["f0"]
-
-        cold = sync_collection(
-            old_side, new_side, OursMethod(), workers=workers
-        )
-        reset_default_delta_memo()
-        warm = sync_collection(
-            old_side,
-            new_side,
-            OursMethod(),
-            workers=workers,
-            delta_memo=True,
-        )
-        assert warm.total_bytes == cold.total_bytes
-        assert warm.reconstructed == cold.reconstructed
-        for name, outcome in cold.per_file.items():
-            assert warm.per_file[name].total_bytes == outcome.total_bytes
-
     def test_clean_default_run_reports_zero_counters(self):
         old, new = _pair(seed=29, nbytes=6_000)
         report = sync_collection({"f": old}, {"f": new}, OursMethod())
@@ -171,7 +119,8 @@ class TestCollectionParity:
 
     def test_memo_counters_folded_back_serial(self):
         """OursMethod's protocol rounds don't consult the payload memo,
-        so counter fold-back is pinned with a zdelta method instead."""
+        so counter fold-back is pinned with a zdelta method, whose size
+        probe always goes through the process-wide memo."""
         from repro.bench.methods import ZdeltaMethod
 
         rng = random.Random(31)
@@ -180,13 +129,9 @@ class TestCollectionParity:
             old, new = _pair(seed=200 + i, nbytes=6_000, edits=4)
             old_side[f"f{i}"] = old
             new_side[f"f{i}"] = new
-        first = sync_collection(
-            old_side, new_side, ZdeltaMethod(), delta_memo=True
-        )
+        first = sync_collection(old_side, new_side, ZdeltaMethod())
         assert first.delta_memo_misses > 0
-        second = sync_collection(
-            old_side, new_side, ZdeltaMethod(), delta_memo=True
-        )
+        second = sync_collection(old_side, new_side, ZdeltaMethod())
         assert second.delta_memo_hits > 0
 
 
