@@ -1,11 +1,19 @@
-"""Perf-regression gate: current substrate timings vs the committed
-baselines (BENCH_parallel.json, BENCH_delta.json, BENCH_protocol.json).
+"""Perf-regression gate: current timings vs the five committed baselines
+(BENCH_parallel.json, BENCH_delta.json, BENCH_protocol.json,
+BENCH_pipeline.json, BENCH_reuse.json).
 
 Runs the same measurements that produced the committed baselines (see
-``repro.bench.perfbaseline``) and fails if any op has slowed past the
-tolerance, or if the vectorized delta matcher has lost its edge over the
-scalar oracle.  The core protocol has a single engine, so its record
-is one absolute op checked against the tolerance only.
+``perfbaseline.py`` beside this file) and fails if any op has slowed past
+the tolerance, if a ratio floor no longer holds (vectorized over scalar
+delta matching, pipelined over sequential link wall clock, warm over
+cold fleet serving), or if a deterministic record (modelled pipeline
+wall clock, fleet wire bytes) no longer reproduces exactly.  The core
+protocol has a single engine, so its record is one absolute op checked
+against the tolerance only.
+
+Each measurement is also written to
+``benchmarks/results/BENCH_*.current.json``; to re-record a baseline,
+copy that file over the committed one at the repo root.
 
 Environment knobs (CI machines differ from the reference box):
 
@@ -31,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from conftest import publish
-from repro.bench.perfbaseline import (
+from perfbaseline import (
     DEFAULT_BASELINE_NAME,
     DEFAULT_DELTA_BASELINE_NAME,
     DEFAULT_PIPELINE_BASELINE_NAME,

@@ -15,8 +15,8 @@ import statistics
 from pathlib import Path
 
 from benchmarks.conftest import publish
+from perfbaseline import build_workload
 from repro.bench import render_table
-from repro.bench.perfbaseline import build_workload
 from repro.multiround.protocol import multiround_rsync_sync
 from repro.net.faults import CollisionFaultPlan, FaultKind
 from repro.rsync import rsync_sync

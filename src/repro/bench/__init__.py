@@ -20,19 +20,6 @@ from repro.bench.methods import (
     standard_methods,
 )
 from repro.bench.export import export_runs, run_to_row
-from repro.bench.perfbaseline import (
-    DEFAULT_BASELINE_NAME,
-    DEFAULT_PIPELINE_BASELINE_NAME,
-    FingerprintProbeMethod,
-    OpTiming,
-    PerfBaseline,
-    compare_baselines,
-    load_baseline,
-    measure,
-    measure_pipeline,
-    render_baseline,
-    save_baseline,
-)
 from repro.bench.runner import CollectionRun, run_method_on_collection
 from repro.bench.report import format_kb, render_grouped_bars, render_table
 from repro.bench.soak import (
@@ -47,37 +34,26 @@ from repro.bench.soak import (
 __all__ = [
     "AdaptiveMethod",
     "CollectionRun",
-    "DEFAULT_BASELINE_NAME",
-    "DEFAULT_PIPELINE_BASELINE_NAME",
     "DEFAULT_SEEDS",
     "DEFAULT_SHAPES",
     "SOAK_PROFILES",
     "SoakReport",
     "SoakRow",
-    "FingerprintProbeMethod",
     "FullTransferMethod",
     "MethodOutcome",
     "MultiroundRsyncMethod",
-    "OpTiming",
     "OursMethod",
-    "PerfBaseline",
     "RsyncMethod",
     "RsyncOptimalMethod",
     "SyncMethod",
     "VcdiffMethod",
     "ZdeltaMethod",
-    "compare_baselines",
     "export_runs",
     "format_kb",
-    "load_baseline",
-    "measure",
-    "measure_pipeline",
-    "render_baseline",
     "render_grouped_bars",
     "render_table",
     "run_method_on_collection",
     "run_soak",
     "run_to_row",
-    "save_baseline",
     "standard_methods",
 ]

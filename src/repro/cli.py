@@ -475,89 +475,7 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    """Measure the substrate perf baselines; record or compare them.
-
-    Five baselines make up the perf gate: the parallel-substrate record
-    (``BENCH_parallel.json``), the delta-encode throughput record
-    (``BENCH_delta.json``), the core protocol throughput record
-    (``BENCH_protocol.json``), the pipelined-scheduler latency record
-    (``BENCH_pipeline.json``), and the cross-file reuse record
-    (``BENCH_reuse.json``).  All are measured, printed, and compared
-    (or rewritten with ``--update``) in one invocation so CI stays a
-    single command.
-    """
-    from repro.bench.perfbaseline import (
-        compare_baselines,
-        load_baseline,
-        measure,
-        measure_delta,
-        measure_pipeline,
-        measure_protocol,
-        measure_reuse,
-        render_baseline,
-        save_baseline,
-    )
-
-    import os
-
-    current = measure(workers=args.workers or os.cpu_count() or 1)
-    measurements = [(Path(args.baseline), current)]
-    if not args.no_delta:
-        measurements.append((Path(args.delta_baseline), measure_delta()))
-    if not args.no_protocol:
-        measurements.append(
-            (Path(args.protocol_baseline), measure_protocol())
-        )
-    if not args.no_pipeline:
-        measurements.append(
-            (Path(args.pipeline_baseline), measure_pipeline())
-        )
-    if not args.no_reuse:
-        measurements.append(
-            (Path(args.reuse_baseline), measure_reuse())
-        )
-
-    for _path, measurement in measurements:
-        if args.json:
-            print(measurement.to_json(), end="")
-        else:
-            print(render_baseline(measurement))
-
-    if args.update:
-        for path, measurement in measurements:
-            save_baseline(measurement, path)
-            print(f"wrote baseline to {path}")
-        return 0
-
-    findings: list[str] = []
-    for path, measurement in measurements:
-        if not path.exists():
-            print(
-                f"error: no baseline at {path} (record one with --update)",
-                file=sys.stderr,
-            )
-            return 2
-        findings += [
-            f"[{path.name}] {finding}"
-            for finding in compare_baselines(
-                measurement, load_baseline(path), tolerance=args.tolerance
-            )
-        ]
-    if findings:
-        print("\nPERF REGRESSIONS:", file=sys.stderr)
-        for finding in findings:
-            print(f"  {finding}", file=sys.stderr)
-        return 1
-    compared = ", ".join(str(path) for path, _measurement in measurements)
-    print(f"\nno regressions vs {compared} "
-          f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_action == "perf":
-        return _cmd_bench_perf(args)
     if args.workload == "gcc":
         tree = gcc_like(scale=args.scale, seed=args.seed)
         old_side, new_side = tree.old, tree.new
@@ -608,18 +526,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sync = sub.add_parser("sync", help="synchronise a file or directory pair")
+    # The ProtocolConfig flags read by _config_from_args, shared by every
+    # subcommand that runs the paper's protocol.
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--min-block", type=int, default=64,
+                          help="minimum block size for global hashes")
+    protocol.add_argument("--continuation-min", type=int, default=16,
+                          help="minimum block size for continuation hashes")
+    protocol.add_argument("--verification", choices=strategy_names(),
+                          default="group2")
+
+    sync = sub.add_parser("sync", parents=[protocol],
+                          help="synchronise a file or directory pair")
     sync.add_argument("old", help="outdated file or directory (the client)")
     sync.add_argument("new", help="current file or directory (the server)")
     sync.add_argument(
         "--method", choices=sorted(_METHOD_FACTORIES), default="ours"
     )
-    sync.add_argument("--min-block", type=int, default=64,
-                      help="minimum block size for global hashes")
-    sync.add_argument("--continuation-min", type=int, default=16,
-                      help="minimum block size for continuation hashes")
-    sync.add_argument("--verification", choices=strategy_names(),
-                      default="group2")
     sync.add_argument("--rsync-block", type=_positive(), default=700,
                       help="block size for --method rsync")
     sync.add_argument("--json", action="store_true",
@@ -679,15 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
     sync.set_defaults(handler=_cmd_sync)
 
     trace = sub.add_parser(
-        "trace", help="print the round-by-round protocol trace for a "
-                      "file pair"
+        "trace", parents=[protocol],
+        help="print the round-by-round protocol trace for a file pair"
     )
     trace.add_argument("old")
     trace.add_argument("new")
-    trace.add_argument("--min-block", type=int, default=64)
-    trace.add_argument("--continuation-min", type=int, default=16)
-    trace.add_argument("--verification", choices=strategy_names(),
-                       default="group2")
     trace.set_defaults(handler=_cmd_trace)
 
     manifest = sub.add_parser(
@@ -709,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     manifest_diff.set_defaults(handler=_cmd_manifest)
 
     bench = sub.add_parser("bench", help="quick method comparison on a "
-                                         "synthetic workload, or the "
-                                         "substrate perf baseline")
+                                         "synthetic workload")
     bench.add_argument("--workload", choices=("gcc", "emacs", "web"),
                        default="gcc")
     bench.add_argument("--scale", type=float, default=0.1)
@@ -718,52 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=_positive(zero_ok=True), default=1,
                        help="process count for changed-file fan-out "
                             "(0 = one per CPU)")
-    bench.set_defaults(handler=_cmd_bench, bench_action=None)
-    bench_sub = bench.add_subparsers(dest="bench_action")
-    bench_perf = bench_sub.add_parser(
-        "perf", help="time core substrate ops and pickle dispatch; "
-                     "compare against BENCH_parallel.json"
-    )
-    bench_perf.add_argument("--baseline", default="BENCH_parallel.json",
-                            help="baseline JSON to compare against or "
-                                 "update")
-    bench_perf.add_argument("--delta-baseline", default="BENCH_delta.json",
-                            help="delta-throughput baseline JSON to "
-                                 "compare against or update")
-    bench_perf.add_argument("--no-delta", action="store_true",
-                            help="skip the delta-throughput measurement "
-                                 "(substrate ops only)")
-    bench_perf.add_argument("--protocol-baseline",
-                            default="BENCH_protocol.json",
-                            help="core protocol baseline JSON to "
-                                 "compare against or update")
-    bench_perf.add_argument("--no-protocol", action="store_true",
-                            help="skip the core protocol measurement")
-    bench_perf.add_argument("--pipeline-baseline",
-                            default="BENCH_pipeline.json",
-                            help="pipelined-scheduler latency baseline JSON "
-                                 "to compare against or update")
-    bench_perf.add_argument("--no-pipeline", action="store_true",
-                            help="skip the pipeline-latency measurement")
-    bench_perf.add_argument("--reuse-baseline",
-                            default="BENCH_reuse.json",
-                            help="cross-file reuse baseline JSON to "
-                                 "compare against or rewrite")
-    bench_perf.add_argument("--no-reuse", action="store_true",
-                            help="skip the cross-file reuse measurement")
-    bench_perf.add_argument("--update", action="store_true",
-                            help="record the current measurement as the "
-                                 "new baseline instead of comparing")
-    bench_perf.add_argument("--tolerance", type=float, default=0.5,
-                            help="allowed slowdown fraction before an op "
-                                 "counts as a regression (0.5 = 50%%)")
-    bench_perf.add_argument("--workers", type=_positive(zero_ok=True),
-                            default=4,
-                            help="executor worker count for the dispatch "
-                                 "measurements (0 = one per CPU)")
-    bench_perf.add_argument("--json", action="store_true",
-                            help="print the raw measurement JSON")
-    bench_perf.set_defaults(handler=_cmd_bench, bench_action="perf")
+    bench.set_defaults(handler=_cmd_bench)
 
     chaos = sub.add_parser(
         "chaos", help="soak the resilience stack: shaped fault schedules "

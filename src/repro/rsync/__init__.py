@@ -13,7 +13,6 @@ searches for the per-file best block size (the idealised baseline the paper
 plots alongside the default block size).
 """
 
-from repro.rsync.inplace import InPlaceResult, apply_tokens_in_place
 from repro.rsync.optimal import DEFAULT_SEARCH_BLOCK_SIZES, rsync_optimal
 from repro.rsync.protocol import DEFAULT_BLOCK_SIZE, RsyncResult, rsync_sync
 from repro.rsync.signature import BlockSignature, compute_signatures
@@ -21,8 +20,6 @@ from repro.rsync.matcher import Literal, Reference, Token, match_tokens
 
 __all__ = [
     "BlockSignature",
-    "InPlaceResult",
-    "apply_tokens_in_place",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_SEARCH_BLOCK_SIZES",
     "Literal",

@@ -193,6 +193,17 @@ SYNC_FLAGS = {
     "--checkpoint-dir", "--resume", "--output",
 }
 
+#: Every option string of ``repro bench``, which has no sub-commands.
+BENCH_FLAGS = {"-h", "--help", "--workload", "--scale", "--seed", "--workers"}
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands.choices[name]
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -200,16 +211,23 @@ class TestParser:
             main([])
 
     def test_sync_flag_set_is_pinned(self):
-        commands = next(
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
         flags = {
             option
-            for action in commands.choices["sync"]._actions
+            for action in _subcommand("sync")._actions
             for option in action.option_strings
         }
         assert flags == SYNC_FLAGS
+
+    def test_bench_flag_set_is_pinned(self):
+        actions = _subcommand("bench")._actions
+        assert not any(
+            isinstance(action, argparse._SubParsersAction)
+            for action in actions
+        )
+        flags = {
+            option for action in actions for option in action.option_strings
+        }
+        assert flags == BENCH_FLAGS
 
     @pytest.mark.parametrize(
         "flags",

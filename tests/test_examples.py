@@ -59,7 +59,3 @@ class TestExamples:
         out = run_example("protocol_trace.py")
         assert "round" in out
         assert "harvest rate" in out
-
-    def test_inplace_mobile(self):
-        out = run_example("inplace_mobile.py")
-        assert "cycle-breaking literals" in out

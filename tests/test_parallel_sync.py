@@ -85,6 +85,29 @@ def test_parallel_matches_serial_zdelta(workload):
     _assert_reports_identical(serial, parallel)
 
 
+def test_parallel_matches_serial_with_sibling_refs():
+    """Changed files fan out to the pool; the added files (a rename and a
+    near-copy of an unchanged file) go after them, in the parent."""
+    old, new = _gcc_pair()
+    new = dict(new)
+    kept = [name for name in sorted(old) if new.get(name) == old[name]]
+    new["renamed/copy.c"] = old[kept[0]]
+    new["renamed/variant.c"] = old[kept[1]][:-40] + b"/* variant */\n"
+    serial = sync_collection(
+        old, new, OursMethod(), workers=1, sibling_refs=True
+    )
+    parallel = sync_collection(
+        old, new, OursMethod(), workers=2, sibling_refs=True
+    )
+    assert parallel.workers == 2
+    assert serial.dedup_hits == 1 and serial.sibling_refs_used == 1
+    _assert_reports_identical(serial, parallel)
+    assert parallel.added == serial.added
+    assert parallel.dedup_hits == serial.dedup_hits
+    assert parallel.sibling_refs_used == serial.sibling_refs_used
+    assert parallel.reconstructed == new
+
+
 class _UnpicklableOurs(SyncMethod):
     """Forces the executor's serial fallback while workers=2 is requested."""
 
