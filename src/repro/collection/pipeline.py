@@ -10,6 +10,8 @@ supervised method, :meth:`~repro.resilience.SyncSupervisor.lane` with
 its retries, fallback ladder, breakers, deadlines and checkpoints) over
 a private channel whose sends are recorded, which keeps the file's wire
 transcript and byte accounting bit-identical to a sequential run.  The
+window's lanes step through the same driver as the sequential path
+(:mod:`repro.lanes`), so their rounds run stacked.  The
 :class:`CollectionScheduler` mirrors up to ``window`` lanes' recorded
 messages onto one shared :class:`~repro.net.channel.SimulatedChannel`,
 one multiplexed batch (:func:`~repro.net.frame.encode_mux_batch`) per
@@ -21,11 +23,11 @@ in one lockstep batch sequence.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.exceptions import ProtocolError, ReproError
+from repro.exceptions import ProtocolError
+from repro.lanes import Lane, step_lanes
 from repro.net.channel import LinkModel, SentMessage, SimulatedChannel
 from repro.net.frame import (
     decode_mux_batch,
@@ -33,7 +35,7 @@ from repro.net.frame import (
     mux_overhead_bytes,
 )
 from repro.net.metrics import Direction, TransferStats
-from repro.parallel.executor import FileResult, FileTask, failed_outcome
+from repro.parallel.executor import FileResult, FileTask, lane_result
 from repro.syncmethod import SyncMethod
 
 __all__ = ["CollectionScheduler", "PipelineRun"]
@@ -44,20 +46,17 @@ MUX_PHASE = "mux"
 
 @dataclass
 class _Lane:
-    """One in-flight file: its step generator and recorded sends.
+    """One in-flight file: its driver lane and recorded sends.
 
     ``transcript[flushed:]`` is the lane's outbox: what it sent on its
     private channel that the shared link has not carried yet.
     """
 
     task: FileTask
-    steps: object
+    lane: Lane
     transcript: list = field(default_factory=list)
     flushed: int = 0
-    elapsed_s: float = 0.0
-    cpu_s: float = 0.0
     result: FileResult | None = None
-    reconstructed: bytes | None = None
 
     @property
     def done(self) -> bool:
@@ -142,7 +141,7 @@ class CollectionScheduler:
             steps = self.method.lane(
                 task.name, task.old, task.new, recorder=transcript
             )
-            lanes.append(_Lane(task, steps, transcript))
+            lanes.append(_Lane(task, Lane(steps), transcript))
         pending = deque(lanes)
         active = [pending.popleft() for _ in range(min(self.window, len(lanes)))]
         direction = Direction.CLIENT_TO_SERVER
@@ -151,7 +150,9 @@ class CollectionScheduler:
             index = 0
             while index < len(active):
                 lane = active[index]
-                runs.append(self._take_run(lane, direction, capture_errors))
+                runs.append(
+                    self._take_run(lane, direction, active, capture_errors)
+                )
                 if lane.done:
                     del active[index]
                     if pending:
@@ -165,8 +166,8 @@ class CollectionScheduler:
         for lane in lanes:
             run.files.append(lane.result)
             run.transcripts[lane.task.name] = lane.transcript
-            if lane.reconstructed is not None:
-                run.reconstructed[lane.task.name] = lane.reconstructed
+            if lane.result.reconstructed is not None:
+                run.reconstructed[lane.task.name] = lane.result.reconstructed
         run.waves = self.waves
         run.mux_overhead_bytes = self.mux_overhead
         run.shared_stats = self.shared.stats
@@ -180,7 +181,11 @@ class CollectionScheduler:
 
     # ------------------------------------------------------------------
     def _take_run(
-        self, lane: _Lane, direction: Direction, capture_errors: bool
+        self,
+        lane: _Lane,
+        direction: Direction,
+        active: list[_Lane],
+        capture_errors: bool,
     ) -> list[SentMessage]:
         """Pop the lane's next run in ``direction``, stepping the lane
         whenever its outbox runs dry."""
@@ -189,7 +194,7 @@ class CollectionScheduler:
             if lane.flushed == len(lane.transcript):
                 if lane.result is not None:
                     return run
-                self._step_lane(lane, capture_errors)
+                self._step(lane, active, capture_errors)
                 continue
             message = lane.transcript[lane.flushed]
             if message.direction is not direction:
@@ -198,25 +203,29 @@ class CollectionScheduler:
             lane.flushed += 1
 
     # ------------------------------------------------------------------
-    def _step_lane(self, lane: _Lane, capture_errors: bool) -> None:
-        """Advance one lane by exactly one step; settle it when it ends."""
-        started = time.perf_counter()
-        cpu_started = time.process_time()
-        outcome = error = None
-        try:
-            next(lane.steps)
-        except StopIteration as stop:
-            outcome, lane.reconstructed = stop.value
-        except ReproError as exc:
-            if not capture_errors:
-                raise
-            outcome, error = failed_outcome(exc)
-        lane.elapsed_s += time.perf_counter() - started
-        lane.cpu_s += time.process_time() - cpu_started
-        if outcome is not None:
-            lane.result = FileResult(
-                lane.task.name, outcome, lane.elapsed_s, lane.cpu_s, error
-            )
+    def _step(
+        self, lane: _Lane, active: list[_Lane], capture_errors: bool
+    ) -> None:
+        """Advance ``lane`` by one step — stacked with every other
+        unfinished lane of the window — and settle the lanes that end.
+
+        Stepping a lane early only fills its outbox sooner: what it sends
+        does not depend on when it runs, so the batches stay the same.
+        A method whose results depend on file order steps alone.
+        """
+        group = [lane]
+        if not self.method.observes_file_order:
+            group += [
+                other
+                for other in active
+                if other is not lane and other.result is None
+            ]
+        step_lanes([member.lane for member in group])
+        for member in group:
+            if member.lane.done:
+                member.result = lane_result(
+                    member.task, member.lane, capture_errors
+                )
 
     # ------------------------------------------------------------------
     def _send_batch(

@@ -22,7 +22,7 @@ import signal
 from pathlib import Path
 
 from repro.collection.manifest import Manifest
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, StoreNameError
 
 _HEADER = "repro-manifest v1"
 
@@ -83,7 +83,9 @@ class CollectionStore:
     def path_for(self, name: str) -> Path:
         relative = Path(name)
         if relative.is_absolute() or ".." in relative.parts:
-            raise ValueError(f"entry name escapes the store root: {name!r}")
+            raise StoreNameError(
+                f"entry name escapes the store root: {name!r}"
+            )
         return self.root / relative
 
     def write_file(self, name: str, data: bytes) -> Path:

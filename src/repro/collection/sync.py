@@ -353,9 +353,6 @@ def sync_collection(
     # refusals must be captured (and skipped below) even when other
     # errors still abort the run.
     capture_errors = (on_error != "raise") or graceful
-    # The bytes each client rebuilt, where a pipelined session lane
-    # reports them; elsewhere a correct outcome stands for the server's.
-    received: dict[str, bytes] = {}
     if pipeline:
         from repro.collection.pipeline import CollectionScheduler
 
@@ -369,7 +366,6 @@ def sync_collection(
         report.roundtrips_on_wire = run.roundtrips_on_wire
         report.link_wall_clock_s = run.link_wall_clock_s
         results = run.files
-        received = run.reconstructed
     else:
         executor = SyncExecutor(workers=workers)
         batch = executor.run(method, tasks, capture_errors=capture_errors)
@@ -426,7 +422,13 @@ def sync_collection(
             report.reconstructed[name] = server_files[name]
             continue
         report.per_file[name] = result.outcome
-        report.reconstructed[name] = received.get(name, server_files[name])
+        # The bytes the client rebuilt, where the lane reports them; a
+        # method without a session only vouches with a correct outcome.
+        report.reconstructed[name] = (
+            server_files[name]
+            if result.reconstructed is None
+            else result.reconstructed
+        )
         if result.outcome.retries:
             report.retries[name] = result.outcome.retries
         if result.outcome.fallback_method:

@@ -84,9 +84,22 @@ def split_blocks(
     return child_starts, child_lengths
 
 
+
+
 def _member(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """``np.isin(probes, keys)`` for a sorted ``keys`` array."""
     return keys.searchsorted(probes, "right") != keys.searchsorted(probes)
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate``, without the copy for a stack of one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+#: Lane tag shift of :meth:`Frontier.keyed` offsets: a lane's offsets
+#: (below 2**40) never meet another lane's, nor come within a local
+#: neighbourhood of them.
+_LANE_SHIFT = 40
 
 
 class BlockTracker:
@@ -101,8 +114,8 @@ class BlockTracker:
     (``known_width``, ``known_value``; the server never learns values and
     keeps 0).  Per sibling pair: ``parent_known_width`` and
     ``parent_known_value``, the parent's entries of those two arrays one
-    level up.  Every method is a fixed number of numpy calls, however
-    many blocks the frontier holds.
+    level up.  Queries over the frontier (adjacency, anchors, planning)
+    run on a :class:`Frontier`, which stacks the rows of many trackers.
     """
 
     def __init__(self, target_length: int, config: ProtocolConfig) -> None:
@@ -126,23 +139,47 @@ class BlockTracker:
         parent_known_value: np.ndarray,
     ) -> None:
         rows = starts.size
+        self._set_rows(
+            level,
+            starts,
+            lengths,
+            starts + lengths,
+            np.zeros(rows, dtype=bool),
+            np.zeros(rows, dtype=bool),
+            np.zeros(rows, dtype=np.int64),
+            np.zeros(rows, dtype=np.uint64),
+            parent_known_width,
+            parent_known_value,
+        )
+
+    def _set_rows(
+        self,
+        level,
+        starts,
+        lengths,
+        ends,
+        matched,
+        continuation_failed,
+        known_width,
+        known_value,
+        parent_known_width,
+        parent_known_value,
+    ) -> None:
         self.level = level
         self.starts = starts
         self.lengths = lengths
-        self.ends = starts + lengths
-        self.matched = np.zeros(rows, dtype=bool)
-        self.continuation_failed = np.zeros(rows, dtype=bool)
-        self.known_width = np.zeros(rows, dtype=np.int64)
-        self.known_value = np.zeros(rows, dtype=np.uint64)
+        self.ends = ends
+        self.matched = matched
+        self.continuation_failed = continuation_failed
+        self.known_width = known_width
+        self.known_value = known_value
         self.parent_known_width = parent_known_width
         self.parent_known_value = parent_known_value
-        #: Row ``i``'s sibling row, ``i ^ 1`` (``None`` at level 0).
-        self.siblings = np.arange(rows) ^ 1 if level else None
 
     @property
     def paired(self) -> bool:
         """True once the frontier is made of sibling pairs (level > 0)."""
-        return self.siblings is not None
+        return self.level > 0
 
     def restore_frontier(
         self,
@@ -193,60 +230,178 @@ class BlockTracker:
     def has_active(self) -> bool:
         return np.count_nonzero(self.matched) < self.matched.size
 
-    def advance_level(self) -> bool:
-        """Split what can recurse, retire what cannot; return True if more.
+    def advance_level(self, *others: "BlockTracker") -> np.ndarray:
+        """Split what can recurse, retire what cannot; flag what has more.
 
-        A block recurses while its smaller child is still at least the
-        floor block size (the continuation minimum when continuation
-        hashes are enabled, else the global minimum).
+        Runs for this tracker and every one of ``others`` as one stack
+        (a fixed number of numpy calls however many trackers and rows)
+        and returns one flag per tracker, this one first: True if its
+        new level has blocks.  A block recurses while its smaller child
+        is still at least the floor block size (the continuation minimum
+        when continuation hashes are enabled, else the global minimum).
+        The trackers' new rows are views into shared stack arrays.
         """
+        trackers = (self, *others)
+        frontier = Frontier(trackers)
+        split_length = np.fromiter(
+            (tracker._split_length for tracker in trackers),
+            dtype=np.int64,
+            count=len(trackers),
+        )[frontier.lane]
         splits = (
-            ~self.matched & (self.lengths >= self._split_length)
+            ~frontier.matched & (frontier.lengths >= split_length)
         ).nonzero()[0]
-        self.restore_frontier(
-            self.level + 1,
-            self.starts[splits],
-            self.lengths[splits],
-            self.known_width[splits],
-            self.known_value[splits],
+        starts, lengths = split_blocks(
+            frontier.starts[splits], frontier.lengths[splits]
         )
-        return splits.size > 0
+        rows = starts.size
+        ends = starts + lengths
+        matched = np.zeros(rows, dtype=bool)
+        continuation_failed = np.zeros(rows, dtype=bool)
+        known_width = np.zeros(rows, dtype=np.int64)
+        known_value = np.zeros(rows, dtype=np.uint64)
+        parent_width = _cat([t.known_width for t in trackers])[splits]
+        parent_value = _cat([t.known_value for t in trackers])[splits]
+        cut = splits.searchsorted(frontier.bounds).tolist()
+        for tracker, lo, hi in zip(trackers, cut, cut[1:]):
+            child = slice(2 * lo, 2 * hi)
+            tracker._set_rows(
+                tracker.level + 1,
+                starts[child],
+                lengths[child],
+                ends[child],
+                matched[child],
+                continuation_failed[child],
+                known_width[child],
+                known_value[child],
+                parent_width[lo:hi],
+                parent_value[lo:hi],
+            )
+        return np.diff(cut) > 0
 
-    # ------------------------------------------------------------------
-    # Adjacency / neighborhood queries (whole frontier at once)
-    # ------------------------------------------------------------------
-    def continuation_eligible(self) -> np.ndarray:
-        """Rows a confirmed match ends right before or starts right after."""
-        return _member(self.confirmed_ends, self.starts) | _member(
-            self.confirmed_starts, self.ends
+
+class Frontier:
+    """The current level of one or more trackers, as one set of rows.
+
+    Row ``r`` belongs to ``trackers[lane[r]]``, which owns rows
+    ``bounds[i]:bounds[i + 1]`` in its own order.  Planning runs over a
+    frontier, so a stack of lanes — both endpoints of each — is planned
+    by one call; a single tracker is a stack of one.  The arrays are
+    copies (except for a stack of one): state changes go to the
+    trackers, through :meth:`scatter` or their own methods.
+    """
+
+    def __init__(self, trackers) -> None:
+        self.trackers = trackers = list(trackers)
+        self.config = trackers[0].config
+        count = len(trackers)
+        self.counts = np.fromiter(
+            (tracker.starts.size for tracker in trackers),
+            dtype=np.int64,
+            count=count,
+        )
+        self.bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.bounds[1:])
+        self.lane = np.repeat(np.arange(count), self.counts)
+        self.starts = _cat([tracker.starts for tracker in trackers])
+        self.lengths = _cat([tracker.lengths for tracker in trackers])
+        self.ends = _cat([tracker.ends for tracker in trackers])
+        self.matched = _cat([tracker.matched for tracker in trackers])
+        self.continuation_failed = _cat(
+            [tracker.continuation_failed for tracker in trackers]
+        )
+        self.paired_lanes = np.fromiter(
+            (tracker.level > 0 for tracker in trackers),
+            dtype=bool,
+            count=count,
+        )
+
+    @property
+    def size(self) -> int:
+        return int(self.bounds[-1])
+
+    def keyed(self, lanes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Offsets tagged with their lane: sortable across the stack."""
+        return (lanes << _LANE_SHIFT) + offsets
+
+    def local_rows(self) -> np.ndarray:
+        """Each row's index within its own tracker."""
+        return np.arange(self.size) - self.bounds[self.lane]
+
+    def right_children(self) -> np.ndarray:
+        """Rows that are the right child of a sibling pair."""
+        return self.paired_lanes[self.lane] & (self.local_rows() % 2 == 1)
+
+    def parent_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each (paired) row's parent in :meth:`parent_known`."""
+        pairs = np.where(self.paired_lanes, self.counts // 2, 0)
+        pair_bounds = np.concatenate(([0], np.cumsum(pairs)))
+        lanes = self.lane[rows]
+        return pair_bounds[lanes] + (rows - self.bounds[lanes]) // 2
+
+    def parent_known(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every paired tracker's per-pair parent width and value arrays."""
+        return (
+            _cat([tracker.parent_known_width for tracker in self.trackers]),
+            _cat([tracker.parent_known_value for tracker in self.trackers]),
         )
 
     def sibling_matched(self) -> np.ndarray:
         """Rows whose sibling was confirmed (always False at level 0)."""
-        if not self.paired:
-            return np.zeros(self.starts.size, dtype=bool)
-        return self.matched[self.siblings]
+        rows = np.arange(self.size)
+        siblings = self.bounds[self.lane] + ((rows - self.bounds[self.lane]) ^ 1)
+        paired = self.paired_lanes[self.lane]
+        return paired & self.matched[np.where(paired, siblings, rows)]
 
-    def local_anchors(
-        self, starts: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """Start of the anchoring match of each region, ``-1`` if none.
+    def has_confirmed(self) -> bool:
+        return any(tracker.confirmed_starts.size for tracker in self.trackers)
 
-        The anchor is the nearest confirmed region within the local-hash
-        neighborhood that ends at or before the region's start or begins
-        at or after its end (overlapping regions cannot anchor; they are
-        tree-disjoint).  Equal distances go to the earlier confirmation.
+    def _confirmed_keys(self, name: str) -> np.ndarray:
+        arrays = [getattr(tracker, name) for tracker in self.trackers]
+        counts = [array.size for array in arrays]
+        lanes = np.repeat(np.arange(len(arrays)), counts)
+        return self.keyed(lanes, _cat(arrays))
+
+    def continuation_eligible(self) -> np.ndarray:
+        """Rows a confirmed match ends right before or starts right after."""
+        return _member(
+            self._confirmed_keys("confirmed_ends"),
+            self.keyed(self.lane, self.starts),
+        ) | _member(
+            self._confirmed_keys("confirmed_starts"),
+            self.keyed(self.lane, self.ends),
+        )
+
+    def local_anchors(self, rows: np.ndarray) -> np.ndarray:
+        """Start of the anchoring match of each row's block, ``-1`` if none.
+
+        The anchor is the nearest confirmed region of the row's own
+        tracker within the local-hash neighborhood that ends at or
+        before the block's start or begins at or after its end
+        (overlapping regions cannot anchor; they are tree-disjoint).
+        Equal distances go to the earlier confirmation.
         """
-        anchors = np.full(starts.shape, -1, dtype=np.int64)
-        count = len(self.confirmed_regions)
-        if count == 0 or starts.size == 0:
+        anchors = np.full(rows.shape, -1, dtype=np.int64)
+        tables = [
+            np.asarray(tracker.confirmed_regions, dtype=np.int64).reshape(-1, 2)
+            for tracker in self.trackers
+        ]
+        table = _cat(tables)
+        count = len(table)
+        if count == 0 or rows.size == 0:
             return anchors
         radius = self.config.local_neighborhood
-        table = np.asarray(self.confirmed_regions, dtype=np.int64)
-        order = table[:, 0].argsort(kind="stable")
-        region_starts = table[order, 0]
+        region_lanes = np.repeat(
+            np.arange(len(tables)), [len(part) for part in tables]
+        )
+        keys = self.keyed(region_lanes, table[:, 0])
+        # ``order`` maps a sorted position to its confirmation rank (a
+        # tracker's regions keep their order in the concatenation).
+        order = keys.argsort(kind="stable")
+        region_starts = keys[order]
         region_ends = region_starts + table[order, 1]
-        # ``order`` maps a sorted position to its confirmation rank.
+        starts = self.keyed(self.lane[rows], self.starts[rows])
+        ends = starts + self.lengths[rows]
         # Nearest region ending at or before the start.
         before = np.searchsorted(region_ends, starts, side="right") - 1
         before_ok = before >= 0
@@ -254,10 +409,10 @@ class BlockTracker:
         before_distance = starts - region_ends[before]
         before_ok &= before_distance <= radius
         # Nearest region starting at or after the end.
-        after = np.searchsorted(region_starts, starts + lengths, side="left")
+        after = np.searchsorted(region_starts, ends, side="left")
         after_ok = after < count
         after = np.minimum(after, count - 1)
-        after_distance = region_starts[after] - (starts + lengths)
+        after_distance = region_starts[after] - ends
         after_ok &= after_distance <= radius
         take_after = after_ok & (
             ~before_ok
@@ -267,6 +422,20 @@ class BlockTracker:
                 & (order[after] < order[before])
             )
         )
-        anchors[before_ok] = region_starts[before[before_ok]]
-        anchors[take_after] = region_starts[after[take_after]]
+        anchors[before_ok] = table[order[before[before_ok]], 0]
+        anchors[take_after] = table[order[after[take_after]], 0]
         return anchors
+
+    def split(self, rows: np.ndarray) -> list[int]:
+        """Cut points of ascending frontier ``rows`` at tracker bounds."""
+        return rows.searchsorted(self.bounds).tolist()
+
+    def scatter(self, name: str, rows: np.ndarray, values) -> None:
+        """``trackers[lane][name][local row] = value`` for ascending rows."""
+        values = np.broadcast_to(values, rows.shape)
+        cut = self.split(rows)
+        for tracker, lo, hi, base in zip(
+            self.trackers, cut, cut[1:], self.bounds.tolist()
+        ):
+            if hi > lo:
+                getattr(tracker, name)[rows[lo:hi] - base] = values[lo:hi]

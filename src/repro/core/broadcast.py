@@ -260,13 +260,16 @@ def _verify_unicast(
         if not selection:
             continue
         units = make_units(selection, batch)
-        values = client.verification_values(
-            [[(position, length) for _, length, position in unit]
+        values = ClientSession.verification_values(
+            [client],
+            [(0, [(position, length) for _, length, position in unit])
              for unit in units],
             batch,
         )
-        expected = server.verification_values(
-            [[(start, length) for start, length, _ in unit] for unit in units],
+        expected = ServerSession.verification_values(
+            [server],
+            [(0, [(start, length) for start, length, _ in unit])
+             for unit in units],
             batch,
         )
         writer = BitWriter()

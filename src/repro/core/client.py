@@ -5,17 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocks import (
+    _LANE_SHIFT,
     DERIVED,
     GLOBAL,
     LOCAL,
     BlockTracker,
+    Frontier,
 )
 from repro.core.config import ProtocolConfig
 from repro.core.filemap import FileMap
 from repro.core.planning import HashPlan
 from repro.core.verification import region_verification_values
 from repro.delta import vcdiff_decode, zdelta_decode
-from repro.exceptions import DeltaFormatError, ProtocolError
+from repro.exceptions import (
+    DeltaFormatError,
+    ProtocolError,
+    TruncatedMessageError,
+)
 from repro.grouptesting.strategies import BatchSpec
 from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import (
@@ -25,7 +31,7 @@ from repro.hashing.scan import (
     pack_to_widths,
 )
 from repro.hashing.strong import StrongHasher, file_fingerprint
-from repro.io.bitstream import BitReader
+from repro.io.bitstream import unpack_messages
 from repro.parallel.cache import HashIndexCache, default_cache
 
 
@@ -82,6 +88,9 @@ class SortedPositionMap:
     def __len__(self) -> int:
         return self._ensure_sorted().size - 1
 
+    def __bool__(self) -> bool:
+        return bool(self._keys)
+
     def get(self, key: int) -> int | None:
         """Point probe."""
         value = int(self.get_many(np.asarray([key], dtype=np.int64))[0])
@@ -89,11 +98,39 @@ class SortedPositionMap:
 
     def get_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched probe: one value per key, ``-1`` where absent."""
-        sorted_keys = self._ensure_sorted()
-        at = sorted_keys.searchsorted(keys)
+        return SortedPositionMap.get_stacked(
+            [self], np.zeros(len(keys), dtype=np.int64), keys
+        )
+
+    @staticmethod
+    def get_stacked(
+        maps: "list[SortedPositionMap]", lanes: np.ndarray, keys: np.ndarray
+    ) -> np.ndarray:
+        """Probe many lanes' maps at once: ``maps[lanes[i]].get(keys[i])``.
+
+        Each lane's sorted keys are tagged with the lane, so the stacked
+        table stays sorted and one ``searchsorted`` answers every probe.
+        """
+        if len(maps) == 1:
+            stacked, values = maps[0]._ensure_sorted(), maps[0]._sorted_values
+            probes = keys
+        else:
+            tables = [
+                (m._ensure_sorted()[:-1], m._sorted_values[:-1]) for m in maps
+            ]
+            counts = [table[0].size for table in tables]
+            stacked = np.concatenate(
+                [(np.repeat(np.arange(len(maps)), counts) << _LANE_SHIFT)
+                 + np.concatenate([table[0] for table in tables]), [_SENTINEL]]
+            )
+            values = np.concatenate(
+                [table[1] for table in tables] + [np.full(1, -1, dtype=np.int64)]
+            )
+            probes = (lanes << _LANE_SHIFT) + keys
+        at = stacked.searchsorted(probes)
         # Absent keys read the sentinel's -1 (probes are below it).
-        at[sorted_keys[at] != keys] = sorted_keys.size - 1
-        return self._sorted_values[at]
+        at[stacked[at] != probes] = stacked.size - 1
+        return values[at]
 
 
 class ClientSession:
@@ -165,43 +202,74 @@ class ClientSession:
             self._indexes[length] = index
         return index
 
-    def process_hashes(self, plan: HashPlan, payload: bytes) -> np.ndarray:
-        """Parse a hash message; return one candidate position per plan row.
+    @staticmethod
+    def process_hashes(
+        clients: "list[ClientSession]",
+        frontier: Frontier,
+        plan: HashPlan,
+        cut: list[int],
+        payloads: list,
+    ) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Parse every lane's hash message of one sub-phase at once.
 
-        ``-1`` marks rows without a candidate.  Derived hashes are
-        reconstructed from the parent's stored value and the left
-        sibling's value, which precedes them in the same message.  Probe
-        order per row: the source position right after the left
-        neighbour's match, the one right before the right neighbour's
-        match, then (GLOBAL/DERIVED) the full hash index or (LOCAL) the
-        index around the anchoring match.
+        ``clients[i]`` owns plan rows ``cut[i]:cut[i + 1]`` and received
+        ``payloads[i]`` (``None``: lost); the plan rows index
+        ``frontier``, which holds the clients' trackers.  Returns one
+        candidate position per plan row (``-1`` = none) and the lanes
+        whose message was malformed, with the error each should fail
+        with.
+
+        Derived hashes are reconstructed from the parent's stored value
+        and the left sibling's value, which precedes them in the same
+        message.  Probe order per row: the source position right after
+        the left neighbour's match, the one right before the right
+        neighbour's match, then (GLOBAL/DERIVED) the full hash index of
+        that lane — one lookup per (lane, length, width) — or (LOCAL)
+        the index around the anchoring match.
         """
-        tracker = self._require_tracker()
         kinds, widths, starts, lengths = (
             plan.kinds, plan.widths, plan.starts, plan.lengths,
         )
+        count = len(clients)
+        lanes = np.repeat(np.arange(count), np.diff(cut))
         wire = kinds != DERIVED
         values = np.zeros(wire.size, dtype=np.uint64)
-        values[wire] = BitReader(payload).read_many(
-            np.count_nonzero(wire), widths[wire]
+        values[wire], short = unpack_messages(
+            payloads, widths[wire], np.bincount(lanes[wire], minlength=count)
         )
+        failures: dict[int, Exception] = {
+            lane: TruncatedMessageError("hash message too short")
+            for lane in short
+        }
         derived = (~wire).nonzero()[0]
         if derived.size:
-            values[derived] = self._derive(tracker, plan, values, derived)
+            ClientSession._derive(frontier, plan, values, derived, lanes, failures)
         known = kinds <= DERIVED  # GLOBAL or DERIVED
-        tracker.known_value[plan.rows[known]] = values[known]
+        frontier.scatter("known_value", plan.rows[known], values[known])
 
-        max_start = len(self.data) - lengths
+        data_lengths = np.fromiter(
+            (len(client.data) for client in clients), dtype=np.int64, count=count
+        )
+        # A failed lane's rows look for nothing (rows that cannot fit
+        # the file are never probed).
+        data_lengths[list(failures)] = -1
+        max_start = data_lengths[lanes] - lengths
         candidate = np.full(wire.size, -1, dtype=np.int64)
-        if len(self._source_at_start):
-            after = self._source_after_end.get_many(starts)
-            self._probe(
-                candidate, after, (after >= 0) & (after <= max_start),
-                lengths, widths, values,
+        if any(client._source_at_start for client in clients):
+            after = SortedPositionMap.get_stacked(
+                [client._source_after_end for client in clients], lanes, starts
             )
-            at = self._source_at_start.get_many(starts + lengths) - lengths
-            self._probe(
-                candidate, at,
+            ClientSession._probe(
+                clients, lanes, candidate, after,
+                (after >= 0) & (after <= max_start), lengths, widths, values,
+            )
+            at = SortedPositionMap.get_stacked(
+                [client._source_at_start for client in clients],
+                lanes,
+                starts + lengths,
+            ) - lengths
+            ClientSession._probe(
+                clients, lanes, candidate, at,
                 (candidate < 0) & (at >= 0) & (at <= max_start),
                 lengths, widths, values,
             )
@@ -209,53 +277,80 @@ class ClientSession:
         open_rows = (candidate < 0) & (max_start >= 0)
         lookup = (open_rows & known).nonzero()[0]
         if lookup.size:
-            # One batched index lookup per (length, width) group.
-            keys = lengths[lookup] * 64 + widths[lookup]
+            # One batched index lookup per (lane, length, width) group.
+            keys = (
+                (lanes[lookup] << _LANE_SHIFT | lengths[lookup]) * 64
+                + widths[lookup]
+            )
+            order = keys.argsort(kind="stable")
+            keys = keys[order]
+            members = lookup[order]
+            heads = np.flatnonzero(np.diff(keys, prepend=-1))
             queries = values.astype(np.uint32)
-            for key in dict.fromkeys(keys.tolist()):
-                members = lookup[keys == key]
-                length, width = divmod(key, 64)
-                candidate[members] = self._index(length).lookup_many(
-                    queries[members], width
+            for head, tail in zip(
+                heads.tolist(), np.append(heads[1:], keys.size).tolist()
+            ):
+                group = members[head:tail]
+                lane_length, width = divmod(int(keys[head]), 64)
+                lane, length = divmod(lane_length, 1 << _LANE_SHIFT)
+                candidate[group] = clients[lane]._index(length).lookup_many(
+                    queries[group], width
                 )
         local = (open_rows & (kinds == LOCAL)).nonzero()[0]
         if local.size:
-            self._local_candidates(tracker, plan, values, local, candidate)
-        return candidate
+            ClientSession._local_candidates(
+                clients, frontier, plan, values, local, lanes, candidate
+            )
+        return candidate, failures
 
+    @staticmethod
     def _derive(
-        self,
-        tracker: BlockTracker,
+        frontier: Frontier,
         plan: HashPlan,
         values: np.ndarray,
         derived: np.ndarray,
-    ) -> np.ndarray:
-        """Values of DERIVED rows (right children) from parent and left."""
+        lanes: np.ndarray,
+        failures: dict[int, Exception],
+    ) -> None:
+        """Fill DERIVED rows (right children) from parent and left values."""
         rows = plan.rows[derived]
         left = derived - 1
-        if (
-            not tracker.paired
-            or derived[0] == 0
-            or np.count_nonzero(rows % 2 == 0)
-            or np.count_nonzero(plan.rows[left] != rows - 1)
-            or np.count_nonzero(plan.kinds[left] != GLOBAL)
-        ):
-            raise ProtocolError("derived hash without parent/sibling")
-        pairs = rows // 2
-        parent_widths = tracker.parent_known_width[pairs]
+        frontier_lanes = frontier.lane[rows]
+        local_rows = rows - frontier.bounds[frontier_lanes]
+        ok = (
+            frontier.paired_lanes[frontier_lanes]
+            & (left >= 0)
+            & (local_rows % 2 == 1)
+            & (lanes[np.maximum(left, 0)] == lanes[derived])
+            & (plan.rows[left] == rows - 1)
+            & (plan.kinds[left] == GLOBAL)
+        )
+        for lane in np.unique(lanes[derived[~ok]]).tolist():
+            failures.setdefault(
+                lane, ProtocolError("derived hash without parent/sibling")
+            )
+        derived, rows, left = derived[ok], rows[ok], left[ok]
+        parent_width, parent_value = frontier.parent_known()
+        parents = frontier.parent_rows(rows)
+        parent_widths = parent_width[parents]
         widths = plan.widths[derived]
-        if np.count_nonzero(parent_widths < widths):
-            raise ProtocolError("derived hash without parent value")
-        return decompose_right_widths(
-            tracker.parent_known_value[pairs],
-            parent_widths,
+        short = parent_widths < widths
+        for lane in np.unique(lanes[derived[short]]).tolist():
+            failures.setdefault(
+                lane, ProtocolError("derived hash without parent value")
+            )
+        values[derived] = decompose_right_widths(
+            parent_value[parents],
+            np.maximum(parent_widths, widths),
             values[left],
             widths,
             plan.lengths[derived],
         )
 
+    @staticmethod
     def _probe(
-        self,
+        clients: "list[ClientSession]",
+        lanes: np.ndarray,
         candidate: np.ndarray,
         positions: np.ndarray,
         mask: np.ndarray,
@@ -267,36 +362,48 @@ class ClientSession:
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             return
-        full = self.prefix.block_pairs(positions[rows], lengths[rows])
+        full = np.empty(rows.size, dtype=np.uint32)
+        cut = lanes[rows].searchsorted(np.arange(len(clients) + 1)).tolist()
+        for client, lo, hi in zip(clients, cut, cut[1:]):
+            if hi > lo:
+                at = rows[lo:hi]
+                full[lo:hi] = client.prefix.block_pairs(
+                    positions[at], lengths[at]
+                )
         matched = rows[pack_to_widths(full, widths[rows]) == values[rows]]
         candidate[matched] = positions[matched]
 
+    @staticmethod
     def _local_candidates(
-        self,
-        tracker: BlockTracker,
+        clients: "list[ClientSession]",
+        frontier: Frontier,
         plan: HashPlan,
         values: np.ndarray,
         rows: np.ndarray,
+        lanes: np.ndarray,
         candidate: np.ndarray,
     ) -> None:
         """Anchored neighborhood search for LOCAL rows (rare; per row)."""
         starts = plan.starts[rows]
-        anchors = tracker.local_anchors(starts, plan.lengths[rows])
-        anchor_sources = self._source_at_start.get_many(anchors)
-        radius = self.config.local_neighborhood
-        for row, start, anchor, anchor_source in zip(
-            rows.tolist(), starts.tolist(), anchors.tolist(),
-            anchor_sources.tolist(),
+        anchors = frontier.local_anchors(plan.rows[rows])
+        anchor_sources = SortedPositionMap.get_stacked(
+            [client._source_at_start for client in clients], lanes[rows], anchors
+        )
+        for row, lane, start, anchor, anchor_source in zip(
+            rows.tolist(), lanes[rows].tolist(), starts.tolist(),
+            anchors.tolist(), anchor_sources.tolist(),
         ):
             if anchor < 0 or anchor_source < 0:
                 continue
+            client = clients[lane]
+            radius = client.config.local_neighborhood
             center = anchor_source + (start - anchor)
-            positions = self._index(int(plan.lengths[row])).lookup_in_range(
+            positions = client._index(int(plan.lengths[row])).lookup_in_range(
                 int(values[row]),
                 int(plan.widths[row]),
                 center - radius,
                 center + radius,
-                max_results=self.config.max_candidate_positions,
+                max_results=client.config.max_candidate_positions,
             )
             if positions:
                 candidate[row] = positions[0]
@@ -304,11 +411,14 @@ class ClientSession:
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
+    @staticmethod
     def verification_values(
-        self, units: list[list[tuple[int, int]]], batch: BatchSpec
+        clients: "list[ClientSession]",
+        units: list[tuple[int, list[tuple[int, int]]]],
+        batch: BatchSpec,
     ) -> list[int]:
-        """The hash sent for each unit of ``(position, length)`` candidates."""
-        return region_verification_values(self.strong, self.data, units, batch)
+        """The hash sent for each ``(lane, (position, length) candidates)`` unit."""
+        return region_verification_values(clients, units, batch)
 
     def record_accepted(
         self, starts: np.ndarray, lengths: np.ndarray, positions: np.ndarray

@@ -3,7 +3,10 @@
 Both endpoints call these with their own (identically evolving)
 :class:`~repro.core.blocks.BlockTracker`; the resulting plans are equal on
 both sides, which is what lets hashes travel without block identifiers.
-Each planner is a handful of mask operations over the whole frontier.
+Each planner is a handful of mask operations over a whole
+:class:`~repro.core.blocks.Frontier`: one tracker, or the stacked
+trackers of many lanes and both endpoints, whose plan rows then come
+out grouped by tracker.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from repro.core.blocks import (
     GLOBAL,
     LOCAL,
     BlockTracker,
+    Frontier,
 )
 
 
 class HashPlan(NamedTuple):
     """One sub-phase's planned hashes as parallel arrays, in offset order.
 
-    ``rows`` index the tracker's frontier, ``kinds`` hold the
+    ``rows`` index the (possibly stacked) frontier, ``kinds`` hold the
     :data:`~repro.core.blocks.KIND_OF_CODE` codes, ``widths`` the width
     of the hash value the client ends up holding, and ``starts``/
     ``lengths`` the rows' geometry.
@@ -53,11 +57,13 @@ def _filled(count: int, value: int) -> np.ndarray:
     return array
 
 
-def _plan(
-    tracker: BlockTracker, rows: np.ndarray, kinds: np.ndarray, widths
-) -> HashPlan:
+def _frontier(frontier: "Frontier | BlockTracker") -> Frontier:
+    return frontier if isinstance(frontier, Frontier) else Frontier([frontier])
+
+
+def _plan(frontier: Frontier, rows: np.ndarray, kinds, widths) -> HashPlan:
     return HashPlan(
-        rows, kinds, widths, tracker.starts[rows], tracker.lengths[rows]
+        rows, kinds, widths, frontier.starts[rows], frontier.lengths[rows]
     )
 
 
@@ -66,18 +72,19 @@ _NOTHING = np.zeros(0, dtype=np.int64)
 _EMPTY_PLAN = HashPlan(_NOTHING, _NOTHING, _NOTHING, _NOTHING, _NOTHING)
 
 
-def plan_continuation(tracker: BlockTracker) -> HashPlan:
+def plan_continuation(frontier: "Frontier | BlockTracker") -> HashPlan:
     """Continuation hashes for this level's adjacency-eligible blocks."""
-    config = tracker.config
-    if not config.continuation_enabled or not tracker.confirmed_starts.size:
+    frontier = _frontier(frontier)
+    config = frontier.config
+    if not config.continuation_enabled or not frontier.has_confirmed():
         return _EMPTY_PLAN
     rows = (
-        ~tracker.matched
-        & (tracker.lengths >= config.continuation_min_block_size)
-        & tracker.continuation_eligible()
+        ~frontier.matched
+        & (frontier.lengths >= config.continuation_min_block_size)
+        & frontier.continuation_eligible()
     ).nonzero()[0]
     return _plan(
-        tracker,
+        frontier,
         rows,
         _filled(rows.size, CONTINUATION),
         _filled(rows.size, config.continuation_hash_bits),
@@ -85,8 +92,8 @@ def plan_continuation(tracker: BlockTracker) -> HashPlan:
 
 
 def plan_global(
-    tracker: BlockTracker,
-    global_bits: int,
+    frontier: "Frontier | BlockTracker",
+    global_bits,
     exclude: np.ndarray | None = None,
 ) -> HashPlan:
     """Global (and optional local) hashes, with decomposable suppression.
@@ -95,7 +102,8 @@ def plan_global(
     when local hashes are enabled, smaller blocks anchored near a
     confirmed match get a local hash instead of nothing.  The right
     sibling of a transmitted global pair whose parent hash the client
-    already holds is marked DERIVED and costs no bits.  ``exclude`` is a
+    already holds is marked DERIVED and costs no bits.  ``global_bits``
+    is one width, or one per tracker of the frontier.  ``exclude`` is a
     frontier mask of blocks already covered by another sub-phase.
 
     With continuation-first rounds the paper's omission rules apply: a
@@ -104,52 +112,61 @@ def plan_global(
     found by the parent or by continuation) or if its own continuation
     hash just failed.
     """
-    config = tracker.config
-    lengths = tracker.lengths
-    candidates = ~tracker.matched
+    frontier = _frontier(frontier)
+    config = frontier.config
+    lengths = frontier.lengths
+    bits = np.asarray(global_bits, dtype=np.int64)
+    if bits.ndim:
+        bits = bits[frontier.lane]
+    candidates = ~frontier.matched
     if exclude is not None:
         candidates &= ~exclude
     if config.continuation_first:
-        candidates &= ~(tracker.continuation_failed | tracker.sibling_matched())
+        candidates &= ~(
+            frontier.continuation_failed | frontier.sibling_matched()
+        )
     is_global = candidates & (lengths >= config.min_block_size)
     selected = is_global
     if config.use_local_hashes:
         is_local = candidates & ~is_global & (lengths >= config.floor_block_size)
         is_local[is_local] = (
-            tracker.local_anchors(tracker.starts[is_local], lengths[is_local])
-            >= 0
+            frontier.local_anchors(is_local.nonzero()[0]) >= 0
         )
         selected = is_global | is_local
     rows = selected.nonzero()[0]
     kinds = _filled(rows.size, GLOBAL)
-    widths = _filled(rows.size, global_bits)
+    widths = np.broadcast_to(bits, lengths.shape)[rows].copy()
     if config.use_local_hashes:
         local = is_local[rows]
         kinds[local] = LOCAL
         widths[local] = config.local_hash_bits
-    if config.use_decomposable and tracker.paired:
-        # A right child (odd row) whose left sibling (the row before) is
-        # chosen GLOBAL and whose parent hash the client holds.
-        pairs = is_global.reshape(-1, 2)
+    if config.use_decomposable and frontier.paired_lanes.any():
+        # A right child whose left sibling (the row before) is chosen
+        # GLOBAL and whose parent hash the client holds.
+        right = (frontier.right_children() & is_global).nonzero()[0]
+        right = right[is_global[right - 1]]
+        parent_width, _values = frontier.parent_known()
+        right = right[
+            parent_width[frontier.parent_rows(right)]
+            >= np.broadcast_to(bits, lengths.shape)[right]
+        ]
         derived = np.zeros(lengths.size, dtype=bool)
-        derived[1::2] = (
-            pairs[:, 0] & pairs[:, 1]
-            & (tracker.parent_known_width >= global_bits)
-        )
+        derived[right] = True
         kinds[derived[rows]] = DERIVED
-    return _plan(tracker, rows, kinds, widths)
+    return _plan(frontier, rows, kinds, widths)
 
 
-def plan_mixed(tracker: BlockTracker, global_bits: int) -> HashPlan:
+def plan_mixed(frontier: "Frontier | BlockTracker", global_bits) -> HashPlan:
     """Single-phase rounds (``continuation_first=False``).
 
     Adjacency-eligible blocks get continuation hashes; the rest get global
     (or local) hashes.  Used to measure the benefit of phase splitting.
     """
-    continuation = plan_continuation(tracker)
-    covered = np.zeros(tracker.starts.size, dtype=bool)
+    frontier = _frontier(frontier)
+    continuation = plan_continuation(frontier)
+    covered = np.zeros(frontier.size, dtype=bool)
     covered[continuation.rows] = True
-    rest = plan_global(tracker, global_bits, exclude=covered)
+    rest = plan_global(frontier, global_bits, exclude=covered)
     order = np.concatenate((continuation.rows, rest.rows)).argsort()
     return HashPlan(
         *(
@@ -159,7 +176,11 @@ def plan_mixed(tracker: BlockTracker, global_bits: int) -> HashPlan:
     )
 
 
-def apply_known_hashes(tracker: BlockTracker, plan: HashPlan) -> None:
+def apply_known_hashes(
+    frontier: "Frontier | BlockTracker", plan: HashPlan
+) -> None:
     """Record which blocks' hash values the client now holds."""
     known = plan.kinds <= DERIVED
-    tracker.known_width[plan.rows[known]] = plan.widths[known]
+    _frontier(frontier).scatter(
+        "known_width", plan.rows[known], plan.widths[known]
+    )

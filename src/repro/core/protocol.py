@@ -6,7 +6,9 @@
 2. rounds of map construction — per block size, an optional continuation
    sub-phase followed by a global sub-phase, each consisting of a hash
    message, a candidate bitmap, and the verification batches of the
-   configured group-testing strategy;
+   configured group-testing strategy — run for a whole stack of files
+   at once (:meth:`CoreSyncSession.step_round`), each file's messages
+   on its own channel;
 3. the final delta, checked against the whole-file fingerprint, with a
    compressed full transfer as the (accounted) fallback.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.blocks import CONTINUATION, KIND_OF_CODE
+from repro.core.blocks import CONTINUATION, KIND_OF_CODE, BlockTracker, Frontier
 from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
 from repro.core.planning import (
@@ -33,9 +35,19 @@ from repro.core.planning import (
 )
 from repro.core.server import ServerSession
 from repro.core.trace import SubphaseTrace
-from repro.core.verification import VerificationPools, make_units
-from repro.exceptions import ProtocolError, SyncStalledError
-from repro.io.bitstream import BitReader, BitWriter
+from repro.exceptions import (
+    ProtocolError,
+    SyncStalledError,
+    TruncatedMessageError,
+)
+from repro.grouptesting.strategies import BatchMode, BatchScope
+from repro.io.bitstream import (
+    BitReader,
+    BitWriter,
+    pack_messages,
+    unpack_messages,
+)
+from repro.lanes import Request, run_lane
 from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction, TransferStats
 
@@ -94,206 +106,475 @@ class SyncResult:
         return self.stats.bytes_in_phase(PHASE_DELTA)
 
 
-def _check_plans_match(server_plan: HashPlan, client_plan: HashPlan) -> None:
-    """Defensive mirror check (free in-process; a real deployment relies
-    on determinism alone)."""
-    if server_plan.size != client_plan.size:
-        raise ProtocolError(
-            f"endpoint plans diverged: {server_plan.size} vs {client_plan.size}"
-        )
-    if [field.tobytes() for field in server_plan] != [
-        field.tobytes() for field in client_plan
-    ]:
-        raise ProtocolError("endpoint plans diverged")
+class RoundRequest(Request):
+    """A lane's next map-construction round, run stacked by
+    :meth:`CoreSyncSession.step_round` with every other pending round
+    of the same config."""
+
+    __slots__ = ("session", "channel")
+
+    def __init__(self, session: "CoreSyncSession", channel: SimulatedChannel) -> None:
+        self.session = session
+        self.channel = channel
+
+    def stack_key(self):
+        return (RoundRequest, self.session.config)
+
+    def rows(self) -> int:
+        return int(self.session.server.tracker.starts.size)
+
+    @classmethod
+    def run_stacked(cls, requests: "list[RoundRequest]") -> list:
+        return CoreSyncSession.step_round(requests)
 
 
-#: One verification candidate: (plan index, offset, length).
-_Item = tuple[int, int, int]
+def _lane_cut(lanes: np.ndarray, count: int) -> list[int]:
+    """Cut points of lane-sorted ``lanes`` at every lane boundary."""
+    return lanes.searchsorted(np.arange(count + 1)).tolist()
 
 
-def _items(flags: np.ndarray, offsets: np.ndarray, lengths: np.ndarray):
-    """The flagged plan rows as verification items, in plan order."""
-    at = flags.nonzero()[0]
-    return list(zip(at.tolist(), offsets[at].tolist(), lengths[at].tolist()))
+def _units(
+    lanes: np.ndarray,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    units: np.ndarray,
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Lane-sorted verification items as ``(lane, regions)`` units."""
+    grouped: list[tuple[int, list[tuple[int, int]]]] = []
+    last = -1
+    for lane, offset, length, unit in zip(
+        lanes.tolist(), offsets.tolist(), lengths.tolist(), units.tolist()
+    ):
+        if unit != last:
+            grouped.append((lane, []))
+            last = unit
+        grouped[-1][1].append((offset, length))
+    return grouped
 
 
-def _regions(units: list[list[_Item]]) -> list[list[tuple[int, int]]]:
-    return [[(offset, length) for _at, offset, length in unit] for unit in units]
+class _RoundStack:
+    """One stacked round: the lanes, their channels and what failed.
 
-
-def _run_verification(
-    channel: SimulatedChannel,
-    client: ClientSession,
-    server: ServerSession,
-    client_items: list[_Item],
-    server_items: list[_Item],
-) -> tuple[list[int], list[int], int]:
-    """Execute the configured verification strategy for one sub-phase.
-
-    Each endpoint verifies its own ``(offset, length)`` regions: the
-    client its candidate positions, the server the blocks themselves.
-    Returns the accepted plan indices of each endpoint plus the
-    client->server verification bits spent.
+    A lane that fails (its channel raised, its state diverged) keeps its
+    error and takes no further part in the round; its rows may still
+    ride along in arrays computed before, but nothing is sent for it
+    and nothing is recorded into its trackers afterwards.
     """
-    strategy = client.config.strategy()
-    client_pools: VerificationPools[_Item] = VerificationPools(main=client_items)
-    server_pools: VerificationPools[_Item] = VerificationPools(main=server_items)
-    verification_bits = 0
-    for batch in strategy.batches:
-        client_selection = client_pools.select(batch)
-        server_selection = server_pools.select(batch)
-        if len(client_selection) != len(server_selection):
-            raise ProtocolError("verification pools diverged")
-        if not client_selection:
-            continue
-        client_units = make_units(client_selection, batch)
-        server_units = make_units(server_selection, batch)
 
-        writer = BitWriter()
-        writer.write_many(
-            np.asarray(
-                client.verification_values(_regions(client_units), batch),
-                dtype=np.uint64,
-            ),
-            batch.bits,
-        )
-        verification_bits += writer.bit_length
-        channel.send(
-            Direction.CLIENT_TO_SERVER,
-            writer.getvalue(),
-            PHASE_MAP,
-            bits=writer.bit_length,
-        )
+    def __init__(self, requests: "list[RoundRequest]") -> None:
+        self.sessions = [request.session for request in requests]
+        self.channels = [request.channel for request in requests]
+        self.errors: list[Exception | None] = [None] * len(requests)
+        self.config = self.sessions[0].config
 
-        received = BitReader(
-            channel.receive(Direction.CLIENT_TO_SERVER)
-        ).read_many(len(server_units), batch.bits)
-        expected = server.verification_values(_regions(server_units), batch)
-        passed = received == np.asarray(expected, dtype=np.uint64)
+    def live(self) -> list[int]:
+        return [lane for lane, error in enumerate(self.errors) if error is None]
 
-        bitmap = BitWriter()
-        bitmap.write_flags(passed)
-        channel.send(
-            Direction.SERVER_TO_CLIENT,
-            bitmap.getvalue(),
-            PHASE_MAP,
-            bits=bitmap.bit_length,
-        )
-        client_passed = BitReader(
-            channel.receive(Direction.SERVER_TO_CLIENT)
-        ).read_flags(len(client_units))
+    def fail(self, lane: int, error: Exception) -> None:
+        if self.errors[lane] is None:
+            self.errors[lane] = error
 
-        client_pools.apply(batch, client_units, client_passed.tolist())
-        server_pools.apply(batch, server_units, passed.tolist())
-    return (
-        [at for at, _offset, _length in client_pools.finish()],
-        [at for at, _offset, _length in server_pools.finish()],
-        verification_bits,
-    )
+    def exchange(
+        self,
+        direction: Direction,
+        lanes: list[int],
+        messages: list[bytes],
+        bits: np.ndarray,
+    ) -> list:
+        """Send each lane's message on its own channel; return what the
+        far end received (``None`` where the lane failed).  An empty
+        message is not sent and reads as ``b""``."""
+        received = []
+        for lane, message, width in zip(lanes, messages, bits.tolist()):
+            payload = b""
+            if self.errors[lane] is not None:
+                payload = None
+            elif width or message:
+                channel = self.channels[lane]
+                try:
+                    channel.send(direction, message, PHASE_MAP, bits=width)
+                    payload = channel.receive(direction)
+                except Exception as exc:  # this lane's failure alone
+                    self.fail(lane, exc)
+                    payload = None
+            received.append(payload)
+        return received
 
+    def fail_short(self, lanes: list[int], short: list[int]) -> None:
+        for index in short:
+            self.fail(lanes[index], TruncatedMessageError("message too short"))
 
-def _run_subphase(
-    channel: SimulatedChannel,
-    client: ClientSession,
-    server: ServerSession,
-    server_plan: HashPlan,
-    client_plan: HashPlan,
-    round_index: int = 0,
-) -> tuple[int, int, "SubphaseTrace | None"]:
-    """One hash message + candidate bitmap + verification exchange.
-
-    Returns ``(continuation_candidates, continuation_accepted, trace)``.
-    """
-    _check_plans_match(server_plan, client_plan)
-    if not server_plan.size:
-        return (0, 0, None)
-
-    payload = server.emit_hashes(server_plan)
-    payload_bits = server_plan.transmitted_bits
-    channel.send(
-        Direction.SERVER_TO_CLIENT, payload, PHASE_MAP, bits=payload_bits
-    )
-    positions = client.process_hashes(
-        client_plan, channel.receive(Direction.SERVER_TO_CLIENT)
-    )
-    found = positions >= 0
-
-    bitmap = BitWriter()
-    bitmap.write_flags(found)
-    channel.send(
-        Direction.CLIENT_TO_SERVER,
-        bitmap.getvalue(),
-        PHASE_MAP,
-        bits=bitmap.bit_length,
-    )
-    server_flags = BitReader(
-        channel.receive(Direction.CLIENT_TO_SERVER)
-    ).read_flags(server_plan.size)
-
-    accepted_client, accepted_server, verification_bits = _run_verification(
-        channel,
-        client,
-        server,
-        _items(found, positions, client_plan.lengths),
-        _items(server_flags, server_plan.starts, server_plan.lengths),
-    )
-    client_rows = np.asarray(accepted_client, dtype=np.int64)
-    server_rows = np.asarray(accepted_server, dtype=np.int64)
-    client_tracker = client._require_tracker()
-    client_tracker.record_matches(client_plan.rows[client_rows])
-    client.record_accepted(
-        client_plan.starts[client_rows],
-        client_plan.lengths[client_rows],
-        positions[client_rows],
-    )
-    server.tracker.record_matches(server_plan.rows[server_rows])
-
-    # Both endpoints now mark failed continuation attempts identically.
-    continuation = client_plan.kinds == CONTINUATION
-    continuation_candidates = continuation_accepted = 0
-    if np.count_nonzero(continuation):
-        for tracker, plan, rows in (
-            (server.tracker, server_plan, server_rows),
-            (client_tracker, client_plan, client_rows),
+    # ------------------------------------------------------------------
+    def run(self) -> list:
+        for lane, (session, channel) in enumerate(
+            zip(self.sessions, self.channels)
         ):
-            failed = plan.kinds == CONTINUATION
-            failed[rows] = False
-            tracker.continuation_failed[plan.rows[failed]] = True
-        continuation_candidates = np.count_nonzero(continuation & found)
-        continuation_accepted = np.count_nonzero(continuation[client_rows])
+            session.rounds += 1
+            if session.rounds > _STALL_ROUND_LIMIT:
+                self.fail(lane, SyncStalledError(
+                    f"map construction still has active blocks after "
+                    f"{_STALL_ROUND_LIMIT} rounds — session is not converging"
+                ))
+            else:
+                channel.mark_round(session.rounds)
+        config = self.config
+        if config.continuation_first and config.continuation_enabled:
+            planners = [
+                lambda frontier, bits: plan_continuation(frontier),
+                plan_global,
+            ]
+        else:
+            planners = [plan_mixed]
+        for planner in planners:
+            # Plans must be derived immediately before each sub-phase:
+            # the continuation sub-phase's confirmations feed the global
+            # sub-phase's skip rules.
+            self.subphase(planner)
+        self.advance()
+        return self.errors
 
-    apply_known_hashes(server.tracker, server_plan)
-    apply_known_hashes(client_tracker, client_plan)
-
-    trace = None
-    if client.config.collect_trace:
-        counts = np.bincount(server_plan.kinds, minlength=len(KIND_OF_CODE))
-        trace = SubphaseTrace(
-            round_index=round_index,
-            block_length=int(server_plan.lengths.max()),
-            hash_counts={
-                kind: int(count)
-                for kind, count in zip(KIND_OF_CODE, counts.tolist())
-                if count
-            },
-            hash_bits_sent=payload_bits,
-            candidates=np.count_nonzero(found),
-            accepted=len(accepted_client),
-            verification_bits=verification_bits,
+    # ------------------------------------------------------------------
+    def subphase(self, planner) -> None:
+        """One hash message + candidate bitmap + verification exchange,
+        for every live lane."""
+        lanes = self.live()
+        if not lanes:
+            return
+        count = len(lanes)
+        servers = [self.sessions[lane].server for lane in lanes]
+        clients = [self.sessions[lane].client for lane in lanes]
+        # Both endpoints of every lane, planned by one call.
+        frontier = Frontier(
+            [server.tracker for server in servers]
+            + [client._require_tracker() for client in clients]
         )
-    return (continuation_candidates, continuation_accepted, trace)
+        plan = planner(
+            frontier,
+            np.asarray(
+                [server.global_bits for server in servers]
+                + [client.global_bits for client in clients],
+                dtype=np.int64,
+            ),
+        )
+        cut = frontier.split(plan.rows)
+        half = cut[count]
+        server_plan = HashPlan(*(column[:half] for column in plan))
+        client_plan = HashPlan(*(column[half:] for column in plan))
+        server_cut = cut[: count + 1]
+        client_cut = [at - half for at in cut[count:]]
+        plan_lanes = np.repeat(np.arange(count), np.diff(server_cut))
+        diverged = self.diverged(
+            frontier, server_plan, client_plan, server_cut, client_cut,
+            plan_lanes,
+        )
+        if diverged:
+            for index in diverged:
+                self.fail(lanes[index], ProtocolError("endpoint plans diverged"))
+            return self.subphase(planner)
+        if not server_plan.size:
+            return
+
+        plan_counts = np.diff(server_cut)
+        messages, message_bits = ServerSession.emit_hashes(
+            servers, server_plan, server_cut
+        )
+        payloads = self.exchange(
+            Direction.SERVER_TO_CLIENT, lanes, messages, message_bits
+        )
+        positions, failures = ClientSession.process_hashes(
+            clients, frontier, client_plan, client_cut, payloads
+        )
+        for index, error in failures.items():
+            self.fail(lanes[index], error)
+        found = positions >= 0
+
+        bitmaps, bitmap_bits = pack_messages(found, 1, plan_counts)
+        server_flags, short = unpack_messages(
+            self.exchange(
+                Direction.CLIENT_TO_SERVER, lanes, bitmaps, bitmap_bits
+            ),
+            1,
+            plan_counts,
+        )
+        self.fail_short(lanes, short)
+
+        accepted_client, accepted_server, verification_bits = self.verify(
+            lanes, clients, servers, plan_lanes, client_plan, server_plan,
+            positions, found.nonzero()[0], server_flags.nonzero()[0],
+        )
+        self.record(
+            lanes, frontier, plan, server_plan, client_plan, plan_lanes,
+            positions, found, accepted_client, accepted_server,
+            message_bits, verification_bits,
+        )
+
+    def diverged(
+        self, frontier, server_plan, client_plan, server_cut, client_cut,
+        plan_lanes,
+    ) -> list[int]:
+        """Lanes whose endpoints planned differently (a mirror check that
+        is free in process; a real deployment relies on determinism)."""
+        count = len(server_cut) - 1
+        if server_cut == client_cut:
+            server_rows = server_plan.rows - frontier.bounds[plan_lanes]
+            client_rows = client_plan.rows - frontier.bounds[count + plan_lanes]
+            if np.array_equal(server_rows, client_rows) and all(
+                np.array_equal(ours, theirs)
+                for ours, theirs in zip(server_plan[1:], client_plan[1:])
+            ):
+                return []
+        diverged = []
+        for index in range(count):
+            ours = slice(server_cut[index], server_cut[index + 1])
+            theirs = slice(client_cut[index], client_cut[index + 1])
+            if not (
+                np.array_equal(
+                    server_plan.rows[ours] - frontier.bounds[index],
+                    client_plan.rows[theirs] - frontier.bounds[count + index],
+                )
+                and all(
+                    np.array_equal(mine[ours], other[theirs])
+                    for mine, other in zip(server_plan[1:], client_plan[1:])
+                )
+            ):
+                diverged.append(index)
+        return diverged
+
+    def verify(
+        self, lanes, clients, servers, plan_lanes, client_plan, server_plan,
+        positions, client_items, server_items,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the configured verification strategy for every lane.
+
+        Items are plan indices: the client verifies its candidate
+        positions, the server the blocks themselves.  Returns each
+        endpoint's accepted items, grouped by lane in acceptance order,
+        and the client->server verification bits each lane spent.
+        """
+        count = len(lanes)
+        empty = np.zeros(0, dtype=np.int64)
+        pools = {
+            "client": [client_items, empty, []],
+            "server": [server_items, empty, []],
+        }
+        verification_bits = np.zeros(count, dtype=np.int64)
+        for batch in self.config.strategy().batches:
+            selections = {}
+            for side, pool in pools.items():
+                if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
+                    chosen, pool[1] = pool[1], empty
+                    chosen = chosen[plan_lanes[chosen].argsort(kind="stable")]
+                else:
+                    chosen = pool[0]
+                selections[side] = chosen
+            counts = {
+                side: np.bincount(plan_lanes[chosen], minlength=count)
+                for side, chosen in selections.items()
+            }
+            for index in np.flatnonzero(counts["client"] != counts["server"]):
+                self.fail(
+                    lanes[index], ProtocolError("verification pools diverged")
+                )
+            # Failed lanes sit the batch out: no units, nothing sent.
+            alive = np.asarray([self.errors[lane] is None for lane in lanes])
+            for side, chosen in selections.items():
+                selections[side] = chosen = chosen[alive[plan_lanes[chosen]]]
+                counts[side] = np.bincount(plan_lanes[chosen], minlength=count)
+            if not counts["client"].any():
+                continue
+            size = batch.group_size if batch.mode is BatchMode.GROUP else 1
+            unit_counts = -(-counts["client"] // size)
+            units = {}
+            for side, chosen in selections.items():
+                item_lanes = plan_lanes[chosen]
+                first = np.cumsum(counts[side]) - counts[side]
+                local = np.arange(chosen.size) - first[item_lanes]
+                units[side] = (
+                    np.cumsum(unit_counts) - unit_counts
+                )[item_lanes] + local // size
+            chosen = selections["client"]
+            values = ClientSession.verification_values(
+                clients,
+                _units(
+                    plan_lanes[chosen], positions[chosen],
+                    client_plan.lengths[chosen], units["client"],
+                ),
+                batch,
+            )
+            messages, message_bits = pack_messages(
+                values, batch.bits, unit_counts
+            )
+            verification_bits += message_bits
+            received, short = unpack_messages(
+                self.exchange(
+                    Direction.CLIENT_TO_SERVER, lanes, messages, message_bits
+                ),
+                batch.bits,
+                unit_counts,
+            )
+            self.fail_short(lanes, short)
+            chosen = selections["server"]
+            expected = ServerSession.verification_values(
+                servers,
+                _units(
+                    plan_lanes[chosen], server_plan.starts[chosen],
+                    server_plan.lengths[chosen], units["server"],
+                ),
+                batch,
+            )
+            passed = received == np.asarray(expected, dtype=np.uint64)
+            bitmaps, bitmap_bits = pack_messages(passed, 1, unit_counts)
+            client_passed, short = unpack_messages(
+                self.exchange(
+                    Direction.SERVER_TO_CLIENT, lanes, bitmaps, bitmap_bits
+                ),
+                1,
+                unit_counts,
+            )
+            self.fail_short(lanes, short)
+            # Both endpoints fold the same bitmap into mirrored pools.
+            for side, unit_passed in (
+                ("client", client_passed.astype(bool)), ("server", passed),
+            ):
+                pool, chosen = pools[side], selections[side]
+                item_passed = unit_passed[units[side]]
+                if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
+                    pool[2].append(chosen[item_passed])
+                else:
+                    if batch.mode is BatchMode.GROUP:
+                        pool[1] = np.concatenate((pool[1], chosen[~item_passed]))
+                    pool[0] = chosen[item_passed]
+        accepted = []
+        for main, _salvage, salvaged in pools.values():
+            items = np.concatenate(salvaged + [main])
+            accepted.append(items[plan_lanes[items].argsort(kind="stable")])
+        return accepted[0], accepted[1], verification_bits
+
+    def record(
+        self, lanes, frontier, plan, server_plan, client_plan, plan_lanes,
+        positions, found, accepted_client, accepted_server, hash_bits,
+        verification_bits,
+    ) -> None:
+        """Fold the sub-phase's confirmations into both endpoints."""
+        count = len(lanes)
+        client_cut = _lane_cut(plan_lanes[accepted_client], count)
+        server_cut = _lane_cut(plan_lanes[accepted_server], count)
+        plan_cut = _lane_cut(plan_lanes, count)
+        trace = self.config.collect_trace
+        for index, lane in enumerate(lanes):
+            if self.errors[lane] is not None:
+                continue
+            session = self.sessions[lane]
+            rows = accepted_client[client_cut[index] : client_cut[index + 1]]
+            session.client._require_tracker().record_matches(
+                client_plan.rows[rows] - frontier.bounds[count + index]
+            )
+            session.client.record_accepted(
+                client_plan.starts[rows],
+                client_plan.lengths[rows],
+                positions[rows],
+            )
+            server_rows = accepted_server[
+                server_cut[index] : server_cut[index + 1]
+            ]
+            session.server.tracker.record_matches(
+                server_plan.rows[server_rows] - frontier.bounds[index]
+            )
+            lo, hi = plan_cut[index], plan_cut[index + 1]
+            if trace and hi > lo:
+                kinds = np.bincount(
+                    server_plan.kinds[lo:hi], minlength=len(KIND_OF_CODE)
+                )
+                session.trace.append(
+                    SubphaseTrace(
+                        round_index=session.rounds,
+                        block_length=int(server_plan.lengths[lo:hi].max()),
+                        hash_counts={
+                            kind: int(number)
+                            for kind, number in zip(KIND_OF_CODE, kinds.tolist())
+                            if number
+                        },
+                        hash_bits_sent=int(hash_bits[index]),
+                        candidates=int(np.count_nonzero(found[lo:hi])),
+                        accepted=int(rows.size),
+                        verification_bits=int(verification_bits[index]),
+                    )
+                )
+
+        # Both endpoints now mark failed continuation attempts identically.
+        continuation = client_plan.kinds == CONTINUATION
+        if np.count_nonzero(continuation):
+            for half, accepted in (
+                (server_plan, accepted_server), (client_plan, accepted_client),
+            ):
+                failed = half.kinds == CONTINUATION
+                failed[accepted] = False
+                frontier.scatter("continuation_failed", half.rows[failed], True)
+            candidates = np.bincount(
+                plan_lanes[continuation & found], minlength=count
+            ).tolist()
+            confirmed = np.bincount(
+                plan_lanes[accepted_client[continuation[accepted_client]]],
+                minlength=count,
+            ).tolist()
+            for index, lane in enumerate(lanes):
+                session = self.sessions[lane]
+                session.continuation_candidates += candidates[index]
+                session.continuation_accepted += confirmed[index]
+        apply_known_hashes(frontier, plan)
+
+    def advance(self) -> None:
+        """Split every live lane's trees (both endpoints, one call) and
+        checkpoint the completed round, lane by lane."""
+        lanes = self.live()
+        if not lanes:
+            return
+        sessions = [self.sessions[lane] for lane in lanes]
+        more = BlockTracker.advance_level(
+            *[session.server.tracker for session in sessions],
+            *[session.client._require_tracker() for session in sessions],
+        ).tolist()
+        count = len(lanes)
+        for index, (lane, session) in enumerate(zip(lanes, sessions)):
+            if more[index] != more[count + index]:
+                self.fail(
+                    lane, ProtocolError("endpoint trees diverged while splitting")
+                )
+                continue
+            if session.checkpointer is not None:
+                from repro.core.snapshot import snapshot_round_state
+
+                try:
+                    session.checkpointer.record_round(
+                        session.rounds,
+                        snapshot_round_state(
+                            session.client,
+                            session.server,
+                            session.rounds,
+                            session.continuation_candidates,
+                            session.continuation_accepted,
+                        ),
+                        self.channels[lane].stats,
+                    )
+                except Exception as exc:  # this lane's journal alone
+                    self.fail(lane, exc)
+                    continue
+            if not more[index]:
+                session._no_more = True
 
 
 class CoreSyncSession:
     """Resumable step-wise state machine for one core-protocol exchange.
 
     The schedulable decomposition of :func:`synchronize` — handshake
-    (:meth:`start`), one map-construction round per :meth:`step_round`,
-    and the refinement/delta/fallback endgame (:meth:`finish`) — with
-    the exact send/receive sequence of the former run-to-completion
-    loop, so the sequential driver below stays byte-identical and the
-    pipelined collection scheduler can interleave many sessions' rounds
-    over one shared channel.
+    (:meth:`start`), map-construction rounds and the
+    refinement/delta/fallback endgame (:meth:`finish`).  :meth:`steps`
+    runs it as a lane (:mod:`repro.lanes`): each round is a
+    :class:`RoundRequest`, and :meth:`step_round` runs the pending
+    rounds of a whole stack of sessions as one call.  Each session
+    keeps its own channel, so a file's transcript is the same however
+    many files share its stack, and the pipelined collection scheduler
+    can interleave many sessions' rounds over one shared channel.
 
     Round checkpoints (``checkpointer``) use the same
     :func:`~repro.core.snapshot.snapshot_round_state` payloads as
@@ -320,6 +601,8 @@ class CoreSyncSession:
         self.trace: list[SubphaseTrace] = []
         self._started = False
         self._no_more = False
+        #: The config of the collision retry :meth:`finish` asks for.
+        self.retry_config: ProtocolConfig | None = None
 
     # ------------------------------------------------------------------
     def start(self, channel: SimulatedChannel, resume_from=None) -> None:
@@ -391,66 +674,54 @@ class CoreSyncSession:
         return config.max_rounds is not None and self.rounds >= config.max_rounds
 
     # ------------------------------------------------------------------
-    def step_round(self, channel: SimulatedChannel) -> None:
-        """Execute exactly one map-construction round, checkpoint included."""
-        if not self._started:
-            raise ValueError("step_round before start()")
-        config = self.config
-        self.rounds += 1
-        if self.rounds > _STALL_ROUND_LIMIT:
-            raise SyncStalledError(
-                f"map construction still has active blocks after "
-                f"{_STALL_ROUND_LIMIT} rounds — session is not converging"
-            )
-        channel.mark_round(self.rounds)
-        client_tracker = self.client._require_tracker()
-        if config.continuation_first and config.continuation_enabled:
-            planners = [
-                lambda tracker, bits: plan_continuation(tracker),
-                plan_global,
-            ]
-        else:
-            planners = [plan_mixed]
-        for planner in planners:
-            # Plans must be derived immediately before each sub-phase:
-            # the continuation sub-phase's confirmations feed the global
-            # sub-phase's skip rules.
-            found, accepted, subphase_trace = _run_subphase(
-                channel,
-                self.client,
-                self.server,
-                planner(self.server.tracker, self.server.global_bits),
-                planner(client_tracker, self.client.global_bits),
-                round_index=self.rounds,
-            )
-            self.continuation_candidates += found
-            self.continuation_accepted += accepted
-            if subphase_trace is not None:
-                self.trace.append(subphase_trace)
-        more_server = self.server.tracker.advance_level()
-        more_client = client_tracker.advance_level()
-        if more_server != more_client:
-            raise ProtocolError("endpoint trees diverged while splitting")
-        if self.checkpointer is not None:
-            from repro.core.snapshot import snapshot_round_state
-
-            self.checkpointer.record_round(
-                self.rounds,
-                snapshot_round_state(
-                    self.client,
-                    self.server,
-                    self.rounds,
-                    self.continuation_candidates,
-                    self.continuation_accepted,
-                ),
-                channel.stats,
-            )
-        if not more_server:
-            self._no_more = True
 
     # ------------------------------------------------------------------
-    def finish(self, channel: SimulatedChannel) -> SyncResult:
-        """Refinement, delta and the fingerprint-guarded endgame."""
+    def steps(self, channel: SimulatedChannel, resume_from=None):
+        """This session as a lane: a step generator over ``channel``.
+
+        Yields after the handshake and after every round, and yields
+        each round as a :class:`RoundRequest` for the driver to run
+        stacked.  Returns the :class:`SyncResult`; a collision retry
+        runs as a fresh session on the same channel, inside this lane.
+        """
+        self.start(channel, resume_from=resume_from)
+        yield
+        while not self.done:
+            yield RoundRequest(self, channel)
+            yield
+        result = self.finish(channel)
+        if result is None:
+            retry = CoreSyncSession(
+                self.client_data, self.server_data, self.retry_config
+            )
+            result = yield from retry.steps(channel)
+            result.used_fallback = True
+        return result
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def step_round(requests: "list[RoundRequest]") -> list:
+        """Execute one map-construction round for every request's session.
+
+        The sessions share one config (the requests' stack key); each
+        has its own channel.  Planning both endpoints, emitting and
+        parsing hashes, the candidate bitmaps, verification hashing and
+        the level split each run once for the whole stack, and every
+        lane's messages are sliced out of the stacked output and sent on
+        its own channel, in the order a session alone would send them.
+        Round checkpoints are recorded per lane.  Returns one entry per
+        request: ``None`` if its round completed, else the error its
+        lane failed with (it took no further part in the round).
+        """
+        return _RoundStack(requests).run()
+
+    def finish(self, channel: SimulatedChannel) -> "SyncResult | None":
+        """Refinement, delta and the fingerprint-guarded endgame.
+
+        Returns ``None`` when the reconstruction failed and a collision
+        retry is due: :meth:`steps` then runs a session with
+        :attr:`retry_config` on the same channel.
+        """
         if self.unchanged:
             return SyncResult(
                 reconstructed=self.client_data,
@@ -487,15 +758,11 @@ class CoreSyncSession:
             if config.collision_retries > 0:
                 # Repeat with an independent hash function (different
                 # substitution table); all bytes land on the same channel.
-                retry_config = config.with_overrides(
+                self.retry_config = config.with_overrides(
                     hash_seed=config.hash_seed + 1,
                     collision_retries=config.collision_retries - 1,
                 )
-                retry = synchronize(
-                    self.client_data, self.server_data, retry_config, channel
-                )
-                retry.used_fallback = True
-                return retry
+                return None
             channel.send(
                 Direction.SERVER_TO_CLIENT,
                 zlib.compress(self.server_data, 9),
@@ -548,16 +815,13 @@ def synchronize(
     ``channel.stats`` with the checkpoint's counters so the returned
     stats cover the whole logical session.
 
-    This is the sequential driver over :class:`CoreSyncSession`; the
-    pipelined collection scheduler drives the same state machine with
-    the rounds of many files interleaved.
+    This drives one :meth:`CoreSyncSession.steps` lane as a stack of
+    one; the collection executor and the pipelined scheduler drive the
+    same lanes stacked.
     """
     if channel is None:
         channel = SimulatedChannel()
     session = CoreSyncSession(
         client_data, server_data, config, checkpointer=checkpointer
     )
-    session.start(channel, resume_from=resume_from)
-    while not session.done:
-        session.step_round(channel)
-    return session.finish(channel)
+    return run_lane(session.steps(channel, resume_from=resume_from))

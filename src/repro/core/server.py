@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.blocks import DERIVED, BlockTracker
 from repro.core.config import ProtocolConfig
 from repro.core.planning import HashPlan
@@ -12,7 +14,7 @@ from repro.grouptesting.strategies import BatchSpec
 from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import PrefixHasher, pack_to_widths
 from repro.hashing.strong import StrongHasher, file_fingerprint
-from repro.io.bitstream import BitWriter
+from repro.io.bitstream import pack_messages
 from repro.parallel.cache import HashIndexCache, default_cache
 
 
@@ -57,28 +59,38 @@ class ServerSession:
     # ------------------------------------------------------------------
     # Map construction
     # ------------------------------------------------------------------
-    def emit_hashes(self, plan: HashPlan) -> bytes:
-        """Serialise one sub-phase's hash message (DERIVED rows send nothing)."""
+    @staticmethod
+    def emit_hashes(
+        servers: "list[ServerSession]", plan: HashPlan, cut: list[int]
+    ) -> tuple[list[bytes], np.ndarray]:
+        """Serialise one sub-phase's hash message of every lane at once.
+
+        ``servers[i]`` owns plan rows ``cut[i]:cut[i + 1]``.  Returns each
+        lane's message and its bit count; DERIVED rows send nothing.
+        """
+        full = np.zeros(plan.size, dtype=np.uint32)
+        for server, lo, hi in zip(servers, cut, cut[1:]):
+            if hi > lo:
+                full[lo:hi] = server.prefix.block_pairs(
+                    plan.starts[lo:hi], plan.lengths[lo:hi]
+                )
         wire = plan.kinds != DERIVED
         widths = plan.widths[wire]
-        writer = BitWriter()
-        if widths.size:
-            writer.write_many(
-                pack_to_widths(
-                    self.prefix.block_pairs(
-                        plan.starts[wire], plan.lengths[wire]
-                    ),
-                    widths,
-                ),
-                widths,
-            )
-        return writer.getvalue()
+        lanes = np.repeat(np.arange(len(servers)), np.diff(cut))
+        return pack_messages(
+            pack_to_widths(full[wire], widths),
+            widths,
+            np.bincount(lanes[wire], minlength=len(servers)),
+        )
 
+    @staticmethod
     def verification_values(
-        self, units: list[list[tuple[int, int]]], batch: BatchSpec
+        servers: "list[ServerSession]",
+        units: list[tuple[int, list[tuple[int, int]]]],
+        batch: BatchSpec,
     ) -> list[int]:
-        """The hash each unit of ``(start, length)`` regions should carry."""
-        return region_verification_values(self.strong, self.data, units, batch)
+        """The hash each ``(lane, (start, length) regions)`` unit should carry."""
+        return region_verification_values(servers, units, batch)
 
     # ------------------------------------------------------------------
     # Delta phase

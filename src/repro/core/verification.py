@@ -19,8 +19,6 @@ from repro.grouptesting.strategies import (
     BatchSpec,
     VerificationStrategy,
 )
-from repro.hashing.strong import StrongHasher
-
 ItemT = TypeVar("ItemT")
 
 
@@ -89,25 +87,34 @@ def strategy_max_batches(strategy: VerificationStrategy) -> int:
 
 
 def region_verification_values(
-    strong: StrongHasher,
-    data: bytes,
-    units: list[list[tuple[int, int]]],
+    sessions,
+    units: list[tuple[int, list[tuple[int, int]]]],
     batch: BatchSpec,
 ) -> list[int]:
     """One verification hash per unit of ``(offset, length)`` regions.
 
-    Both endpoints call this on their own file: the client on the
-    candidate positions it claims, the server on the blocks themselves.
+    A unit is ``(lane, regions)``: regions of ``sessions[lane].data``,
+    hashed with ``sessions[lane].strong``, so one call serves a whole
+    stack of lanes.  Both endpoints call this on their own files: the
+    client on the candidate positions it claims, the server on the
+    blocks themselves.
     """
     bits = batch.bits
     if batch.mode is BatchMode.INDIVIDUAL:
-        return [
-            strong.bits(data[offset : offset + length], bits)
-            for ((offset, length),) in units
-        ]
+        values = []
+        for lane, ((offset, length),) in units:
+            session = sessions[lane]
+            values.append(
+                session.strong.bits(session.data[offset : offset + length], bits)
+            )
+        return values
     return [
-        strong.group_bits(
-            (data[offset : offset + length] for offset, length in unit), bits
+        sessions[lane].strong.group_bits(
+            (
+                sessions[lane].data[offset : offset + length]
+                for offset, length in regions
+            ),
+            bits,
         )
-        for unit in units
+        for lane, regions in units
     ]

@@ -96,6 +96,13 @@ class WorkloadError(ReproError):
     """A synthetic workload could not be generated as requested."""
 
 
+class StoreNameError(ReproError, ValueError):
+    """A collection entry name would escape the store's root directory.
+
+    Also a :class:`ValueError`, which callers caught before it was typed.
+    """
+
+
 class ResumeRefusedError(ReproError):
     """A resumable run was requested but cannot be honoured.
 

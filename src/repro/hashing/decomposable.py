@@ -35,6 +35,7 @@ The hash is rolling as well: sliding the window one byte updates ``a`` and
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import NamedTuple
 
@@ -62,6 +63,17 @@ def component_widths(width: int) -> tuple[int, int]:
     return a_bits, width - a_bits
 
 
+@functools.lru_cache(maxsize=64)
+def _substitution_table(seed: int) -> tuple[int, ...]:
+    """The seeded substitution table, drawn once per seed.
+
+    Every session of a collection update builds two hashers on the same
+    seed; the table is a pure function of it, so it is drawn once.
+    """
+    rng = random.Random(seed)
+    return tuple(rng.randrange(_MOD16) for _ in range(256))
+
+
 class DecomposableAdler:
     """Rolling, composable and decomposable block hash.
 
@@ -83,8 +95,7 @@ class DecomposableAdler:
                 raise ValueError(f"table must have 256 entries, got {len(table)}")
             self.table: tuple[int, ...] = table
         else:
-            rng = random.Random(seed)
-            self.table = tuple(rng.randrange(_MOD16) for _ in range(256))
+            self.table = _substitution_table(seed)
 
     @classmethod
     def identity(cls) -> "DecomposableAdler":

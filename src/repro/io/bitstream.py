@@ -248,6 +248,68 @@ class BitReader:
                 raise ProtocolError("uvarint too long")
 
 
+def pack_messages(values, widths, counts) -> tuple[list[bytes], np.ndarray]:
+    """Write many messages in one pass; return them and their bit counts.
+
+    Message ``i`` is the next ``counts[i]`` values at their ``widths``
+    (one width for all, or one per value), byte-padded on its own:
+    exactly what ``BitWriter().write_many`` of those values would give.
+    A stacked round serialises every lane's message this way and sends
+    each on the lane's own channel.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    values = np.asarray(values, dtype=np.uint64)
+    widths = _widths(values.size, widths)
+    ends = np.cumsum(counts)
+    total_bits = np.concatenate(([0], np.cumsum(widths)))
+    bits = total_bits[ends] - total_bits[ends - counts]
+    padding = -bits % 8
+    writer = BitWriter()
+    writer.write_many(
+        np.insert(values, ends, 0), np.insert(widths, ends, padding)
+    )
+    data = writer.getvalue()
+    offsets = np.concatenate(([0], np.cumsum((bits + padding) // 8))).tolist()
+    return [data[lo:hi] for lo, hi in zip(offsets, offsets[1:])], bits
+
+
+def unpack_messages(payloads, widths, counts) -> tuple[np.ndarray, list[int]]:
+    """Read many messages in one pass: the inverse of :func:`pack_messages`.
+
+    Returns the values of every message, concatenated, and the indices
+    of the payloads too short for their values (``None`` counts as
+    empty); those read as zeros, and the caller fails their lanes with
+    :class:`~repro.exceptions.TruncatedMessageError`.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    widths = _widths(int(counts.sum()), widths)
+    if widths.size == 0:
+        return np.zeros(0, dtype=np.uint64), []
+    ends = np.cumsum(counts)
+    total_bits = np.concatenate(([0], np.cumsum(widths)))
+    needed = (total_bits[ends] - total_bits[ends - counts]).tolist()
+    short = []
+    chunks = []
+    for index, (payload, bits) in enumerate(zip(payloads, needed)):
+        if payload is None or 8 * len(payload) < bits:
+            short.append(index)
+            payload = bytes(-(-bits // 8))
+        chunks.append(payload)
+    sizes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+    base = 8 * (np.cumsum(sizes) - sizes) - total_bits[ends - counts]
+    positions = total_bits[:-1] + np.repeat(base, counts)
+    stream = np.unpackbits(
+        np.frombuffer(b"".join(chunks), dtype=np.uint8), bitorder="little"
+    )
+    columns = np.arange(int(widths.max()), dtype=np.int64)
+    used = columns < widths[:, None]
+    bits = stream[np.where(used, positions[:, None] + columns, 0)] & used
+    values = (bits.astype(np.uint64) << columns.astype(np.uint64)).sum(
+        axis=1, dtype=np.uint64
+    )
+    return values, short
+
+
 def _widths(count: int, width) -> "np.ndarray":
     """One width per value from ``width`` (an int or an array of them)."""
     widths = np.asarray(width, dtype=np.int64)

@@ -301,6 +301,18 @@ class MultiroundSession:
         )
 
     # ------------------------------------------------------------------
+    def steps(self, channel: SimulatedChannel, resume_from=None):
+        """This session as a lane (:mod:`repro.lanes`): yields after the
+        handshake and after every round, returns the result.  Its rounds
+        run in the lane itself; they are not stacked."""
+        self.start(channel, resume_from=resume_from)
+        yield
+        while not self.done:
+            self.step_round(channel)
+            yield
+        return self.finish(channel)
+
+    # ------------------------------------------------------------------
     def step_round(self, channel: SimulatedChannel) -> None:
         """Execute exactly one hash/bitmap round, checkpoint included."""
         if not self._started:
@@ -483,16 +495,15 @@ def multiround_rsync_sync(
     A checkpoint payload that is malformed or impossible for these two
     files raises :class:`~repro.exceptions.ProtocolError`.
 
-    This is the sequential driver over :class:`MultiroundSession`; the
-    pipelined collection scheduler drives the same state machine with
-    the rounds of many files interleaved.
+    This drives one :meth:`MultiroundSession.steps` lane; the pipelined
+    collection scheduler drives the same lanes with the rounds of many
+    files interleaved.
     """
+    from repro.lanes import run_lane
+
     if channel is None:
         channel = SimulatedChannel()
     session = MultiroundSession(
         old_data, new_data, config, checkpointer=checkpointer
     )
-    session.start(channel, resume_from=resume_from)
-    while not session.done:
-        session.step_round(channel)
-    return session.finish(channel)
+    return run_lane(session.steps(channel, resume_from=resume_from))

@@ -5,8 +5,14 @@ synchronized in one pass.  Each per-file run is CPU-bound (numpy hash
 scans, delta coding) and completely independent once change detection has
 split the manifest, so the collection phase parallelises embarrassingly.
 
-:class:`SyncExecutor` fans ``method.sync_file(old, new)`` calls out over a
+:class:`SyncExecutor` fans the files out over a
 ``concurrent.futures.ProcessPoolExecutor``:
+
+* **Stacked lanes** — each chunk (the whole batch, when serial) runs its
+  files as the lanes of one stack (:mod:`repro.lanes`): every protocol
+  round of the stack's files is one stacked call, so a round's fixed
+  numpy cost is paid once per stack instead of once per file.  Each
+  lane keeps its own channel and its own errors.
 
 * **Deterministic results** — outcomes are reassembled in submission
   order, so a parallel collection report is byte-identical to the serial
@@ -46,11 +52,12 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import time
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ReproError
+from repro.lanes import Lane, step_lanes
 from repro.syncmethod import MethodOutcome, SyncMethod
 
 
@@ -74,6 +81,8 @@ class FileResult:
     ``error`` is ``None`` on success; under ``capture_errors`` it holds
     ``"ExceptionType: message"`` for a file whose sync failed, and the
     outcome is an empty placeholder with ``correct=False``.
+    ``reconstructed`` holds the bytes the client rebuilt, where the
+    method's lane reports them (session methods do).
     """
 
     name: str
@@ -81,6 +90,7 @@ class FileResult:
     elapsed_seconds: float
     cpu_seconds: float
     error: str | None = None
+    reconstructed: bytes | None = None
 
 
 @dataclass
@@ -141,30 +151,6 @@ def failed_outcome(exc: ReproError) -> tuple[MethodOutcome, str]:
     return partial, f"{type(exc).__name__}: {exc}"
 
 
-def _sync_one(
-    method: SyncMethod, task: FileTask, capture_errors: bool
-) -> FileResult:
-    started = time.perf_counter()
-    cpu_started = time.process_time()
-    try:
-        # Route the entry's name through so wrappers with durable
-        # per-file state (checkpoint journals) can key it; plain methods
-        # ignore it via the SyncMethod default.
-        outcome = method.sync_named_file(task.name, task.old, task.new)
-        error = None
-    except ReproError as exc:
-        if not capture_errors:
-            raise
-        outcome, error = failed_outcome(exc)
-    return FileResult(
-        task.name,
-        outcome,
-        time.perf_counter() - started,
-        time.process_time() - cpu_started,
-        error=error,
-    )
-
-
 def _worker_init(cache_entries: int) -> None:
     """Pool initializer: pre-size the caches once per worker.
 
@@ -180,18 +166,88 @@ def _worker_init(cache_entries: int) -> None:
     default_delta_memo().ensure_capacity(cache_entries)
 
 
+#: Most old-plus-new file bytes the lanes of one stack hold at once.
+#: Stacking amortises each round's fixed numpy cost over the stack's
+#: files; this bounds what their sessions keep resident meanwhile
+#: (prefix sums and hash indexes, a small multiple of the bytes).
+STACK_BYTES = 8 << 20
+#: Hash-index cache entries one lane of a stack keeps in use: its two
+#: prefix-sum pairs and an index per block length it looks up.  The
+#: cache grows to hold every resident lane's, or the stack would evict
+#: each lane's prefix sums before its first index build needs them.
+CACHE_ENTRIES_PER_LANE = 16
+
+
 def _run_chunk(
     method: SyncMethod,
     chunk: list[tuple[int, FileTask]],
     capture_errors: bool = False,
 ) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
-    """Worker entry point: run one chunk, report its cache counter deltas."""
+    """Worker entry point: run one chunk, report its cache counter deltas.
+
+    The chunk's files run as lanes (:mod:`repro.lanes`) of one stack,
+    admitted in chunk order while their bytes fit :data:`STACK_BYTES`,
+    each finished lane replaced at once.  A method whose results depend
+    on file order (:attr:`~repro.syncmethod.SyncMethod.observes_file_order`)
+    runs one lane at a time.  A lane's wall and CPU time are its own
+    steps plus its row-weighted share of the stacked calls.
+    """
+    from repro.parallel.cache import default_cache
+
     before = cache_counters()
-    rows = [
-        (index, _sync_one(method, task, capture_errors))
-        for index, task in chunk
-    ]
+    pending = deque(chunk)
+    active: list[tuple[int, FileTask, Lane]] = []
+    resident = 0
+    rows = []
+    one_at_a_time = method.observes_file_order
+    while pending or active:
+        while pending and not (
+            active
+            and (
+                one_at_a_time
+                or resident + pending[0][1].total_bytes > STACK_BYTES
+            )
+        ):
+            index, task = pending.popleft()
+            active.append(
+                (index, task, Lane(method.lane(task.name, task.old, task.new)))
+            )
+            resident += task.total_bytes
+        default_cache().ensure_capacity(CACHE_ENTRIES_PER_LANE * len(active))
+        step_lanes([lane for _index, _task, lane in active])
+        running = []
+        for index, task, lane in active:
+            if not lane.done:
+                running.append((index, task, lane))
+                continue
+            resident -= task.total_bytes
+            rows.append((index, lane_result(task, lane, capture_errors)))
+        active = running
+    rows.sort(key=lambda row: row[0])
     return rows, cache_counters(since=before)
+
+
+def lane_result(task: FileTask, lane: Lane, capture_errors: bool) -> FileResult:
+    """A finished lane as its file's result (or its error, raised).
+
+    With ``capture_errors`` a :class:`ReproError` becomes the result's
+    ``error``; anything else is raised.
+    """
+    reconstructed = error = None
+    if lane.error is None:
+        outcome, reconstructed = lane.value
+    elif capture_errors and isinstance(lane.error, ReproError):
+        outcome, error = failed_outcome(lane.error)
+    else:
+        raise lane.error
+    return FileResult(
+        task.name,
+        outcome,
+        lane.elapsed_s,
+        lane.cpu_s,
+        error=error,
+        reconstructed=reconstructed,
+    )
 
 
 _pickle_probe_cache: "weakref.WeakKeyDictionary[SyncMethod, bool]" = (

@@ -226,6 +226,21 @@ class SyncSupervisor(SyncMethod):
         )
 
     @property
+    def observes_file_order(self) -> bool:
+        """Whether files see each other through shared state.
+
+        The fault plan's random draws, the breakers' and budgets'
+        clocks and the adaptive link-health monitor all advance in the
+        order attempts run, so a collection runs such a supervisor's
+        lanes one at a time, never stacked.
+        """
+        return (
+            self.degrades_gracefully
+            or self.fault_plan is not None
+            or isinstance(self.retry, AdaptiveRetryPolicy)
+        )
+
+    @property
     def shares_run_budget(self) -> bool:
         """Whether every file charges one shared run budget.
 
@@ -256,12 +271,9 @@ class SyncSupervisor(SyncMethod):
         configured) and the circuit breaker (when a board is configured);
         ``None`` is valid and shares the anonymous journal/breaker.
         """
-        steps = self.lane(name, old, new)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value[0]
+        from repro.lanes import run_lane
+
+        return run_lane(self.lane(name, old, new))[0]
 
     def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
         """:meth:`sync_named_file` as a step generator.
@@ -269,9 +281,11 @@ class SyncSupervisor(SyncMethod):
         Each attempt runs its rung's :meth:`~repro.syncmethod.SyncMethod.steps`
         over a fresh channel, so the generator yields after an attempt's
         handshake (the resume handshake runs just before it) and after
-        each protocol round; a rung without a session is one step.  A
-        failed attempt is accounted and the next one begins within the
-        same step.  Returns ``(outcome, reconstructed)`` of the attempt
+        each protocol round, and passes the rung's stacked requests
+        through to the driver; a rung without a session is one step.  A
+        failed attempt — an error raised in the lane or thrown back into
+        it by a stacked call — is accounted and the next one begins
+        within the same step.  Returns ``(outcome, reconstructed)`` of the attempt
         that succeeded, or raises the typed failure.  ``recorder``
         receives every attempt's sends (the pipelined scheduler's lane
         outbox).

@@ -153,11 +153,11 @@ class SyncMethod(ABC):
 
     name: str
     #: True for methods whose protocol is factored into a resumable
-    #: step-wise session (``start``/``done``/``step_round``/``finish``),
-    #: built by :meth:`open_session`: the supervisor journals its round
+    #: step-wise session (a ``steps`` lane), built by
+    #: :meth:`open_session`: the supervisor journals its round
     #: boundaries (they then also implement ``checkpoint_identity``) and
-    #: the pipelined collection scheduler interleaves its rounds with
-    #: other files'.  Methods without one run as a single step.
+    #: the collection drivers stack or interleave its rounds with other
+    #: files'.  Methods without one run as a single step.
     has_session: bool = False
     #: Declares whether instances can cross a process boundary.  ``None``
     #: (default) makes the parallel executor probe with ``pickle.dumps``
@@ -166,6 +166,10 @@ class SyncMethod(ABC):
     #: unpicklable state (closures, open handles) must override this
     #: back to ``None`` or ``False``.
     supports_pickle: bool | None = None
+    #: Whether results depend on the order files run in (shared fault
+    #: randomness, breakers, deadlines): such a method's lanes run one
+    #: at a time, never stacked.
+    observes_file_order: bool = False
 
     @abstractmethod
     def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
@@ -175,11 +179,11 @@ class SyncMethod(ABC):
         """Build a step-wise protocol session for one file pair.
 
         Only meaningful when ``has_session`` is true.  The returned
-        object exposes ``start(channel, resume_from=None)``, ``done``,
-        ``step_round(channel)`` and ``finish(channel)`` with the exact
-        wire traffic of the run-to-completion path, so a scheduler can
-        interleave many files' rounds while keeping each file's
-        transcript byte-identical to a sequential run.
+        object exposes ``steps(channel, resume_from=None)``, the session
+        as a lane (:mod:`repro.lanes`), with the exact wire traffic of
+        the run-to-completion path, so a driver can stack or interleave
+        many files' rounds while keeping each file's transcript
+        byte-identical to a run of its own.
         """
         raise NotImplementedError(f"{self.name} has no step-wise session")
 
@@ -187,11 +191,12 @@ class SyncMethod(ABC):
               resume_from=None):
         """Synchronise one file pair over ``channel``, one step at a time.
 
-        A generator: it yields after the handshake and after every
-        protocol round, and returns ``(outcome, reconstructed)`` — the
-        client's rebuilt bytes, or ``None`` for a method without a
-        session, which runs :meth:`sync_file_over` as one step.
-        ``checkpointer`` (an opened
+        A lane generator (:mod:`repro.lanes`): it yields after the
+        handshake and after every protocol round, passes the session's
+        stacked requests through to the driver, and returns
+        ``(outcome, reconstructed)`` — the client's rebuilt bytes, or
+        ``None`` for a method without a session, which runs
+        :meth:`sync_file_over` as one step.  ``checkpointer`` (an opened
         :class:`~repro.resilience.checkpoint.SessionJournal`) and
         ``resume_from`` (a
         :class:`~repro.resilience.checkpoint.RoundCheckpoint`) pass
@@ -200,16 +205,11 @@ class SyncMethod(ABC):
         if not self.has_session:
             return self.sync_file_over(old, new, channel), None
         session = self.open_session(old, new, checkpointer=checkpointer)
-        session.start(channel, resume_from=resume_from)
-        yield
-        while not session.done:
-            session.step_round(channel)
-            yield
-        result = session.finish(channel)
+        result = yield from session.steps(channel, resume_from=resume_from)
         return wire_outcome(result, new), result.reconstructed
 
     def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
-        """The step generator the pipelined scheduler drives for one file.
+        """The lane the collection drivers run for one file.
 
         :meth:`steps` over a fresh channel whose sends go to ``recorder``
         (see :attr:`~repro.net.channel.SimulatedChannel.recorder`).  A

@@ -34,6 +34,15 @@ def make_version_pair(
     return old, new
 
 
+def core_round(session, channel) -> None:
+    """Run one map-construction round of a core session: a stack of one."""
+    from repro.core.protocol import CoreSyncSession, RoundRequest
+
+    (error,) = CoreSyncSession.step_round([RoundRequest(session, channel)])
+    if error is not None:
+        raise error
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import ProtocolConfig
-from repro.core.blocks import BlockTracker, partition_blocks, split_blocks
+from repro.core.blocks import (
+    BlockTracker,
+    Frontier,
+    partition_blocks,
+    split_blocks,
+)
 
 
 def make_tracker(target_length: int = 4096, **overrides) -> BlockTracker:
@@ -23,11 +28,7 @@ def match(tracker: BlockTracker, *rows: int) -> None:
 
 
 def anchor_of(tracker: BlockTracker, row: int) -> int:
-    return int(
-        tracker.local_anchors(
-            tracker.starts[[row]], tracker.lengths[[row]]
-        )[0]
-    )
+    return int(Frontier([tracker]).local_anchors(np.asarray([row]))[0])
 
 
 class TestInitialPartition:
@@ -61,7 +62,7 @@ class TestSplitting:
         assert tracker.starts.tolist() == [0, 51]
         # Row i's sibling is row i ^ 1; both share parent pair i // 2.
         match(tracker, 0)
-        assert tracker.sibling_matched().tolist() == [False, True]
+        assert Frontier([tracker]).sibling_matched().tolist() == [False, True]
         # The geometry helper the multiround and broadcast walkers share
         # agrees, and interleaves the children of several parents.
         starts, lengths = split_blocks(
@@ -120,20 +121,20 @@ class TestAdjacency:
         tracker = make_tracker(3072, start_block_size=1024)
         match(tracker, 1)
         # Row 0 ends where the match starts, row 2 starts where it ends.
-        assert tracker.continuation_eligible().tolist() == [True, False, True]
+        assert Frontier([tracker]).continuation_eligible().tolist() == [True, False, True]
         assert tracker.confirmed_starts.tolist() == [1024]
         assert tracker.confirmed_ends.tolist() == [2048]
 
     def test_no_eligibility_without_matches(self):
         tracker = make_tracker(2048, start_block_size=1024)
-        assert not tracker.continuation_eligible().any()
+        assert not Frontier([tracker]).continuation_eligible().any()
 
     def test_eligibility_survives_splitting(self):
         tracker = make_tracker(2048, start_block_size=1024)
         match(tracker, 0)
         tracker.advance_level()
         assert tracker.starts[0] == 1024
-        assert tracker.continuation_eligible().tolist() == [True, False]
+        assert Frontier([tracker]).continuation_eligible().tolist() == [True, False]
 
 
 class TestLocalAnchor:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProtocolConfig
+from repro.core.blocks import Frontier
 from repro.core.client import ClientSession
 from repro.core.planning import plan_continuation, plan_global
 from repro.core.server import ServerSession
@@ -28,7 +29,8 @@ class TestServerSession:
         old, new = make_version_pair(seed=50, nbytes=5000)
         server = ServerSession(new, CONFIG)
         plan = plan_global(server.tracker, 16)
-        payload = server.emit_hashes(plan)
+        (payload,), bits = ServerSession.emit_hashes([server], plan, [0, plan.size])
+        assert bits.tolist() == [plan.transmitted_bits]
         assert len(payload) == (plan.transmitted_bits + 7) // 8
 
     def test_negative_client_length_rejected(self):
@@ -94,7 +96,11 @@ class TestClientSession:
             client.prefix.packed(expected, 1024, CONFIG.continuation_hash_bits),
             CONFIG.continuation_hash_bits,
         )
-        positions = client.process_hashes(plan, writer.getvalue())
+        positions, failures = ClientSession.process_hashes(
+            [client], Frontier([tracker]), plan, [0, plan.size],
+            [writer.getvalue()],
+        )
+        assert not failures
         assert positions.tolist() == [-1, expected]
 
 

@@ -19,7 +19,7 @@ from repro.hashing.strong import file_fingerprint
 from repro.io.varint import encode_uvarint
 from repro.net.channel import SimulatedChannel
 from repro.resilience import RoundCheckpoint
-from tests.conftest import make_version_pair
+from tests.conftest import core_round, make_version_pair
 from tests.test_properties import related_pair
 
 OLD, NEW = make_version_pair(seed=77, nbytes=4096, edits=4)
@@ -63,7 +63,7 @@ def valid_snapshots() -> list[bytes]:
     session.start(channel)
     payloads = []
     while not session.done:
-        session.step_round(channel)
+        core_round(session, channel)
         payloads.append(
             snapshot_round_state(
                 session.client, session.server, session.rounds, 0, 0
@@ -230,7 +230,7 @@ def test_round_boundaries_keep_frontier_invariants(pair, config_index):
     channel = SimulatedChannel()
     session.start(channel)
     while not session.done:
-        session.step_round(channel)
+        core_round(session, channel)
         server, client = session.server.tracker, session.client.tracker
         for tracker in (server, client):
             assert_frontier_invariants(tracker)

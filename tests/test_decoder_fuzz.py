@@ -39,7 +39,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.rsync import rsync_sync
 from repro.rsync.protocol import _parse_signatures, decode_tokens
-from tests.conftest import make_version_pair
+from tests.conftest import core_round, make_version_pair
 
 OLD, NEW = make_version_pair(seed=123, nbytes=3000, edits=3)
 MUX_LANES = 3
@@ -91,7 +91,7 @@ def _core_snapshots() -> list[bytes]:
     session.start(channel)
     payloads = []
     while not session.done:
-        session.step_round(channel)
+        core_round(session, channel)
         payloads.append(
             snapshot_round_state(
                 session.client, session.server, session.rounds, 0, 0

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.bench.methods import MultiroundRsyncMethod, OursMethod, RsyncMethod
 from repro.collection import CollectionScheduler
+from repro.lanes import run_lane
 from repro.collection.sync import sync_collection
 from repro.exceptions import FrameCorruptionError
 from repro.net import FaultPlan, LinkModel, SimulatedChannel
@@ -248,10 +249,7 @@ class TestPipelineParity:
             session = method_factory().open_session(
                 old_side[name], new_side[name]
             )
-            session.start(channel)
-            while not session.done:
-                session.step_round(channel)
-            session.finish(channel)
+            run_lane(session.steps(channel))
             assert run.transcripts[name] == channel.recorder, name
 
     def test_cross_engine_parity(self):

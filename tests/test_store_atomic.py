@@ -11,6 +11,7 @@ from repro.collection import (
     atomic_write_bytes,
     save_manifest,
 )
+from repro.exceptions import ReproError, StoreNameError
 from repro.resilience import RecoveryReport, recover_store
 from repro.resilience.recovery import QUARANTINE_DIR
 
@@ -48,6 +49,12 @@ class TestCollectionStore:
         store = CollectionStore(tmp_path)
         with pytest.raises(ValueError):
             store.path_for(name)
+
+    @pytest.mark.parametrize("name", ["/etc/passwd", "../escape", "a/../../b"])
+    def test_escaping_name_error_is_typed(self, tmp_path, name):
+        with pytest.raises(ReproError) as info:
+            CollectionStore(tmp_path).path_for(name)
+        assert isinstance(info.value, StoreNameError)
 
     def test_manifest_save_is_atomic(self, tmp_path):
         manifest = Manifest.of_collection({"a": b"aaa"})
