@@ -551,14 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="process count for changed-file fan-out "
                            "(0 = one per CPU)")
     sync.add_argument("--pipeline", action="store_true",
-                      help="interleave the changed files' protocol rounds "
+                      help="carry the changed files' protocol rounds "
                            "over one multiplexed channel, hiding link "
-                           "latency (methods without rounds take one "
-                           "step per file)")
+                           "latency; the files run as without it, and "
+                           "the shared link is replayed from their "
+                           "transcripts")
     sync.add_argument("--window", type=_positive(), default=8,
-                      help="max files in flight under --pipeline "
-                           "(default 8; the number of changed files or "
-                           "more runs them all in lockstep)")
+                      help="max files in flight on the shared link "
+                           "under --pipeline (default 8; the number of "
+                           "changed files or more carries them all in "
+                           "lockstep)")
     sync.add_argument("--sibling-refs", action="store_true",
                       help="delta-encode added files against similar "
                            "sibling files already on the client "

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
 from repro.exceptions import IntegrityError
-from repro.parallel.executor import FileTask, SyncExecutor, cache_counters
+from repro.parallel.executor import FileTask, SyncExecutor
 
 
 @dataclass
@@ -280,19 +280,17 @@ def sync_collection(
     every file written atomically — a crash mid-update can orphan
     temporaries but never tear a visible file.
 
-    Pipelined scheduling (DESIGN §16): ``pipeline=True`` interleaves the
-    changed files' protocol rounds — up to ``window`` in flight — over
-    one multiplexed channel so the link's round-trip latency is paid per
-    shared batch instead of per file per round
+    Pipelined scheduling (DESIGN §16): ``pipeline=True`` prices the
+    link as if the changed files' protocol rounds — up to ``window`` in
+    flight — shared one multiplexed channel, so the link's round-trip
+    latency is paid per shared batch instead of per file per round
     (:class:`~repro.collection.pipeline.CollectionScheduler`); a
-    ``window`` of at least the number of changed files runs them all in
-    lockstep.  Each file
-    runs the same per-file driver as the sequential path (the
-    supervisor's, when ``method`` is one), so per-file
-    transcripts, byte accounting and round checkpoints stay bit-identical
-    to the sequential run on a clean link; only ``roundtrips_on_wire``
-    and ``link_wall_clock_s`` collapse.  Compute stays serial and in
-    process, so ``workers`` does not apply.
+    ``window`` of at least the number of changed files carries them all
+    in lockstep.  The files run exactly as without it, and the shared
+    link is replayed from their recorded transcripts, so per-file
+    transcripts, byte accounting and round checkpoints are the
+    sequential run's; only ``roundtrips_on_wire`` and
+    ``link_wall_clock_s`` collapse.
 
     Cross-file reuse (DESIGN §17): ``sibling_refs`` serves *added* files
     (no previous version on the client) by content identity when the
@@ -356,23 +354,22 @@ def sync_collection(
     if pipeline:
         from repro.collection.pipeline import CollectionScheduler
 
-        scheduler = CollectionScheduler(method, window=window, link=link)
-        before = cache_counters()
-        run = scheduler.run(tasks, capture_errors=capture_errors)
-        report.caches = cache_counters(since=before)
+        # The executor's run, with the shared link replayed on top.
+        batch = CollectionScheduler(
+            method, window=window, link=link, workers=workers
+        ).run(tasks, capture_errors=capture_errors)
         report.pipelined = True
-        report.waves = run.waves
-        report.mux_overhead_bytes = run.mux_overhead_bytes
-        report.roundtrips_on_wire = run.roundtrips_on_wire
-        report.link_wall_clock_s = run.link_wall_clock_s
-        results = run.files
+        report.waves = batch.waves
+        report.mux_overhead_bytes = batch.mux_overhead_bytes
+        report.roundtrips_on_wire = batch.roundtrips_on_wire
+        report.link_wall_clock_s = batch.link_wall_clock_s
     else:
-        executor = SyncExecutor(workers=workers)
-        batch = executor.run(method, tasks, capture_errors=capture_errors)
-        report.workers = batch.workers_used
-        report.caches = batch.caches
-        results = batch.files
-    for result in results:
+        batch = SyncExecutor(workers=workers).run(
+            method, tasks, capture_errors=capture_errors
+        )
+    report.workers = batch.workers_used
+    report.caches = batch.caches
+    for result in batch.files:
         name = result.name
         report.per_file_seconds[name] = result.elapsed_seconds
         report.cpu_seconds += result.cpu_seconds
@@ -441,7 +438,7 @@ def sync_collection(
         # Wire-latency accounting for the sequential path: each
         # file's session pays its own direction reversals on the
         # link, so the collection's cost is the per-file sum — the
-        # figure the pipelined scheduler collapses.
+        # figure the pipelined replay collapses.
         from repro.net.channel import LinkModel
 
         report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)

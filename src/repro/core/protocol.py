@@ -573,8 +573,8 @@ class CoreSyncSession:
     :class:`RoundRequest`, and :meth:`step_round` runs the pending
     rounds of a whole stack of sessions as one call.  Each session
     keeps its own channel, so a file's transcript is the same however
-    many files share its stack, and the pipelined collection scheduler
-    can interleave many sessions' rounds over one shared channel.
+    many files share its stack, and a pipelined collection can replay
+    many sessions' transcripts over one shared channel.
 
     Round checkpoints (``checkpointer``) use the same
     :func:`~repro.core.snapshot.snapshot_round_state` payloads as
@@ -816,8 +816,7 @@ def synchronize(
     stats cover the whole logical session.
 
     This drives one :meth:`CoreSyncSession.steps` lane as a stack of
-    one; the collection executor and the pipelined scheduler drive the
-    same lanes stacked.
+    one; the collection executor drives the same lanes stacked.
     """
     if channel is None:
         channel = SimulatedChannel()

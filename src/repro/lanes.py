@@ -5,8 +5,9 @@ A *lane* is one file's synchronization as a step generator
 :meth:`~repro.syncmethod.SyncMethod.lane` or a supervisor's retry loop).
 It yields in two ways:
 
-* a bare ``yield`` ends a *step* — the handshake, one protocol round —
-  the granularity the pipelined scheduler interleaves files at;
+* a bare ``yield`` ends a *step* — the handshake, one protocol round.
+  It is where a driver may admit the next lane into the stack: the
+  executor replaces each finished lane at once;
 * ``yield request`` hands work to the driver instead of doing it.  A
   :class:`Request` names a stacked runner; :func:`step_lanes` runs every
   pending request that shares a :meth:`Request.stack_key` as one call,

@@ -196,7 +196,7 @@ class MultiroundSession:
     """Resumable step-wise state machine for one multiround exchange.
 
     Splits :func:`multiround_rsync_sync` into the schedulable pieces the
-    pipelined collection scheduler needs — without changing a bit on the
+    collection executor stacks — without changing a bit on the
     wire: the driver loop below replays the exact send/receive sequence
     of the former run-to-completion function.
 
@@ -495,9 +495,9 @@ def multiround_rsync_sync(
     A checkpoint payload that is malformed or impossible for these two
     files raises :class:`~repro.exceptions.ProtocolError`.
 
-    This drives one :meth:`MultiroundSession.steps` lane; the pipelined
-    collection scheduler drives the same lanes with the rounds of many
-    files interleaved.
+    This drives one :meth:`MultiroundSession.steps` lane; the collection
+    executor drives the same lanes with the rounds of many files
+    stacked.
     """
     from repro.lanes import run_lane
 

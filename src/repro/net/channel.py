@@ -94,7 +94,7 @@ class LinkModel:
         each argument may be a scalar or a sequence/array of per-file
         (or per-wave) counters, broadcast against each other; the return
         value is the summed wall-clock estimate.  This is the one
-        formula the pipelined scheduler and the collection reports
+        formula the pipelined replay and the collection reports
         share, so ``link_wall_clock_s`` means the same thing wherever it
         appears.
 
@@ -147,7 +147,7 @@ class SimulatedChannel:
         self.current_round = 0
         #: When a list, every accepted send is appended to it as a
         #: :class:`SentMessage` — a transcript for parity checks, or the
-        #: outbox a scheduler mirrors onto a shared link.  Fault-injected
+        #: one a pipelined run replays onto a shared link.  Fault-injected
         #: channels record the payload as sent, before any mangling.
         self.recorder: list[SentMessage] | None = None
 

@@ -60,10 +60,10 @@ def decode_frame(frame: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Multiplexed batches (the pipelined collection scheduler's wire unit)
+# Multiplexed batches (the pipelined collection's wire unit)
 # ----------------------------------------------------------------------
 #
-# A pipelined collection drives many per-file sessions (*lanes*) over ONE
+# A pipelined collection carries many per-file sessions (*lanes*) over ONE
 # shared channel.  Each shared send is one *batch* in one direction, and
 # it carries every in-flight lane's whole next *run*: the lane's
 # consecutive messages in that direction.  Both ends know which lanes are

@@ -12,7 +12,8 @@ split the manifest, so the collection phase parallelises embarrassingly.
   files as the lanes of one stack (:mod:`repro.lanes`): every protocol
   round of the stack's files is one stacked call, so a round's fixed
   numpy cost is paid once per stack instead of once per file.  Each
-  lane keeps its own channel and its own errors.
+  lane keeps its own channel and its own errors, and its channel's
+  sends come back as the file's transcript.
 
 * **Deterministic results** — outcomes are reassembled in submission
   order, so a parallel collection report is byte-identical to the serial
@@ -58,6 +59,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ReproError
 from repro.lanes import Lane, step_lanes
+from repro.net.channel import SentMessage
 from repro.syncmethod import MethodOutcome, SyncMethod
 
 
@@ -82,7 +84,9 @@ class FileResult:
     ``"ExceptionType: message"`` for a file whose sync failed, and the
     outcome is an empty placeholder with ``correct=False``.
     ``reconstructed`` holds the bytes the client rebuilt, where the
-    method's lane reports them (session methods do).
+    method's lane reports them (session methods do).  ``transcript`` is
+    every message the file's lane sent, as its channel's ``recorder``
+    logged them: what a pipelined run replays onto the shared link.
     """
 
     name: str
@@ -91,6 +95,7 @@ class FileResult:
     cpu_seconds: float
     error: str | None = None
     reconstructed: bytes | None = None
+    transcript: list[SentMessage] = field(default_factory=list)
 
 
 @dataclass
@@ -190,13 +195,14 @@ def _run_chunk(
     each finished lane replaced at once.  A method whose results depend
     on file order (:attr:`~repro.syncmethod.SyncMethod.observes_file_order`)
     runs one lane at a time.  A lane's wall and CPU time are its own
-    steps plus its row-weighted share of the stacked calls.
+    steps plus its row-weighted share of the stacked calls; its sends
+    are recorded into its result's ``transcript``.
     """
     from repro.parallel.cache import default_cache
 
     before = cache_counters()
     pending = deque(chunk)
-    active: list[tuple[int, FileTask, Lane]] = []
+    active: list[tuple[int, FileTask, Lane, list[SentMessage]]] = []
     resident = 0
     rows = []
     one_at_a_time = method.observes_file_order
@@ -209,25 +215,34 @@ def _run_chunk(
             )
         ):
             index, task = pending.popleft()
-            active.append(
-                (index, task, Lane(method.lane(task.name, task.old, task.new)))
+            transcript: list[SentMessage] = []
+            steps = method.lane(
+                task.name, task.old, task.new, recorder=transcript
             )
+            active.append((index, task, Lane(steps), transcript))
             resident += task.total_bytes
         default_cache().ensure_capacity(CACHE_ENTRIES_PER_LANE * len(active))
-        step_lanes([lane for _index, _task, lane in active])
+        step_lanes([lane for _index, _task, lane, _transcript in active])
         running = []
-        for index, task, lane in active:
+        for index, task, lane, transcript in active:
             if not lane.done:
-                running.append((index, task, lane))
+                running.append((index, task, lane, transcript))
                 continue
             resident -= task.total_bytes
-            rows.append((index, lane_result(task, lane, capture_errors)))
+            rows.append(
+                (index, _lane_result(task, lane, transcript, capture_errors))
+            )
         active = running
     rows.sort(key=lambda row: row[0])
     return rows, cache_counters(since=before)
 
 
-def lane_result(task: FileTask, lane: Lane, capture_errors: bool) -> FileResult:
+def _lane_result(
+    task: FileTask,
+    lane: Lane,
+    transcript: list[SentMessage],
+    capture_errors: bool,
+) -> FileResult:
     """A finished lane as its file's result (or its error, raised).
 
     With ``capture_errors`` a :class:`ReproError` becomes the result's
@@ -247,6 +262,7 @@ def lane_result(task: FileTask, lane: Lane, capture_errors: bool) -> FileResult:
         lane.cpu_s,
         error=error,
         reconstructed=reconstructed,
+        transcript=transcript,
     )
 
 

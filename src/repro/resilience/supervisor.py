@@ -14,8 +14,7 @@ degradation made explicit, and the returned
 how many attempts were burnt, and what the recovery cost on the wire and
 in (estimated) wall-clock.  The attempt loop is a step generator
 (:meth:`SyncSupervisor.lane`): ``sync_file`` drives it to completion,
-and the pipelined :class:`~repro.collection.pipeline.CollectionScheduler`
-steps many files' lanes over one shared link.
+and the collection executor stacks many files' lanes.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointStore` the
 supervisor additionally makes retries *cheap*: checkpoint-capable rungs
@@ -287,8 +286,8 @@ class SyncSupervisor(SyncMethod):
         it by a stacked call — is accounted and the next one begins
         within the same step.  Returns ``(outcome, reconstructed)`` of the attempt
         that succeeded, or raises the typed failure.  ``recorder``
-        receives every attempt's sends (the pipelined scheduler's lane
-        outbox).
+        receives every attempt's sends, failed ones included: the file's
+        transcript, which a pipelined run replays onto its shared link.
         """
         from repro.resilience.recovery import attempt_resume
 

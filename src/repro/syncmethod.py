@@ -156,8 +156,8 @@ class SyncMethod(ABC):
     #: step-wise session (a ``steps`` lane), built by
     #: :meth:`open_session`: the supervisor journals its round
     #: boundaries (they then also implement ``checkpoint_identity``) and
-    #: the collection drivers stack or interleave its rounds with other
-    #: files'.  Methods without one run as a single step.
+    #: the collection executor stacks its rounds with other files'.
+    #: Methods without one run as a single step.
     has_session: bool = False
     #: Declares whether instances can cross a process boundary.  ``None``
     #: (default) makes the parallel executor probe with ``pickle.dumps``
@@ -181,8 +181,8 @@ class SyncMethod(ABC):
         Only meaningful when ``has_session`` is true.  The returned
         object exposes ``steps(channel, resume_from=None)``, the session
         as a lane (:mod:`repro.lanes`), with the exact wire traffic of
-        the run-to-completion path, so a driver can stack or interleave
-        many files' rounds while keeping each file's transcript
+        the run-to-completion path, so a driver can stack many files'
+        rounds while keeping each file's transcript
         byte-identical to a run of its own.
         """
         raise NotImplementedError(f"{self.name} has no step-wise session")
@@ -209,7 +209,7 @@ class SyncMethod(ABC):
         return wire_outcome(result, new), result.reconstructed
 
     def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
-        """The lane the collection drivers run for one file.
+        """The lane the collection executor runs for one file.
 
         :meth:`steps` over a fresh channel whose sends go to ``recorder``
         (see :attr:`~repro.net.channel.SimulatedChannel.recorder`).  A
@@ -220,15 +220,6 @@ class SyncMethod(ABC):
         channel = SimulatedChannel()
         channel.recorder = recorder
         return (yield from self.steps(old, new, channel))
-
-    def sync_named_file(self, name: str | None, old: bytes, new: bytes) -> MethodOutcome:
-        """Synchronise one *named* file pair.
-
-        The collection layer calls this with the entry's name so wrappers
-        keeping durable per-file state (checkpoint journals) can key it.
-        The default ignores the name.
-        """
-        return self.sync_file(old, new)
 
     def sync_file_over(self, old: bytes, new: bytes, channel) -> MethodOutcome:
         """Synchronise one file pair over a caller-supplied channel.

@@ -282,6 +282,29 @@ class TestPipelineParity:
             )
             assert sequential.per_file == pipelined.per_file, kwargs
 
+    def test_pool_matches_serial(self):
+        """A pipelined run fans its files out over the process pool like
+        a sequential one; the shared link it replays stays the same."""
+        old_side, new_side = make_collection(count=6)
+        serial, pooled = (
+            sync_collection(
+                old_side, new_side, OursMethod(), link=LINK,
+                pipeline=True, window=8, workers=workers,
+            )
+            for workers in (1, 2)
+        )
+        assert serial.workers == 1
+        assert pooled.workers == 2
+        for field in (
+            "per_file",
+            "reconstructed",
+            "waves",
+            "mux_overhead_bytes",
+            "roundtrips_on_wire",
+            "link_wall_clock_s",
+        ):
+            assert getattr(pooled, field) == getattr(serial, field), field
+
     def test_checkpointed_outcomes_match_sequential(self, tmp_path):
         """Journalling under the scheduler mirrors the supervisor's
         accounting on a clean run."""
