@@ -44,52 +44,36 @@ class SortedPositionMap:
 
     The client's match-extension bookkeeping (``_source_after_end`` /
     ``_source_at_start``) answers a whole round's probes in one
-    ``searchsorted`` pass (:meth:`get_many`).  Writes append and mark the
-    snapshot dirty; the sort is rebuilt lazily on the next probe, with
-    the last write for a key winning — exactly dict semantics.
+    ``searchsorted`` pass (:meth:`get_stacked`).  The map keeps a sorted
+    snapshot of unique keys; writes queue as batches, and the next probe
+    merges every probed map's queued batches into its snapshot with one
+    stable sort over the whole stack, the last write for a key winning —
+    exactly dict semantics.
     """
 
-    __slots__ = ("_keys", "_values", "_sorted_keys", "_sorted_values")
+    __slots__ = ("_keys", "_values", "_pending")
 
     def __init__(self) -> None:
-        self._keys: list[int] = []
-        self._values: list[int] = []
-        self._sorted_keys: np.ndarray | None = None
-        self._sorted_values: np.ndarray | None = None
+        self._keys = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.int64)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def __setitem__(self, key: int, value: int) -> None:
-        self._keys.append(key)
-        self._values.append(value)
-        self._sorted_keys = None
+        self.set_many(np.asarray([key]), np.asarray([value]))
 
     def set_many(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Batched ``self[key] = value``, in order."""
-        self._keys.extend(keys.tolist())
-        self._values.extend(values.tolist())
-        self._sorted_keys = None
-
-    def _ensure_sorted(self) -> np.ndarray:
-        """Sorted unique keys plus a trailing sentinel (value ``-1``)."""
-        if self._sorted_keys is not None:
-            return self._sorted_keys
-        keys = np.asarray(self._keys, dtype=np.int64)
-        values = np.asarray(self._values, dtype=np.int64)
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
-        values = values[order]
-        # Stable sort keeps insertion order within equal keys; keep the
-        # last occurrence so rewrites override earlier entries.
-        keep = np.ones(keys.size, dtype=bool)
-        keep[:-1] = keys[1:] != keys[:-1]
-        self._sorted_keys = np.append(keys[keep], _SENTINEL)
-        self._sorted_values = np.append(values[keep], -1)
-        return self._sorted_keys
+        if len(keys):
+            self._pending.append(
+                (np.array(keys, dtype=np.int64), np.array(values, dtype=np.int64))
+            )
 
     def __len__(self) -> int:
-        return self._ensure_sorted().size - 1
+        SortedPositionMap._stack([self])
+        return self._keys.size
 
     def __bool__(self) -> bool:
-        return bool(self._keys)
+        return bool(self._keys.size or self._pending)
 
     def get(self, key: int) -> int | None:
         """Point probe."""
@@ -103,6 +87,50 @@ class SortedPositionMap:
         )
 
     @staticmethod
+    def _stack(
+        maps: "list[SortedPositionMap]",
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every map's entries as one ``(lane << _LANE_SHIFT) + key`` table.
+
+        Returns the sorted tagged keys and their values, each with a
+        trailing sentinel (value ``-1``).  Queued writes are merged here:
+        snapshots and batches are concatenated in write order, one stable
+        sort orders the whole stack, the last of equal keys is kept, and
+        each map's snapshot becomes its slice of the result.
+        """
+        key_parts: list[np.ndarray] = []
+        value_parts: list[np.ndarray] = []
+        counts: list[int] = []
+        for m in maps:
+            key_parts.append(m._keys)
+            value_parts.append(m._values)
+            count = m._keys.size
+            for keys, values in m._pending:
+                key_parts.append(keys)
+                value_parts.append(values)
+                count += keys.size
+            counts.append(count)
+        keys = np.concatenate(key_parts)
+        values = np.concatenate(value_parts)
+        stacked = (
+            np.repeat(np.arange(len(maps), dtype=np.int64), counts)
+            << _LANE_SHIFT
+        ) + keys
+        # Snapshots are sorted runs and batches mostly are: the stable
+        # (timsort) pass is near-linear on them.
+        order = stacked.argsort(kind="stable")
+        stacked, keys, values = stacked[order], keys[order], values[order]
+        keep = np.ones(stacked.size, dtype=bool)
+        keep[:-1] = stacked[1:] != stacked[:-1]
+        stacked, keys, values = stacked[keep], keys[keep], values[keep]
+        cut = stacked.searchsorted(
+            np.arange(len(maps) + 1, dtype=np.int64) << _LANE_SHIFT
+        ).tolist()
+        for m, lo, hi in zip(maps, cut, cut[1:]):
+            m._keys, m._values, m._pending = keys[lo:hi], values[lo:hi], []
+        return np.append(stacked, _SENTINEL), np.append(values, -1)
+
+    @staticmethod
     def get_stacked(
         maps: "list[SortedPositionMap]", lanes: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
@@ -111,22 +139,8 @@ class SortedPositionMap:
         Each lane's sorted keys are tagged with the lane, so the stacked
         table stays sorted and one ``searchsorted`` answers every probe.
         """
-        if len(maps) == 1:
-            stacked, values = maps[0]._ensure_sorted(), maps[0]._sorted_values
-            probes = keys
-        else:
-            tables = [
-                (m._ensure_sorted()[:-1], m._sorted_values[:-1]) for m in maps
-            ]
-            counts = [table[0].size for table in tables]
-            stacked = np.concatenate(
-                [(np.repeat(np.arange(len(maps)), counts) << _LANE_SHIFT)
-                 + np.concatenate([table[0] for table in tables]), [_SENTINEL]]
-            )
-            values = np.concatenate(
-                [table[1] for table in tables] + [np.full(1, -1, dtype=np.int64)]
-            )
-            probes = (lanes << _LANE_SHIFT) + keys
+        stacked, values = SortedPositionMap._stack(maps)
+        probes = (lanes << _LANE_SHIFT) + keys
         at = stacked.searchsorted(probes)
         # Absent keys read the sentinel's -1 (probes are below it).
         at[stacked[at] != probes] = stacked.size - 1

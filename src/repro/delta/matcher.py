@@ -31,6 +31,7 @@ from repro.delta.instructions import Add, Copy, Instruction
 from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import (
     next_occupied_table,
+    sort_with_order,
     sorted_range_pair,
     window_hashes,
 )
@@ -114,9 +115,9 @@ class ReferenceMatcher:
         self.fingerprint = (
             file_fingerprint(reference) if fingerprint is None else fingerprint
         )
-        full = window_hashes(reference, seed_length, _SEED_HASHER)
-        self._order = np.argsort(full, kind="stable")
-        self._sorted = full[self._order]
+        self._sorted, self._order = sort_with_order(
+            window_hashes(reference, seed_length, _SEED_HASHER)
+        )
 
     @property
     def nbytes(self) -> int:
@@ -202,7 +203,7 @@ def compute_instructions(
     index construction across several targets; without one the process-wide
     :class:`~repro.parallel.cache.ReferenceIndexCache` is consulted so
     repeated references (version chains, sync retries, benchmark rounds)
-    never rebuild the argsort index.  Pass ``cache=False`` for a private
+    never re-sort the seed index.  Pass ``cache=False`` for a private
     uncached build, or a specific cache instance to use instead.
 
     ``memo``, a :class:`~repro.reuse.memo.DeltaMemoCache`, memoizes the
@@ -315,9 +316,12 @@ def _scan_scalar(
 _PROBE_SAMPLES = 64
 
 #: Estimated novel fraction below which the scalar loop beats the batch.
-#: Measured: the batch pays ~0.14 µs per target position, the scalar
-#: loop ~2 µs per literal byte — crossover near 6–7% novel bytes.
-_PROBE_NOVEL_CUTOFF = 0.06
+#: Measured on a 2-CPU x86_64 container (random 8 KB and 48 KB
+#: references, targets with 64-byte novel runs): the batch pays ~0.11 µs
+#: per target position, the scalar loop ~5 µs per literal byte —
+#: crossover near 2% novel bytes.  With 64 samples that is one miss at
+#: most.
+_PROBE_NOVEL_CUTOFF = 0.02
 
 
 def _copy_dominated(matcher: ReferenceMatcher, target_hashes: np.ndarray) -> bool:

@@ -106,6 +106,38 @@ def window_hashes(
     return window_hashes_from_sums(prefix_sums(data, hasher), length)
 
 
+#: Arrays this long or longer no longer fit their positions in the low
+#: 32 bits of a packed sort key; :func:`sort_with_order` falls back.
+_PACKED_SORT_LIMIT = 1 << 32
+
+
+def sort_with_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values[order], order)`` for a uint32 array, ``order`` its stable
+    argsort.
+
+    numpy has no fast stable sort for 32-bit keys, but sorting the
+    uint64 keys ``value << 32 | position`` with one in-place ``sort()``
+    gives the same order: equal values tie-break on the position in the
+    low half, so they come out ascending, exactly as a stable sort
+    leaves them.  Both halves are then read back out of the sorted
+    keys.  About 8x faster than ``argsort(kind="stable")`` at 8,000
+    entries and 6x at 48,000 (slower below about 400, by a few µs).
+    """
+    if values.dtype != np.uint32:
+        raise TypeError(f"expected a uint32 array, got {values.dtype}")
+    if values.size >= _PACKED_SORT_LIMIT:
+        order = np.argsort(values, kind="stable")
+        return values[order], order
+    keys = values.astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.arange(values.size, dtype=np.uint64)
+    keys.sort()
+    # Truncating to uint32 keeps the low half: the position.
+    order = keys.astype(np.uint32).astype(np.int64)
+    keys >>= np.uint64(32)
+    return keys.astype(np.uint32), order
+
+
 def sorted_range_pair(
     sorted_values: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -113,17 +145,17 @@ def sorted_range_pair(
 
     One vectorised ``searchsorted`` pair answers all queries at once —
     this is what turns a per-position Python lookup loop into a single
-    numpy pass.  The queries are sorted first so the binary searches
-    walk ``sorted_values`` monotonically (cache-friendly; ~2x faster
-    than querying in file order on large scans) and the results are
+    numpy pass.  The (uint32) queries are sorted first
+    (:func:`sort_with_order`) so the binary searches walk
+    ``sorted_values`` monotonically (cache-friendly; ~2x faster than
+    querying in file order on large scans) and the results are
     scattered back to the original query order, so the output is
     byte-identical to querying one position at a time.
     """
     if queries.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    order = np.argsort(queries, kind="stable")
-    ordered = queries[order]
+    ordered, order = sort_with_order(queries)
     lo = np.searchsorted(sorted_values, ordered, side="left")
     hi = np.searchsorted(sorted_values, ordered, side="right")
     out_lo = np.empty_like(lo)
@@ -306,15 +338,15 @@ class _WidthIndex:
     """Sorted lookup structure for one truncated hash width."""
 
     def __init__(self, full_hashes: np.ndarray, width: int) -> None:
-        packed = pack_to_width(full_hashes, width)
-        self._order = np.argsort(packed, kind="stable")
-        self._sorted = packed[self._order]
+        self._sorted, self._order = sort_with_order(
+            pack_to_width(full_hashes, width)
+        )
 
     def lookup(self, value: int, max_results: int) -> list[int]:
         """Window start positions whose truncated hash equals ``value``.
 
-        Positions come back ascending: the stable argsort keeps equal
-        hashes in original (positional) order.
+        Positions come back ascending: :func:`sort_with_order` keeps
+        equal hashes in original (positional) order.
         """
         lo = int(np.searchsorted(self._sorted, value, side="left"))
         hi = int(np.searchsorted(self._sorted, value, side="right"))
@@ -328,8 +360,8 @@ class _WidthIndex:
         """First (lowest) matching position per query, ``-1`` when absent.
 
         One :func:`sorted_range_pair` call answers the whole query batch;
-        ``order[lo]`` is the first match because the stable argsort keeps
-        equal hashes in ascending positional order — exactly the
+        ``order[lo]`` is the first match because :func:`sort_with_order`
+        keeps equal hashes in ascending positional order — exactly the
         ``lookup(...)[0]`` the scalar path takes.
         """
         lo, hi = sorted_range_pair(
@@ -410,7 +442,7 @@ class HashIndex:
         When no :class:`_WidthIndex` exists yet for ``width`` the batch is
         answered by a *reverse* lookup — sort the (small) query batch and
         scan the full hash array against it — which is ``O(n log q)``
-        instead of the ``O(n log n)`` argsort a width index costs to
+        instead of the ``O(n log n)`` sort a width index costs to
         build.  A whole protocol round needs each ``(length, width)``
         combination only once or twice, so building the index never pays
         for itself; the scalar :meth:`lookup` path still builds (and then
@@ -426,7 +458,11 @@ class HashIndex:
         queries = values.astype(packed.dtype, copy=False)
         if queries.size <= 128:
             # Small batch: one SIMD equality scan per query beats the
-            # per-element overhead of a length-n searchsorted.
+            # per-element overhead of a length-n searchsorted.  Measured
+            # on a 2-CPU x86_64 container over 8,192 positions: ~4.5 µs
+            # per query here, ~300-550 µs for the sorted batch below
+            # (its query sort is under 10 µs of that), crossing at about
+            # 100-128 queries.
             out = np.full(queries.size, -1, dtype=np.int64)
             flat = queries.ravel()
             for at, value in enumerate(flat.tolist()):
@@ -435,8 +471,7 @@ class HashIndex:
                 if hits[first]:
                     out[at] = first
             return out.reshape(values.shape)
-        order = np.argsort(queries, kind="stable")
-        sorted_queries = queries[order]
+        sorted_queries, order = sort_with_order(queries.ravel())
         # isin prunes the length-n side to actual hits first, so the
         # per-element searchsorted below only binary-searches hits.
         hit_positions = np.flatnonzero(np.isin(packed, sorted_queries))
@@ -444,7 +479,7 @@ class HashIndex:
         first_sorted = np.full(sorted_queries.size, -1, dtype=np.int64)
         # Reversed assignment: with duplicate slots the LAST write wins,
         # so reversing makes the lowest position stick — the same "first
-        # match" the stable width-index argsort would return.
+        # match" the width index (sorted stably) would return.
         first_sorted[slot[::-1]] = hit_positions[::-1]
         # Duplicate query values occupy distinct slots but searchsorted
         # maps every hit to the leftmost equal slot; fan the result back
@@ -469,7 +504,8 @@ class HashIndex:
         if index is not None:
             # The sorted width index already exists: an O(log n) probe
             # beats re-packing and scanning the whole slice.  Matches
-            # are ascending (stable sort), exactly like the scan below.
+            # are ascending (:func:`sort_with_order`), exactly like the
+            # scan below.
             matches = index.lookup(value, int(self._full.size))
             return [p for p in matches if lo <= p < hi][:max_results]
         packed = pack_to_width(self._full[lo:hi], width)

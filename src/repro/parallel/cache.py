@@ -10,8 +10,8 @@ session observing the same data under the same hash function reuses them:
 * prefix-sum buffers are keyed by ``(file_fingerprint, hash_table_id)``;
 * :class:`~repro.hashing.scan.HashIndex` arrays additionally carry the
   window ``block_length``;
-* delta :class:`~repro.delta.matcher.ReferenceMatcher` seed indexes (the
-  argsort over all reference window hashes) are keyed by
+* delta :class:`~repro.delta.matcher.ReferenceMatcher` seed indexes (all
+  reference window hashes, sorted with their positions) are keyed by
   ``(file_fingerprint, seed_length)`` in a separate
   :class:`ReferenceIndexCache`, so multi-round syncs and repeated
   references skip the index rebuild entirely.
@@ -258,8 +258,8 @@ class ReferenceIndexCache(ContentKeyedCache):
     The delta coders consult it through
     :func:`~repro.delta.matcher.compute_instructions`, so syncing several
     targets against one reference — version chains, supervisor retries,
-    zdelta *and* vcdiff encodes of the same pair — builds the argsort
-    index once.  The seed hasher is the module-fixed ``_SEED_HASHER`` of
+    zdelta *and* vcdiff encodes of the same pair — sorts the seed index
+    once.  The seed hasher is the module-fixed ``_SEED_HASHER`` of
     :mod:`repro.delta.matcher`, so no hash-table id is needed in the key.
     """
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ProtocolConfig
 from repro.core.blocks import Frontier
-from repro.core.client import ClientSession
+from repro.core.client import ClientSession, SortedPositionMap
 from repro.core.planning import plan_continuation, plan_global
 from repro.core.server import ServerSession
 from repro.exceptions import ProtocolError
@@ -176,3 +178,48 @@ class TestSessionCacheReuse:
         ClientSession(data, CONFIG.with_overrides(hash_seed=99), cache=cache)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
+
+
+#: One write to a map: ``(lane, keys, values)``; ``keys`` empty writes
+#: nothing, and a single key goes through ``__setitem__``.
+_WRITES = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1000)), max_size=6),
+    ),
+    max_size=12,
+)
+
+
+class TestSortedPositionMap:
+    @given(_WRITES, st.lists(st.integers(0, 12), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dicts_last_write_wins(self, writes, probe_after):
+        maps = [SortedPositionMap() for _ in range(3)]
+        dicts: list[dict[int, int]] = [{} for _ in range(3)]
+        probe_keys = np.arange(-1, 42, dtype=np.int64)
+        lanes = np.repeat(np.arange(3), probe_keys.size)
+        for step, (lane, entries) in enumerate(writes):
+            if len(entries) == 1:
+                maps[lane][entries[0][0]] = entries[0][1]
+            else:
+                maps[lane].set_many(
+                    np.asarray([k for k, _ in entries], dtype=np.int64),
+                    np.asarray([v for _, v in entries], dtype=np.int64),
+                )
+            dicts[lane].update(entries)
+            if step in probe_after:
+                # Probing merges the queued writes into the snapshots.
+                got = SortedPositionMap.get_stacked(
+                    maps, lanes, np.tile(probe_keys, 3)
+                )
+                want = [
+                    d.get(key, -1) for d in dicts for key in probe_keys.tolist()
+                ]
+                assert got.tolist() == want
+        for m, d in zip(maps, dicts):
+            assert bool(m) == bool(d)
+            assert len(m) == len(d)
+            assert [m.get(k) for k in range(-1, 42)] == [
+                d.get(k) for k in range(-1, 42)
+            ]

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.delta.matcher import ReferenceMatcher
 from repro.hashing import DecomposableAdler, HashIndex, PrefixHasher, window_hashes
-from repro.hashing.scan import pack_to_width
+from repro.hashing import scan
+from repro.hashing.scan import _WidthIndex, pack_to_width, sort_with_order
 
 HASHER = DecomposableAdler(seed=5)
 
@@ -191,3 +193,119 @@ class TestLookupTypesAndEquivalence:
                 value, width, 100, 900, max_results=5
             )
             assert positions == list(range(100, 105))
+
+
+def _stable(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(values, kind="stable")
+    return values[order], order
+
+
+def _assert_stable_sort(values: np.ndarray) -> None:
+    got_values, got_order = sort_with_order(values)
+    want_values, want_order = _stable(values)
+    assert got_order.dtype == want_order.dtype
+    assert got_values.dtype == np.uint32
+    np.testing.assert_array_equal(got_order, want_order)
+    np.testing.assert_array_equal(got_values, want_values)
+
+
+_UINT32 = st.integers(0, 0xFFFFFFFF)
+
+
+class TestSortWithOrder:
+    """The packed-key sort returns exactly the stable argsort."""
+
+    @given(
+        st.one_of(
+            st.lists(_UINT32, max_size=300),
+            # Heavy duplicates, including the largest value.
+            st.lists(
+                st.sampled_from([0, 1, 7, 0xFFFFFFFE, 0xFFFFFFFF]), max_size=300
+            ),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_argsort(self, values):
+        _assert_stable_sort(np.asarray(values, dtype=np.uint32))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0xFFFFFFFF],
+            [5] * 50,
+            [0xFFFFFFFF] * 9 + [0] * 9,
+            [3, 1, 3, 1, 3, 1, 0xFFFFFFFF, 0],
+        ],
+        ids=["empty", "one", "all-equal", "extremes", "duplicates"],
+    )
+    def test_edge_arrays(self, values):
+        _assert_stable_sort(np.asarray(values, dtype=np.uint32))
+
+    def test_large_random_with_duplicates(self):
+        rng = np.random.default_rng(3)
+        _assert_stable_sort(rng.integers(0, 5000, 60_000).astype(np.uint32))
+
+    def test_rejects_other_dtypes(self):
+        with pytest.raises(TypeError):
+            sort_with_order(np.arange(4, dtype=np.int64))
+
+    def test_falls_back_at_the_position_limit(self, monkeypatch):
+        """At or above the limit the positions would not fit the low half
+        of the key: the stable argsort runs instead, with the same result."""
+        values = np.asarray([9, 2, 9, 2, 0xFFFFFFFF, 2], dtype=np.uint32)
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        monkeypatch.setattr(scan, "_PACKED_SORT_LIMIT", values.size + 1)
+        sort_with_order(values)
+        assert calls == []
+        monkeypatch.setattr(scan, "_PACKED_SORT_LIMIT", values.size)
+        got_values, got_order = sort_with_order(values)
+        assert calls == ["stable"]
+        monkeypatch.setattr(np, "argsort", argsort)
+        want_values, want_order = _stable(values)
+        np.testing.assert_array_equal(got_order, want_order)
+        np.testing.assert_array_equal(got_values, want_values)
+
+    def test_indexes_hold_the_stable_argsort(self):
+        rng = random.Random(11)
+        # Few distinct bytes: many equal window hashes to tie-break.
+        data = bytes(rng.randrange(4) for _ in range(20_000))
+        matcher = ReferenceMatcher(data, 16)
+        want_values, want_order = _stable(
+            window_hashes(data, 16, DecomposableAdler(seed=0x5EED))
+        )
+        np.testing.assert_array_equal(matcher._order, want_order)
+        np.testing.assert_array_equal(matcher._sorted, want_values)
+        full = window_hashes(data, 24, HASHER)
+        for width in (6, 12, 32):
+            index = _WidthIndex(full, width)
+            want_values, want_order = _stable(pack_to_width(full, width))
+            np.testing.assert_array_equal(index._order, want_order)
+            np.testing.assert_array_equal(index._sorted, want_values)
+
+    @pytest.mark.parametrize("count", [100, 129, 2000])
+    def test_lookup_many_is_lookup_head(self, count):
+        """Both batch paths (with and without a width index) give
+        ``lookup(value)[0]``, duplicate and absent queries included."""
+        rng = np.random.default_rng(count)
+        data = rng.integers(0, 3, 6000, dtype=np.uint8).tobytes()
+        index = HashIndex(data, 12, HASHER)
+        width = 14
+        present = [
+            index.packed_hash_at(position, width)
+            for position in rng.integers(0, 5989, count).tolist()
+        ]
+        queries = np.asarray(
+            present + present[:7] + [0x3FFF] * 3, dtype=np.uint32
+        )
+        want = [(index.lookup(v, width) or [-1])[0] for v in queries.tolist()]
+        cold = HashIndex(data, 12, HASHER)  # no width index: reverse lookup
+        assert cold.lookup_many(queries, width).tolist() == want
+        assert index.lookup_many(queries, width).tolist() == want
