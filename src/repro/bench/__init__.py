@@ -22,23 +22,10 @@ from repro.bench.methods import (
 from repro.bench.export import export_runs, run_to_row
 from repro.bench.runner import CollectionRun, run_method_on_collection
 from repro.bench.report import format_kb, render_grouped_bars, render_table
-from repro.bench.soak import (
-    DEFAULT_SEEDS,
-    DEFAULT_SHAPES,
-    SOAK_PROFILES,
-    SoakReport,
-    SoakRow,
-    run_soak,
-)
 
 __all__ = [
     "AdaptiveMethod",
     "CollectionRun",
-    "DEFAULT_SEEDS",
-    "DEFAULT_SHAPES",
-    "SOAK_PROFILES",
-    "SoakReport",
-    "SoakRow",
     "FullTransferMethod",
     "MethodOutcome",
     "MultiroundRsyncMethod",
@@ -53,7 +40,6 @@ __all__ = [
     "render_grouped_bars",
     "render_table",
     "run_method_on_collection",
-    "run_soak",
     "run_to_row",
     "standard_methods",
 ]

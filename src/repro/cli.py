@@ -290,26 +290,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_scrub(args: argparse.Namespace) -> int:
-    """Anti-entropy audit of a replica store, or the scrub-soak matrix."""
-    if args.soak:
-        from repro.bench.soak import run_scrub_soak
-
-        report = run_scrub_soak(
-            seeds=tuple(args.seeds),
-            profile=args.profile,
-            shape=args.shape,
-            adaptive=not args.static,
-        )
-        print(report.to_json() if args.json else report.render())
-        if args.out is not None:
-            Path(args.out).write_text(report.to_json() + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        return 0 if report.all_converged else 1
-
-    if args.path is None or args.manifest is None:
-        print("error: scrub needs a store PATH and --manifest "
-              "(or --soak for the synthetic matrix)", file=sys.stderr)
-        return 2
+    """Anti-entropy audit of a replica store."""
     from repro.collection import StoreScrubber, load_manifest
 
     manifest = load_manifest(args.manifest)
@@ -379,33 +360,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     if repaired is not None:
         return 0 if scrubber.scrub_all(quarantine=False).clean else 1
     return 0 if report.clean else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Chaos-soak matrix: shaped fault schedules × seeds over a workload."""
-    from repro.bench.soak import run_soak
-    from repro.net.chaos import CHAOS_SHAPES
-
-    shapes = tuple(args.shapes)
-    for shape in shapes:
-        if shape not in CHAOS_SHAPES:
-            print(f"error: unknown shape {shape!r} "
-                  f"(choose from {', '.join(CHAOS_SHAPES)})",
-                  file=sys.stderr)
-            return 2
-    report = run_soak(
-        shapes=shapes,
-        seeds=tuple(args.seeds),
-        profile=args.profile,
-        adaptive=not args.static,
-        breaker_threshold=args.breaker_threshold,
-    )
-    rendered = report.to_json() if args.json else report.render()
-    print(rendered)
-    if args.out is not None:
-        Path(args.out).write_text(report.to_json() + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if report.all_cells_consistent else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -640,32 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = one per CPU)")
     bench.set_defaults(handler=_cmd_bench)
 
-    chaos = sub.add_parser(
-        "chaos", help="soak the resilience stack: shaped fault schedules "
-                      "× seeds over a synthetic workload; exits non-zero "
-                      "if any cell loses a healthy file"
-    )
-    chaos.add_argument("--shapes", nargs="+",
-                       default=["bursty", "periodic", "degrading"],
-                       help="fault schedule shapes to sweep "
-                            "(steady, bursty, periodic, degrading)")
-    chaos.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3],
-                       help="fault plan seeds to sweep")
-    chaos.add_argument("--profile", choices=("short", "long"),
-                       default="short",
-                       help="workload scale / fault rate / deadline preset")
-    chaos.add_argument("--static", action="store_true",
-                       help="run the static retry baseline instead of the "
-                            "adaptive stack (no breakers, no deadlines)")
-    chaos.add_argument("--breaker-threshold", type=_positive(), default=3,
-                       help="per-file breaker threshold for adaptive runs")
-    chaos.add_argument("--json", action="store_true",
-                       help="print the matrix as JSON instead of a table")
-    chaos.add_argument("--out", default=None,
-                       help="also write the JSON report to this path "
-                            "(the CI chaos-soak artifact)")
-    chaos.set_defaults(handler=_cmd_chaos)
-
     recover = sub.add_parser(
         "recover", help="sweep a replica directory after a crash: "
                         "quarantine orphaned temporaries, report pending "
@@ -687,11 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
     scrub = sub.add_parser(
         "scrub", help="anti-entropy audit: re-fingerprint a replica store "
                       "against its manifest, quarantine divergence, "
-                      "optionally repair it; or run the scrub-soak matrix"
+                      "optionally repair it"
     )
-    scrub.add_argument("path", nargs="?", default=None,
-                       help="replica store root to audit")
-    scrub.add_argument("--manifest", default=None,
+    scrub.add_argument("path", help="replica store root to audit")
+    scrub.add_argument("--manifest", required=True,
                        help="stored manifest recording the expected "
                             "fingerprints")
     scrub.add_argument("--cursor", default=None,
@@ -711,26 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(adaptive supervisor, full-transfer rescue)")
     scrub.add_argument("--source", default=None,
                        help="pristine collection directory to repair from")
-    scrub.add_argument("--soak", action="store_true",
-                       help="run the synthetic bit-rot soak matrix instead "
-                            "of auditing a real store; exits non-zero "
-                            "unless every replica converges")
-    scrub.add_argument("--profile", choices=("short", "long"),
-                       default="short",
-                       help="soak workload scale / damage / fault preset")
-    scrub.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3],
-                       help="soak bit-rot seeds to sweep")
-    scrub.add_argument("--shape", default="bursty",
-                       help="fault schedule shape for the soak's repair "
-                            "link")
-    scrub.add_argument("--static", action="store_true",
-                       help="soak with the static retry policy instead of "
-                            "the adaptive stack")
     scrub.add_argument("--json", action="store_true",
                        help="machine-readable output")
-    scrub.add_argument("--out", default=None,
-                       help="also write the soak JSON report to this path "
-                            "(the CI integrity artifact)")
     scrub.set_defaults(handler=_cmd_scrub)
     return parser
 

@@ -120,8 +120,11 @@ class StoreScrubber:
         """Last audited entry name, or ``None`` at the start of a pass."""
         if self.cursor_path is None or not self.cursor_path.is_file():
             return None
-        lines = self.cursor_path.read_text().splitlines()
-        if not lines or lines[0] != _CURSOR_HEADER:
+        try:
+            lines = self.cursor_path.read_bytes().decode().split("\n")
+        except UnicodeDecodeError:
+            lines = [""]
+        if lines[0] != _CURSOR_HEADER:
             return None  # unrecognised cursor: restart the pass
         return lines[1] if len(lines) > 1 and lines[1] else None
 

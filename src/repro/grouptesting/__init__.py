@@ -1,52 +1,30 @@
-"""Group testing and searching-with-liars machinery.
+"""Verification strategies: the paper's group-testing view of match checks.
 
 The paper models optimized match verification as a group-testing problem
 (false candidate matches are the "defective" items; one transmitted hash
-asks "are all matches in this group correct?") and models the extension of
-confirmed matches via continuation hashes as Ulam's searching-with-liars
-game.  This package provides:
-
-* :mod:`repro.grouptesting.strategies` — concrete verification strategies
-  (trivial per-candidate hashes, single-batch grouping, adaptive two- and
-  three-batch schemes with salvage) described as data so the protocol can
-  execute any of them;
-* :mod:`repro.grouptesting.liars` — an unreliable-comparison binary search
-  (continuation-hash queries answer correctly only with probability
-  ``1 - 2**-bits`` when the true answer is "no match");
-* :mod:`repro.grouptesting.analysis` — expected-cost formulas used by the
-  ablation benchmarks and tests.
+asks "are all matches in this group correct?").
+:mod:`repro.grouptesting.strategies` describes the concrete strategies
+(trivial per-candidate hashes, single-batch grouping, adaptive two- and
+three-batch schemes with salvage) as data, so the protocol
+(:mod:`repro.core.verification`) can execute any of them.  The extension
+of confirmed matches, modelled in the paper as Ulam's
+searching-with-liars game, is :mod:`repro.core.refine`.
 """
 
-from repro.grouptesting.analysis import (
-    expected_strategy_bits,
-    optimal_dorfman_group_size,
-)
-from repro.grouptesting.liars import UlamSearcher, UnreliableOracle
-from repro.grouptesting.simulate import SimulationOutcome, simulate_strategy
 from repro.grouptesting.strategies import (
     BatchSpec,
     BatchMode,
     BatchScope,
     VerificationStrategy,
     make_strategy,
-    register_strategy,
     strategy_names,
-    unregister_strategy,
 )
 
 __all__ = [
     "BatchMode",
-    "SimulationOutcome",
-    "simulate_strategy",
     "BatchScope",
     "BatchSpec",
-    "UlamSearcher",
-    "UnreliableOracle",
     "VerificationStrategy",
-    "expected_strategy_bits",
     "make_strategy",
-    "register_strategy",
-    "unregister_strategy",
-    "optimal_dorfman_group_size",
     "strategy_names",
 ]

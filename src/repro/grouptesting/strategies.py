@@ -151,34 +151,8 @@ def strategy_names() -> list[str]:
     return sorted(_STRATEGIES)
 
 
-def register_strategy(
-    strategy: VerificationStrategy, replace: bool = False
-) -> VerificationStrategy:
-    """Add a custom strategy to the registry.
-
-    Once registered, its name is accepted by
-    ``ProtocolConfig(verification=...)`` like the built-ins — the hook
-    for experimenting with verification schemes the paper did not try.
-    Built-in names cannot be replaced unless ``replace`` is set.
-    """
-    if strategy.name in _STRATEGIES and not replace:
-        raise ConfigError(
-            f"strategy {strategy.name!r} already registered; "
-            "pass replace=True to override"
-        )
-    _STRATEGIES[strategy.name] = strategy
-    return strategy
-
-
-def unregister_strategy(name: str) -> None:
-    """Remove a custom strategy (built-ins are protected)."""
-    if name in _BUILTIN_NAMES:
-        raise ConfigError(f"cannot unregister built-in strategy {name!r}")
-    _STRATEGIES.pop(name, None)
-
-
 def make_strategy(name: str) -> VerificationStrategy:
-    """Look up a registered verification strategy by name."""
+    """Look up a verification strategy by name."""
     try:
         return _STRATEGIES[name]
     except KeyError:
@@ -187,5 +161,3 @@ def make_strategy(name: str) -> VerificationStrategy:
             f"choose from {strategy_names()}"
         ) from None
 
-
-_BUILTIN_NAMES = frozenset(_STRATEGIES)

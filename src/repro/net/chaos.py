@@ -10,9 +10,10 @@ machinery: one seeded RNG draw per send in transmit order, so a given
 everywhere — including across the retry attempts of a supervisor
 sharing the plan.
 
-The chaos-soak harness (:mod:`repro.bench.soak`) sweeps a small matrix
-of these shapes × seeds over multi-file collection runs; the CI
-``chaos-soak`` job runs the short profile on every push.
+The test suite's soak harness (``tests/soak.py``) sweeps a small matrix
+of these shapes × seeds over multi-file collection runs, and
+``benchmarks/test_fault_overhead.py`` runs adaptive against static retry
+under the bursty shape.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class BitRotPlan:
     deliberately not via the store's atomic temp+rename path, because
     media rot does not fsync.  Victims are chosen deterministically from
     the sorted file list, so a given ``(seed, root contents)`` pair
-    always rots the same bytes; the scrubber soak relies on that to
-    replay its convergence proof.
+    always rots the same bytes; the scrubber tests and the test suite's
+    scrub soak rely on that to replay their convergence proof.
 
     Quarantine entries, in-flight ``.repro.tmp`` temporaries and empty
     files are never touched.  Returns the victims' store-relative names.

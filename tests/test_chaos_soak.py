@@ -3,14 +3,13 @@
 Covers the :class:`~repro.net.chaos.ChaosProfile` shapes as pure
 functions, the determinism contract of
 :class:`~repro.net.chaos.ScheduledFaultPlan` (same shape+seed ⇒ same
-fault sequence, whatever traffic rides the link), the soak matrix
-invariants, and — via a hypothesis state machine — the legality of every
+fault sequence, whatever traffic rides the link), the invariants of the
+full soak matrix (``tests/soak.py``: every shape × every seed, short
+profile), and — via a hypothesis state machine — the legality of every
 circuit-breaker transition under arbitrary interleavings.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import settings
@@ -34,6 +33,7 @@ from repro.resilience.adaptive import (
     BreakerState,
     CircuitBreaker,
 )
+from tests.soak import DEFAULT_SEEDS, DEFAULT_SHAPES, SOAK_PROFILES, run_soak
 
 
 class TestChaosProfile:
@@ -127,21 +127,19 @@ class TestScheduledFaultPlan:
 class TestRunSoak:
     @pytest.fixture(scope="class")
     def soak(self):
-        from repro.bench.soak import run_soak
-
-        return run_soak(shapes=("bursty", "degrading"), seeds=(1, 2),
-                        profile="short")
+        return run_soak(profile="short")
 
     def test_matrix_dimensions(self, soak):
-        assert len(soak.rows) == 4
-        assert {(r.shape, r.seed) for r in soak.rows} == {
-            ("bursty", 1), ("bursty", 2), ("degrading", 1), ("degrading", 2),
-        }
+        assert DEFAULT_SHAPES == ("bursty", "periodic", "degrading")
+        assert DEFAULT_SEEDS == (1, 2, 3)
+        assert [(r.shape, r.seed) for r in soak.rows] == [
+            (shape, seed) for shape in DEFAULT_SHAPES for seed in DEFAULT_SEEDS
+        ]
 
     def test_every_cell_consistent(self, soak):
-        """The tentpole invariant: every healthy file completes, every
+        """The soak invariant: every healthy file completes, every
         pathological file is reported — nothing vanishes."""
-        assert soak.all_cells_consistent
+        assert soak.all_cells_consistent, soak.render()
         for row in soak.rows:
             assert row.files_synced + row.files_failed == row.files_changed
             assert len(row.failed_names) == row.files_failed
@@ -151,17 +149,13 @@ class TestRunSoak:
         assert any(row.health_score < 1.0 for row in soak.rows)
         assert any(row.faults_injected > 0 for row in soak.rows)
 
-    def test_render_and_json(self, soak):
+    def test_render(self, soak):
         text = soak.render()
         assert "chaos soak [short]" in text
         assert "every healthy file synced" in text
-        payload = json.loads(soak.to_json())
-        assert payload["all_cells_consistent"] is True
-        assert len(payload["rows"]) == 4
+        assert len(text.splitlines()) == 3 + len(soak.rows) + 1
 
     def test_deterministic_across_runs(self):
-        from repro.bench.soak import run_soak
-
         first = run_soak(shapes=("periodic",), seeds=(3,), profile="short")
         second = run_soak(shapes=("periodic",), seeds=(3,), profile="short")
         strip = lambda row: {
@@ -172,8 +166,6 @@ class TestRunSoak:
         ]
 
     def test_unknown_profile_rejected(self):
-        from repro.bench.soak import run_soak
-
         with pytest.raises(ValueError):
             run_soak(profile="marathon")
 
@@ -187,7 +179,6 @@ class TestPipelinedChaosCells:
     @pytest.mark.parametrize("shape", ["bursty", "periodic", "degrading"])
     def test_cell_loses_no_healthy_file(self, shape, seed):
         from repro.bench.methods import OursMethod
-        from repro.bench.soak import SOAK_PROFILES
         from repro.collection import sync_collection
         from repro.resilience import SyncSupervisor
         from repro.workloads import gcc_like

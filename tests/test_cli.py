@@ -196,19 +196,33 @@ SYNC_FLAGS = {
 #: Every option string of ``repro bench``, which has no sub-commands.
 BENCH_FLAGS = {"-h", "--help", "--workload", "--scale", "--seed", "--workers"}
 
+#: Every option string of ``repro scrub``, which audits one store.
+SCRUB_FLAGS = {
+    "-h", "--help", "--manifest", "--cursor", "--max-entries",
+    "--rate-limit", "--no-quarantine", "--repair", "--source", "--json",
+}
 
-def _subcommand(name: str) -> argparse.ArgumentParser:
-    commands = next(
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
-    )
-    return commands.choices[name]
+    ).choices
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    return _subcommands()[name]
 
 
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_subcommand_set_is_pinned(self):
+        assert set(_subcommands()) == {
+            "bench", "manifest", "recover", "scrub", "sync", "trace",
+        }
 
     def test_sync_flag_set_is_pinned(self):
         flags = {
@@ -228,6 +242,26 @@ class TestParser:
             option for action in actions for option in action.option_strings
         }
         assert flags == BENCH_FLAGS
+
+    def test_scrub_flag_set_is_pinned(self):
+        actions = _subcommand("scrub")._actions
+        flags = {
+            option for action in actions for option in action.option_strings
+        }
+        assert flags == SCRUB_FLAGS
+        (path,) = [action for action in actions if not action.option_strings]
+        assert path.dest == "path" and path.required
+        assert next(
+            action for action in actions if action.dest == "manifest"
+        ).required
+
+    @pytest.mark.parametrize(
+        "argv", [["chaos"], ["scrub", "--soak"]], ids=" ".join
+    )
+    def test_soak_commands_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
         "flags",
@@ -411,28 +445,3 @@ class TestPipelineFlag:
             sequential.pop(key)
             pipelined.pop(key)
         assert pipelined == sequential
-
-
-class TestChaosCommand:
-    def test_soak_matrix(self, capsys):
-        assert main([
-            "chaos", "--shapes", "bursty", "--seeds", "1",
-            "--profile", "short",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "chaos soak [short]" in out
-        assert "bursty" in out
-
-    def test_json_artifact(self, tmp_path, capsys):
-        artifact = tmp_path / "soak.json"
-        assert main([
-            "chaos", "--shapes", "degrading", "--seeds", "2",
-            "--json", "--out", str(artifact),
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["all_cells_consistent"] is True
-        assert json.loads(artifact.read_text()) == payload
-
-    def test_unknown_shape_rejected(self, capsys):
-        assert main(["chaos", "--shapes", "lumpy"]) == 2
-        assert "unknown shape" in capsys.readouterr().err

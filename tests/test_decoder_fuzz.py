@@ -6,11 +6,13 @@ a value or raise its own :class:`~repro.exceptions.ReproError` subclass
 — never a bare ``ValueError``/``IndexError`` — within the hypothesis
 deadline.  The collision fault plan is in the table too: it parses delta
 payloads it did not build and must pass anything it cannot read through
-untouched, so it may raise nothing at all.
+untouched, so it may raise nothing at all.  So is the scrub cursor: a
+cursor file it cannot read restarts the scrub pass instead of raising.
 """
 
 from __future__ import annotations
 
+import tempfile
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collection import Manifest, StoreScrubber
 from repro.core import ProtocolConfig
 from repro.core.client import ClientSession
 from repro.core.protocol import CoreSyncSession
@@ -132,6 +135,23 @@ def _resume_proposals() -> list[bytes]:
     return payloads
 
 
+_SCRUB_DIR = tempfile.TemporaryDirectory()
+_SCRUBBER = StoreScrubber(
+    _SCRUB_DIR.name, Manifest(), cursor_path=f"{_SCRUB_DIR.name}/cursor"
+)
+
+
+def _read_cursor(data: bytes) -> str | None:
+    """Write ``data`` as the scrub cursor file and read it back."""
+    _SCRUBBER.cursor_path.write_bytes(data)
+    return _SCRUBBER.read_cursor()
+
+
+def _scrub_cursors() -> list[bytes]:
+    _SCRUBBER._write_cursor("d0/f01.bin")
+    return [_SCRUBBER.cursor_path.read_bytes()]
+
+
 def _collide(payload: bytes) -> bytes:
     return CollisionFaultPlan(seed=5).collide(payload, "delta")
 
@@ -197,6 +217,7 @@ DECODERS = {
         _collide, (), lambda: _rsync("delta") + _multiround_delta()
     ),
     "collision-tokens": Decoder(_collide_stream, (), _token_streams),
+    "scrub-cursor": Decoder(_read_cursor, (), _scrub_cursors),
 }
 
 VALID = {name: decoder.valid() for name, decoder in DECODERS.items()}
@@ -277,3 +298,8 @@ def test_mutated_valid_payloads(name, draw):
 def test_probe_raises_typed_error(name, data):
     with pytest.raises(DECODERS[name].errors):
         DECODERS[name].decode(data)
+
+
+def test_undecodable_scrub_cursor_restarts_the_pass():
+    assert _read_cursor(_scrub_cursors()[0]) == "d0/f01.bin"
+    assert _read_cursor(b"repro-scrub-cursor v1\n\xff\xfe\x80name\n") is None

@@ -95,49 +95,3 @@ class TestRegistry:
             < make_strategy("light").total_individual_bits
             < make_strategy("trivial").total_individual_bits
         )
-
-
-class TestCustomRegistry:
-    def _custom(self, name="custom-x"):
-        return VerificationStrategy(
-            name,
-            (
-                BatchSpec(BatchMode.INDIVIDUAL, bits=10),
-                BatchSpec(BatchMode.GROUP, bits=20, group_size=4,
-                          scope=BatchScope.SURVIVORS),
-            ),
-        )
-
-    def test_register_and_use_through_protocol(self):
-        from repro.core import ProtocolConfig, synchronize
-        from repro.grouptesting import register_strategy, unregister_strategy
-        from tests.conftest import make_version_pair
-
-        register_strategy(self._custom())
-        try:
-            old, new = make_version_pair(seed=950, nbytes=8000)
-            config = ProtocolConfig(verification="custom-x")
-            assert synchronize(old, new, config).reconstructed == new
-        finally:
-            unregister_strategy("custom-x")
-        with pytest.raises(ConfigError):
-            make_strategy("custom-x")
-
-    def test_builtin_protected(self):
-        from repro.grouptesting import register_strategy, unregister_strategy
-
-        with pytest.raises(ConfigError):
-            register_strategy(self._custom("trivial"))
-        with pytest.raises(ConfigError):
-            unregister_strategy("trivial")
-
-    def test_replace_flag(self):
-        from repro.grouptesting import register_strategy, unregister_strategy
-
-        register_strategy(self._custom())
-        try:
-            with pytest.raises(ConfigError):
-                register_strategy(self._custom())
-            register_strategy(self._custom(), replace=True)
-        finally:
-            unregister_strategy("custom-x")

@@ -17,6 +17,7 @@ from repro.collection import (
 )
 from repro.net.chaos import BitRotPlan
 from repro.resilience import QUARANTINE_DIR
+from tests.soak import run_scrub_soak
 
 
 @pytest.fixture
@@ -129,6 +130,15 @@ class TestCursorResume:
         scrubber = StoreScrubber(store, manifest, cursor_path=cursor)
         assert scrubber.read_cursor() is None
         assert scrubber.scrub().scanned == 10
+
+    def test_cursor_name_with_line_separator_round_trips(
+        self, tmp_path, store, manifest
+    ):
+        scrubber = StoreScrubber(
+            store, manifest, cursor_path=tmp_path / "cursor"
+        )
+        scrubber._write_cursor("d0/a\u2028b\x85c.bin")
+        assert scrubber.read_cursor() == "d0/a\u2028b\x85c.bin"
 
     def test_scrub_all_merges_slices(self, tmp_path, store, manifest):
         BitRotPlan(seed=7, files_affected=2).apply(store.root)
@@ -256,14 +266,20 @@ class TestScrubCli:
 
     def test_missing_manifest_is_usage_error(self, cli_store, capsys):
         store, _, _ = cli_store
-        assert main(["scrub", str(store.root)]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scrub", str(store.root)])
+        assert exit_info.value.code == 2
+        assert "--manifest" in capsys.readouterr().err
 
-    def test_soak_smoke(self, tmp_path, capsys):
-        code = main(["scrub", "--soak", "--seeds", "1",
-                     "--out", str(tmp_path / "soak.json")])
-        assert code == 0
-        payload = json.loads((tmp_path / "soak.json").read_text())
-        assert payload["all_converged"] is True
+
+class TestScrubSoak:
+    def test_every_seed_converges(self):
+        """Bit rot plus one deleted file, scrubbed in resumable slices and
+        repaired over a bursty faulty link: every seed of the short
+        profile ends byte-identical to the source."""
+        report = run_scrub_soak(seeds=(1, 2, 3), profile="short")
+        assert [row.seed for row in report.rows] == [1, 2, 3]
+        assert report.all_converged, report.render()
 
 
 class TestRecoverPurge:
