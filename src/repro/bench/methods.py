@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import zlib
 
-from repro.core import ProtocolConfig, synchronize
+from repro.core import ProtocolConfig
 from repro.delta import vcdiff_size, zdelta_size
+from repro.lanes import run_lane
 from repro.rsync import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_SEARCH_BLOCK_SIZES,
@@ -35,6 +36,9 @@ class _SessionMethod(SyncMethod):
     has_session = True
     supports_pickle = True
 
+    def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
+        return run_lane(self.lane(None, old, new))[0]
+
     def checkpoint_identity(self, old: bytes, new: bytes):
         from repro.hashing.strong import file_fingerprint
         from repro.resilience.checkpoint import SessionIdentity, config_digest
@@ -53,12 +57,6 @@ class OursMethod(_SessionMethod):
     def __init__(self, config: ProtocolConfig | None = None, name: str = "ours") -> None:
         self.config = config or ProtocolConfig()
         self.name = name
-
-    def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
-        return self.sync_file_over(old, new, None)
-
-    def sync_file_over(self, old: bytes, new: bytes, channel) -> MethodOutcome:
-        return wire_outcome(synchronize(old, new, self.config, channel), new)
 
     def open_session(self, old: bytes, new: bytes, checkpointer=None):
         from repro.core.protocol import CoreSyncSession
@@ -108,15 +106,6 @@ class MultiroundRsyncMethod(_SessionMethod):
         from repro.multiround import MultiroundConfig
 
         self.config = config or MultiroundConfig()
-
-    def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
-        return self.sync_file_over(old, new, None)
-
-    def sync_file_over(self, old: bytes, new: bytes, channel) -> MethodOutcome:
-        from repro.multiround import multiround_rsync_sync
-
-        result = multiround_rsync_sync(old, new, self.config, channel=channel)
-        return wire_outcome(result, new)
 
     def open_session(self, old: bytes, new: bytes, checkpointer=None):
         from repro.multiround import MultiroundSession

@@ -305,15 +305,10 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
         quarantine=not args.no_quarantine,
     )
     repaired = None
-    if args.repair and not report.clean:
-        if args.source is None:
-            print("error: --repair needs --source (the pristine "
-                  "collection to fetch damaged entries from)",
-                  file=sys.stderr)
-            return 2
+    if args.repair is not None and not report.clean:
         from repro.resilience import AdaptiveRetryPolicy, SyncSupervisor
 
-        source = _load_side(Path(args.source))
+        source = _load_side(Path(args.repair))
         repaired = scrubber.repair(
             source,
             report=report,
@@ -633,11 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
     scrub.add_argument("--no-quarantine", action="store_true",
                        help="report divergence without copying evidence "
                             "into the quarantine directory")
-    scrub.add_argument("--repair", action="store_true",
-                       help="sync the damaged entries back from --source "
+    scrub.add_argument("--repair", metavar="SOURCE", default=None,
+                       help="sync the damaged entries back from the "
+                            "pristine collection directory SOURCE "
                             "(adaptive supervisor, full-transfer rescue)")
-    scrub.add_argument("--source", default=None,
-                       help="pristine collection directory to repair from")
     scrub.add_argument("--json", action="store_true",
                        help="machine-readable output")
     scrub.set_defaults(handler=_cmd_scrub)

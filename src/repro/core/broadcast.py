@@ -32,8 +32,8 @@ import numpy as np
 from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
+from repro.core.protocol import LaneChannels
 from repro.core.server import ServerSession
-from repro.core.verification import VerificationPools, make_units
 from repro.hashing.scan import decompose_right_widths, pack_to_width
 from repro.hashing.strong import file_fingerprint
 from repro.io.bitstream import BitReader, BitWriter
@@ -42,7 +42,6 @@ from repro.net.metrics import Direction, TransferStats
 
 #: The shared stream's phase — counted once regardless of client count.
 PHASE_BROADCAST = "map-broadcast"
-PHASE_UNICAST = "map"
 PHASE_DELTA = "delta"
 PHASE_HANDSHAKE = "handshake"
 
@@ -162,6 +161,8 @@ def synchronize_broadcast(
     # --- Per-client: parse, verify, delta --------------------------------
     for name, client_data in sorted(client_files.items()):
         channel = SimulatedChannel()
+        # The private verification exchange, as a stack of one lane.
+        link = LaneChannels(config, [channel])
         client = ClientSession(client_data, config)
         server = ServerSession(server_data, config)
 
@@ -208,17 +209,19 @@ def synchronize_broadcast(
                     values[rows], global_bits
                 )
             found = np.flatnonzero(positions >= 0)
-            accepted = _verify_unicast(
-                channel, client, server, config,
-                np.column_stack(
-                    (starts[found], lengths[found], positions[found])
-                ).tolist(),
+            accepted, confirmed, _bits = link.verify(
+                [0], [client], [server], np.zeros(starts.size, dtype=np.int64),
+                (positions, lengths), (starts, lengths), found, found,
             )
-            client.record_accepted(accepted[:, 0], accepted[:, 1], accepted[:, 2])
+            if link.errors[0] is not None:
+                raise link.errors[0]
+            client.record_accepted(
+                starts[accepted], lengths[accepted], positions[accepted]
+            )
             server.tracker.confirmed_regions.extend(
-                zip(accepted[:, 0].tolist(), accepted[:, 1].tolist())
+                zip(starts[confirmed].tolist(), lengths[confirmed].tolist())
             )
-            covered[starts.searchsorted(accepted[:, 0])] = True
+            covered[accepted] = True
             split = _splits(lengths, config)
             values, covered = values[split], covered[split]
 
@@ -240,52 +243,3 @@ def synchronize_broadcast(
         report.per_client_stats[name] = channel.stats
     return report
 
-
-def _verify_unicast(
-    channel: SimulatedChannel,
-    client: ClientSession,
-    server: ServerSession,
-    config: ProtocolConfig,
-    candidates: list[tuple[int, int, int]],
-) -> np.ndarray:
-    """Private verification, mirroring the unicast protocol's exchange.
-
-    ``candidates`` are ``(start, length, position)`` rows: a server
-    block and the client position its hash matched.  Returns the
-    accepted rows as an int64 ``(k, 3)`` array, in acceptance order.
-    """
-    pools: VerificationPools = VerificationPools(main=candidates)
-    for batch in config.strategy().batches:
-        selection = pools.select(batch)
-        if not selection:
-            continue
-        units = make_units(selection, batch)
-        values = ClientSession.verification_values(
-            [client],
-            [(0, [(position, length) for _, length, position in unit])
-             for unit in units],
-            batch,
-        )
-        expected = ServerSession.verification_values(
-            [server],
-            [(0, [(start, length) for start, length, _ in unit])
-             for unit in units],
-            batch,
-        )
-        writer = BitWriter()
-        writer.write_many(values, batch.bits)
-        passed = [value == want for value, want in zip(values, expected)]
-        channel.send(
-            Direction.CLIENT_TO_SERVER, writer.getvalue(), PHASE_UNICAST,
-            bits=writer.bit_length,
-        )
-        bitmap = BitWriter()
-        bitmap.write_flags(passed)
-        channel.send(
-            Direction.SERVER_TO_CLIENT, bitmap.getvalue(), PHASE_UNICAST,
-            bits=bitmap.bit_length,
-        )
-        channel.receive(Direction.CLIENT_TO_SERVER)
-        channel.receive(Direction.SERVER_TO_CLIENT)
-        pools.apply(batch, units, passed)
-    return np.asarray(pools.finish(), dtype=np.int64).reshape(-1, 3)

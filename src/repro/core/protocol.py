@@ -152,20 +152,22 @@ def _units(
     return grouped
 
 
-class _RoundStack:
-    """One stacked round: the lanes, their channels and what failed.
+class LaneChannels:
+    """The channels of a stack of lanes and what failed on each.
 
     A lane that fails (its channel raised, its state diverged) keeps its
-    error and takes no further part in the round; its rows may still
+    error and takes no further part in the exchange; its rows may still
     ride along in arrays computed before, but nothing is sent for it
-    and nothing is recorded into its trackers afterwards.
+    and nothing is recorded into its trackers afterwards.  The broadcast
+    protocol runs its private verification as a stack of one.
     """
 
-    def __init__(self, requests: "list[RoundRequest]") -> None:
-        self.sessions = [request.session for request in requests]
-        self.channels = [request.channel for request in requests]
-        self.errors: list[Exception | None] = [None] * len(requests)
-        self.config = self.sessions[0].config
+    def __init__(
+        self, config: ProtocolConfig, channels: list[SimulatedChannel]
+    ) -> None:
+        self.config = config
+        self.channels = channels
+        self.errors: list[Exception | None] = [None] * len(channels)
 
     def live(self) -> list[int]:
         return [lane for lane, error in enumerate(self.errors) if error is None]
@@ -203,6 +205,137 @@ class _RoundStack:
     def fail_short(self, lanes: list[int], short: list[int]) -> None:
         for index in short:
             self.fail(lanes[index], TruncatedMessageError("message too short"))
+
+    def verify(
+        self, lanes, clients, servers, plan_lanes, client_regions,
+        server_regions, client_items, server_items,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the configured verification strategy for every lane.
+
+        Items are row indices, ``plan_lanes[row]`` the index into
+        ``lanes`` of the row's lane.  The client verifies its candidate
+        regions, the server its blocks: ``client_regions`` and
+        ``server_regions`` are ``(offsets, lengths)`` arrays by row.
+        Each batch of the strategy cuts its pool into units (singletons,
+        or runs of ``group_size`` in lane order) and sends one hash per
+        unit up and one pass bit per unit down; both endpoints fold the
+        same bitmap into mirrored pools.  A failed group's members wait
+        in a salvage pool that a ``FAILED_GROUP_MEMBERS`` batch tests on
+        its own.  Returns each endpoint's accepted items, grouped by
+        lane in acceptance order (salvaged items first), and the
+        client->server verification bits each lane spent.
+        """
+        count = len(lanes)
+        empty = np.zeros(0, dtype=np.int64)
+        pools = {
+            "client": [client_items, empty, []],
+            "server": [server_items, empty, []],
+        }
+        verification_bits = np.zeros(count, dtype=np.int64)
+        for batch in self.config.strategy().batches:
+            selections = {}
+            for side, pool in pools.items():
+                if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
+                    chosen, pool[1] = pool[1], empty
+                    chosen = chosen[plan_lanes[chosen].argsort(kind="stable")]
+                else:
+                    chosen = pool[0]
+                selections[side] = chosen
+            counts = {
+                side: np.bincount(plan_lanes[chosen], minlength=count)
+                for side, chosen in selections.items()
+            }
+            for index in np.flatnonzero(counts["client"] != counts["server"]):
+                self.fail(
+                    lanes[index], ProtocolError("verification pools diverged")
+                )
+            # Failed lanes sit the batch out: no units, nothing sent.
+            alive = np.asarray([self.errors[lane] is None for lane in lanes])
+            for side, chosen in selections.items():
+                selections[side] = chosen = chosen[alive[plan_lanes[chosen]]]
+                counts[side] = np.bincount(plan_lanes[chosen], minlength=count)
+            if not counts["client"].any():
+                continue
+            size = batch.group_size if batch.mode is BatchMode.GROUP else 1
+            unit_counts = -(-counts["client"] // size)
+            units = {}
+            for side, chosen in selections.items():
+                item_lanes = plan_lanes[chosen]
+                first = np.cumsum(counts[side]) - counts[side]
+                local = np.arange(chosen.size) - first[item_lanes]
+                units[side] = (
+                    np.cumsum(unit_counts) - unit_counts
+                )[item_lanes] + local // size
+            chosen = selections["client"]
+            offsets, lengths = client_regions
+            values = ClientSession.verification_values(
+                clients,
+                _units(
+                    plan_lanes[chosen], offsets[chosen], lengths[chosen],
+                    units["client"],
+                ),
+                batch,
+            )
+            messages, message_bits = pack_messages(
+                values, batch.bits, unit_counts
+            )
+            verification_bits += message_bits
+            received, short = unpack_messages(
+                self.exchange(
+                    Direction.CLIENT_TO_SERVER, lanes, messages, message_bits
+                ),
+                batch.bits,
+                unit_counts,
+            )
+            self.fail_short(lanes, short)
+            chosen = selections["server"]
+            offsets, lengths = server_regions
+            expected = ServerSession.verification_values(
+                servers,
+                _units(
+                    plan_lanes[chosen], offsets[chosen], lengths[chosen],
+                    units["server"],
+                ),
+                batch,
+            )
+            passed = received == np.asarray(expected, dtype=np.uint64)
+            bitmaps, bitmap_bits = pack_messages(passed, 1, unit_counts)
+            client_passed, short = unpack_messages(
+                self.exchange(
+                    Direction.SERVER_TO_CLIENT, lanes, bitmaps, bitmap_bits
+                ),
+                1,
+                unit_counts,
+            )
+            self.fail_short(lanes, short)
+            # Both endpoints fold the same bitmap into mirrored pools.
+            for side, unit_passed in (
+                ("client", client_passed.astype(bool)), ("server", passed),
+            ):
+                pool, chosen = pools[side], selections[side]
+                item_passed = unit_passed[units[side]]
+                if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
+                    pool[2].append(chosen[item_passed])
+                else:
+                    if batch.mode is BatchMode.GROUP:
+                        pool[1] = np.concatenate((pool[1], chosen[~item_passed]))
+                    pool[0] = chosen[item_passed]
+        accepted = []
+        for main, _salvage, salvaged in pools.values():
+            items = np.concatenate(salvaged + [main])
+            accepted.append(items[plan_lanes[items].argsort(kind="stable")])
+        return accepted[0], accepted[1], verification_bits
+
+
+
+class _RoundStack(LaneChannels):
+    """One stacked round: the lanes' sessions, channels and failures."""
+
+    def __init__(self, requests: "list[RoundRequest]") -> None:
+        self.sessions = [request.session for request in requests]
+        super().__init__(
+            self.sessions[0].config, [request.channel for request in requests]
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> list:
@@ -299,8 +432,10 @@ class _RoundStack:
         self.fail_short(lanes, short)
 
         accepted_client, accepted_server, verification_bits = self.verify(
-            lanes, clients, servers, plan_lanes, client_plan, server_plan,
-            positions, found.nonzero()[0], server_flags.nonzero()[0],
+            lanes, clients, servers, plan_lanes,
+            (positions, client_plan.lengths),
+            (server_plan.starts, server_plan.lengths),
+            found.nonzero()[0], server_flags.nonzero()[0],
         )
         self.record(
             lanes, frontier, plan, server_plan, client_plan, plan_lanes,
@@ -339,116 +474,6 @@ class _RoundStack:
             ):
                 diverged.append(index)
         return diverged
-
-    def verify(
-        self, lanes, clients, servers, plan_lanes, client_plan, server_plan,
-        positions, client_items, server_items,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the configured verification strategy for every lane.
-
-        Items are plan indices: the client verifies its candidate
-        positions, the server the blocks themselves.  Returns each
-        endpoint's accepted items, grouped by lane in acceptance order,
-        and the client->server verification bits each lane spent.
-        """
-        count = len(lanes)
-        empty = np.zeros(0, dtype=np.int64)
-        pools = {
-            "client": [client_items, empty, []],
-            "server": [server_items, empty, []],
-        }
-        verification_bits = np.zeros(count, dtype=np.int64)
-        for batch in self.config.strategy().batches:
-            selections = {}
-            for side, pool in pools.items():
-                if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
-                    chosen, pool[1] = pool[1], empty
-                    chosen = chosen[plan_lanes[chosen].argsort(kind="stable")]
-                else:
-                    chosen = pool[0]
-                selections[side] = chosen
-            counts = {
-                side: np.bincount(plan_lanes[chosen], minlength=count)
-                for side, chosen in selections.items()
-            }
-            for index in np.flatnonzero(counts["client"] != counts["server"]):
-                self.fail(
-                    lanes[index], ProtocolError("verification pools diverged")
-                )
-            # Failed lanes sit the batch out: no units, nothing sent.
-            alive = np.asarray([self.errors[lane] is None for lane in lanes])
-            for side, chosen in selections.items():
-                selections[side] = chosen = chosen[alive[plan_lanes[chosen]]]
-                counts[side] = np.bincount(plan_lanes[chosen], minlength=count)
-            if not counts["client"].any():
-                continue
-            size = batch.group_size if batch.mode is BatchMode.GROUP else 1
-            unit_counts = -(-counts["client"] // size)
-            units = {}
-            for side, chosen in selections.items():
-                item_lanes = plan_lanes[chosen]
-                first = np.cumsum(counts[side]) - counts[side]
-                local = np.arange(chosen.size) - first[item_lanes]
-                units[side] = (
-                    np.cumsum(unit_counts) - unit_counts
-                )[item_lanes] + local // size
-            chosen = selections["client"]
-            values = ClientSession.verification_values(
-                clients,
-                _units(
-                    plan_lanes[chosen], positions[chosen],
-                    client_plan.lengths[chosen], units["client"],
-                ),
-                batch,
-            )
-            messages, message_bits = pack_messages(
-                values, batch.bits, unit_counts
-            )
-            verification_bits += message_bits
-            received, short = unpack_messages(
-                self.exchange(
-                    Direction.CLIENT_TO_SERVER, lanes, messages, message_bits
-                ),
-                batch.bits,
-                unit_counts,
-            )
-            self.fail_short(lanes, short)
-            chosen = selections["server"]
-            expected = ServerSession.verification_values(
-                servers,
-                _units(
-                    plan_lanes[chosen], server_plan.starts[chosen],
-                    server_plan.lengths[chosen], units["server"],
-                ),
-                batch,
-            )
-            passed = received == np.asarray(expected, dtype=np.uint64)
-            bitmaps, bitmap_bits = pack_messages(passed, 1, unit_counts)
-            client_passed, short = unpack_messages(
-                self.exchange(
-                    Direction.SERVER_TO_CLIENT, lanes, bitmaps, bitmap_bits
-                ),
-                1,
-                unit_counts,
-            )
-            self.fail_short(lanes, short)
-            # Both endpoints fold the same bitmap into mirrored pools.
-            for side, unit_passed in (
-                ("client", client_passed.astype(bool)), ("server", passed),
-            ):
-                pool, chosen = pools[side], selections[side]
-                item_passed = unit_passed[units[side]]
-                if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
-                    pool[2].append(chosen[item_passed])
-                else:
-                    if batch.mode is BatchMode.GROUP:
-                        pool[1] = np.concatenate((pool[1], chosen[~item_passed]))
-                    pool[0] = chosen[item_passed]
-        accepted = []
-        for main, _salvage, salvaged in pools.values():
-            items = np.concatenate(salvaged + [main])
-            accepted.append(items[plan_lanes[items].argsort(kind="stable")])
-        return accepted[0], accepted[1], verification_bits
 
     def record(
         self, lanes, frontier, plan, server_plan, client_plan, plan_lanes,

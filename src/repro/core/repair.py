@@ -21,6 +21,9 @@ shingling literature (Mitzenmacher & Morgan; Song & Trachtenberg):
 Both endpoints derive the divergent leaf set from the same bitmaps, so
 no block-request message is needed.  Everything rides the ordinary
 channel accounting under the ``"repair"`` phase.
+
+:func:`integrity_endgame` is the one fingerprint → repair → full-transfer
+sequence that rsync and multiround rsync both finish with.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction
 
 PHASE_REPAIR = "repair"
+PHASE_FALLBACK = "fallback"
 
 #: Salt namespace for repair-round digests.  Mixing in the expected
 #: fingerprint gives every repair session hashes independent of the ones
@@ -58,6 +62,26 @@ class RepairResult:
     leaves_repaired: int
     bytes_fetched: int
     converged: bool
+
+
+@dataclass
+class IntegrityOutcome:
+    """What :func:`integrity_endgame` left the client holding.
+
+    ``collisions_detected`` counts whole-file fingerprint rejections (0
+    or 1); ``repaired`` means the repair descent fixed the divergence in
+    place, with ``repair_rounds`` descent roundtrips costing
+    ``repair_bytes`` on the wire; ``used_fallback`` means the whole file
+    was sent again.  The field names are those of the protocol results
+    it fills in.
+    """
+
+    reconstructed: bytes
+    used_fallback: bool = False
+    collisions_detected: int = 0
+    repaired: bool = False
+    repair_rounds: int = 0
+    repair_bytes: int = 0
 
 
 def repair_salt(expected_fingerprint: bytes) -> bytes:
@@ -187,3 +211,67 @@ def repair_exchange(
         bytes_fetched=len(fetched),
         converged=converged,
     )
+
+
+def integrity_endgame(
+    channel: SimulatedChannel,
+    reconstructed: bytes,
+    target: bytes,
+    expected_fingerprint: bytes,
+    *,
+    repair: bool,
+    leaf_size: int,
+    fanout: int,
+    packed_signals: bool,
+) -> IntegrityOutcome:
+    """Check a reconstruction against the whole-file fingerprint and,
+    if it does not match, repair it or fetch the file again.
+
+    On a mismatch the client first asks for a repair (signal ``0x02``,
+    phase ``"repair"``) and runs :func:`repair_exchange` over
+    ``leaf_size`` leaves — only when ``repair`` is on and the lengths
+    agree, since a truncated-hash collision preserves lengths and
+    anything else (decode damage, truncation) is not repairable this
+    way.  If that is not possible or does not converge, the client sends
+    a NACK (``0x01``, phase ``"fallback"``) and the server the whole
+    file compressed.  The NACK, that file and any repair descent that
+    failed to converge are recovery traffic, so they are charged to
+    ``retransmitted_bits``.  ``packed_signals`` charges each signal at
+    the bits its code needs (2 for the repair signal, 1 for the NACK)
+    instead of a whole byte.
+    """
+    outcome = IntegrityOutcome(reconstructed)
+    if file_fingerprint(reconstructed) == expected_fingerprint:
+        return outcome
+    outcome.collisions_detected = 1
+
+    def signal(code: int, phase: str) -> None:
+        channel.send(
+            Direction.CLIENT_TO_SERVER, bytes([code]), phase,
+            bits=code.bit_length() if packed_signals else None,
+        )
+        channel.receive(Direction.CLIENT_TO_SERVER)
+
+    if repair and target and len(reconstructed) == len(target):
+        signal(2, PHASE_REPAIR)
+        result = repair_exchange(
+            channel, reconstructed, target, expected_fingerprint,
+            leaf_size=leaf_size, fanout=fanout,
+        )
+        outcome.repair_rounds = result.rounds
+        outcome.repair_bytes = channel.stats.bytes_in_phase(PHASE_REPAIR)
+        if result.converged:
+            outcome.reconstructed = result.data
+            outcome.repaired = True
+            return outcome
+    outcome.used_fallback = True
+    signal(1, PHASE_FALLBACK)
+    channel.send(
+        Direction.SERVER_TO_CLIENT, zlib.compress(target, 9), PHASE_FALLBACK
+    )
+    outcome.reconstructed = zlib.decompress(
+        channel.receive(Direction.SERVER_TO_CLIENT)
+    )
+    channel.stats.reclassify_phase_as_retransmission(PHASE_FALLBACK)
+    channel.stats.reclassify_phase_as_retransmission(PHASE_REPAIR)
+    return outcome

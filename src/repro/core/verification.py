@@ -1,89 +1,19 @@
-"""Optimized match verification (the group-testing machinery in situ).
+"""Match verification hashes (the group-testing machinery in situ).
 
 Candidates — (block, client position) pairs that a weak candidate hash
 flagged — are pushed through the batches of a
-:class:`~repro.grouptesting.strategies.VerificationStrategy`.  Pool
-evolution is shared logic executed identically by both endpoints: each
-batch's unit composition depends only on the strategy and the
-confirmation bitmaps that crossed the wire.
+:class:`~repro.grouptesting.strategies.VerificationStrategy` by
+:meth:`repro.core.protocol.LaneChannels.verify`, the one implementation
+of the exchange, which the unicast round and the broadcast protocol's
+private back-channel both run.  Pool evolution is shared logic executed
+identically by both endpoints: each batch's unit composition depends
+only on the strategy and the confirmation bitmaps that crossed the
+wire.  This module computes each unit's verification hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generic, TypeVar
-
-from repro.grouptesting.strategies import (
-    BatchMode,
-    BatchScope,
-    BatchSpec,
-    VerificationStrategy,
-)
-ItemT = TypeVar("ItemT")
-
-
-@dataclass
-class VerificationPools(Generic[ItemT]):
-    """Per-endpoint candidate pools during a verification exchange."""
-
-    main: list[ItemT]
-    salvage: list[ItemT] = field(default_factory=list)
-    accepted: list[ItemT] = field(default_factory=list)
-
-    def select(self, batch: BatchSpec) -> list[ItemT]:
-        """Items this batch covers (consumes the salvage pool)."""
-        if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
-            items = self.salvage
-            self.salvage = []
-            return items
-        return self.main
-
-    def apply(
-        self,
-        batch: BatchSpec,
-        units: list[list[ItemT]],
-        passed: list[bool],
-    ) -> None:
-        """Fold one batch's confirmation bitmap into the pools."""
-        if len(units) != len(passed):
-            raise ValueError("bitmap length does not match unit count")
-        passed_items: list[ItemT] = []
-        failed_items: list[ItemT] = []
-        for unit, ok in zip(units, passed):
-            (passed_items if ok else failed_items).extend(unit)
-        if batch.scope is BatchScope.FAILED_GROUP_MEMBERS:
-            # Salvaged items are decided immediately.
-            self.accepted.extend(passed_items)
-        else:
-            if batch.mode is BatchMode.GROUP:
-                self.salvage.extend(failed_items)
-            self.main = passed_items
-
-    def finish(self) -> list[ItemT]:
-        """Final accepted items once all batches ran."""
-        self.accepted.extend(self.main)
-        self.main = []
-        # Anything still in salvage was never salvaged: rejected.
-        self.salvage = []
-        return self.accepted
-
-
-def make_units(items: list[ItemT], batch: BatchSpec) -> list[list[ItemT]]:
-    """Chunk ``items`` into this batch's units (groups or singletons)."""
-    if batch.mode is BatchMode.INDIVIDUAL:
-        return [[item] for item in items]
-    size = batch.group_size
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def batch_wire_bits(units: list[list[ItemT]], batch: BatchSpec) -> int:
-    """Client→server bits one batch costs (one hash per unit)."""
-    return len(units) * batch.bits
-
-
-def strategy_max_batches(strategy: VerificationStrategy) -> int:
-    """Number of client→server batches the exchange may need."""
-    return len(strategy.batches)
+from repro.grouptesting.strategies import BatchMode, BatchSpec
 
 
 def region_verification_values(

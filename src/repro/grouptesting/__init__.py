@@ -5,8 +5,9 @@ The paper models optimized match verification as a group-testing problem
 asks "are all matches in this group correct?").
 :mod:`repro.grouptesting.strategies` describes the concrete strategies
 (trivial per-candidate hashes, single-batch grouping, adaptive two- and
-three-batch schemes with salvage) as data, so the protocol
-(:mod:`repro.core.verification`) can execute any of them.  The extension
+three-batch schemes with salvage) as data, so the protocol's one
+verification exchange (:meth:`repro.core.protocol.LaneChannels.verify`)
+can execute any of them.  The extension
 of confirmed matches, modelled in the paper as Ulam's
 searching-with-liars game, is :mod:`repro.core.refine`.
 """

@@ -1,16 +1,17 @@
 """Hash functions for remote file synchronization.
 
-The paper's protocol relies on three families of hashes:
+The paper's protocol relies on two families of hashes:
 
-* **Rolling hashes** (:mod:`repro.hashing.rolling`) that slide a window by
-  one byte in constant time — used by rsync and by the map-construction
-  phase to compare a transmitted block hash against *every* position of the
-  local file.
 * A **decomposable** rolling hash (:mod:`repro.hashing.decomposable`), the
-  paper's modified Adler checksum: the hash of a parent block can be
+  paper's modified Adler checksum.  It slides a window by one byte in
+  constant time, so a transmitted block hash can be compared against
+  *every* position of the local file; the hash of a parent block can be
   combined from its two children and, crucially, a child's hash can be
   recovered from the parent's and the sibling's.  This halves the number of
   hashes the server must transmit during recursive splitting.
+  :meth:`DecomposableAdler.identity` (no byte substitution) is rsync's
+  plain Adler checksum (§2.2), used for its block signatures and its
+  sliding-window match.
 * **Strong hashes** (:mod:`repro.hashing.strong`) used for match
   verification and whole-file integrity checks.
 
@@ -21,7 +22,6 @@ to benchmark honestly.
 """
 
 from repro.hashing.decomposable import DecomposableAdler, HashPair
-from repro.hashing.rolling import AdlerRolling, KarpRabinRolling, RollingHash
 from repro.hashing.scan import (
     HashIndex,
     PrefixHasher,
@@ -38,15 +38,12 @@ from repro.hashing.strong import (
 )
 
 __all__ = [
-    "AdlerRolling",
     "DecomposableAdler",
     "HashIndex",
     "HashPair",
     "PrefixHasher",
     "PrefixSums",
     "prefix_sums",
-    "KarpRabinRolling",
-    "RollingHash",
     "StrongHasher",
     "file_fingerprint",
     "group_digest",

@@ -13,9 +13,10 @@ Per round (block size ``b``, halving):
 After the final round the server covers ``F_new`` with pinned client
 blocks where possible and compressed literals elsewhere, and the client
 reconstructs.  A whole-file checksum detects hash collisions; a
-surgical repair round (:mod:`repro.core.repair`) localizes and
-re-fetches only the divergent blocks, with the full-transfer fallback
-reserved for damage repair cannot cure.
+surgical repair round localizes and re-fetches only the divergent
+blocks, with the full-transfer fallback reserved for damage repair
+cannot cure (:func:`~repro.core.repair.integrity_endgame`, shared with
+rsync, with bit-packed signals here).
 
 The frontier of client blocks is two int64 arrays (``starts``,
 ``lengths``) cut and split by the block-tree geometry of
@@ -43,8 +44,8 @@ import numpy as np
 from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.repair import (
     DEFAULT_REPAIR_FANOUT,
-    PHASE_REPAIR,
-    repair_exchange,
+    PHASE_FALLBACK,
+    integrity_endgame,
 )
 from repro.core.snapshot import check_disjoint, check_inside
 from repro.delta.instructions import Add, Copy, apply_instructions
@@ -67,7 +68,6 @@ from repro.parallel.cache import HashIndexCache, default_cache
 PHASE_HANDSHAKE = "handshake"
 PHASE_MAP = "map"
 PHASE_DELTA = "delta"
-PHASE_FALLBACK = "fallback"
 
 
 @dataclass(frozen=True)
@@ -414,62 +414,21 @@ class MultiroundSession:
         except DeltaFormatError:
             reconstructed = b""  # force the fallback below
 
-        used_fallback = False
-        collisions_detected = 0
-        repaired = False
-        repair_rounds = 0
-        repair_bytes = 0
-        if file_fingerprint(reconstructed) != self.expected_fingerprint:
-            collisions_detected = 1
-            # A truncated-hash collision preserves lengths; anything else
-            # (decode damage) is not surgically repairable.
-            if (config.repair and new_data
-                    and len(reconstructed) == len(new_data)):
-                channel.send(
-                    Direction.CLIENT_TO_SERVER, b"\x02", PHASE_REPAIR, bits=2
-                )
-                channel.receive(Direction.CLIENT_TO_SERVER)
-                outcome = repair_exchange(
-                    channel,
-                    reconstructed,
-                    new_data,
-                    self.expected_fingerprint,
-                    leaf_size=config.min_block_size,
-                    fanout=config.repair_fanout,
-                )
-                repair_rounds = outcome.rounds
-                repair_bytes = channel.stats.bytes_in_phase(PHASE_REPAIR)
-                if outcome.converged:
-                    reconstructed = outcome.data
-                    repaired = True
-            if not repaired:
-                used_fallback = True
-                channel.send(Direction.CLIENT_TO_SERVER, b"\x01", PHASE_FALLBACK, bits=1)
-                channel.receive(Direction.CLIENT_TO_SERVER)
-                channel.send(
-                    Direction.SERVER_TO_CLIENT, zlib.compress(new_data, 9),
-                    PHASE_FALLBACK,
-                )
-                reconstructed = zlib.decompress(
-                    channel.receive(Direction.SERVER_TO_CLIENT)
-                )
-                # The NACK plus the whole compressed file — and any repair
-                # descent that failed to converge — is recovery traffic, not
-                # first-try payload.
-                channel.stats.reclassify_phase_as_retransmission(PHASE_FALLBACK)
-                channel.stats.reclassify_phase_as_retransmission(PHASE_REPAIR)
-        else:
+        outcome = integrity_endgame(
+            channel,
+            reconstructed,
+            new_data,
+            self.expected_fingerprint,
+            repair=config.repair,
+            leaf_size=config.min_block_size,
+            fanout=config.repair_fanout,
+            packed_signals=True,
+        )
+        if not outcome.collisions_detected:
             channel.send(Direction.CLIENT_TO_SERVER, b"\x00", PHASE_FALLBACK, bits=1)
             channel.receive(Direction.CLIENT_TO_SERVER)
         return MultiroundResult(
-            reconstructed=reconstructed,
-            stats=channel.stats,
-            rounds=self.rounds,
-            used_fallback=used_fallback,
-            collisions_detected=collisions_detected,
-            repaired=repaired,
-            repair_rounds=repair_rounds,
-            repair_bytes=repair_bytes,
+            stats=channel.stats, rounds=self.rounds, **vars(outcome)
         )
 
 

@@ -259,24 +259,17 @@ class SyncSupervisor(SyncMethod):
 
     def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
         """Synchronise one file pair, surviving recoverable failures."""
-        return self.sync_named_file(None, old, new)
+        from repro.lanes import run_lane
 
-    def sync_named_file(
-        self, name: str | None, old: bytes, new: bytes
-    ) -> MethodOutcome:
-        """Synchronise one named file pair, surviving recoverable failures.
+        return run_lane(self.lane(None, old, new))[0]
+
+    def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
+        """Synchronise one named file pair, surviving recoverable
+        failures, as a step generator.
 
         ``name`` keys the per-file checkpoint journal (when a store is
         configured) and the circuit breaker (when a board is configured);
         ``None`` is valid and shares the anonymous journal/breaker.
-        """
-        from repro.lanes import run_lane
-
-        return run_lane(self.lane(name, old, new))[0]
-
-    def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
-        """:meth:`sync_named_file` as a step generator.
-
         Each attempt runs its rung's :meth:`~repro.syncmethod.SyncMethod.steps`
         over a fresh channel, so the generator yields after an attempt's
         handshake (the resume handshake runs just before it) and after

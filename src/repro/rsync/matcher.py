@@ -14,14 +14,9 @@ from typing import Union
 
 import numpy as np
 
-from repro.hashing.decomposable import DecomposableAdler
 from repro.hashing.scan import next_occupied_table, window_hashes
 from repro.hashing.strong import strong_digest
-from repro.rsync.signature import BlockSignature
-
-#: Identity-table hasher: window_hashes() then yields rsync's plain Adler
-#: checksum, packed ``a | (b << 16)`` like :class:`AdlerRolling`.
-_PLAIN_ADLER = DecomposableAdler.identity()
+from repro.rsync.signature import PLAIN_ADLER, BlockSignature
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ def match_tokens(
     rolling_at: dict[int, np.ndarray] = {}
     possible_hit = np.zeros(n, dtype=bool)
     for length, rolling_map in by_length.items():
-        windows = window_hashes(new_data, length, _PLAIN_ADLER)
+        windows = window_hashes(new_data, length, PLAIN_ADLER)
         rolling_at[length] = windows
         wanted = np.fromiter(
             rolling_map.keys(), dtype=np.uint32, count=len(rolling_map)

@@ -11,7 +11,8 @@ Wire layout:
 * on checksum failure the client first requests a *surgical repair*
   (phase ``"repair"``): a group-digest descent under a fresh salt
   localizes the divergent blocks and re-fetches only those
-  (:mod:`repro.core.repair`);
+  (:func:`~repro.core.repair.integrity_endgame`, shared with multiround
+  rsync; each signal is a whole byte here);
 * only if repair cannot converge does the server fall back to sending
   the whole file (compressed) — recovery traffic charged to
   ``retransmitted_bits`` like every other recovery path.
@@ -22,11 +23,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.core.repair import (
-    DEFAULT_REPAIR_FANOUT,
-    PHASE_REPAIR,
-    repair_exchange,
-)
+from repro.core.repair import DEFAULT_REPAIR_FANOUT, integrity_endgame
 from repro.exceptions import DeltaFormatError
 from repro.hashing.strong import file_fingerprint
 from repro.io.varint import (
@@ -163,56 +160,15 @@ def rsync_sync(
     channel.send(Direction.SERVER_TO_CLIENT, delta_payload, phase="delta")
     received = channel.receive(Direction.SERVER_TO_CLIENT)
 
-    # Client: reconstruct and check.
-    expected_fingerprint = received[:16]
-    reconstructed = apply_tokens(
-        old_data, decode_tokens(received[16:]), block_size
+    # Client: reconstruct, check, and repair or refetch on a mismatch.
+    outcome = integrity_endgame(
+        channel,
+        apply_tokens(old_data, decode_tokens(received[16:]), block_size),
+        new_data,
+        received[:16],
+        repair=repair,
+        leaf_size=block_size,
+        fanout=repair_fanout,
+        packed_signals=False,
     )
-    used_fallback = False
-    collisions_detected = 0
-    repaired = False
-    repair_rounds = 0
-    repair_bytes = 0
-    if file_fingerprint(reconstructed) != expected_fingerprint:
-        collisions_detected = 1
-        # A truncated-hash collision preserves lengths; anything else
-        # (decode damage, truncation) is not surgically repairable.
-        if repair and new_data and len(reconstructed) == len(new_data):
-            channel.send(Direction.CLIENT_TO_SERVER, b"\x02", phase=PHASE_REPAIR)
-            channel.receive(Direction.CLIENT_TO_SERVER)
-            outcome = repair_exchange(
-                channel,
-                reconstructed,
-                new_data,
-                expected_fingerprint,
-                leaf_size=block_size,
-                fanout=repair_fanout,
-            )
-            repair_rounds = outcome.rounds
-            repair_bytes = channel.stats.bytes_in_phase(PHASE_REPAIR)
-            if outcome.converged:
-                reconstructed = outcome.data
-                repaired = True
-        if not repaired:
-            # Fallback: one NACK byte, then the whole file compressed.
-            used_fallback = True
-            channel.send(Direction.CLIENT_TO_SERVER, b"\x01", phase="fallback")
-            channel.receive(Direction.CLIENT_TO_SERVER)
-            full_payload = zlib.compress(new_data, 9)
-            channel.send(Direction.SERVER_TO_CLIENT, full_payload, phase="fallback")
-            reconstructed = zlib.decompress(channel.receive(Direction.SERVER_TO_CLIENT))
-            # The NACK plus the whole compressed file — and any repair
-            # descent that failed to converge — is recovery traffic, not
-            # first-try payload.
-            channel.stats.reclassify_phase_as_retransmission("fallback")
-            channel.stats.reclassify_phase_as_retransmission(PHASE_REPAIR)
-    return RsyncResult(
-        reconstructed=reconstructed,
-        stats=channel.stats,
-        block_size=block_size,
-        used_fallback=used_fallback,
-        collisions_detected=collisions_detected,
-        repaired=repaired,
-        repair_rounds=repair_rounds,
-        repair_bytes=repair_bytes,
-    )
+    return RsyncResult(stats=channel.stats, block_size=block_size, **vars(outcome))

@@ -199,7 +199,7 @@ BENCH_FLAGS = {"-h", "--help", "--workload", "--scale", "--seed", "--workers"}
 #: Every option string of ``repro scrub``, which audits one store.
 SCRUB_FLAGS = {
     "-h", "--help", "--manifest", "--cursor", "--max-entries",
-    "--rate-limit", "--no-quarantine", "--repair", "--source", "--json",
+    "--rate-limit", "--no-quarantine", "--repair", "--json",
 }
 
 

@@ -32,11 +32,14 @@ class TestConstruction:
             DecomposableAdler(table=(1, 2, 3))
 
     def test_identity_matches_plain_adler(self):
-        from repro.hashing import AdlerRolling
-
+        """rsync's checksum: a = sum(x[j]), b = sum((L - j) * x[j])."""
         data = b"hello rolling world"
         pair = DecomposableAdler.identity().hash_block(data)
-        assert (pair.a, pair.b) == AdlerRolling(data).components
+        length = len(data)
+        assert (pair.a, pair.b) == (
+            sum(data) % 65536,
+            sum((length - j) * byte for j, byte in enumerate(data)) % 65536,
+        )
 
 
 class TestComponentWidths:

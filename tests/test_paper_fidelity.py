@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from repro.core import ProtocolConfig, synchronize
-from repro.hashing import AdlerRolling
+from repro.hashing import DecomposableAdler
 from repro.rsync import compute_signatures, rsync_sync
 from repro.rsync.signature import signature_wire_bytes
 from tests.conftest import make_version_pair
@@ -23,10 +23,15 @@ class TestSection2Rsync:
         constant time — i.e. rolling equals direct at every offset."""
         rng = random.Random(0)
         data = bytes(rng.randrange(256) for _ in range(2000))
-        hasher = AdlerRolling(data[:700])
+        adler = DecomposableAdler.identity()  # rsync's plain checksum
+        pair = adler.hash_block(data[:700])
         for i in range(1, 1000):
-            hasher.roll(data[i - 1], data[i + 699])
-            assert hasher.value == AdlerRolling.of(data[i : i + 700])
+            pair = adler.roll(pair, 700, data[i - 1], data[i + 699])
+            window = data[i : i + 700]
+            assert pair == (
+                sum(window) % 65536,
+                sum((700 - j) * byte for j, byte in enumerate(window)) % 65536,
+            )
 
     def test_one_changed_byte_per_block_defeats_rsync(self):
         """§2.3: 'If a single character is changed in each block ... no

@@ -51,6 +51,26 @@ class TestPublicApi:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    def test_each_protocol_step_has_one_implementation(self):
+        """Deleted twins stay deleted: rsync's Adler checksum is
+        ``DecomposableAdler.identity()``, verification is
+        ``LaneChannels.verify``, a supervised file is ``sync_file``."""
+        import repro.core.verification
+        import repro.hashing
+        from repro.resilience import SyncSupervisor
+
+        for module, name in (
+            (repro.hashing, "AdlerRolling"),
+            (repro.hashing, "KarpRabinRolling"),
+            (repro.hashing, "RollingHash"),
+            (repro.core.verification, "VerificationPools"),
+            (repro.core.verification, "make_units"),
+            (SyncSupervisor, "sync_named_file"),
+        ):
+            assert not hasattr(module, name), name
+        with pytest.raises(ImportError):
+            import repro.hashing.rolling  # noqa: F401
+
     def test_every_public_item_documented(self):
         """Every name exported at the top level carries a docstring."""
         for name in repro.__all__:

@@ -175,18 +175,15 @@ class TestProtocolIntegration:
     def test_failed_repair_falls_back(self, pair, monkeypatch):
         """A repair that cannot converge must surrender to the full
         fallback, with all its traffic rebilled as retransmission."""
-        import repro.multiround.protocol as multiround_mod
-        import repro.rsync.protocol as rsync_mod
+        import repro.core.repair as repair_mod
         from repro.core.repair import RepairResult
 
         def never_converges(channel, damaged, target, *args, **kwargs):
             return RepairResult(damaged, 3, 0, 0, converged=False)
 
         old, new = pair
-        monkeypatch.setattr(rsync_mod, "repair_exchange", never_converges)
-        monkeypatch.setattr(
-            multiround_mod, "repair_exchange", never_converges
-        )
+        # Both protocols finish with the one integrity endgame.
+        monkeypatch.setattr(repair_mod, "repair_exchange", never_converges)
         for result in (
             rsync_sync(
                 old, new, channel=CollisionFaultPlan(seed=6).channel()

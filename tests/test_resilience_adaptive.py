@@ -28,6 +28,7 @@ from repro.exceptions import (
     IntegrityError,
     SyncFailedError,
 )
+from repro.lanes import run_lane
 from repro.net import FaultPlan
 from repro.resilience import (
     AdaptiveRetryPolicy,
@@ -250,7 +251,7 @@ class TestSupervisorIntegration:
             breakers=board,
         )
         with pytest.raises(CircuitOpenError) as info:
-            supervisor.sync_named_file("poisoned", old, new)
+            run_lane(supervisor.lane("poisoned", old, new))[0]
         # Exactly threshold attempts burnt, not 4 rungs x 4 attempts.
         assert info.value.attempts == 3
         partial = info.value.partial
@@ -274,11 +275,11 @@ class TestSupervisorIntegration:
             breakers=board,
         )
         with pytest.raises(CircuitOpenError):
-            supervisor.sync_named_file("healing", old, new)
+            run_lane(supervisor.lane("healing", old, new))[0]
         assert board.breaker("healing").state == BreakerState.OPEN
         # The rest of the run makes progress; the faults have burnt out.
         board.advance(5.0)
-        outcome = supervisor.sync_named_file("healing", old, new)
+        outcome = run_lane(supervisor.lane("healing", old, new))[0]
         assert outcome.correct
         assert board.breaker("healing").state == BreakerState.CLOSED
         assert board.total_opens == 1
@@ -310,11 +311,11 @@ class TestSupervisorIntegration:
             budget=budget,
         )
         with pytest.raises(DeadlineExceededError):
-            supervisor.sync_named_file("first", old, new)
+            run_lane(supervisor.lane("first", old, new))[0]
         assert budget.exhausted
         # The next file is refused before burning a single attempt.
         with pytest.raises(DeadlineExceededError) as info:
-            supervisor.sync_named_file("second", old, new)
+            run_lane(supervisor.lane("second", old, new))[0]
         assert info.value.partial.retries == 0
 
     def test_decode_signature_descends_ladder_immediately(self):

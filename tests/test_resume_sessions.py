@@ -15,6 +15,7 @@ from repro.bench.methods import MultiroundRsyncMethod, OursMethod
 from repro.collection import sync_collection
 from repro.core import ProtocolConfig, synchronize
 from repro.exceptions import ResumeRefusedError
+from repro.lanes import run_lane
 from repro.multiround import multiround_rsync_sync
 from repro.net import FaultPlan
 from repro.net.channel import SimulatedChannel
@@ -177,7 +178,7 @@ class TestSupervisedResumeSavings:
         supervisor = SyncSupervisor(
             OursMethod(), checkpoints=CheckpointStore(tmp_path, resume=True)
         )
-        outcome = supervisor.sync_named_file("f", old, new)
+        outcome, _ = run_lane(supervisor.lane("f", old, new))
         assert outcome.correct
         assert outcome.rounds_salvaged == head.round_index
         assert outcome.resume_handshake_bits > 0

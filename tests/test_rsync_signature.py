@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.hashing import AdlerRolling
+from repro.hashing import DecomposableAdler
 from repro.rsync import compute_signatures
 from repro.rsync.signature import signature_wire_bytes
 
@@ -27,9 +29,23 @@ class TestComputeSignatures:
             compute_signatures(b"abc", 0)
 
     def test_rolling_matches_adler(self):
-        data = b"block content 123456"
-        (signature,) = compute_signatures(data, 100)
-        assert signature.rolling == AdlerRolling.of(data)
+        """Every block's checksum, the short tail's included, equals the
+        scalar hash and the closed-form sums (both components wrap mod
+        2**16 on the 700-byte random blocks)."""
+        adler = DecomposableAdler.identity()
+        for data, size in (
+            (b"block content 123456" * 3, 25),
+            (random.Random(5).randbytes(5000), 700),
+        ):
+            signatures = compute_signatures(data, size)
+            assert sum(s.length for s in signatures) == len(data)
+            for signature in signatures:
+                block = data[signature.index * size :][: signature.length]
+                pair = adler.hash_block(block)
+                assert signature.rolling == pair.a | (pair.b << 16)
+                a = sum(block) % 65536
+                b = sum((len(block) - j) * x for j, x in enumerate(block)) % 65536
+                assert signature.rolling == a | (b << 16)
 
     def test_strong_bytes_width(self):
         (signature,) = compute_signatures(b"data", 10, strong_bytes=4)

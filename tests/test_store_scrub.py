@@ -259,10 +259,23 @@ class TestScrubCli:
         BitRotPlan(seed=7, files_affected=2).apply(store.root)
         code = main(
             ["scrub", str(store.root), "--manifest", str(manifest_path),
-             "--repair", "--source", str(source)]
+             "--repair", str(source)]
         )
         assert code == 0
         assert "repaired" in capsys.readouterr().out
+
+    def test_repair_without_source_is_usage_error(self, cli_store, capsys):
+        """``--repair`` takes the source as its value: without one the
+        command stops at argument parsing, before the audit has
+        quarantined anything."""
+        store, manifest_path, _ = cli_store
+        BitRotPlan(seed=7).apply(store.root)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scrub", str(store.root), "--manifest", str(manifest_path),
+                  "--repair"])
+        assert exit_info.value.code == 2
+        assert "--repair" in capsys.readouterr().err
+        assert not (store.root / QUARANTINE_DIR).exists()
 
     def test_missing_manifest_is_usage_error(self, cli_store, capsys):
         store, _, _ = cli_store
