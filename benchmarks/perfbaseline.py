@@ -9,8 +9,9 @@ measurements whose records are committed at the repo root:
 * :func:`measure` → ``BENCH_parallel.json``: the core substrate ops
   (window-hash scan, rsync token matching, zdelta encoding) and the
   collection executor's pickle dispatch;
-* :func:`measure_delta` → ``BENCH_delta.json``: vectorized delta
-  matching against the ``_scan_scalar`` loop;
+* :func:`measure_delta` → ``BENCH_delta.json``: the chunked delta scan
+  against the ``_scan_scalar`` loop, the parity oracle no product path
+  calls;
 * :func:`measure_protocol` → ``BENCH_protocol.json``: end-to-end core
   protocol throughput;
 * :func:`measure_pipeline` → ``BENCH_pipeline.json``: pipelined against
@@ -462,11 +463,12 @@ def measure_delta(
     * ``delta_index_build`` — ``ReferenceMatcher`` construction (the
       cost the :class:`~repro.parallel.cache.ReferenceIndexCache`
       amortises away on repeated references);
-    * ``delta_match_vectorized`` — :func:`compute_instructions` over
-      every pair;
+    * ``delta_match_vectorized`` — :func:`compute_instructions` (the
+      one, chunked scan) over every pair;
     * ``delta_match_scalar`` — window hashes plus the per-position
-      ``_scan_scalar`` loop, called directly, over the first
-      ``scalar_files`` pairs (MB/s normalises by payload).
+      ``_scan_scalar`` oracle, called directly because nothing in the
+      product calls it, over the first ``scalar_files`` pairs (MB/s
+      normalises by payload).
 
     Matchers are prebuilt so both ops time the matching itself, not
     index construction; payload counts *target* bytes matched.

@@ -49,7 +49,7 @@ def test_ablation_rounds_latency(benchmark):
             result.stats.roundtrips,
         ]
         for link_name, link in LINKS.items():
-            seconds = link.transfer_time_directional(
+            seconds = link.transfer_seconds(
                 result.stats.client_to_server_bytes,
                 result.stats.server_to_client_bytes,
                 result.stats.roundtrips,

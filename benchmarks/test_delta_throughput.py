@@ -3,9 +3,10 @@
 The perf gate in ``test_perf_baseline.py`` watches a synthetic seeded
 workload; this module answers the practical question instead: on the
 gcc/emacs-style source-tree version pairs the paper evaluates (§6.1),
-how much faster is :func:`compute_instructions` than the per-position
-``_scan_scalar`` loop called directly — and do both still emit
-byte-identical instruction lists on every real-ish pair?
+how much faster is :func:`compute_instructions` (the one, chunked scan)
+than the per-position ``_scan_scalar`` loop — the parity oracle, called
+directly because nothing in the product calls it — and do both still
+emit byte-identical instruction lists on every real-ish pair?
 
 The parity assertion here is the benchmark-side complement of the
 randomized suite in ``tests/test_delta_parity.py``: same property,
@@ -43,7 +44,7 @@ def _changed_pairs(tree) -> list[tuple[str, bytes, bytes]]:
 
 
 def scalar_instructions(old: bytes, new: bytes, matcher: ReferenceMatcher):
-    """Window hashes plus the per-position scan, bypassing the probe."""
+    """Window hashes plus the per-position oracle scan."""
     return _scan_scalar(
         matcher, memoryview(old), new, memoryview(new),
         window_hashes(new, matcher.seed_length, _SEED_HASHER),

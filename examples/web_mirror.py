@@ -46,7 +46,7 @@ def main() -> None:
                     method.name,
                     changed,
                     f"{run.total_kb:,.1f}",
-                    f"{link.transfer_time(run.total_bytes, 0):.1f}",
+                    f"{link.transfer_seconds(0, run.total_bytes, 0):.1f}",
                 ]
             )
     print()

@@ -115,10 +115,12 @@ def load_manifest(path: str | Path) -> Manifest:
     """Read a manifest written by :func:`save_manifest`."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as error:
         raise ManifestFormatError(f"cannot read {path}: {error}") from error
-    lines = text.splitlines()
+    # Entries end at "\n" only, the one separator save_manifest rejects in
+    # names: "\r", "\x85" or U+2028 inside a name are part of the name.
+    lines = text.split("\n")
     if not lines or lines[0] != _HEADER:
         raise ManifestFormatError(f"{path} is not a repro manifest")
     entries: dict[str, bytes] = {}

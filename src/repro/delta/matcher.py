@@ -5,22 +5,19 @@ index the reference by seed-length windows, then scan the target greedily,
 extending candidate matches forward (and backward into pending literals)
 and emitting COPY/ADD instructions.
 
-Two scans produce byte-identical instruction lists, and the input picks
-between them:
+:func:`_scan_chunked` is the one scan.  It resolves candidate ranges a
+chunk of target positions at a time — one batched ``searchsorted`` pair
+plus a next-candidate jump table per chunk — so the greedy loop touches
+only positions that can start a match and consumes each candidate-free
+stretch as one literal run.  A chunk doubles while the cursor keeps
+walking onto its end (literal-heavy targets cost a few numpy calls) and
+restarts at :data:`_CHUNK_BASE` positions after a COPY jumps past it
+(copy-dominated targets resolve only the positions the loop visits).
 
-* :func:`_scan_vectorized` resolves the candidate range of *every*
-  target position with one batched ``searchsorted`` pair, then walks a
-  precomputed next-candidate jump table so the greedy loop touches only
-  positions that can possibly start a match — candidate-free stretches
-  are consumed as one batched literal run in O(1).
-* :func:`_scan_scalar` is the per-position loop.  Its cost scales with
-  literal bytes instead of target length, so a cheap sampled probe
-  (:func:`_copy_dominated`) routes copy-dominated targets (small source
-  edits) to it.  It is also the parity reference of the batched scan.
-
-The scalar loop pays two binary searches per unmatched byte in the
-Python interpreter; on literal-heavy targets that is the dominant CPU
-cost of the whole delta phase (see ``BENCH_delta.json``).
+:func:`_scan_scalar` is the per-position loop with two binary searches
+per unmatched byte.  Nothing in the product calls it: it is the parity
+oracle the tests and benchmarks compare :func:`_scan_chunked` against,
+instruction for instruction.
 """
 
 from __future__ import annotations
@@ -177,24 +174,12 @@ def _check_matcher(matcher: ReferenceMatcher, reference: bytes) -> None:
         raise ValueError("matcher was built for a different reference")
 
 
-def _resolve_matcher(reference: bytes, seed_length: int, cache):
-    """A matcher for ``reference``: cached by default, private on opt-out."""
-    if cache is False:
-        return ReferenceMatcher(reference, seed_length)
-    if cache is None:
-        from repro.parallel.cache import default_reference_cache
-
-        cache = default_reference_cache()
-    return cache.matcher(reference, seed_length)
-
-
 def compute_instructions(
     reference: bytes,
     target: bytes,
     seed_length: int = DEFAULT_SEED_LENGTH,
     min_match: int | None = None,
     matcher: ReferenceMatcher | None = None,
-    cache=None,
     memo=None,
 ) -> list[Instruction]:
     """Greedy COPY/ADD instruction list producing ``target`` from ``reference``.
@@ -203,8 +188,7 @@ def compute_instructions(
     index construction across several targets; without one the process-wide
     :class:`~repro.parallel.cache.ReferenceIndexCache` is consulted so
     repeated references (version chains, sync retries, benchmark rounds)
-    never re-sort the seed index.  Pass ``cache=False`` for a private
-    uncached build, or a specific cache instance to use instead.
+    never re-sort the seed index.
 
     ``memo``, a :class:`~repro.reuse.memo.DeltaMemoCache`, memoizes the
     finished instruction list by *content pair*: a hit skips hashing and
@@ -231,12 +215,10 @@ def compute_instructions(
             matcher.seed_length if matcher is not None else seed_length,
             min_match,
             lambda: _compute_cold(
-                reference, target, seed_length, min_match, matcher, cache
+                reference, target, seed_length, min_match, matcher
             ),
         )
-    return _compute_cold(
-        reference, target, seed_length, min_match, matcher, cache
-    )
+    return _compute_cold(reference, target, seed_length, min_match, matcher)
 
 
 def _compute_cold(
@@ -245,18 +227,19 @@ def _compute_cold(
     seed_length: int,
     min_match: int,
     matcher: ReferenceMatcher | None,
-    cache,
 ) -> list[Instruction]:
     """The actual matching work (everything a memo hit skips)."""
     if matcher is None:
-        matcher = _resolve_matcher(reference, seed_length, cache)
+        from repro.parallel.cache import default_reference_cache
+
+        matcher = default_reference_cache().matcher(reference, seed_length)
     else:
         _check_matcher(matcher, reference)
 
     target_view = memoryview(target)
     reference_view = memoryview(reference)
     target_hashes = window_hashes(target, matcher.seed_length, _SEED_HASHER)
-    return _scan_vectorized(
+    return _scan_chunked(
         matcher, reference_view, target, target_view, target_hashes, min_match
     )
 
@@ -269,8 +252,8 @@ def _scan_scalar(
     target_hashes: np.ndarray,
     min_match: int,
 ) -> list[Instruction]:
-    """The per-position greedy loop (copy-dominated targets; the parity
-    reference of :func:`_scan_vectorized`)."""
+    """The per-position greedy loop: the parity oracle of
+    :func:`_scan_chunked` (tests and benchmarks only)."""
     instructions: list[Instruction] = []
     literals = bytearray()
     position = 0
@@ -312,43 +295,17 @@ def _scan_scalar(
     return instructions
 
 
-#: Sample size of the copy-dominated probe in :func:`_scan_vectorized`.
-_PROBE_SAMPLES = 64
-
-#: Estimated novel fraction below which the scalar loop beats the batch.
-#: Measured on a 2-CPU x86_64 container (random 8 KB and 48 KB
-#: references, targets with 64-byte novel runs): the batch pays ~0.11 µs
-#: per target position, the scalar loop ~5 µs per literal byte —
-#: crossover near 2% novel bytes.  With 64 samples that is one miss at
-#: most.
-_PROBE_NOVEL_CUTOFF = 0.02
+#: Target positions resolved by the first chunk, and again after a COPY
+#: jumps past a chunk's end.  Small enough that copy-dominated edits do
+#: not resolve positions the greedy loop never visits; doubling from it
+#: amortises the per-chunk numpy calls on literal-heavy targets.  On a
+#: 2-CPU x86_64 container, over one update's delta inputs from each of
+#: the four ``perf/run.py`` workloads, 128 was within 6% of the fastest
+#: of 32, 64, 128, 256 and 512 on every workload.
+_CHUNK_BASE = 128
 
 
-def _copy_dominated(matcher: ReferenceMatcher, target_hashes: np.ndarray) -> bool:
-    """Whether the target looks copy-dominated (batching cannot pay off).
-
-    The batched scan pays a fixed per-position cost resolving candidate
-    ranges the greedy loop may never visit, while the scalar loop pays
-    only per *literal* byte; a target that is nearly all COPY is
-    therefore faster through the scalar loop.  Probing a few dozen
-    evenly spaced positions estimates the novel fraction: novel bytes
-    are candidate-free with overwhelming probability (a random 32-bit
-    hash rarely occurs in the reference), copied bytes always have a
-    candidate.  The miss budget mirrors the measured cost crossover.
-    """
-    positions = int(target_hashes.size)
-    if positions <= _PROBE_SAMPLES:
-        # Too small for the batch to amortise its setup at all.
-        return True
-    sample = target_hashes[:: positions // _PROBE_SAMPLES][:_PROBE_SAMPLES]
-    lo = matcher._sorted.searchsorted(sample, side="left")
-    safe = np.minimum(lo, matcher._sorted.size - 1)
-    has = (lo < matcher._sorted.size) & (matcher._sorted[safe] == sample)
-    misses = int(sample.size) - int(np.count_nonzero(has))
-    return misses <= int(sample.size * _PROBE_NOVEL_CUTOFF)
-
-
-def _scan_vectorized(
+def _scan_chunked(
     matcher: ReferenceMatcher,
     reference_view: memoryview,
     target: bytes,
@@ -356,17 +313,17 @@ def _scan_vectorized(
     target_hashes: np.ndarray,
     min_match: int,
 ) -> list[Instruction]:
-    """Batched greedy scan: same instruction stream, numpy-resolved lookups.
+    """Greedy scan over candidate ranges resolved a chunk at a time.
 
-    All per-position candidate ranges come from one vectorised
-    ``searchsorted`` pair; a has-candidate jump table lets the loop emit
-    each candidate-free stretch as a single batched literal run, and an
-    emitted COPY advances the cursor past every matched byte so nothing
-    is rescanned or re-hashed.
-
-    Copy-dominated targets (see :func:`_copy_dominated`) are delegated
-    to the scalar loop, whose cost scales with literal bytes rather than
-    target length — the instruction stream is identical either way.
+    When the cursor leaves the resolved chunk, the candidate ranges of
+    the next ``size`` target positions come from one vectorised
+    ``searchsorted`` pair, and a has-candidate jump table lets the loop
+    emit each candidate-free stretch as a single batched literal run.
+    ``size`` doubles when the cursor walked onto the chunk's end and
+    returns to :data:`_CHUNK_BASE` when a COPY jumped past it.  An
+    emitted COPY advances the cursor past every matched byte, so nothing
+    is rescanned or re-hashed.  The instruction stream equals
+    :func:`_scan_scalar`'s whatever the chunk boundaries.
     """
     n = len(target)
     instructions: list[Instruction] = []
@@ -380,16 +337,9 @@ def _scan_vectorized(
             instructions.append(Add(bytes(target)))
         return instructions
 
-    if _copy_dominated(matcher, target_hashes):
-        return _scan_scalar(
-            matcher, reference_view, target, target_view, target_hashes,
-            min_match,
-        )
-
-    lo, hi = matcher.candidate_ranges(target_hashes)
-    jump = next_occupied_table(hi > lo)
     order = matcher._order
-
+    size = _CHUNK_BASE
+    chunk_start = chunk_end = 0
     literals = bytearray()
     position = 0
     while position < n:
@@ -397,7 +347,19 @@ def _scan_vectorized(
             # Tail shorter than one seed window: literal to the end.
             literals += target_view[position:]
             break
-        nxt = int(jump[position])
+        if position >= chunk_end:
+            if position > chunk_end:
+                size = _CHUNK_BASE
+            elif chunk_end:
+                size *= 2
+            chunk_start = position
+            chunk_end = min(position + size, scan_positions)
+            lo, hi = matcher.candidate_ranges(
+                target_hashes[chunk_start:chunk_end]
+            )
+            jump = next_occupied_table(hi > lo)
+        index = position - chunk_start
+        nxt = chunk_start + int(jump[index])
         if nxt > position:
             # No position in [position, nxt) has any candidate, so none
             # can start a match: one batched literal run replaces
@@ -408,7 +370,7 @@ def _scan_vectorized(
             continue
         best_length = 0
         best_offset = -1
-        for candidate in order[lo[position] : hi[position]].tolist():
+        for candidate in order[lo[index] : hi[index]].tolist():
             length = _common_prefix_length(
                 reference_view[candidate:], target_view[position:]
             )

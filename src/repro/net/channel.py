@@ -44,7 +44,7 @@ class LinkModel:
     uplink_bps: float | None = None
 
     def __post_init__(self) -> None:
-        # Fail at construction, not lazily inside transfer_time*: a link
+        # Fail at construction, not lazily inside transfer_seconds: a link
         # built from bad config should be rejected before any protocol
         # charges wall-clock estimates against it.
         if self.bandwidth_bps <= 0:
@@ -64,39 +64,21 @@ class LinkModel:
     def effective_uplink_bps(self) -> float:
         return self.uplink_bps if self.uplink_bps is not None else self.bandwidth_bps
 
-    def transfer_time(self, total_bytes: int, roundtrips: int) -> float:
-        """Estimated wall-clock seconds to move ``total_bytes`` downlink."""
-        serialization = 8.0 * total_bytes / self.bandwidth_bps
-        propagation = 2.0 * self.latency_s * roundtrips
-        return serialization + propagation
-
-    def transfer_time_directional(
-        self,
-        client_to_server_bytes: int,
-        server_to_client_bytes: int,
-        roundtrips: int,
-    ) -> float:
-        """Wall-clock estimate with per-direction bandwidths."""
-        up = 8.0 * client_to_server_bytes / self.effective_uplink_bps
-        down = 8.0 * server_to_client_bytes / self.bandwidth_bps
-        propagation = 2.0 * self.latency_s * roundtrips
-        return up + down + propagation
-
     def transfer_seconds(
         self,
         client_to_server_bytes,
         server_to_client_bytes,
         roundtrips,
     ) -> float:
-        """Accumulating wall-clock estimate over per-item counters.
+        """Wall-clock estimate with per-direction bandwidths.
 
-        The vectorized sibling of :meth:`transfer_time_directional`:
-        each argument may be a scalar or a sequence/array of per-file
+        Each argument may be a scalar or a sequence/array of per-file
         (or per-wave) counters, broadcast against each other; the return
-        value is the summed wall-clock estimate.  This is the one
-        formula the pipelined replay and the collection reports
-        share, so ``link_wall_clock_s`` means the same thing wherever it
-        appears.
+        value is the summed wall-clock estimate.  This is the one link
+        formula: channels, the supervisor's waste charges, the pipelined
+        replay and the collection reports all use it, so
+        ``link_wall_clock_s`` means the same thing wherever it appears.
+        A downlink-only estimate is ``transfer_seconds(0, total, trips)``.
 
         Validation mirrors the constructor's: negative counters are a
         caller bug and are rejected eagerly, not folded into a
@@ -215,7 +197,7 @@ class SimulatedChannel:
 
     def estimated_transfer_time(self) -> float:
         """Wall-clock estimate for everything sent so far on this link."""
-        return self.link.transfer_time_directional(
+        return self.link.transfer_seconds(
             self.stats.client_to_server_bytes,
             self.stats.server_to_client_bytes,
             self.stats.roundtrips,

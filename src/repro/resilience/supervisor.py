@@ -137,7 +137,7 @@ def _waste_after(
     roundtrips = max(0, stats.roundtrips - head.roundtrips)
     return (
         c2s + s2c + stats.retransmitted_bytes,
-        channel.link.transfer_time_directional(c2s, s2c, roundtrips),
+        channel.link.transfer_seconds(c2s, s2c, roundtrips),
     )
 
 
@@ -507,7 +507,7 @@ class SyncSupervisor(SyncMethod):
                 if head is not None:
                     link = self.link or LinkModel()
                     retransmitted_bytes += head.total_bytes
-                    abandoned_seconds = link.transfer_time_directional(
+                    abandoned_seconds = link.transfer_seconds(
                         head.bytes_in_direction(Direction.CLIENT_TO_SERVER),
                         head.bytes_in_direction(Direction.SERVER_TO_CLIENT),
                         head.roundtrips,

@@ -43,6 +43,14 @@ class TestRoundtrip:
         path = save_manifest(manifest, tmp_path / "m.txt")
         assert "name with spaces.txt" in load_manifest(path).entries
 
+    @pytest.mark.parametrize("name", ["cr\rname", "nel\x85name", "ls\u2028name"])
+    def test_line_break_characters_other_than_newline_survive(
+        self, name, tmp_path
+    ):
+        manifest = Manifest.of_collection({name: b"x", "plain.txt": b"y"})
+        path = save_manifest(manifest, tmp_path / "m.txt")
+        assert load_manifest(path).entries == manifest.entries
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):

@@ -15,13 +15,20 @@ from __future__ import annotations
 import tempfile
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collection import Manifest, StoreScrubber
+from repro.collection import (
+    Manifest,
+    ManifestFormatError,
+    StoreScrubber,
+    load_manifest,
+    save_manifest,
+)
 from repro.core import ProtocolConfig
 from repro.core.client import ClientSession
 from repro.core.protocol import CoreSyncSession
@@ -152,6 +159,20 @@ def _scrub_cursors() -> list[bytes]:
     return [_SCRUBBER.cursor_path.read_bytes()]
 
 
+def _load_manifest(data: bytes):
+    """Write ``data`` as a manifest file and load it."""
+    path = Path(_SCRUB_DIR.name, "manifest")
+    path.write_bytes(data)
+    return load_manifest(path)
+
+
+def _manifests() -> list[bytes]:
+    path = Path(_SCRUB_DIR.name, "manifest")
+    files = {"a.txt": b"alpha", "d/cr\rname": b"beta", "ls\u2028 \x85": b""}
+    save_manifest(Manifest.of_collection(files), path)
+    return [path.read_bytes()]
+
+
 def _collide(payload: bytes) -> bytes:
     return CollisionFaultPlan(seed=5).collide(payload, "delta")
 
@@ -218,6 +239,7 @@ DECODERS = {
     ),
     "collision-tokens": Decoder(_collide_stream, (), _token_streams),
     "scrub-cursor": Decoder(_read_cursor, (), _scrub_cursors),
+    "manifest": Decoder(_load_manifest, (ManifestFormatError,), _manifests),
 }
 
 VALID = {name: decoder.valid() for name, decoder in DECODERS.items()}

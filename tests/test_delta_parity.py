@@ -1,11 +1,12 @@
 """Scan parity and reference-index cache behaviour for the delta core.
 
-:func:`compute_instructions` (the batched scan, DESIGN §12) must emit
+:func:`compute_instructions` (the chunked scan, DESIGN §12) must emit
 *byte-identical* instruction lists to the per-position ``_scan_scalar``
-loop, called directly as the reference, on every input — not merely
+loop, called directly as the oracle, on every input — not merely
 decode to the same target.  The first half of this module
-attacks that property with structured adversarial cases and a
-hypothesis sweep; the second half pins down the
+attacks that property with structured adversarial cases, targets built
+around the scan's chunk edges and hypothesis sweeps; the second half
+pins down the
 :class:`~repro.parallel.cache.ReferenceIndexCache` contract: repeated
 references hit, both delta coders share one entry, per-worker counters
 fold back into the executor's batch result.
@@ -14,18 +15,19 @@ fold back into the executor's batch result.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delta.encoder import zdelta_encode
-from repro.delta.instructions import apply_instructions
+from repro.delta.instructions import Copy, apply_instructions
 from repro.delta import matcher as matcher_module
 from repro.delta.matcher import (
+    _CHUNK_BASE,
     _SEED_HASHER,
     ReferenceMatcher,
-    _copy_dominated,
     _scan_scalar,
     compute_instructions,
 )
@@ -67,11 +69,40 @@ def scalar_instructions(
     )
 
 
-def _assert_parity(reference: bytes, target: bytes, **kwargs) -> None:
+def _assert_parity(reference: bytes, target: bytes, **kwargs) -> list:
     scalar = scalar_instructions(reference, target, **kwargs)
-    vectorized = compute_instructions(reference, target, cache=False, **kwargs)
-    assert scalar == vectorized
-    assert apply_instructions(reference, vectorized) == target
+    matcher = ReferenceMatcher(reference, kwargs.get("seed_length", 16))
+    chunked = compute_instructions(reference, target, matcher=matcher, **kwargs)
+    assert scalar == chunked
+    assert apply_instructions(reference, chunked) == target
+    return chunked
+
+
+def _spans(instructions: list) -> list[tuple[str, int, int]]:
+    """``(kind, start, end)`` target range each instruction produces."""
+    spans = []
+    position = 0
+    for instruction in instructions:
+        if isinstance(instruction, Copy):
+            end = position + instruction.length
+            spans.append(("copy", position, end))
+        else:
+            end = position + len(instruction.data)
+            spans.append(("add", position, end))
+        position = end
+    return spans
+
+
+def _built_target(rng: random.Random, reference: bytes, length: int) -> bytes:
+    """Copies of reference runs interleaved with novel runs, ~``length``."""
+    out = bytearray()
+    while len(out) < length:
+        if reference and rng.random() < 0.5:
+            start = rng.randrange(len(reference))
+            out += reference[start : start + rng.randrange(1, 400)]
+        else:
+            out += rng.randbytes(rng.randrange(1, 600))
+    return bytes(out)
 
 
 def _structured_target(style: str, reference: bytes, rng: random.Random) -> bytes:
@@ -133,47 +164,135 @@ class TestEngineParity:
         _assert_parity(reference, target, seed_length=4)
 
 
+class TestChunkEdges:
+    """Targets laid out around the chunked scan's resolve boundaries.
+
+    The first chunk resolves ``_CHUNK_BASE`` positions; a cursor that
+    walks onto a chunk's end doubles the next one, and a COPY that jumps
+    past it restarts at ``_CHUNK_BASE``.  None of that may show in the
+    instruction stream.
+    """
+
+    def test_literal_run_spans_a_chunk_edge(self):
+        rng = random.Random(31)
+        reference = rng.randbytes(4096)
+        target = reference[:100] + rng.randbytes(100) + reference[1000:1300]
+        spans = _spans(_assert_parity(reference, target))
+        assert ("add", 100, 200) in spans
+        assert 100 < _CHUNK_BASE < 200
+
+    def test_copy_ends_exactly_on_a_chunk_end(self):
+        rng = random.Random(32)
+        reference = rng.randbytes(4096)
+        target = (
+            reference[500 : 500 + _CHUNK_BASE]
+            + rng.randbytes(64)
+            + reference[2000:2400]
+        )
+        spans = _spans(_assert_parity(reference, target))
+        assert spans[0] == ("copy", 0, _CHUNK_BASE)
+
+    def test_copy_jumps_past_a_chunk_end(self):
+        rng = random.Random(33)
+        reference = rng.randbytes(8192)
+        target = (
+            reference[: 3 * _CHUNK_BASE + 7]
+            + rng.randbytes(3)
+            + reference[4000:4100]
+            + rng.randbytes(_CHUNK_BASE)
+            + reference[6000:7000]
+        )
+        _assert_parity(reference, target)
+
+    def test_backward_extension_reaches_into_the_previous_chunk(self):
+        # Every seed window inside ``word`` has nine earlier decoy
+        # occurrences, so the candidate cap hides the true one and
+        # ``word`` stays literal until the first window past it, at the
+        # chunk edge; the COPY found there extends back over ``word``.
+        rng = random.Random(34)
+        word = rng.randbytes(12)
+        decoys = b"".join(word + rng.randbytes(12) for _ in range(9))
+        tail = rng.randbytes(200)
+        reference = decoys + rng.randbytes(7) + word + tail
+        true_offset = len(reference) - len(word) - len(tail)
+        target = rng.randbytes(_CHUNK_BASE - 9) + word + tail
+        instructions = _assert_parity(
+            reference, target, seed_length=4, min_match=20
+        )
+        assert instructions[-1] == Copy(true_offset, len(word) + len(tail))
+        assert _spans(instructions)[-1][1] == _CHUNK_BASE - 9
+
+    def test_periodic_target_hits_the_candidate_cap_at_an_edge(self):
+        rng = random.Random(35)
+        unit = rng.randbytes(8)
+        reference = rng.randbytes(300) + unit * 40 + rng.randbytes(300)
+        for lead in range(_CHUNK_BASE - 20, _CHUNK_BASE):
+            target = rng.randbytes(lead) + unit * 48 + rng.randbytes(50)
+            spans = _spans(_assert_parity(reference, target))
+            assert any(
+                kind == "copy" and start < _CHUNK_BASE < end
+                for kind, start, end in spans
+            )
+
+    @pytest.mark.parametrize("base", [1, 2, 3, 64])
+    def test_small_chunk_bases(self, base):
+        rng = random.Random(base)
+        with mock.patch.object(matcher_module, "_CHUNK_BASE", base):
+            for trial in range(20):
+                reference = rng.randbytes(rng.randrange(1, 3000))
+                target = _built_target(rng, reference, rng.randrange(0, 3000))
+                _assert_parity(
+                    reference,
+                    target,
+                    seed_length=rng.randrange(1, 32),
+                    min_match=rng.randrange(1, 41),
+                )
+
+    def test_chunk_doubles_while_walking_and_restarts_after_a_copy(self):
+        rng = random.Random(36)
+        reference = rng.randbytes(8192)
+        target = rng.randbytes(2000) + reference[:3000] + rng.randbytes(600)
+        matcher = ReferenceMatcher(reference)
+        sizes = []
+        resolve = matcher.candidate_ranges
+
+        def recording(target_hashes):
+            sizes.append(int(target_hashes.size))
+            return resolve(target_hashes)
+
+        matcher.candidate_ranges = recording
+        chunked = compute_instructions(reference, target, matcher=matcher)
+        assert chunked == scalar_instructions(reference, target)
+        base = _CHUNK_BASE
+        assert sizes[:4] == [base, 2 * base, 4 * base, 8 * base]
+        # The COPY of reference[:3000] jumps past the chunk it starts in.
+        assert base in sizes[4:]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reference_length=st.integers(0, 6000),
+        target_length=st.integers(2000, 8000),
+        seed_length=st.sampled_from([4, 8, 16]),
+        min_match=st.integers(1, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_kilobyte_sweep(
+        self, seed, reference_length, target_length, seed_length, min_match
+    ):
+        rng = random.Random(seed)
+        reference = rng.randbytes(reference_length)
+        target = _built_target(rng, reference, target_length)
+        _assert_parity(
+            reference, target, seed_length=seed_length, min_match=min_match
+        )
+
+
 class TestEngineSelection:
-    """The input, not a switch, picks the scan: a sampled probe sends
-    copy-dominated targets to the per-position loop."""
+    """One scan, no selection: only the argument guard is left."""
 
     def test_min_match_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_match"):
             compute_instructions(b"ref" * 20, b"tgt" * 20, min_match=0)
-
-    @staticmethod
-    def _scalar_calls(monkeypatch, reference: bytes, target: bytes) -> int:
-        calls = []
-
-        def counting_scan(*args):
-            calls.append(args)
-            return _scan_scalar(*args)
-
-        monkeypatch.setattr(matcher_module, "_scan_scalar", counting_scan)
-        result = compute_instructions(reference, target, cache=False)
-        assert apply_instructions(reference, result) == target
-        return len(calls)
-
-    def test_copy_dominated_target_selects_scalar(self, monkeypatch):
-        rng = random.Random(11)
-        reference = rng.randbytes(64 * 1024)
-        target = reference[:30000] + b"edit" + reference[30000:]
-        matcher = ReferenceMatcher(reference)
-        assert _copy_dominated(
-            matcher, window_hashes(target, 16, _SEED_HASHER)
-        )
-        assert self._scalar_calls(monkeypatch, reference, target) == 1
-
-    def test_literal_heavy_target_stays_batched(self, monkeypatch):
-        rng = random.Random(12)
-        reference = rng.randbytes(64 * 1024)
-        target = _structured_target("mixed", reference, rng)
-        target += rng.randbytes(len(target))
-        matcher = ReferenceMatcher(reference)
-        assert not _copy_dominated(
-            matcher, window_hashes(target, 16, _SEED_HASHER)
-        )
-        assert self._scalar_calls(monkeypatch, reference, target) == 0
 
 
 class TestMatcherReuseCheck:
@@ -225,22 +344,6 @@ class TestReferenceIndexCache:
         compute_instructions(reference, reference, seed_length=8)
         assert len(cache) == 2
         assert cache.stats.misses == 2
-
-    def test_cache_false_is_a_private_build(self):
-        cache = default_reference_cache()
-        reference = b"private build, no shared state " * 30
-        compute_instructions(reference, reference, cache=False)
-        assert cache.stats.lookups == 0
-        assert len(cache) == 0
-
-    def test_explicit_cache_instance_is_used(self):
-        private = ReferenceIndexCache(max_entries=4)
-        reference = b"explicitly routed cache " * 30
-        compute_instructions(reference, reference, cache=private)
-        compute_instructions(reference, reference, cache=private)
-        assert private.stats.misses == 1
-        assert private.stats.hits == 1
-        assert default_reference_cache().stats.lookups == 0
 
     def test_cached_matcher_owns_its_bytes(self):
         backing = bytearray(b"mutable backing " * 30)

@@ -51,7 +51,7 @@ class TestAsymmetricLinks:
     def test_directional_time(self):
         link = LinkModel(bandwidth_bps=8000.0, uplink_bps=800.0, latency_s=0.0)
         # 100 B up at 800 bps = 1 s; 1000 B down at 8000 bps = 1 s.
-        assert link.transfer_time_directional(100, 1000, 0) == pytest.approx(2.0)
+        assert link.transfer_seconds(100, 1000, 0) == pytest.approx(2.0)
 
     def test_bad_uplink_rejected(self):
         # Validation moved to construction time: a zero uplink never

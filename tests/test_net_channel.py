@@ -68,11 +68,11 @@ class TestLinkModel:
     def test_transfer_time_components(self):
         link = LinkModel(bandwidth_bps=8000.0, latency_s=0.5)
         # 1000 bytes = 8000 bits = 1 s serialisation; 2 roundtrips = 2 s.
-        assert link.transfer_time(1000, 2) == pytest.approx(3.0)
+        assert link.transfer_seconds(0, 1000, 2) == pytest.approx(3.0)
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            LinkModel(bandwidth_bps=0).transfer_time(1, 1)
+            LinkModel(bandwidth_bps=0)
 
     def test_channel_estimate_uses_link(self):
         channel = SimulatedChannel(LinkModel(bandwidth_bps=8000.0, latency_s=0.0))

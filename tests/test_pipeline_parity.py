@@ -175,20 +175,21 @@ class TestMuxDecoderFuzz:
 
 
 # ----------------------------------------------------------------------
-# LinkModel.transfer_seconds (vectorized/accumulating variant)
+# LinkModel.transfer_seconds (the one link-time formula)
 # ----------------------------------------------------------------------
 class TestTransferSeconds:
     def test_scalar_matches_directional(self):
         link = LinkModel(bandwidth_bps=2e6, latency_s=0.1, uplink_bps=5e5)
+        # 1000 B up at 500 kbit/s, 4000 B down at 2 Mbit/s, 7 roundtrips.
         assert link.transfer_seconds(1000, 4000, 7) == pytest.approx(
-            link.transfer_time_directional(1000, 4000, 7)
+            8.0 * 1000 / 5e5 + 8.0 * 4000 / 2e6 + 2 * 0.1 * 7
         )
 
     def test_vector_accumulates(self):
         link = LinkModel(bandwidth_bps=1e6, latency_s=0.05)
         ups, downs, trips = [100, 200, 300], [50, 0, 950], [2, 5, 0]
         expected = sum(
-            link.transfer_time_directional(u, d, t)
+            link.transfer_seconds(u, d, t)
             for u, d, t in zip(ups, downs, trips)
         )
         assert link.transfer_seconds(ups, downs, trips) == pytest.approx(

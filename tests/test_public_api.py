@@ -54,9 +54,13 @@ class TestPublicApi:
     def test_each_protocol_step_has_one_implementation(self):
         """Deleted twins stay deleted: rsync's Adler checksum is
         ``DecomposableAdler.identity()``, verification is
-        ``LaneChannels.verify``, a supervised file is ``sync_file``."""
+        ``LaneChannels.verify``, a supervised file is ``sync_file``, the
+        delta scan is ``_scan_chunked`` with no probe picking another,
+        and a link's time is ``LinkModel.transfer_seconds``."""
         import repro.core.verification
+        import repro.delta.matcher
         import repro.hashing
+        from repro.net import LinkModel
         from repro.resilience import SyncSupervisor
 
         for module, name in (
@@ -66,6 +70,11 @@ class TestPublicApi:
             (repro.core.verification, "VerificationPools"),
             (repro.core.verification, "make_units"),
             (SyncSupervisor, "sync_named_file"),
+            (repro.delta.matcher, "_copy_dominated"),
+            (repro.delta.matcher, "_PROBE_SAMPLES"),
+            (repro.delta.matcher, "_PROBE_NOVEL_CUTOFF"),
+            (LinkModel, "transfer_time"),
+            (LinkModel, "transfer_time_directional"),
         ):
             assert not hasattr(module, name), name
         with pytest.raises(ImportError):
