@@ -101,22 +101,34 @@ class CollectionStore:
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> Path:
-    """Write a manifest to ``path`` (overwrites; atomic)."""
+    """Write a manifest to ``path`` (overwrites; atomic).
+
+    Names are written as UTF-8 with ``surrogateescape``, so a name
+    ``os.fsdecode`` made from non-UTF-8 bytes is written as those bytes.
+    A name that still cannot be encoded (a lone surrogate outside the
+    escape range) raises :class:`ManifestFormatError`.
+    """
     path = Path(path)
-    lines = [_HEADER]
+    lines = [_HEADER.encode()]
     for name in sorted(manifest.entries):
         if "\n" in name:
             raise ManifestFormatError(f"file name contains newline: {name!r}")
-        lines.append(f"{manifest.entries[name].hex()} {name}")
-    return atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+        try:
+            encoded = name.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError as error:
+            raise ManifestFormatError(
+                f"file name cannot be encoded: {name!r}"
+            ) from error
+        lines.append(manifest.entries[name].hex().encode() + b" " + encoded)
+    return atomic_write_bytes(path, b"\n".join(lines) + b"\n")
 
 
 def load_manifest(path: str | Path) -> Manifest:
     """Read a manifest written by :func:`save_manifest`."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as error:
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+    except OSError as error:
         raise ManifestFormatError(f"cannot read {path}: {error}") from error
     # Entries end at "\n" only, the one separator save_manifest rejects in
     # names: "\r", "\x85" or U+2028 inside a name are part of the name.

@@ -131,38 +131,10 @@ def choose_config(
     probe: ProbeResult,
     link: LinkModel | None = None,
     hash_seed: int = 1,
-    use_cost_model: bool = False,
 ) -> ProtocolConfig:
-    """Map a probe outcome and link class to protocol parameters.
-
-    With ``use_cost_model`` the minimum block size comes from the
-    Bernoulli-edit cost model (:mod:`repro.core.estimate`) instead of
-    the regime rule — the analytic variant of the same decision.  The
-    model assumes dispersed edits, so the rule (tuned on clustered
-    workloads) remains the default.
-    """
+    """Map a probe outcome and link class to protocol parameters."""
     high_latency = bool(link and link.latency_s >= HIGH_LATENCY_THRESHOLD_S)
     similarity = probe.similarity
-
-    if use_cost_model and probe.samples > 0 and similarity > 0.0:
-        from repro.core.estimate import (
-            best_min_block_size,
-            dirty_rate_from_similarity,
-        )
-
-        dirty = dirty_rate_from_similarity(similarity, PROBE_BLOCK_SIZE)
-        min_block = best_min_block_size(1_000_000, dirty)
-        config = ProtocolConfig(
-            min_block_size=min_block,
-            continuation_min_block_size=max(4, min_block // 4),
-            verification="group2",
-            hash_seed=hash_seed,
-        )
-        if high_latency:
-            config = config.with_overrides(
-                verification="light", max_rounds=6
-            )
-        return config
 
     if similarity < 0.15:
         # Nearly disjoint: a shallow map pass, then let the delta carry it.

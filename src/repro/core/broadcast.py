@@ -12,9 +12,11 @@ every client:
   different clients confirm different blocks) and emits one hash per
   sibling pair (decomposability still applies);
 * each client parses the same stream positionally, finds its own
-  candidates, and verifies them over its private (unicast) back-channel;
+  candidates, and over its private (unicast) back-channel sends one
+  candidate bit per open block and verifies the candidates;
 * each client's delta is unicast, encoded against that client's own
-  confirmed regions.
+  confirmed regions, and finishes with the integrity endgame every
+  protocol shares (:func:`~repro.core.repair.integrity_endgame`).
 
 The trade: the shared stream is larger than any single client's pruned
 stream (no skip rules, no continuation hashes), but it is paid **once**
@@ -24,7 +26,6 @@ clients.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,16 @@ from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import LaneChannels
+from repro.core.repair import DEFAULT_REPAIR_FANOUT, integrity_endgame
 from repro.core.server import ServerSession
 from repro.hashing.scan import decompose_right_widths, pack_to_width
 from repro.hashing.strong import file_fingerprint
-from repro.io.bitstream import BitReader, BitWriter
+from repro.io.bitstream import (
+    BitReader,
+    BitWriter,
+    pack_messages,
+    unpack_messages,
+)
 from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction, TransferStats
 
@@ -114,8 +121,9 @@ def synchronize_broadcast(
     Returns per-client reconstructions plus the shared/unicast cost
     split.  Continuation hashes and skip rules are inherently
     per-client, so the broadcast stream uses global hashes only; the
-    private verification and delta traffic runs per client exactly as in
-    the unicast protocol.
+    private candidate bitmap, verification, delta and integrity endgame
+    run per client exactly as in the unicast protocol (which sends a
+    1-bit success ACK; broadcast sends none).
     """
     if config is None:
         config = ProtocolConfig()
@@ -208,10 +216,23 @@ def synchronize_broadcast(
                 positions[rows] = client._index(length).lookup_many(
                     values[rows], global_bits
                 )
-            found = np.flatnonzero(positions >= 0)
+            # The candidate bitmap, one bit per open row: the server
+            # verifies the rows it decodes from it.
+            found = positions[open_rows] >= 0
+            counts = [open_rows.size]
+            bitmaps, bitmap_bits = pack_messages(found, 1, counts)
+            server_found, short = unpack_messages(
+                link.exchange(
+                    Direction.CLIENT_TO_SERVER, [0], bitmaps, bitmap_bits
+                ),
+                1,
+                counts,
+            )
+            link.fail_short([0], short)
             accepted, confirmed, _bits = link.verify(
                 [0], [client], [server], np.zeros(starts.size, dtype=np.int64),
-                (positions, lengths), (starts, lengths), found, found,
+                (positions, lengths), (starts, lengths),
+                open_rows[found], open_rows[server_found.astype(bool)],
             )
             if link.errors[0] is not None:
                 raise link.errors[0]
@@ -227,19 +248,17 @@ def synchronize_broadcast(
 
         delta = server.emit_delta()
         channel.send(Direction.SERVER_TO_CLIENT, delta, PHASE_DELTA)
-        reconstructed = client.apply_delta(
-            channel.receive(Direction.SERVER_TO_CLIENT)
+        outcome = integrity_endgame(
+            channel,
+            client.apply_delta(channel.receive(Direction.SERVER_TO_CLIENT)),
+            server_data,
+            client.server_fingerprint,
+            repair=True,
+            leaf_size=config.min_block_size,
+            fanout=DEFAULT_REPAIR_FANOUT,
+            packed_signals=True,
         )
-        if reconstructed is None:
-            channel.send(
-                Direction.SERVER_TO_CLIENT,
-                zlib.compress(server_data, 9),
-                "fallback",
-            )
-            reconstructed = zlib.decompress(
-                channel.receive(Direction.SERVER_TO_CLIENT)
-            )
-        report.reconstructed[name] = reconstructed
+        report.reconstructed[name] = outcome.reconstructed
         report.per_client_stats[name] = channel.stats
     return report
 

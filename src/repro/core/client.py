@@ -451,19 +451,16 @@ class ClientSession:
     # ------------------------------------------------------------------
     # Delta phase
     # ------------------------------------------------------------------
-    def apply_delta(self, delta: bytes) -> bytes | None:
-        """Decode the final delta; ``None`` signals a failed reconstruction."""
+    def apply_delta(self, delta: bytes) -> bytes:
+        """Decode the final delta; ``b""`` when it does not decode.
+
+        The reconstruction is checked against the whole-file fingerprint
+        by :func:`~repro.core.repair.integrity_endgame`, not here.
+        """
         reference = self._require_map().reference_from_source(self.data)
         try:
             if self.config.delta_coder == "vcdiff":
-                reconstructed = vcdiff_decode(reference, delta)
-            else:
-                reconstructed = zdelta_decode(reference, delta)
+                return vcdiff_decode(reference, delta)
+            return zdelta_decode(reference, delta)
         except DeltaFormatError:
-            return None
-        if (
-            self.server_fingerprint is not None
-            and file_fingerprint(reconstructed) != self.server_fingerprint
-        ):
-            return None
-        return reconstructed
+            return b""

@@ -65,8 +65,11 @@ class ProtocolConfig:
         ``"zdelta"`` or ``"vcdiff"`` for the final phase.
     hash_seed:
         Seed of the decomposable hash's substitution table; both parties
-        derive the same table from it.  A retry after a whole-file
-        checksum failure would bump this seed.
+        derive the same table from it.  A whole-file checksum failure is
+        not answered by re-running under another seed (the paper: "the
+        algorithm could be repeated with different hashes, or we can
+        simply transfer the entire file") but by the repair descent
+        under a fresh salt (:func:`~repro.core.repair.integrity_endgame`).
     """
 
     start_block_size: int | None = None
@@ -100,11 +103,6 @@ class ProtocolConfig:
     refinement_hash_bits: int = 8
     #: Width of the final boundary confirmation hash.
     refinement_confirm_bits: int = 16
-    #: On a whole-file checksum failure, re-run the protocol this many
-    #: times with a different hash seed before falling back to a full
-    #: transfer — the paper: "the algorithm could be repeated with
-    #: different hashes, or we can simply transfer the entire file".
-    collision_retries: int = 0
 
     def __post_init__(self) -> None:
         if self.start_block_size is not None and self.start_block_size < 2:
@@ -154,8 +152,6 @@ class ProtocolConfig:
             raise ConfigError("refinement_hash_bits must be in [1, 32]")
         if not 4 <= self.refinement_confirm_bits <= 64:
             raise ConfigError("refinement_confirm_bits must be in [4, 64]")
-        if self.collision_retries < 0:
-            raise ConfigError("collision_retries must be non-negative")
         # Validates the name eagerly.
         make_strategy(self.verification)
 

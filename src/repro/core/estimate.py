@@ -1,11 +1,10 @@
 """Predictive cost model for the protocol itself.
 
 The theory module bounds what *any* protocol can do; this model predicts
-what *ours* will do, well enough to pick parameters.  The file model is
-Bernoulli edits: each byte of the server file is "dirty" independently
-with probability ``p`` (calibrated from the similarity probe).  A block
-of ``b`` bytes then matches with probability ``(1 - p) ** b``, which
-yields, level by level:
+what *ours* will do.  The file model is Bernoulli edits: each byte of
+the server file is "dirty" independently with probability ``p``.  A
+block of ``b`` bytes then matches with probability ``(1 - p) ** b``,
+which yields, level by level:
 
 * how many blocks stay active (their parent was dirty),
 * how many hashes each level sends (halved by decomposability below the
@@ -15,7 +14,7 @@ yields, level by level:
 The model's point is not precision — real edits are clustered, which it
 ignores — but *shape*: its cost curve over the minimum block size is
 U-shaped like Figures 6.1/6.2, and its argmin lands near the measured
-optimum, which is all `choose_config` needs.
+optimum (``benchmarks/test_model_validation.py``).
 """
 
 from __future__ import annotations
@@ -45,23 +44,6 @@ class CostEstimate:
     @property
     def total_bytes(self) -> float:
         return self.total_bits / 8.0
-
-
-def dirty_rate_from_similarity(similarity: float, probe_block: int) -> float:
-    """Invert the probe: block-match fraction → per-byte dirty rate.
-
-    A probe block of ``probe_block`` bytes matches with probability
-    ``(1 - p) ** probe_block``; solve for ``p``.
-    """
-    if not 0.0 <= similarity <= 1.0:
-        raise ValueError("similarity must be in [0, 1]")
-    if probe_block < 1:
-        raise ValueError("probe_block must be positive")
-    if similarity <= 0.0:
-        return 1.0
-    if similarity >= 1.0:
-        return 0.0
-    return 1.0 - similarity ** (1.0 / probe_block)
 
 
 def estimate_protocol_cost(
@@ -157,29 +139,3 @@ def estimate_protocol_cost(
         delta_bits=delta_bits,
         matched_fraction=matched_bytes / file_length,
     )
-
-
-def best_min_block_size(
-    file_length: int,
-    dirty_rate: float,
-    candidates: tuple[int, ...] = (16, 32, 64, 128, 256, 512),
-    continuation: bool = True,
-    literal_bits_per_byte: float = DELTA_BITS_PER_BYTE,
-) -> int:
-    """The candidate minimum block size the model predicts cheapest."""
-    best: tuple[float, int] | None = None
-    for min_block in candidates:
-        config = ProtocolConfig(
-            min_block_size=min_block,
-            continuation_min_block_size=(
-                max(4, min_block // 4) if continuation else None
-            ),
-        )
-        estimate = estimate_protocol_cost(
-            file_length, dirty_rate, config,
-            literal_bits_per_byte=literal_bits_per_byte,
-        )
-        if best is None or estimate.total_bits < best[0]:
-            best = (estimate.total_bits, min_block)
-    assert best is not None
-    return best[1]

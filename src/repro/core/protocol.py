@@ -9,8 +9,12 @@
    configured group-testing strategy — run for a whole stack of files
    at once (:meth:`CoreSyncSession.step_round`), each file's messages
    on its own channel;
-3. the final delta, checked against the whole-file fingerprint, with a
-   compressed full transfer as the (accounted) fallback.
+3. the final delta, then the integrity endgame shared by every protocol
+   (:func:`~repro.core.repair.integrity_endgame`): the reconstruction is
+   checked against the whole-file fingerprint and, on a mismatch,
+   repaired by a leaf-digest descent or, failing that, fetched again as
+   a compressed full transfer charged to ``retransmitted_bits``; a
+   1-bit ACK closes a clean exchange.
 
 Both sessions evolve mirrored block trees; any divergence is a bug and
 raises :class:`~repro.exceptions.ProtocolError` immediately.
@@ -18,7 +22,6 @@ raises :class:`~repro.exceptions.ProtocolError` immediately.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +35,12 @@ from repro.core.planning import (
     plan_continuation,
     plan_global,
     plan_mixed,
+)
+from repro.core.repair import (
+    DEFAULT_REPAIR_FANOUT,
+    PHASE_FALLBACK,
+    IntegrityOutcome,
+    integrity_endgame,
 )
 from repro.core.server import ServerSession
 from repro.core.trace import SubphaseTrace
@@ -54,7 +63,6 @@ from repro.net.metrics import Direction, TransferStats
 PHASE_HANDSHAKE = "handshake"
 PHASE_MAP = "map"
 PHASE_DELTA = "delta"
-PHASE_FALLBACK = "fallback"
 
 #: Hard stall circuit for map construction.  A healthy session's round
 #: count is bounded by the block-split depth (~log2 of the file size, so
@@ -65,14 +73,18 @@ PHASE_FALLBACK = "fallback"
 _STALL_ROUND_LIMIT = 96
 
 
-@dataclass
-class SyncResult:
-    """Outcome of one synchronization run."""
+@dataclass(kw_only=True)
+class SyncResult(IntegrityOutcome):
+    """Outcome of one synchronization run.
 
-    reconstructed: bytes
+    The reconstruction and the integrity fields (``used_fallback``,
+    ``collisions_detected``, ``repaired``, ``repair_rounds``,
+    ``repair_bytes``) are those of
+    :class:`~repro.core.repair.IntegrityOutcome`.
+    """
+
     stats: TransferStats
     unchanged: bool
-    used_fallback: bool
     matched_blocks: int
     known_fraction: float
     rounds: int
@@ -593,7 +605,7 @@ class CoreSyncSession:
 
     The schedulable decomposition of :func:`synchronize` — handshake
     (:meth:`start`), map-construction rounds and the
-    refinement/delta/fallback endgame (:meth:`finish`).  :meth:`steps`
+    refinement, delta and integrity endgame (:meth:`finish`).  :meth:`steps`
     runs it as a lane (:mod:`repro.lanes`): each round is a
     :class:`RoundRequest`, and :meth:`step_round` runs the pending
     rounds of a whole stack of sessions as one call.  Each session
@@ -626,8 +638,6 @@ class CoreSyncSession:
         self.trace: list[SubphaseTrace] = []
         self._started = False
         self._no_more = False
-        #: The config of the collision retry :meth:`finish` asks for.
-        self.retry_config: ProtocolConfig | None = None
 
     # ------------------------------------------------------------------
     def start(self, channel: SimulatedChannel, resume_from=None) -> None:
@@ -706,22 +716,14 @@ class CoreSyncSession:
 
         Yields after the handshake and after every round, and yields
         each round as a :class:`RoundRequest` for the driver to run
-        stacked.  Returns the :class:`SyncResult`; a collision retry
-        runs as a fresh session on the same channel, inside this lane.
+        stacked.  Returns the :class:`SyncResult`.
         """
         self.start(channel, resume_from=resume_from)
         yield
         while not self.done:
             yield RoundRequest(self, channel)
             yield
-        result = self.finish(channel)
-        if result is None:
-            retry = CoreSyncSession(
-                self.client_data, self.server_data, self.retry_config
-            )
-            result = yield from retry.steps(channel)
-            result.used_fallback = True
-        return result
+        return self.finish(channel)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -740,23 +742,16 @@ class CoreSyncSession:
         """
         return _RoundStack(requests).run()
 
-    def finish(self, channel: SimulatedChannel) -> "SyncResult | None":
-        """Refinement, delta and the fingerprint-guarded endgame.
-
-        Returns ``None`` when the reconstruction failed and a collision
-        retry is due: :meth:`steps` then runs a session with
-        :attr:`retry_config` on the same channel.
-        """
+    def finish(self, channel: SimulatedChannel) -> SyncResult:
+        """Refinement, delta and the integrity endgame."""
         if self.unchanged:
             return SyncResult(
                 reconstructed=self.client_data,
                 stats=channel.stats,
                 unchanged=True,
-                used_fallback=False,
                 matched_blocks=0,
                 known_fraction=1.0,
                 rounds=0,
-                trace=[],
             )
         config = self.config
 
@@ -773,30 +768,17 @@ class CoreSyncSession:
             channel.receive(Direction.SERVER_TO_CLIENT)
         )
 
-        used_fallback = False
-        if reconstructed is None:
-            used_fallback = True
-            channel.send(
-                Direction.CLIENT_TO_SERVER, b"\x01", PHASE_FALLBACK, bits=1
-            )
-            channel.receive(Direction.CLIENT_TO_SERVER)
-            if config.collision_retries > 0:
-                # Repeat with an independent hash function (different
-                # substitution table); all bytes land on the same channel.
-                self.retry_config = config.with_overrides(
-                    hash_seed=config.hash_seed + 1,
-                    collision_retries=config.collision_retries - 1,
-                )
-                return None
-            channel.send(
-                Direction.SERVER_TO_CLIENT,
-                zlib.compress(self.server_data, 9),
-                PHASE_FALLBACK,
-            )
-            reconstructed = zlib.decompress(
-                channel.receive(Direction.SERVER_TO_CLIENT)
-            )
-        else:
+        outcome = integrity_endgame(
+            channel,
+            reconstructed,
+            self.server_data,
+            self.client.server_fingerprint,
+            repair=True,
+            leaf_size=config.min_block_size,
+            fanout=DEFAULT_REPAIR_FANOUT,
+            packed_signals=True,
+        )
+        if not outcome.collisions_detected:
             channel.send(
                 Direction.CLIENT_TO_SERVER, b"\x00", PHASE_FALLBACK, bits=1
             )
@@ -804,16 +786,15 @@ class CoreSyncSession:
 
         file_map = self.client._require_map()
         return SyncResult(
-            reconstructed=reconstructed,
             stats=channel.stats,
             unchanged=False,
-            used_fallback=used_fallback,
             matched_blocks=len(file_map),
             known_fraction=file_map.known_fraction,
             rounds=self.rounds,
             continuation_candidates=self.continuation_candidates,
             continuation_accepted=self.continuation_accepted,
             trace=self.trace,
+            **vars(outcome),
         )
 
 
@@ -828,8 +809,8 @@ def synchronize(
     """Synchronise the client's file to the server's current version.
 
     Always returns a reconstruction equal to ``server_data``; the
-    whole-file fingerprint plus the full-transfer fallback guarantee it
-    even under (engineered) hash collisions.
+    whole-file fingerprint, the repair descent and the full-transfer
+    fallback guarantee it even under (engineered) hash collisions.
 
     ``checkpointer`` (an opened
     :class:`~repro.resilience.checkpoint.SessionJournal`) snapshots both

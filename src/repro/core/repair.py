@@ -23,7 +23,11 @@ no block-request message is needed.  Everything rides the ordinary
 channel accounting under the ``"repair"`` phase.
 
 :func:`integrity_endgame` is the one fingerprint → repair → full-transfer
-sequence that rsync and multiround rsync both finish with.
+sequence every protocol finishes with: the core protocol, each broadcast
+client, rsync and multiround rsync.  It does what the paper suggests for
+a failed checksum ("the algorithm could be repeated with different
+hashes, or we can simply transfer the entire file"), repeating only the
+divergent blocks under a fresh salt.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ class IntegrityOutcome:
     or 1); ``repaired`` means the repair descent fixed the divergence in
     place, with ``repair_rounds`` descent roundtrips costing
     ``repair_bytes`` on the wire; ``used_fallback`` means the whole file
-    was sent again.  The field names are those of the protocol results
-    it fills in.
+    was sent again.  Every protocol result (``SyncResult``,
+    ``RsyncResult``, ``MultiroundResult``) inherits these fields.
     """
 
     reconstructed: bytes

@@ -16,7 +16,7 @@ reconstructs.  A whole-file checksum detects hash collisions; a
 surgical repair round localizes and re-fetches only the divergent
 blocks, with the full-transfer fallback reserved for damage repair
 cannot cure (:func:`~repro.core.repair.integrity_endgame`, shared with
-rsync, with bit-packed signals here).
+every protocol, with bit-packed signals here).
 
 The frontier of client blocks is two int64 arrays (``starts``,
 ``lengths``) cut and split by the block-tree geometry of
@@ -45,6 +45,7 @@ from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.repair import (
     DEFAULT_REPAIR_FANOUT,
     PHASE_FALLBACK,
+    IntegrityOutcome,
     integrity_endgame,
 )
 from repro.core.snapshot import check_disjoint, check_inside
@@ -114,25 +115,14 @@ class MultiroundConfig:
         return self.start_block_size.bit_length() + 2
 
 
-@dataclass
-class MultiroundResult:
-    """Outcome of one multiround-rsync run.
+@dataclass(kw_only=True)
+class MultiroundResult(IntegrityOutcome):
+    """Outcome of one multiround-rsync run; the reconstruction and the
+    integrity fields are those of
+    :class:`~repro.core.repair.IntegrityOutcome`."""
 
-    ``collisions_detected`` counts whole-file fingerprint rejections (0
-    or 1 per run); ``repaired`` means the surgical repair rounds fixed
-    the divergence in place (``repair_rounds`` descent roundtrips,
-    ``repair_bytes`` on the wire).  ``used_fallback`` still means a full
-    compressed transfer happened.
-    """
-
-    reconstructed: bytes
     stats: TransferStats
     rounds: int
-    used_fallback: bool
-    collisions_detected: int = 0
-    repaired: bool = False
-    repair_rounds: int = 0
-    repair_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:

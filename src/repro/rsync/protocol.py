@@ -11,8 +11,8 @@ Wire layout:
 * on checksum failure the client first requests a *surgical repair*
   (phase ``"repair"``): a group-digest descent under a fresh salt
   localizes the divergent blocks and re-fetches only those
-  (:func:`~repro.core.repair.integrity_endgame`, shared with multiround
-  rsync; each signal is a whole byte here);
+  (:func:`~repro.core.repair.integrity_endgame`, shared with every
+  protocol; each signal is a whole byte here);
 * only if repair cannot converge does the server fall back to sending
   the whole file (compressed) — recovery traffic charged to
   ``retransmitted_bits`` like every other recovery path.
@@ -23,7 +23,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.core.repair import DEFAULT_REPAIR_FANOUT, integrity_endgame
+from repro.core.repair import (
+    DEFAULT_REPAIR_FANOUT,
+    IntegrityOutcome,
+    integrity_endgame,
+)
 from repro.exceptions import DeltaFormatError
 from repro.hashing.strong import file_fingerprint
 from repro.io.varint import (
@@ -46,25 +50,13 @@ from repro.rsync.signature import (
 DEFAULT_BLOCK_SIZE = 700
 
 
-@dataclass
-class RsyncResult:
-    """Outcome of one rsync run.
+@dataclass(kw_only=True)
+class RsyncResult(IntegrityOutcome):
+    """Outcome of one rsync run; the reconstruction and the integrity
+    fields are those of :class:`~repro.core.repair.IntegrityOutcome`."""
 
-    ``collisions_detected`` counts whole-file fingerprint rejections (0
-    or 1 per run); ``repaired`` means the surgical repair rounds fixed
-    the divergence in place, with ``repair_rounds`` descent roundtrips
-    costing ``repair_bytes`` on the wire.  ``used_fallback`` still means
-    a full compressed transfer happened (repair declined or failed).
-    """
-
-    reconstructed: bytes
     stats: TransferStats
     block_size: int
-    used_fallback: bool
-    collisions_detected: int = 0
-    repaired: bool = False
-    repair_rounds: int = 0
-    repair_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:

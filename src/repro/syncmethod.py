@@ -124,15 +124,14 @@ class MethodOutcome:
 def wire_outcome(result, new: bytes) -> MethodOutcome:
     """Flatten a protocol result (with ``.stats``) into a MethodOutcome.
 
-    ``result`` is a :class:`~repro.core.protocol.SyncResult` or
-    :class:`~repro.multiround.protocol.MultiroundResult` — anything with
-    ``reconstructed``, ``total_bytes`` and a
-    :class:`~repro.net.metrics.TransferStats` ``stats``.  The integrity
-    fields exist only on the rsync/multiround results (the stacks with
-    surgical repair); ``getattr`` keeps the core protocol's result
-    compatible.  A protocol-internal full-transfer fallback reclassifies
-    its traffic into ``stats.retransmitted_bits``, which must survive
-    the flattening even without a supervisor around.
+    ``result`` is a :class:`~repro.core.protocol.SyncResult`,
+    :class:`~repro.rsync.protocol.RsyncResult` or
+    :class:`~repro.multiround.protocol.MultiroundResult`: an
+    :class:`~repro.core.repair.IntegrityOutcome` with ``total_bytes``
+    and a :class:`~repro.net.metrics.TransferStats` ``stats``.  A
+    protocol-internal full-transfer fallback reclassifies its traffic
+    into ``stats.retransmitted_bits``, which must survive the flattening
+    even without a supervisor around.
     """
     return MethodOutcome(
         total_bytes=result.total_bytes,
@@ -141,9 +140,9 @@ def wire_outcome(result, new: bytes) -> MethodOutcome:
         breakdown=dict(result.stats.breakdown()),
         correct=result.reconstructed == new,
         retransmitted_bytes=result.stats.retransmitted_bytes,
-        collisions_detected=getattr(result, "collisions_detected", 0),
-        repair_rounds=getattr(result, "repair_rounds", 0),
-        repair_bytes=getattr(result, "repair_bytes", 0),
+        collisions_detected=result.collisions_detected,
+        repair_rounds=result.repair_rounds,
+        repair_bytes=result.repair_bytes,
         roundtrips=result.stats.roundtrips,
     )
 

@@ -51,6 +51,15 @@ class TestRoundtrip:
         path = save_manifest(manifest, tmp_path / "m.txt")
         assert load_manifest(path).entries == manifest.entries
 
+    def test_non_utf8_file_name_survives(self, tmp_path):
+        """``os.fsdecode`` of a non-UTF-8 POSIX name carries surrogate
+        escapes; the manifest stores the original bytes."""
+        name = "bad\udcffname"
+        manifest = Manifest.of_collection({name: b"x", "plain.txt": b"y"})
+        path = save_manifest(manifest, tmp_path / "m.txt")
+        assert b"bad\xffname" in path.read_bytes()
+        assert load_manifest(path).entries == manifest.entries
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
@@ -92,6 +101,12 @@ class TestErrors:
         manifest = Manifest({"bad\nname": b"\x00" * 16})
         with pytest.raises(ManifestFormatError):
             save_manifest(manifest, tmp_path / "m.txt")
+
+    def test_unencodable_name_rejected_on_save(self, tmp_path):
+        manifest = Manifest({"lone\ud800surrogate": b"\x00" * 16})
+        with pytest.raises(ManifestFormatError):
+            save_manifest(manifest, tmp_path / "m.txt")
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestCli:

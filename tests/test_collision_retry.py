@@ -1,88 +1,88 @@
-"""Tests for the repeat-with-different-hashes recovery path."""
+"""Tests for the core protocol's recovery after a rejected reconstruction.
+
+The core protocol finishes through the integrity endgame every protocol
+shares (:func:`~repro.core.repair.integrity_endgame`): a reconstruction
+the whole-file fingerprint rejects is repaired by a leaf-digest descent
+when its length is right, and fetched again in full when it is not.
+"""
 
 from __future__ import annotations
 
-import pytest
+import zlib
 
 from repro.core import ProtocolConfig, synchronize
-from repro.exceptions import ConfigError
+from repro.core import server as server_module
+from repro.delta import zdelta_encode
 from tests.conftest import make_version_pair
+
+ORIGINAL_EMIT = server_module.ServerSession.emit_delta
+
+
+def wrong_content(self) -> bytes:
+    """A delta that decodes to the right length but one wrong byte: what
+    a truncated-hash collision leaves behind."""
+    damaged = bytearray(self.data)
+    damaged[len(damaged) // 2] ^= 0xFF
+    return zdelta_encode(self.reference(), bytes(damaged))
+
+
+def undecodable(self) -> bytes:
+    """A delta cut short, which the client cannot decode at all."""
+    return ORIGINAL_EMIT(self)[:3]
 
 
 class TestCollisionRetry:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(collision_retries=-1)
-
-    def test_retry_with_fresh_seed_recovers(self, monkeypatch):
-        """Sabotage the delta only under the original hash seed: one
-        retry with the bumped seed must succeed without a full transfer."""
-        from repro.core import server as server_module
-
+    def test_length_preserving_damage_is_repaired_surgically(
+        self, monkeypatch
+    ):
         old, new = make_version_pair(seed=920, nbytes=10000)
-        original = server_module.ServerSession.emit_delta
-
-        def sabotage(self):
-            delta = original(self)
-            if self.hasher.seed == 1 and len(delta) > 4:
-                corrupted = bytearray(delta)
-                corrupted[len(corrupted) // 2] ^= 0xFF
-                return bytes(corrupted)
-            return delta
-
-        monkeypatch.setattr(server_module.ServerSession, "emit_delta", sabotage)
-        result = synchronize(
-            old, new, ProtocolConfig(collision_retries=1, hash_seed=1)
+        monkeypatch.setattr(
+            server_module.ServerSession, "emit_delta", wrong_content
         )
+        result = synchronize(old, new)
         assert result.reconstructed == new
-        assert result.used_fallback  # the retry path was taken
-        # No compressed-full-file transfer happened.
-        assert result.stats.bytes_in_phase("fallback") < 16
+        assert result.collisions_detected == 1
+        assert result.repaired and not result.used_fallback
+        assert result.repair_rounds > 0
+        assert result.repair_bytes == result.stats.bytes_in_phase("repair")
+        # Fewer recovery bytes than the compressed full file, and no
+        # full transfer at all.
+        assert 0 < result.repair_bytes < len(zlib.compress(new, 9))
+        assert result.stats.retransmitted_bytes == 0
+        assert result.stats.bytes_in_phase("fallback") == 0
 
     def test_persistent_failure_still_falls_back_to_full(self, monkeypatch):
-        from repro.core import server as server_module
-
         old, new = make_version_pair(seed=921, nbytes=8000)
-        original = server_module.ServerSession.emit_delta
-
-        def always_sabotage(self):
-            delta = original(self)
-            if len(delta) > 4:
-                corrupted = bytearray(delta)
-                corrupted[-2] ^= 0xFF
-                return bytes(corrupted)
-            return delta
-
         monkeypatch.setattr(
-            server_module.ServerSession, "emit_delta", always_sabotage
+            server_module.ServerSession, "emit_delta", undecodable
         )
-        result = synchronize(
-            old, new, ProtocolConfig(collision_retries=2)
-        )
+        result = synchronize(old, new, ProtocolConfig())
         assert result.reconstructed == new
-        assert result.used_fallback
-        # The full transfer had to happen in the end.
-        assert result.stats.bytes_in_phase("fallback") > 100
+        assert result.collisions_detected == 1
+        assert result.used_fallback and not result.repaired
+        # The NACK and the whole compressed file are recovery traffic.
+        assert result.stats.retransmitted_bytes > len(zlib.compress(new, 9))
+        assert result.stats.bytes_in_phase("fallback") == 0
 
-    def test_retry_cost_double_counted_honestly(self, monkeypatch):
-        from repro.core import server as server_module
-
+    def test_recovery_cost_counted_honestly(self, monkeypatch):
+        """A repaired run pays the clean run's handshake and map, its own
+        delta and exactly its repair bytes; it sends no success ACK."""
         old, new = make_version_pair(seed=922, nbytes=10000)
-        original = server_module.ServerSession.emit_delta
-
-        def sabotage(self):
-            delta = original(self)
-            if self.hasher.seed == 1 and len(delta) > 4:
-                corrupted = bytearray(delta)
-                corrupted[0] ^= 0x01 if delta[0] != 0x01 else 0x02
-                return bytes(corrupted)
-            return delta
-
-        monkeypatch.setattr(server_module.ServerSession, "emit_delta", sabotage)
-        clean = synchronize(old, new, ProtocolConfig(hash_seed=2))
-        retried = synchronize(
-            old, new, ProtocolConfig(collision_retries=1, hash_seed=1)
+        clean = synchronize(old, new)
+        monkeypatch.setattr(
+            server_module.ServerSession, "emit_delta", wrong_content
         )
-        assert retried.reconstructed == new
-        # Two protocol passes cost roughly twice one pass.
-        assert retried.total_bytes > 1.5 * clean.total_bytes
+        repaired = synchronize(old, new)
+        assert repaired.repaired
+        for phase in ("handshake", "map"):
+            assert repaired.stats.bytes_in_phase(phase) == (
+                clean.stats.bytes_in_phase(phase)
+            )
+        assert clean.stats.bytes_in_phase("fallback") == 1  # the ACK
+        assert repaired.total_bytes == (
+            clean.total_bytes
+            - clean.stats.bytes_in_phase("delta")
+            - clean.stats.bytes_in_phase("fallback")
+            + repaired.stats.bytes_in_phase("delta")
+            + repaired.repair_bytes
+        )

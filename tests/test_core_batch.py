@@ -8,6 +8,8 @@ lockstep batch mode made, held against that one scheduler.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.bench.methods import OursMethod
@@ -152,12 +154,18 @@ class TestFallback:
         monkeypatch.setattr(server_module.ServerSession, "emit_delta", sabotage)
         report = full_window({"a": old_a, "b": old_b}, {"a": new_a, "b": new_b})
         assert report.reconstructed == {"a": new_a, "b": new_b}
-        fell_back = sorted(
+        rejected = sorted(
             name
             for name, outcome in report.per_file.items()
-            if "s2c/fallback" in outcome.breakdown
+            if outcome.collisions_detected
         )
-        assert fell_back == ["a"]
+        assert rejected == ["a"]
+        # The damaged delta does not decode, so "a" is fetched again in
+        # full: the NACK and the compressed file are charged as recovery.
+        assert report.per_file["a"].retransmitted_bytes > len(
+            zlib.compress(new_a, 9)
+        )
+        assert report.per_file["b"].retransmitted_bytes == 0
 
 
 class TestBatchWithRefinement:

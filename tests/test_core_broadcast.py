@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
 from repro.core import ProtocolConfig
-from repro.core.broadcast import synchronize_broadcast
+from repro.core.broadcast import _broadcast_levels, synchronize_broadcast
+from repro.core.server import ServerSession
 from repro.workloads import EditProfile, TextGenerator, mutate
+from tests.test_collision_retry import wrong_content
 
 
 def make_fleet(
@@ -106,3 +109,64 @@ class TestEconomics:
             clients, current, ProtocolConfig(use_decomposable=False)
         )
         assert with_it.shared_bytes < 0.75 * without.shared_bytes
+
+
+class TestIntegrity:
+    """Each client's delta finishes through the shared integrity endgame,
+    and every byte a client's stats charge is a message it sent."""
+
+    @staticmethod
+    def sabotage_second_client(monkeypatch, damage):
+        """Damage the delta of the second client served (sorted order)."""
+        original = ServerSession.emit_delta
+        calls = []
+
+        def emit(self):
+            calls.append(self)
+            delta = original(self)
+            return damage(self, delta) if len(calls) == 2 else delta
+
+        monkeypatch.setattr(ServerSession, "emit_delta", emit)
+
+    def test_wrong_content_is_repaired(self, monkeypatch):
+        clients, current = make_fleet(3, seed=7)
+        clean = synchronize_broadcast(clients, current)
+        self.sabotage_second_client(
+            monkeypatch, lambda server, _delta: wrong_content(server)
+        )
+        report = synchronize_broadcast(clients, current)
+        for name in clients:
+            assert report.reconstructed[name] == current, name
+        stats = report.per_client_stats["client01"]
+        breakdown = stats.breakdown()
+        assert breakdown["c2s/repair"] > 0 and breakdown["s2c/repair"] > 0
+        assert stats.retransmitted_bytes == 0
+        for name in ("client00", "client02"):
+            assert report.per_client_stats[name].breakdown() == (
+                clean.per_client_stats[name].breakdown()
+            )
+            assert "c2s/repair" not in clean.per_client_stats[name].breakdown()
+
+    def test_undecodable_delta_gets_a_nack_and_the_file(self, monkeypatch):
+        clients, current = make_fleet(3, seed=8)
+        self.sabotage_second_client(monkeypatch, lambda _server, delta: delta[:3])
+        report = synchronize_broadcast(clients, current)
+        assert report.reconstructed["client01"] == current
+        stats = report.per_client_stats["client01"]
+        # The NACK and the compressed file are charged as recovery.
+        assert stats.retransmitted_bytes > len(zlib.compress(current, 9))
+        assert "c2s/fallback" not in stats.breakdown()
+        for name in ("client00", "client02"):
+            assert report.per_client_stats[name].retransmitted_bytes == 0
+
+    def test_candidate_bitmap_is_charged(self):
+        """A client that confirms nothing still sends one candidate bit
+        per block of every level of the tree."""
+        stale = random.Random(3).randbytes(20000)
+        _clients, current = make_fleet(1, seed=3)
+        report = synchronize_broadcast({"lost": stale}, current)
+        levels = _broadcast_levels(len(current), ProtocolConfig())
+        bitmap_bytes = sum(-(-starts.size // 8) for starts, _ in levels)
+        assert report.per_client_stats["lost"].breakdown()["c2s/map"] >= (
+            bitmap_bytes
+        )

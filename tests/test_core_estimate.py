@@ -7,30 +7,26 @@ import random
 import pytest
 
 from repro.core import ProtocolConfig, synchronize
-from repro.core.adaptive import ProbeResult, choose_config
-from repro.core.estimate import (
-    best_min_block_size,
-    dirty_rate_from_similarity,
-    estimate_protocol_cost,
-)
+from repro.core.estimate import DELTA_BITS_PER_BYTE, estimate_protocol_cost
 
 
-class TestDirtyRateInversion:
-    def test_extremes(self):
-        assert dirty_rate_from_similarity(1.0, 256) == 0.0
-        assert dirty_rate_from_similarity(0.0, 256) == 1.0
-
-    def test_inverse_of_forward_model(self):
-        p = 0.001
-        block = 256
-        similarity = (1 - p) ** block
-        assert dirty_rate_from_similarity(similarity, block) == pytest.approx(p)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dirty_rate_from_similarity(1.5, 256)
-        with pytest.raises(ValueError):
-            dirty_rate_from_similarity(0.5, 0)
+def cheapest_min_block(
+    file_length, dirty_rate, candidates=(16, 32, 64, 128, 256, 512),
+    literal_bits_per_byte=DELTA_BITS_PER_BYTE,
+):
+    """The candidate minimum block size the model predicts cheapest."""
+    return min(
+        candidates,
+        key=lambda min_block: estimate_protocol_cost(
+            file_length,
+            dirty_rate,
+            ProtocolConfig(
+                min_block_size=min_block,
+                continuation_min_block_size=max(4, min_block // 4),
+            ),
+            literal_bits_per_byte=literal_bits_per_byte,
+        ).total_bits,
+    )
 
 
 class TestEstimateShape:
@@ -65,8 +61,8 @@ class TestEstimateShape:
         assert min(costs.values()) in (costs[64], costs[256])
 
     def test_dirtier_files_prefer_smaller_blocks(self):
-        clean_best = best_min_block_size(100_000, 0.00005)
-        dirty_best = best_min_block_size(100_000, 0.005)
+        clean_best = cheapest_min_block(100_000, 0.00005)
+        dirty_best = cheapest_min_block(100_000, 0.005)
         assert dirty_best <= clean_best
 
     def test_map_bits_grow_as_blocks_shrink(self):
@@ -113,7 +109,7 @@ class TestModelAgainstMeasurement:
             measured[min_block] = result.total_bytes
         measured_best = min(measured, key=measured.get)
         # Random bytes are incompressible: literals cost 8 bits each.
-        predicted_best = best_min_block_size(
+        predicted_best = cheapest_min_block(
             n, p, candidates=(32, 64, 128, 256), literal_bits_per_byte=8.0
         )
         # Within one power of two of the truth.
@@ -125,26 +121,3 @@ class TestModelAgainstMeasurement:
         result = synchronize(old, new)
         estimate = estimate_protocol_cost(n, p)
         assert abs(estimate.matched_fraction - result.known_fraction) < 0.25
-
-
-class TestModelDrivenAdaptive:
-    def test_model_configs_valid_and_correct(self):
-        from tests.conftest import make_version_pair
-
-        old, new = make_version_pair(seed=930, nbytes=20000)
-        for matched in (2, 12, 23):
-            config = choose_config(
-                ProbeResult(samples=24, matched=matched),
-                use_cost_model=True,
-            )
-            result = synchronize(old, new, config)
-            assert result.reconstructed == new
-
-    def test_model_choice_shrinks_blocks_for_dirty_files(self):
-        clean = choose_config(
-            ProbeResult(samples=24, matched=23), use_cost_model=True
-        )
-        dirty = choose_config(
-            ProbeResult(samples=24, matched=4), use_cost_model=True
-        )
-        assert dirty.min_block_size <= clean.min_block_size

@@ -4,6 +4,7 @@ hash collisions, absurd configurations, and adversarial content."""
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -78,7 +79,8 @@ class TestAdversarialContent:
 class TestFallbackPath:
     def test_fallback_produces_correct_file_and_is_accounted(self, monkeypatch):
         """Corrupt the delta in flight: the client must detect it via the
-        fingerprint and fall back to a (accounted) full transfer."""
+        fingerprint and, since the damaged delta does not decode, fall
+        back to a full transfer charged as recovery traffic."""
         from repro.core import protocol as protocol_module
 
         old, new = make_version_pair(seed=203, nbytes=8000)
@@ -97,8 +99,12 @@ class TestFallbackPath:
         )
         result = synchronize(old, new)
         assert result.reconstructed == new
-        assert result.used_fallback
-        assert result.stats.bytes_in_phase("fallback") > 0
+        assert result.collisions_detected == 1
+        assert result.used_fallback and not result.repaired
+        # The NACK and the whole compressed file, moved out of the
+        # payload phases into the recovery charge.
+        assert result.stats.retransmitted_bytes > len(zlib.compress(new, 9))
+        assert result.stats.bytes_in_phase("fallback") == 0
 
     def test_unchanged_detection_cannot_be_fooled_by_length(self):
         """Same length, different content: must synchronise, not skip."""

@@ -169,14 +169,14 @@ def corpus() -> dict[str, tuple[bytes, bytes, ProtocolConfig | None]]:
     )
     # A forced collision: 4-bit global hashes with the weakest
     # verification accept a false match, the whole-file checksum fails,
-    # and one retry runs under the next hash seed.
+    # and the repair descent fixes the divergent leaves in place.
     churn_old, churn_new = _churn_pair(18, 16 * 1024)
     cases["config-forced-collision"] = (
         churn_old,
         churn_new,
         ProtocolConfig(
             global_hash_bits=4, verification="light",
-            max_candidate_positions=1, collision_retries=1,
+            max_candidate_positions=1,
         ),
     )
     return cases
@@ -239,9 +239,10 @@ def test_builtin_strategies_all_covered():
     assert set(BUILTIN_STRATEGIES) <= set(strategy_names())
 
 
-def test_forced_collision_takes_the_retry_path():
+def test_forced_collision_takes_the_repair_path():
     golden = _golden()["config-forced-collision"]
-    assert golden["used_fallback"]
+    assert not golden["used_fallback"]
+    assert golden["breakdown"]["s2c/repair"] > 0
     assert golden["breakdown"].get("s2c/fallback", 0) == 0
 
 

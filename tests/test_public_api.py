@@ -56,12 +56,22 @@ class TestPublicApi:
         ``DecomposableAdler.identity()``, verification is
         ``LaneChannels.verify``, a supervised file is ``sync_file``, the
         delta scan is ``_scan_chunked`` with no probe picking another,
-        and a link's time is ``LinkModel.transfer_seconds``."""
+        a link's time is ``LinkModel.transfer_seconds``, and every
+        protocol finishes through ``integrity_endgame``: the core
+        protocol has no collision retry, and the integrity fields are
+        declared once, on ``IntegrityOutcome``."""
+        import dataclasses
+
         import repro.core.verification
         import repro.delta.matcher
         import repro.hashing
+        from repro.core import ProtocolConfig
+        from repro.core.protocol import CoreSyncSession, SyncResult
+        from repro.core.repair import IntegrityOutcome
+        from repro.multiround.protocol import MultiroundResult
         from repro.net import LinkModel
         from repro.resilience import SyncSupervisor
+        from repro.rsync.protocol import RsyncResult
 
         for module, name in (
             (repro.hashing, "AdlerRolling"),
@@ -79,6 +89,14 @@ class TestPublicApi:
             assert not hasattr(module, name), name
         with pytest.raises(ImportError):
             import repro.hashing.rolling  # noqa: F401
+        assert "collision_retries" not in {
+            spec.name for spec in dataclasses.fields(ProtocolConfig)
+        }
+        assert not hasattr(CoreSyncSession(b"old", b"new"), "retry_config")
+        integrity = {spec.name for spec in dataclasses.fields(IntegrityOutcome)}
+        for result in (SyncResult, RsyncResult, MultiroundResult):
+            assert issubclass(result, IntegrityOutcome), result
+            assert not integrity & set(vars(result)["__annotations__"]), result
 
     def test_every_public_item_documented(self):
         """Every name exported at the top level carries a docstring."""

@@ -28,6 +28,7 @@ from repro.parallel.executor import FileTask, SyncExecutor
 from repro.resilience import SyncSupervisor
 from repro.workloads import gcc_like
 from tests.conftest import make_version_pair
+from tests.test_collision_retry import wrong_content
 from tests.test_properties import related_pair
 
 #: Configs whose rounds differ in shape: the default, local hashes,
@@ -138,10 +139,10 @@ class TestStackShapes:
                 kinds.update(trace.hash_counts)
         assert {HashKind.CONTINUATION, HashKind.LOCAL} <= kinds
 
-    def test_collision_retry_inside_a_stack(self):
-        """One lane's delta is sabotaged under the first hash seed: it
-        retries with ``hash_seed + 1`` inside its own lane, and every
-        lane still matches its run alone."""
+    def test_collision_repair_inside_a_stack(self):
+        """One lane's delta decodes to the right length but wrong bytes:
+        the doomed lane repairs inside its own lane, and every lane still
+        matches its run alone."""
         pairs = [
             make_version_pair(seed=720 + index, nbytes=6000)
             for index in range(3)
@@ -150,19 +151,21 @@ class TestStackShapes:
         original = server_module.ServerSession.emit_delta
 
         def sabotage(self):
-            delta = original(self)
-            if self.hasher.seed == 1 and self.data == doomed:
-                return delta[:-1] + bytes([delta[-1] ^ 0xFF])
-            return delta
+            return wrong_content(self) if self.data == doomed else original(self)
 
-        method = OursMethod(ProtocolConfig(collision_retries=1))
+        method = OursMethod()
         with mock.patch.object(
             server_module.ServerSession, "emit_delta", sabotage
         ):
             assert_stack_matches_alone(method, pairs)
-            _value, transcript = run_alone(method, "f1", *pairs[1])
+            (outcome, _data), transcript = run_alone(method, "f1", *pairs[1])
+        assert outcome.collisions_detected == 1
+        assert outcome.repair_rounds > 0 and outcome.repair_bytes > 0
+        assert outcome.retransmitted_bytes == 0
+        phases = {message.phase for message in transcript}
+        assert "repair" in phases and "fallback" not in phases
         handshakes = [m for m in transcript if m.phase == "handshake"]
-        assert len(handshakes) == 6  # the retry ran a second session
+        assert len(handshakes) == 3  # one session: nothing re-ran
 
 
 class TestFaultIsolation:
