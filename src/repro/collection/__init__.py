@@ -7,13 +7,17 @@ full, and runs a per-file synchronization method over the rest, with all
 costs aggregated.
 """
 
-from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
+from repro.collection.manifest import (
+    Manifest,
+    ManifestDiff,
+    ManifestFormatError,
+    diff_manifests,
+)
 from repro.collection.pipeline import CollectionScheduler, PipelineRun
 from repro.collection.reconcile import reconcile_manifests
 from repro.collection.store import (
     TMP_SUFFIX,
     CollectionStore,
-    ManifestFormatError,
     atomic_write_bytes,
     load_manifest,
     save_manifest,

@@ -10,7 +10,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exceptions import ReproError
 from repro.hashing.strong import file_fingerprint
+
+
+class ManifestFormatError(ReproError):
+    """A manifest could not be parsed, or a file name not encoded."""
+
+
+def encode_name(name: str) -> bytes:
+    """The bytes of a file name, on the wire and on disk.
+
+    UTF-8 with ``surrogateescape``, so a name ``os.fsdecode`` made from
+    non-UTF-8 bytes encodes as those bytes and a UTF-8 name as its UTF-8.
+    A name that still cannot be encoded (a lone surrogate outside the
+    escape range, such as ``"\ud800"``) raises
+    :class:`ManifestFormatError`.
+    """
+    try:
+        return name.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError as error:
+        raise ManifestFormatError(
+            f"file name cannot be encoded: {name!r}"
+        ) from error
+
+
+def decode_name(data: bytes) -> str:
+    """The file name :func:`encode_name` made ``data`` from; never fails."""
+    return data.decode("utf-8", "surrogateescape")
 
 
 @dataclass
@@ -24,9 +51,9 @@ class Manifest:
         return cls({name: file_fingerprint(data) for name, data in files.items()})
 
     def wire_bytes(self) -> int:
-        """Serialized size: each entry is its UTF-8 name, a NUL, and the
-        16-byte fingerprint."""
-        return sum(len(name.encode()) + 1 + 16 for name in self.entries)
+        """Serialized size: each entry is its encoded name
+        (:func:`encode_name`), a NUL, and the 16-byte fingerprint."""
+        return sum(len(encode_name(name)) + 1 + 16 for name in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

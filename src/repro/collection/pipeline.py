@@ -122,10 +122,13 @@ class CollectionScheduler:
         """Synchronise every task; return the per-file results and the
         shared link's accounting.
 
-        ``capture_errors`` is passed to
-        :meth:`~repro.parallel.executor.SyncExecutor.run`.
+        ``capture_errors`` and the scheduler's link are passed to
+        :meth:`~repro.parallel.executor.SyncExecutor.run`, so each
+        file's own channels run on the link the batches are priced on.
         """
-        batch = self.executor.run(self.method, tasks, capture_errors)
+        batch = self.executor.run(
+            self.method, tasks, capture_errors, link=self.link
+        )
         self._replay([result.transcript for result in batch.files])
         stats = self.shared.stats
         return PipelineRun(

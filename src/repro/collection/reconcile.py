@@ -22,7 +22,12 @@ import bisect
 import hashlib
 from dataclasses import dataclass
 
-from repro.collection.manifest import Manifest, ManifestDiff
+from repro.collection.manifest import (
+    Manifest,
+    ManifestDiff,
+    decode_name,
+    encode_name,
+)
 from repro.io.bitstream import BitReader, BitWriter
 from repro.net.channel import SimulatedChannel
 from repro.net.metrics import Direction
@@ -30,9 +35,9 @@ from repro.net.metrics import Direction
 PHASE_RECONCILE = "reconcile"
 
 #: Transmitted digest width per trie node.
-DEFAULT_DIGEST_BYTES = 8
+DIGEST_BYTES = 8
 #: Subtrees at or below this size are shipped whole instead of split.
-DEFAULT_LEAF_SIZE = 4
+LEAF_SIZE = 4
 _HASH_BITS = 128
 
 
@@ -49,7 +54,7 @@ class _Trie:
     def __init__(self, manifest: Manifest) -> None:
         entries = []
         for name, fingerprint in manifest.entries.items():
-            digest = hashlib.md5(b"name:" + name.encode()).digest()
+            digest = hashlib.md5(b"name:" + encode_name(name)).digest()
             entries.append(
                 _Entry(int.from_bytes(digest, "big"), name, fingerprint)
             )
@@ -67,20 +72,32 @@ class _Trie:
         hi = bisect.bisect_left(self._positions, high)
         return self._entries[lo:hi]
 
-    def digest(self, depth: int, prefix: int, nbytes: int) -> bytes:
+    def digest(self, depth: int, prefix: int) -> bytes:
         combined = hashlib.md5()
         for entry in self.range(depth, prefix):
-            combined.update(entry.name.encode())
+            combined.update(encode_name(entry.name))
             combined.update(b"\x00")
             combined.update(entry.fingerprint)
-        return combined.digest()[:nbytes]
+        return combined.digest()[:DIGEST_BYTES]
+
+
+def _write_entries(writer: BitWriter, entries: list[_Entry]) -> None:
+    """A leaf's entries: their count, then each name and fingerprint."""
+    writer.write_uvarint(len(entries))
+    for entry in entries:
+        encoded = encode_name(entry.name)
+        writer.write_uvarint(len(encoded))
+        writer.write_bytes(encoded)
+        writer.write_bytes(entry.fingerprint)
 
 
 def _read_entries(reader: BitReader) -> list[tuple[str, bytes]]:
+    """Read what :func:`_write_entries` wrote; a short message raises
+    :class:`~repro.exceptions.TruncatedMessageError`."""
     count = reader.read_uvarint()
     received = []
     for _ in range(count):
-        name = reader.read_bytes(reader.read_uvarint()).decode()
+        name = decode_name(reader.read_bytes(reader.read_uvarint()))
         received.append((name, reader.read_bytes(16)))
     return received
 
@@ -89,20 +106,16 @@ def reconcile_manifests(
     client: Manifest,
     server: Manifest,
     channel: SimulatedChannel | None = None,
-    digest_bytes: int = DEFAULT_DIGEST_BYTES,
-    leaf_size: int = DEFAULT_LEAF_SIZE,
 ) -> tuple[ManifestDiff, SimulatedChannel]:
     """Compute the manifest diff by trie reconciliation over ``channel``.
 
-    Returns the diff (as the *client* learns it) and the channel, whose
-    ``"reconcile"`` phase holds the exchange's exact cost.
+    Each trie node costs a :data:`DIGEST_BYTES` digest; subtrees of at
+    most :data:`LEAF_SIZE` entries are shipped whole.  Returns the diff
+    (as the *client* learns it) and the channel, whose ``"reconcile"``
+    phase holds the exchange's exact cost.
     """
     if channel is None:
         channel = SimulatedChannel()
-    if not 1 <= digest_bytes <= 16:
-        raise ValueError(f"digest_bytes must be in [1, 16], got {digest_bytes}")
-    if leaf_size < 1:
-        raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
 
     client_trie = _Trie(client)
     server_trie = _Trie(server)
@@ -118,20 +131,13 @@ def reconcile_manifests(
         # Server -> client: digest + leaf flag per frontier node; leaf
         # nodes carry their entries immediately.
         message = BitWriter()
-        server_is_leaf = []
         for depth, prefix in frontier:
             entries = server_trie.range(depth, prefix)
-            is_leaf = len(entries) <= leaf_size or depth >= _HASH_BITS
-            server_is_leaf.append(is_leaf)
-            message.write_bytes(server_trie.digest(depth, prefix, digest_bytes))
+            is_leaf = len(entries) <= LEAF_SIZE or depth >= _HASH_BITS
+            message.write_bytes(server_trie.digest(depth, prefix))
             message.write_bit(is_leaf)
             if is_leaf:
-                message.write_uvarint(len(entries))
-                for entry in entries:
-                    encoded = entry.name.encode()
-                    message.write_uvarint(len(encoded))
-                    message.write_bytes(encoded)
-                    message.write_bytes(entry.fingerprint)
+                _write_entries(message, entries)
         channel.send(
             Direction.SERVER_TO_CLIENT, message.getvalue(), PHASE_RECONCILE,
             bits=message.bit_length,
@@ -142,15 +148,12 @@ def reconcile_manifests(
         next_frontier: list[tuple[int, int]] = []
         reply = BitWriter()
         for node_index, (depth, prefix) in enumerate(frontier):
-            remote_digest = reader.read_bytes(digest_bytes)
+            remote_digest = reader.read_bytes(DIGEST_BYTES)
             is_leaf = bool(reader.read_bit())
             entries = (
                 _read_entries(reader) if is_leaf else []
             )
-            differs = (
-                client_trie.digest(depth, prefix, digest_bytes)
-                != remote_digest
-            )
+            differs = client_trie.digest(depth, prefix) != remote_digest
             reply.write_bit(differs)
             if not differs:
                 continue

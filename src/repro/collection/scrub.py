@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.collection.manifest import Manifest
+from repro.collection.manifest import Manifest, decode_name, encode_name
 from repro.collection.store import CollectionStore, atomic_write_bytes
 from repro.hashing.strong import file_fingerprint
 from repro.resilience.recovery import quarantine_entry
@@ -120,10 +120,7 @@ class StoreScrubber:
         """Last audited entry name, or ``None`` at the start of a pass."""
         if self.cursor_path is None or not self.cursor_path.is_file():
             return None
-        try:
-            lines = self.cursor_path.read_bytes().decode().split("\n")
-        except UnicodeDecodeError:
-            lines = [""]
+        lines = decode_name(self.cursor_path.read_bytes()).split("\n")
         if lines[0] != _CURSOR_HEADER:
             return None  # unrecognised cursor: restart the pass
         return lines[1] if len(lines) > 1 and lines[1] else None
@@ -131,7 +128,8 @@ class StoreScrubber:
     def _write_cursor(self, name: str) -> None:
         if self.cursor_path is not None:
             atomic_write_bytes(
-                self.cursor_path, f"{_CURSOR_HEADER}\n{name}\n".encode()
+                self.cursor_path,
+                f"{_CURSOR_HEADER}\n".encode() + encode_name(name) + b"\n",
             )
 
     def _clear_cursor(self) -> None:

@@ -21,8 +21,13 @@ import os
 import signal
 from pathlib import Path
 
-from repro.collection.manifest import Manifest
-from repro.exceptions import ReproError, StoreNameError
+from repro.collection.manifest import (
+    Manifest,
+    ManifestFormatError,
+    decode_name,
+    encode_name,
+)
+from repro.exceptions import StoreNameError
 
 _HEADER = "repro-manifest v1"
 
@@ -36,10 +41,6 @@ TMP_SUFFIX = ".repro.tmp"
 #: instant for a non-atomic writer.
 CRASH_AFTER_WRITES_ENV = "REPRO_CRASH_AFTER_WRITES"
 _writes_started = 0
-
-
-class ManifestFormatError(ReproError):
-    """A manifest file could not be parsed."""
 
 
 def _crash_hook() -> None:
@@ -103,23 +104,18 @@ class CollectionStore:
 def save_manifest(manifest: Manifest, path: str | Path) -> Path:
     """Write a manifest to ``path`` (overwrites; atomic).
 
-    Names are written as UTF-8 with ``surrogateescape``, so a name
-    ``os.fsdecode`` made from non-UTF-8 bytes is written as those bytes.
-    A name that still cannot be encoded (a lone surrogate outside the
-    escape range) raises :class:`ManifestFormatError`.
+    Names are written by :func:`~repro.collection.manifest.encode_name`,
+    which raises :class:`ManifestFormatError` for a name it cannot
+    encode; so does a name holding a newline.
     """
     path = Path(path)
     lines = [_HEADER.encode()]
     for name in sorted(manifest.entries):
         if "\n" in name:
             raise ManifestFormatError(f"file name contains newline: {name!r}")
-        try:
-            encoded = name.encode("utf-8", "surrogateescape")
-        except UnicodeEncodeError as error:
-            raise ManifestFormatError(
-                f"file name cannot be encoded: {name!r}"
-            ) from error
-        lines.append(manifest.entries[name].hex().encode() + b" " + encoded)
+        lines.append(
+            manifest.entries[name].hex().encode() + b" " + encode_name(name)
+        )
     return atomic_write_bytes(path, b"\n".join(lines) + b"\n")
 
 
@@ -127,7 +123,9 @@ def load_manifest(path: str | Path) -> Manifest:
     """Read a manifest written by :func:`save_manifest`."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        # Everything but the names is ASCII: decoding the whole file
+        # decodes each name as encode_name wrote it.
+        text = decode_name(path.read_bytes())
     except OSError as error:
         raise ManifestFormatError(f"cannot read {path}: {error}") from error
     # Entries end at "\n" only, the one separator save_manifest rejects in

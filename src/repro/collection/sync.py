@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.collection.manifest import Manifest, ManifestDiff, diff_manifests
 from repro.exceptions import IntegrityError
+from repro.net.channel import LinkModel
 from repro.parallel.executor import FileTask, SyncExecutor
 
 
@@ -264,11 +265,14 @@ def sync_collection(
       transfer, charged to its outcome and recorded in
       ``report.fallbacks``; the update never raises.
 
+    ``link`` (default :class:`~repro.net.channel.LinkModel`) is the
+    run's one link: every file's channels run on it, and it prices the
+    run's ``link_wall_clock_s`` and a supervisor's ``recovery_seconds``.
+
     Resilience (DESIGN §9, §10, §14): pass a
     :class:`~repro.resilience.SyncSupervisor` as ``method``; it owns the
-    fault plan, retry policy, checkpoints, breakers, deadlines and its
-    own ``link``, which prices the run's ``link_wall_clock_s`` too unless
-    ``link`` is given here.  A supervisor that
+    fault plan, retry policy, checkpoints, breakers and deadlines.  A
+    supervisor that
     :attr:`~repro.resilience.SyncSupervisor.degrades_gracefully` has the
     files its breakers or deadlines refuse recorded in ``report.failed``
     (keeping the client copy) even under ``on_error="raise"``; one that
@@ -309,14 +313,10 @@ def sync_collection(
             f"on_error must be 'raise', 'skip' or 'fallback', "
             f"got {on_error!r}"
         )
+    link = link or LinkModel()
     graceful = getattr(method, "degrades_gracefully", False)
     if getattr(method, "shares_run_budget", False):
         workers = 1
-
-    from repro.resilience import SyncSupervisor
-
-    if link is None and isinstance(method, SyncSupervisor):
-        link = method.link  # one link model prices the whole report
 
     client_manifest = Manifest.of_collection(client_files)
     server_manifest = Manifest.of_collection(server_files)
@@ -365,7 +365,7 @@ def sync_collection(
         report.link_wall_clock_s = batch.link_wall_clock_s
     else:
         batch = SyncExecutor(workers=workers).run(
-            method, tasks, capture_errors=capture_errors
+            method, tasks, capture_errors=capture_errors, link=link
         )
     report.workers = batch.workers_used
     report.caches = batch.caches
@@ -439,10 +439,8 @@ def sync_collection(
         # file's session pays its own direction reversals on the
         # link, so the collection's cost is the per-file sum — the
         # figure the pipelined replay collapses.
-        from repro.net.channel import LinkModel
-
         report.roundtrips_on_wire = sum(o.roundtrips for o in outcomes)
-        report.link_wall_clock_s = (link or LinkModel()).transfer_seconds(
+        report.link_wall_clock_s = link.transfer_seconds(
             [o.client_to_server for o in outcomes],
             [o.server_to_client for o in outcomes],
             [o.roundtrips for o in outcomes],

@@ -34,7 +34,7 @@ from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.client import ClientSession
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import LaneChannels
-from repro.core.repair import DEFAULT_REPAIR_FANOUT, integrity_endgame
+from repro.core.repair import integrity_endgame
 from repro.core.server import ServerSession
 from repro.hashing.scan import decompose_right_widths, pack_to_width
 from repro.hashing.strong import file_fingerprint
@@ -255,7 +255,6 @@ def synchronize_broadcast(
             client.server_fingerprint,
             repair=True,
             leaf_size=config.min_block_size,
-            fanout=DEFAULT_REPAIR_FANOUT,
             packed_signals=True,
         )
         report.reconstructed[name] = outcome.reconstructed

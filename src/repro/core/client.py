@@ -16,7 +16,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.filemap import FileMap
 from repro.core.planning import HashPlan
 from repro.core.verification import region_verification_values
-from repro.delta import vcdiff_decode, zdelta_decode
+from repro.delta import zdelta_decode
 from repro.exceptions import (
     DeltaFormatError,
     ProtocolError,
@@ -459,8 +459,6 @@ class ClientSession:
         """
         reference = self._require_map().reference_from_source(self.data)
         try:
-            if self.config.delta_coder == "vcdiff":
-                return vcdiff_decode(reference, delta)
             return zdelta_decode(reference, delta)
         except DeltaFormatError:
             return b""

@@ -22,7 +22,10 @@ MAX_START_BLOCK_SIZE = 32768
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """All tunables of the map-construction and delta phases.
+    """All tunables of the map-construction phase.
+
+    The delta phase always ends with zdelta
+    (:func:`~repro.delta.encoder.zdelta_encode`).
 
     Parameters
     ----------
@@ -61,8 +64,6 @@ class ProtocolConfig:
     max_candidate_positions:
         How many client positions per global hash are considered before
         picking the verification candidate.
-    delta_coder:
-        ``"zdelta"`` or ``"vcdiff"`` for the final phase.
     hash_seed:
         Seed of the decomposable hash's substitution table; both parties
         derive the same table from it.  A whole-file checksum failure is
@@ -84,7 +85,6 @@ class ProtocolConfig:
     local_neighborhood: int = 4096
     verification: str = "group2"
     max_candidate_positions: int = 4
-    delta_coder: str = "zdelta"
     hash_seed: int = 1
     #: Stop map construction after this many rounds (block-size levels)
     #: and go straight to the delta.  ``None`` recurses to the floor.
@@ -140,10 +140,6 @@ class ProtocolConfig:
             )
         if self.local_neighborhood < 1:
             raise ConfigError("local_neighborhood must be positive")
-        if self.delta_coder not in ("zdelta", "vcdiff"):
-            raise ConfigError(
-                f"delta_coder must be 'zdelta' or 'vcdiff', got {self.delta_coder!r}"
-            )
         if self.max_candidate_positions < 1:
             raise ConfigError("max_candidate_positions must be >= 1")
         if self.max_rounds is not None and self.max_rounds < 1:

@@ -37,7 +37,6 @@ from repro.core.planning import (
     plan_mixed,
 )
 from repro.core.repair import (
-    DEFAULT_REPAIR_FANOUT,
     PHASE_FALLBACK,
     IntegrityOutcome,
     integrity_endgame,
@@ -775,7 +774,6 @@ class CoreSyncSession:
             self.client.server_fingerprint,
             repair=True,
             leaf_size=config.min_block_size,
-            fanout=DEFAULT_REPAIR_FANOUT,
             packed_signals=True,
         )
         if not outcome.collisions_detected:

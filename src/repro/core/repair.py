@@ -13,7 +13,8 @@ shingling literature (Mitzenmacher & Morgan; Song & Trachtenberg):
    fooled the transfer cannot also fool the repair;
 2. the client sends one :func:`~repro.hashing.strong.group_digest` per
    frontier segment (phase ``"repair"``); the server answers with a
-   mismatch bitmap; mismatching segments split ``fanout``-ways and the
+   mismatch bitmap; mismatching segments split
+   :data:`DEFAULT_REPAIR_FANOUT`-ways and the
    descent recurses until every divergent *leaf* is isolated;
 3. the server sends only the divergent leaves (compressed); the client
    splices them in and re-verifies the whole-file fingerprint.
@@ -102,11 +103,12 @@ def _leaf_digests(
     ]
 
 
-def _split(segment: tuple[int, int], fanout: int) -> list[tuple[int, int]]:
-    """Split ``[a, b)`` into up to ``fanout`` near-equal child ranges."""
+def _split(segment: tuple[int, int]) -> list[tuple[int, int]]:
+    """Split ``[a, b)`` into up to :data:`DEFAULT_REPAIR_FANOUT`
+    near-equal child ranges."""
     a, b = segment
     count = b - a
-    step = -(-count // fanout)  # ceil division
+    step = -(-count // DEFAULT_REPAIR_FANOUT)  # ceil division
     return [(s, min(s + step, b)) for s in range(a, b, step)]
 
 
@@ -116,8 +118,6 @@ def repair_exchange(
     target: bytes,
     expected_fingerprint: bytes,
     leaf_size: int,
-    fanout: int = DEFAULT_REPAIR_FANOUT,
-    digest_bytes: int = REPAIR_DIGEST_BYTES,
 ) -> RepairResult:
     """Repair ``damaged`` toward ``target`` by descent over leaf digests.
 
@@ -131,8 +131,6 @@ def repair_exchange(
         raise ValueError("repair requires equal-length damaged/target data")
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-    if fanout < 2:
-        raise ValueError(f"fanout must be >= 2, got {fanout}")
     if not target:
         return RepairResult(damaged, 0, 0, 0, converged=False)
 
@@ -142,7 +140,7 @@ def repair_exchange(
     leaf_count = len(server_leaves)
 
     segments = (
-        _split((0, leaf_count), fanout) if leaf_count > 1 else [(0, 1)]
+        _split((0, leaf_count)) if leaf_count > 1 else [(0, 1)]
     )
     divergent: list[int] = []
     rounds = 0
@@ -150,7 +148,7 @@ def repair_exchange(
         rounds += 1
         # Client: one truncated group digest per frontier segment.
         probe = b"".join(
-            group_digest(client_leaves[a:b], nbytes=digest_bytes)
+            group_digest(client_leaves[a:b], nbytes=REPAIR_DIGEST_BYTES)
             for a, b in segments
         )
         channel.send(Direction.CLIENT_TO_SERVER, probe, PHASE_REPAIR)
@@ -160,10 +158,11 @@ def repair_exchange(
         bitmap = BitWriter()
         for position, (a, b) in enumerate(segments):
             claimed = received[
-                position * digest_bytes : (position + 1) * digest_bytes
+                position * REPAIR_DIGEST_BYTES
+                : (position + 1) * REPAIR_DIGEST_BYTES
             ]
             bitmap.write_bit(
-                group_digest(server_leaves[a:b], nbytes=digest_bytes)
+                group_digest(server_leaves[a:b], nbytes=REPAIR_DIGEST_BYTES)
                 != claimed
             )
         channel.send(
@@ -180,7 +179,7 @@ def repair_exchange(
             if b - a == 1:
                 divergent.append(a)
             else:
-                next_segments.extend(_split((a, b), fanout))
+                next_segments.extend(_split((a, b)))
         segments = next_segments
 
     if not divergent:
@@ -225,7 +224,6 @@ def integrity_endgame(
     *,
     repair: bool,
     leaf_size: int,
-    fanout: int,
     packed_signals: bool,
 ) -> IntegrityOutcome:
     """Check a reconstruction against the whole-file fingerprint and,
@@ -260,7 +258,7 @@ def integrity_endgame(
         signal(2, PHASE_REPAIR)
         result = repair_exchange(
             channel, reconstructed, target, expected_fingerprint,
-            leaf_size=leaf_size, fanout=fanout,
+            leaf_size=leaf_size,
         )
         outcome.repair_rounds = result.rounds
         outcome.repair_bytes = channel.stats.bytes_in_phase(PHASE_REPAIR)

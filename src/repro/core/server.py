@@ -8,7 +8,7 @@ from repro.core.blocks import DERIVED, BlockTracker
 from repro.core.config import ProtocolConfig
 from repro.core.planning import HashPlan
 from repro.core.verification import region_verification_values
-from repro.delta import vcdiff_encode, zdelta_encode
+from repro.delta import zdelta_encode
 from repro.exceptions import ProtocolError
 from repro.grouptesting.strategies import BatchSpec
 from repro.hashing.decomposable import DecomposableAdler
@@ -101,8 +101,5 @@ class ServerSession:
         return b"".join(self.data[start : start + length] for start, length in regions)
 
     def emit_delta(self) -> bytes:
-        """Encode ``F_new`` against the common reference."""
-        reference = self.reference()
-        if self.config.delta_coder == "vcdiff":
-            return vcdiff_encode(reference, self.data)
-        return zdelta_encode(reference, self.data)
+        """Encode ``F_new`` against the common reference (zdelta)."""
+        return zdelta_encode(self.reference(), self.data)

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.blocks import partition_blocks, split_blocks
 from repro.core.repair import (
-    DEFAULT_REPAIR_FANOUT,
     PHASE_FALLBACK,
     IntegrityOutcome,
     integrity_endgame,
@@ -93,7 +92,6 @@ class MultiroundConfig:
     #: Attempt a surgical repair round on fingerprint mismatch before
     #: surrendering to the full-transfer fallback.
     repair: bool = True
-    repair_fanout: int = DEFAULT_REPAIR_FANOUT
 
     def __post_init__(self) -> None:
         if self.min_block_size < 2:
@@ -104,8 +102,6 @@ class MultiroundConfig:
             raise ValueError("hash_bits must be in [8, 32]")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.repair_fanout < 2:
-            raise ValueError("repair_fanout must be >= 2")
 
     @property
     def round_limit(self) -> int:
@@ -411,7 +407,6 @@ class MultiroundSession:
             self.expected_fingerprint,
             repair=config.repair,
             leaf_size=config.min_block_size,
-            fanout=config.repair_fanout,
             packed_signals=True,
         )
         if not outcome.collisions_detected:

@@ -29,8 +29,9 @@ split the manifest, so the collection phase parallelises embarrassingly.
   reference-index and delta-memo caches once per worker for the batch,
   instead of re-growing them per chunk.
 * **Chunked dispatch** — many small files are shipped per task to
-  amortise queue overhead; chunk size defaults to
-  ``ceil(len(tasks) / (workers * 4))`` for load balance.
+  amortise queue overhead; each chunk holds
+  ``ceil(len(tasks) / (workers * 4))`` files, so every worker sees a
+  few chunks for load balance.
 * **Serial fallback** — ``workers=1``, a single task, an unpicklable
   method, or a pool that cannot be created (restricted environments) all
   degrade to the plain in-process loop with identical results.
@@ -187,6 +188,7 @@ def _run_chunk(
     method: SyncMethod,
     chunk: list[tuple[int, FileTask]],
     capture_errors: bool = False,
+    link=None,
 ) -> tuple[list[tuple[int, FileResult]], dict[str, int]]:
     """Worker entry point: run one chunk, report its cache counter deltas.
 
@@ -196,7 +198,8 @@ def _run_chunk(
     on file order (:attr:`~repro.syncmethod.SyncMethod.observes_file_order`)
     runs one lane at a time.  A lane's wall and CPU time are its own
     steps plus its row-weighted share of the stacked calls; its sends
-    are recorded into its result's ``transcript``.
+    are recorded into its result's ``transcript``.  Every lane's
+    channels run on ``link``.
     """
     from repro.parallel.cache import default_cache
 
@@ -217,7 +220,7 @@ def _run_chunk(
             index, task = pending.popleft()
             transcript: list[SentMessage] = []
             steps = method.lane(
-                task.name, task.old, task.new, recorder=transcript
+                task.name, task.old, task.new, recorder=transcript, link=link
             )
             active.append((index, task, Lane(steps), transcript))
             resident += task.total_bytes
@@ -319,25 +322,14 @@ class SyncExecutor:
     workers:
         Process count.  ``None`` resolves to ``os.cpu_count()``; ``1``
         selects the serial in-process path.
-    chunk_size:
-        Files per pool task.  ``None`` picks
-        ``ceil(len(tasks) / (workers * 4))`` so each worker sees a few
-        chunks for load balance without per-file dispatch overhead.
     """
 
-    def __init__(
-        self,
-        workers: int | None = 1,
-        chunk_size: int | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = 1) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = workers
-        self.chunk_size = chunk_size
 
     # ------------------------------------------------------------------
     def run(
@@ -345,22 +337,25 @@ class SyncExecutor:
         method: SyncMethod,
         tasks: list[FileTask],
         capture_errors: bool = False,
+        link=None,
     ) -> BatchResult:
         """Synchronise every task; results come back in input order.
 
         With ``capture_errors`` a per-file :class:`ReproError` is
         reported in ``FileResult.error`` instead of raised, isolating
-        failures to the file that caused them.
+        failures to the file that caused them.  ``link`` is the run's
+        :class:`~repro.net.channel.LinkModel`: every lane's channels run
+        on it.
         """
         tasks = list(tasks)
         if self.workers == 1 or len(tasks) <= 1 or not _is_picklable(method):
-            return self._run_serial(method, tasks, capture_errors)
+            return self._run_serial(method, tasks, capture_errors, link)
         try:
-            return self._run_parallel(method, tasks, capture_errors)
+            return self._run_parallel(method, tasks, capture_errors, link)
         except Exception:
             # Pool unavailable (sandboxed semaphores, fork limits):
             # the serial path recomputes deterministically.
-            return self._run_serial(method, tasks, capture_errors)
+            return self._run_serial(method, tasks, capture_errors, link)
 
     # ------------------------------------------------------------------
     def _run_serial(
@@ -368,8 +363,11 @@ class SyncExecutor:
         method: SyncMethod,
         tasks: list[FileTask],
         capture_errors: bool = False,
+        link=None,
     ) -> BatchResult:
-        rows, caches = _run_chunk(method, list(enumerate(tasks)), capture_errors)
+        rows, caches = _run_chunk(
+            method, list(enumerate(tasks)), capture_errors, link
+        )
         return BatchResult(
             files=[file_result for _index, file_result in rows],
             caches=caches,
@@ -380,13 +378,12 @@ class SyncExecutor:
         method: SyncMethod,
         tasks: list[FileTask],
         capture_errors: bool = False,
+        link=None,
     ) -> BatchResult:
         from concurrent.futures import ProcessPoolExecutor
 
         indexed = list(enumerate(tasks))
-        chunk_size = self.chunk_size or max(
-            1, math.ceil(len(tasks) / (self.workers * 4))
-        )
+        chunk_size = math.ceil(len(tasks) / (self.workers * 4))
         chunks = [
             indexed[start : start + chunk_size]
             for start in range(0, len(indexed), chunk_size)
@@ -407,7 +404,7 @@ class SyncExecutor:
             order = _lpt_order(chunks)
             futures = {
                 position: pool.submit(
-                    _run_chunk, method, chunks[position], capture_errors
+                    _run_chunk, method, chunks[position], capture_errors, link
                 )
                 for position in order
             }
@@ -423,7 +420,7 @@ class SyncExecutor:
                     failed_chunks.append(chunks[position])
 
         for chunk in failed_chunks:
-            gathered.append(_run_chunk(method, chunk, capture_errors))
+            gathered.append(_run_chunk(method, chunk, capture_errors, link))
             result.chunk_retries += 1
 
         rows: list[tuple[int, FileResult]] = []

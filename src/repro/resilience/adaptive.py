@@ -36,73 +36,44 @@ from repro.resilience.health import LinkHealthMonitor, TRANSIENT_SIGNATURES
 from repro.resilience.retry import RetryPolicy
 
 
+#: Seed of the jitter RNG: runs stay reproducible.
+JITTER_SEED = 0
+#: Jitter is a uniform ``±JITTER`` fraction of each backoff.
+JITTER = 0.1
+#: Each transient failure multiplies the backoff scale by this ...
+WIDEN_FACTOR = 2.0
+#: ... up to this cap.
+MAX_WIDEN = 8.0
+#: A clean streak this many attempts long ...
+TIGHTEN_AFTER = 2
+#: ... subtracts this from the scale ...
+TIGHTEN_STEP = 0.25
+#: ... down to this floor.
+MIN_SCALE = 0.25
+
+
 class AdaptiveRetryPolicy:
-    """AIMD backoff around a static :class:`RetryPolicy` schedule.
+    """AIMD backoff around the static :class:`RetryPolicy` schedule.
 
     Duck-types the static policy's interface (``max_attempts``,
     ``backoff_seconds``) so the supervisor can hold either.  The backoff
     actually charged is ``schedule * scale * jitter`` where ``scale``
-    starts at 1.0, multiplies by ``widen_factor`` on every failure (up to
-    ``max_widen``) and subtracts ``tighten_step`` after every
-    ``tighten_after``-long clean streak (down to ``min_scale``).  Jitter
-    is a deterministic ``±jitter`` fraction from a seeded RNG, drawn once
-    per backoff in charge order.
+    starts at 1.0, multiplies by :data:`WIDEN_FACTOR` on every transient
+    failure (up to :data:`MAX_WIDEN`) and subtracts :data:`TIGHTEN_STEP`
+    after every :data:`TIGHTEN_AFTER`-long clean streak (down to
+    :data:`MIN_SCALE`).  Jitter is a deterministic ``±JITTER`` fraction
+    from an RNG seeded with :data:`JITTER_SEED`, drawn once per backoff
+    in charge order.
 
     The policy is stateful and belongs to one supervisor; the parallel
     executor pickles the supervisor per chunk, giving every chunk an
     identical fresh copy — runs stay deterministic for a fixed chunking.
     """
 
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        base_backoff_s: float = 0.5,
-        multiplier: float = 2.0,
-        max_backoff_s: float = 30.0,
-        seed: int = 0,
-        jitter: float = 0.1,
-        widen_factor: float = 2.0,
-        max_widen: float = 8.0,
-        tighten_step: float = 0.25,
-        min_scale: float = 0.25,
-        tighten_after: int = 2,
-        window: int = 16,
-    ) -> None:
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        if widen_factor < 1.0:
-            raise ValueError(
-                f"widen_factor must be >= 1, got {widen_factor}"
-            )
-        if max_widen < 1.0:
-            raise ValueError(f"max_widen must be >= 1, got {max_widen}")
-        if tighten_step < 0.0:
-            raise ValueError(
-                f"tighten_step must be non-negative, got {tighten_step}"
-            )
-        if not 0.0 < min_scale <= 1.0:
-            raise ValueError(
-                f"min_scale must be in (0, 1], got {min_scale}"
-            )
-        if tighten_after < 1:
-            raise ValueError(
-                f"tighten_after must be >= 1, got {tighten_after}"
-            )
-        self.schedule = RetryPolicy(
-            max_attempts=max_attempts,
-            base_backoff_s=base_backoff_s,
-            multiplier=multiplier,
-            max_backoff_s=max_backoff_s,
-        )
-        self.seed = seed
-        self.jitter = jitter
-        self.widen_factor = widen_factor
-        self.max_widen = max_widen
-        self.tighten_step = tighten_step
-        self.min_scale = min_scale
-        self.tighten_after = tighten_after
-        self.monitor = LinkHealthMonitor(window=window)
-        self._rng = random.Random(seed)
+    def __init__(self, max_attempts: int = 3) -> None:
+        self.schedule = RetryPolicy(max_attempts=max_attempts)
+        self.monitor = LinkHealthMonitor()
+        self._rng = random.Random(JITTER_SEED)
         self._scale = 1.0
 
     # -- static-policy interface --------------------------------------
@@ -118,11 +89,7 @@ class AdaptiveRetryPolicy:
         """Scaled, jittered backoff after the ``failed_attempts``-th
         failure.  Consumes one RNG draw; call exactly once per charge."""
         base = self.schedule.backoff_seconds(failed_attempts)
-        if base == 0.0:
-            return 0.0
-        jittered = 1.0
-        if self.jitter:
-            jittered = 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
+        jittered = 1.0 + JITTER * (2.0 * self._rng.random() - 1.0)
         return base * self._scale * jittered
 
     # -- AIMD control loop --------------------------------------------
@@ -135,15 +102,15 @@ class AdaptiveRetryPolicy:
         """
         if signature is not None and signature not in TRANSIENT_SIGNATURES:
             return
-        self._scale = min(self._scale * self.widen_factor, self.max_widen)
+        self._scale = min(self._scale * WIDEN_FACTOR, MAX_WIDEN)
 
     def note_success(self) -> None:
         """Tighten additively once the link has proven itself again."""
         if (
-            self.monitor.clean_streak >= self.tighten_after
-            and self._scale > self.min_scale
+            self.monitor.clean_streak >= TIGHTEN_AFTER
+            and self._scale > MIN_SCALE
         ):
-            self._scale = max(self.min_scale, self._scale - self.tighten_step)
+            self._scale = max(MIN_SCALE, self._scale - TIGHTEN_STEP)
 
 
 class BreakerState:
@@ -154,47 +121,38 @@ class BreakerState:
     HALF_OPEN = "half-open"
 
 
+#: How long an open breaker refuses attempts, in simulated seconds ...
+BREAKER_COOLDOWN_S = 60.0
+#: ... multiplied by this after each failed half-open probe ...
+COOLDOWN_MULTIPLIER = 2.0
+#: ... up to this cap.
+MAX_COOLDOWN_S = 900.0
+
+
 class CircuitBreaker:
     """Fail-fast guard for one file's retry budget, in simulated time.
 
     CLOSED admits every attempt.  ``failure_threshold`` *consecutive*
-    failures trip it OPEN: attempts are refused until ``cooldown_s``
-    simulated seconds pass on the caller's clock, after which the next
-    ``allow`` admits a single HALF_OPEN probe.  A successful probe closes
-    the breaker and resets the cooldown; a failed one re-opens it with
-    the cooldown multiplied by ``cooldown_multiplier`` (capped at
-    ``max_cooldown_s``), so a persistently dead file backs itself off the
-    schedule entirely.
+    failures trip it OPEN: attempts are refused until
+    :data:`BREAKER_COOLDOWN_S` simulated seconds pass on the caller's
+    clock, after which the next ``allow`` admits a single HALF_OPEN
+    probe.  A successful probe closes the breaker and resets the
+    cooldown; a failed one re-opens it with the cooldown multiplied by
+    :data:`COOLDOWN_MULTIPLIER` (capped at :data:`MAX_COOLDOWN_S`), so a
+    persistently dead file backs itself off the schedule entirely.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_s: float = 60.0,
-        cooldown_multiplier: float = 2.0,
-        max_cooldown_s: float = 900.0,
-    ) -> None:
+    def __init__(self, failure_threshold: int = 3) -> None:
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
-        if cooldown_s <= 0.0:
-            raise ValueError(f"cooldown_s must be > 0, got {cooldown_s}")
-        if cooldown_multiplier < 1.0:
-            raise ValueError(
-                f"cooldown_multiplier must be >= 1, got {cooldown_multiplier}"
-            )
-        if max_cooldown_s < cooldown_s:
-            raise ValueError("max_cooldown_s must be >= cooldown_s")
         self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
-        self.cooldown_multiplier = cooldown_multiplier
-        self.max_cooldown_s = max_cooldown_s
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opens = 0
         self._open_until = 0.0
-        self._current_cooldown = cooldown_s
+        self._current_cooldown = BREAKER_COOLDOWN_S
 
     def allow(self, now: float) -> bool:
         """May an attempt proceed at simulated time ``now``?"""
@@ -218,15 +176,14 @@ class CircuitBreaker:
     def record_success(self, now: float) -> None:
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
-        self._current_cooldown = self.cooldown_s
+        self._current_cooldown = BREAKER_COOLDOWN_S
 
     def _trip(self, now: float) -> None:
         self.state = BreakerState.OPEN
         self.opens += 1
         self._open_until = now + self._current_cooldown
         self._current_cooldown = min(
-            self._current_cooldown * self.cooldown_multiplier,
-            self.max_cooldown_s,
+            self._current_cooldown * COOLDOWN_MULTIPLIER, MAX_COOLDOWN_S
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -245,17 +202,8 @@ class BreakerBoard:
     the semantics of "come back to this file later".
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_s: float = 60.0,
-        cooldown_multiplier: float = 2.0,
-        max_cooldown_s: float = 900.0,
-    ) -> None:
+    def __init__(self, failure_threshold: int = 3) -> None:
         self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
-        self.cooldown_multiplier = cooldown_multiplier
-        self.max_cooldown_s = max_cooldown_s
         self.clock = 0.0
         self._breakers: dict[str, CircuitBreaker] = {}
 
@@ -263,12 +211,7 @@ class BreakerBoard:
         key = name if name is not None else "<anonymous>"
         found = self._breakers.get(key)
         if found is None:
-            found = CircuitBreaker(
-                failure_threshold=self.failure_threshold,
-                cooldown_s=self.cooldown_s,
-                cooldown_multiplier=self.cooldown_multiplier,
-                max_cooldown_s=self.max_cooldown_s,
-            )
+            found = CircuitBreaker(self.failure_threshold)
             self._breakers[key] = found
         return found
 

@@ -138,22 +138,24 @@ class AttemptEvidence:
         return 0.0
 
 
+#: Attempts the health score averages over.
+HEALTH_WINDOW = 16
+
+
 class LinkHealthMonitor:
     """Sliding-window health score over recent attempt evidence.
 
-    ``window`` bounds memory: an ancient outage stops depressing the
-    score once enough clean attempts displace it.  ``score`` is the mean
+    The window of :data:`HEALTH_WINDOW` attempts bounds memory: an
+    ancient outage stops depressing the score once enough clean attempts
+    displace it.  ``score`` is the mean
     attempt score of the window — exactly ``1.0`` until the first blemish
     (the collection layer relies on that to keep happy-path reports
     byte-identical).  ``clean_streak`` counts consecutive trailing
     successes and is what lets the AIMD policy tighten again.
     """
 
-    def __init__(self, window: int = 16) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self._attempts: deque[AttemptEvidence] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._attempts: deque[AttemptEvidence] = deque(maxlen=HEALTH_WINDOW)
         self.clean_streak = 0
         self.attempts_seen = 0
         self.failures_seen = 0

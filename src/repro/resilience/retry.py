@@ -8,60 +8,35 @@ on a given link without the test suite actually waiting for it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+#: Backoff after the first failed attempt, in simulated seconds.
+BASE_BACKOFF_S = 0.5
+#: Factor the backoff grows by with each further failure.
+BACKOFF_MULTIPLIER = 2.0
+#: Ceiling of the backoff schedule.
+MAX_BACKOFF_S = 30.0
+#: First failure whose backoff sits at the ceiling: 0.5 · 2**6 >= 30.
+_SATURATED_FROM = 7
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often and how patiently one ladder rung is retried.
+    """How often one ladder rung is retried.
 
     ``max_attempts`` bounds tries per rung (1 = no retry, fail straight
     to the next rung); after failed attempt *k* (1-based) the protocol
-    backs off ``base_backoff_s * multiplier**(k-1)`` seconds, capped at
-    ``max_backoff_s``.
+    backs off ``BASE_BACKOFF_S * BACKOFF_MULTIPLIER**(k-1)`` seconds,
+    capped at ``MAX_BACKOFF_S``.
     """
 
     max_attempts: int = 3
-    base_backoff_s: float = 0.5
-    multiplier: float = 2.0
-    max_backoff_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_backoff_s < 0:
-            raise ValueError(
-                f"base_backoff_s must be non-negative, got "
-                f"{self.base_backoff_s}"
-            )
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.max_backoff_s < self.base_backoff_s:
-            raise ValueError("max_backoff_s must be >= base_backoff_s")
-
-    def _saturation_exponent(self) -> int:
-        """Smallest ``e >= 0`` with ``base * multiplier**e >= cap``.
-
-        From that exponent on the schedule is pinned to ``max_backoff_s``,
-        so powers past it never need computing — which is also what keeps
-        ``multiplier ** k`` from overflowing a float for large attempt
-        counts.  The log estimate is corrected by direct probing because
-        ``log`` can land either side of an exact power boundary.
-        """
-        base, m, cap = self.base_backoff_s, self.multiplier, self.max_backoff_s
-        if base >= cap:
-            return 0
-        exponent = max(0, math.ceil(math.log(cap / base, m)))
-        while exponent > 0 and base * m ** (exponent - 1) >= cap:
-            exponent -= 1
-        while base * m ** exponent < cap:
-            exponent += 1
-        return exponent
 
     def backoff_seconds(self, failed_attempts: int) -> float:
         """Backoff charged after the ``failed_attempts``-th failure."""
@@ -69,36 +44,6 @@ class RetryPolicy:
             raise ValueError(
                 f"failed_attempts must be >= 1, got {failed_attempts}"
             )
-        if self.base_backoff_s == 0.0:
-            return 0.0
-        if self.multiplier == 1.0:
-            return self.base_backoff_s
-        if failed_attempts - 1 >= self._saturation_exponent():
-            return self.max_backoff_s
-        return min(
-            self.base_backoff_s * self.multiplier ** (failed_attempts - 1),
-            self.max_backoff_s,
-        )
-
-    def total_backoff_seconds(self, failed_attempts: int) -> float:
-        """Cumulative backoff across ``failed_attempts`` failures.
-
-        Closed form: the un-saturated prefix is a geometric series, every
-        later term is the cap — O(1) instead of recomputing the whole
-        schedule, and safe for attempt counts where ``multiplier ** k``
-        would overflow.
-        """
-        n = failed_attempts
-        if n <= 0:
-            return 0.0
-        if self.base_backoff_s == 0.0:
-            return 0.0
-        if self.multiplier == 1.0:
-            return n * self.base_backoff_s
-        unsaturated = min(n, self._saturation_exponent())
-        geometric = (
-            self.base_backoff_s
-            * (self.multiplier ** unsaturated - 1.0)
-            / (self.multiplier - 1.0)
-        )
-        return geometric + (n - unsaturated) * self.max_backoff_s
+        if failed_attempts >= _SATURATED_FROM:
+            return MAX_BACKOFF_S
+        return BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (failed_attempts - 1)

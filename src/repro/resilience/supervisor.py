@@ -154,17 +154,12 @@ class SyncSupervisor(SyncMethod):
         :class:`~repro.resilience.adaptive.AdaptiveRetryPolicy` (which
         additionally enables failure-signature ladder routing and the
         link-health monitor).
-    ladder:
-        Fallback methods tried in order once the primary's attempts are
-        exhausted; defaults to :func:`default_ladder`.
     fault_plan:
         Optional :class:`~repro.net.faults.FaultPlan`; when given, every
         attempt runs over a fresh fault-injected channel advancing the
         shared plan (so retries see fresh randomness, not the same fault
         replayed).  Without a plan, attempts run over clean channels and
         the supervisor is pure pass-through on the happy path.
-    link:
-        Link model used for the channels and for pricing recovery time.
     checkpoints:
         Optional :class:`~repro.resilience.checkpoint.CheckpointStore`.
         When given, checkpoint-capable rungs journal every completed
@@ -184,15 +179,19 @@ class SyncSupervisor(SyncMethod):
     budget:
         Optional shared :class:`~repro.resilience.adaptive.DeadlineBudget`
         charged by every supervised file — the run-level deadline.
+
+    Once the primary's attempts are exhausted the fallback rungs of
+    :func:`default_ladder` are tried in order.  The channels run on the
+    link the lane is given (:meth:`lane`), which also prices recovery
+    time; a standalone :meth:`sync_file` uses the default
+    :class:`~repro.net.channel.LinkModel`.
     """
 
     def __init__(
         self,
         method: SyncMethod,
         retry: "RetryPolicy | AdaptiveRetryPolicy | None" = None,
-        ladder: list[SyncMethod] | None = None,
         fault_plan: FaultPlan | None = None,
-        link: LinkModel | None = None,
         checkpoints: CheckpointStore | None = None,
         breakers: BreakerBoard | None = None,
         deadline_s: float | None = None,
@@ -202,9 +201,8 @@ class SyncSupervisor(SyncMethod):
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
         self.method = method
         self.retry = retry or RetryPolicy()
-        self.ladder = default_ladder(method) if ladder is None else ladder
+        self.ladder = default_ladder(method)
         self.fault_plan = fault_plan
-        self.link = link
         self.checkpoints = checkpoints
         self.breakers = breakers
         self.deadline_s = deadline_s
@@ -249,11 +247,11 @@ class SyncSupervisor(SyncMethod):
         return self.budget is not None
 
     # ------------------------------------------------------------------
-    def _make_channel(self, recorder) -> SimulatedChannel:
+    def _make_channel(self, recorder, link: LinkModel) -> SimulatedChannel:
         if self.fault_plan is not None:
-            channel = self.fault_plan.channel(self.link)
+            channel = self.fault_plan.channel(link)
         else:
-            channel = SimulatedChannel(self.link)
+            channel = SimulatedChannel(link)
         channel.recorder = recorder
         return channel
 
@@ -263,7 +261,14 @@ class SyncSupervisor(SyncMethod):
 
         return run_lane(self.lane(None, old, new))[0]
 
-    def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
+    def lane(
+        self,
+        name: str | None,
+        old: bytes,
+        new: bytes,
+        recorder=None,
+        link: LinkModel | None = None,
+    ):
         """Synchronise one named file pair, surviving recoverable
         failures, as a step generator.
 
@@ -281,9 +286,12 @@ class SyncSupervisor(SyncMethod):
         that succeeded, or raises the typed failure.  ``recorder``
         receives every attempt's sends, failed ones included: the file's
         transcript, which a pipelined run replays onto its shared link.
+        ``link`` (default :class:`~repro.net.channel.LinkModel`) carries
+        every attempt and prices the recovery time.
         """
         from repro.resilience.recovery import attempt_resume
 
+        link = link or LinkModel()
         adaptive = isinstance(self.retry, AdaptiveRetryPolicy)
         monitor = self.retry.monitor if adaptive else None
         breaker = (
@@ -378,7 +386,7 @@ class SyncSupervisor(SyncMethod):
                     if self.fault_plan is not None
                     else 0
                 )
-                channel = self._make_channel(recorder)
+                channel = self._make_channel(recorder, link)
                 resume_state: RoundCheckpoint | None = None
                 try:
                     if journal is not None:
@@ -505,7 +513,6 @@ class SyncSupervisor(SyncMethod):
                 checkpoint_bytes += journal.bytes_written
                 head = journal.head()
                 if head is not None:
-                    link = self.link or LinkModel()
                     retransmitted_bytes += head.total_bytes
                     abandoned_seconds = link.transfer_seconds(
                         head.bytes_in_direction(Direction.CLIENT_TO_SERVER),

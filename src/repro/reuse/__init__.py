@@ -30,14 +30,14 @@ from repro.reuse.memo import (
     reset_default_delta_memo,
 )
 from repro.reuse.similarity import (
-    DEFAULT_BANDS,
+    BANDS,
     DEFAULT_RESEMBLANCE_THRESHOLD,
     SimilarityIndex,
 )
 from repro.reuse.sketch import (
-    DEFAULT_MASK_BITS,
-    DEFAULT_NUM_PERM,
-    DEFAULT_WINDOW,
+    MASK_BITS,
+    NUM_PERM,
+    WINDOW,
     MinHashSketch,
     content_shingles,
     estimate_resemblance,
@@ -46,19 +46,18 @@ from repro.reuse.sketch import (
 )
 
 __all__ = [
+    "BANDS",
     "BroadcastDeltaServer",
     "ClientUpdate",
-    "DEFAULT_BANDS",
-    "DEFAULT_MASK_BITS",
     "DEFAULT_MEMO_BYTES",
     "DEFAULT_MEMO_ENTRIES",
-    "DEFAULT_NUM_PERM",
     "DEFAULT_RESEMBLANCE_THRESHOLD",
-    "DEFAULT_WINDOW",
     "DedupStore",
     "DeltaMemoCache",
     "FileDecision",
+    "MASK_BITS",
     "MinHashSketch",
+    "NUM_PERM",
     "SimilarityIndex",
     "content_shingles",
     "default_delta_memo",
@@ -66,4 +65,5 @@ __all__ = [
     "minhash_signature",
     "reset_default_delta_memo",
     "sketch",
+    "WINDOW",
 ]

@@ -79,18 +79,12 @@ class BroadcastDeltaServer:
         server_files: dict[str, bytes],
         memo: DeltaMemoCache | None = None,
         dedup: DedupStore | None = None,
-        similarity: SimilarityIndex | None = None,
         resemblance_threshold: float = DEFAULT_RESEMBLANCE_THRESHOLD,
-        seed_length: int = DEFAULT_SEED_LENGTH,
     ) -> None:
         self.server_files = dict(server_files)
         self.memo = memo if memo is not None else default_delta_memo()
         self.dedup = dedup if dedup is not None else DedupStore()
-        self.similarity = (
-            similarity if similarity is not None else SimilarityIndex()
-        )
         self.resemblance_threshold = resemblance_threshold
-        self.seed_length = seed_length
         self.clients_served = 0
         #: fingerprint -> min-hash signature, shared across clients.
         self._signatures: dict[bytes, np.ndarray] = {}
@@ -113,10 +107,12 @@ class BroadcastDeltaServer:
         """
         return self.dedup.ingest(versions)
 
-    def _signature(self, fingerprint: bytes, data: bytes) -> np.ndarray:
+    def _signature(
+        self, index: SimilarityIndex, fingerprint: bytes, data: bytes
+    ) -> np.ndarray:
         signature = self._signatures.get(fingerprint)
         if signature is None:
-            signature = self.similarity.signature_of(data)
+            signature = index.signature_of(data)
             self._signatures[fingerprint] = signature
         return signature
 
@@ -131,19 +127,16 @@ class BroadcastDeltaServer:
 
         # The sibling pool is what the *client* holds: references must be
         # bytes the receiving side can delta against.
-        sibling_index = SimilarityIndex(
-            num_perm=self.similarity.num_perm,
-            bands=self.similarity.bands,
-            window=self.similarity.window,
-            mask_bits=self.similarity.mask_bits,
-        )
+        sibling_index = SimilarityIndex()
         client_fingerprints: dict[str, bytes] = {}
         for name in sorted(client_files):
             fingerprint = file_fingerprint(client_files[name])
             client_fingerprints[name] = fingerprint
             sibling_index.add(
                 name,
-                signature=self._signature(fingerprint, client_files[name]),
+                signature=self._signature(
+                    sibling_index, fingerprint, client_files[name]
+                ),
             )
 
         for name in sorted(self.server_files):
@@ -202,10 +195,8 @@ class BroadcastDeltaServer:
             "zdelta",
             old_fingerprint,
             new_fingerprint,
-            self.seed_length,
-            lambda: zdelta_encode(
-                reference, new, seed_length=self.seed_length
-            ),
+            DEFAULT_SEED_LENGTH,
+            lambda: zdelta_encode(reference, new),
         )
         update.reconstructed[name] = self._reconstruct(
             reference, old_fingerprint, new, new_fingerprint, payload, name
@@ -264,7 +255,7 @@ class BroadcastDeltaServer:
             lambda: zlib.compress(new, 9),
         )
         candidate = sibling_index.best_reference(
-            signature=self._signature(new_fingerprint, new),
+            signature=self._signature(sibling_index, new_fingerprint, new),
             threshold=self.resemblance_threshold,
         )
         if candidate is not None:
@@ -275,10 +266,8 @@ class BroadcastDeltaServer:
                 "zdelta",
                 client_fingerprints[sibling_name],
                 new_fingerprint,
-                self.seed_length,
-                lambda: zdelta_encode(
-                    sibling, new, seed_length=self.seed_length
-                ),
+                DEFAULT_SEED_LENGTH,
+                lambda: zdelta_encode(sibling, new),
             )
             if len(payload) < len(full_payload):
                 update.sibling_refs_used += 1

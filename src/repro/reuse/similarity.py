@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.reuse.sketch import (
-    DEFAULT_MASK_BITS,
-    DEFAULT_NUM_PERM,
-    DEFAULT_WINDOW,
-    estimate_resemblance,
-    sketch,
-)
+from repro.reuse.sketch import NUM_PERM, estimate_resemblance, sketch
 
-#: Default number of LSH bands (rows per band = num_perm // bands).
-DEFAULT_BANDS = 16
+#: Number of LSH bands; each band is ``NUM_PERM // BANDS`` slots.
+BANDS = 16
+_ROWS = NUM_PERM // BANDS
 
 #: Default resemblance a sibling must clear to serve as a reference.
 DEFAULT_RESEMBLANCE_THRESHOLD = 0.5
@@ -32,24 +27,7 @@ DEFAULT_RESEMBLANCE_THRESHOLD = 0.5
 class SimilarityIndex:
     """Banded min-hash index: add named blobs, look up similar ones."""
 
-    def __init__(
-        self,
-        num_perm: int = DEFAULT_NUM_PERM,
-        bands: int = DEFAULT_BANDS,
-        window: int = DEFAULT_WINDOW,
-        mask_bits: int = DEFAULT_MASK_BITS,
-    ) -> None:
-        if bands < 1:
-            raise ValueError(f"bands must be >= 1, got {bands}")
-        if num_perm % bands != 0:
-            raise ValueError(
-                f"num_perm ({num_perm}) must be a multiple of bands ({bands})"
-            )
-        self.num_perm = num_perm
-        self.bands = bands
-        self.rows = num_perm // bands
-        self.window = window
-        self.mask_bits = mask_bits
+    def __init__(self) -> None:
         self._signatures: dict[str, np.ndarray] = {}
         self._buckets: dict[tuple[int, bytes], set[str]] = {}
 
@@ -57,19 +35,14 @@ class SimilarityIndex:
     # Registration
     # ------------------------------------------------------------------
     def signature_of(self, data: bytes) -> np.ndarray:
-        """Signature of raw bytes under this index's parameters."""
-        return sketch(
-            data,
-            window=self.window,
-            mask_bits=self.mask_bits,
-            num_perm=self.num_perm,
-        ).signature
+        """Min-hash signature of raw bytes."""
+        return sketch(data).signature
 
     def _band_keys(self, signature: np.ndarray):
-        for band in range(self.bands):
+        for band in range(BANDS):
             yield (
                 band,
-                signature[band * self.rows : (band + 1) * self.rows].tobytes(),
+                signature[band * _ROWS : (band + 1) * _ROWS].tobytes(),
             )
 
     def add(
@@ -83,9 +56,9 @@ class SimilarityIndex:
             if data is None:
                 raise ValueError("add() needs data or a precomputed signature")
             signature = self.signature_of(data)
-        if signature.size != self.num_perm:
+        if signature.size != NUM_PERM:
             raise ValueError(
-                f"signature width {signature.size} != num_perm {self.num_perm}"
+                f"signature width {signature.size} != NUM_PERM {NUM_PERM}"
             )
         self.discard(name)
         self._signatures[name] = signature

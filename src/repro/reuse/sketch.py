@@ -32,14 +32,14 @@ from repro.hashing.scan import window_hashes
 _SHINGLE_HASHER = DecomposableAdler(seed=0x511E)
 
 #: Rolling window length used for boundary detection.
-DEFAULT_WINDOW = 16
+WINDOW = 16
 
-#: A boundary fires when the low ``mask_bits`` of the window hash are all
-#: ones — mean shingle length ≈ ``2**mask_bits`` bytes.
-DEFAULT_MASK_BITS = 6
+#: A boundary fires when the low ``MASK_BITS`` of the window hash are all
+#: ones — mean shingle length ≈ ``2**MASK_BITS`` bytes.
+MASK_BITS = 6
 
 #: Signature width: number of min-wise hash functions.
-DEFAULT_NUM_PERM = 64
+NUM_PERM = 64
 
 #: Seed of the multiply-shift hash family behind the signatures.
 _PARAM_SEED = 0x51E7C4
@@ -47,49 +47,38 @@ _PARAM_SEED = 0x51E7C4
 #: Slot value of an empty shingle set (nothing can hash above it).
 EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Cached ``(a, b)`` parameter pairs per ``(num_perm, seed)``.
-_param_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _hash_params(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``num_perm`` multiply-shift parameter pairs, deterministic."""
-    key = (num_perm, seed)
-    cached = _param_cache.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _hash_params() -> tuple[np.ndarray, np.ndarray]:
+    """:data:`NUM_PERM` multiply-shift parameter pairs, deterministic."""
+    rng = np.random.Generator(np.random.PCG64(_PARAM_SEED))
     # Odd multipliers make x -> a*x + b (mod 2**64) a bijection, so
     # distinct shingles never collide inside one hash function.
-    a = rng.integers(1, 1 << 63, size=num_perm, dtype=np.uint64) * 2 + 1
-    b = rng.integers(0, 1 << 63, size=num_perm, dtype=np.uint64)
-    _param_cache[key] = (a, b)
+    a = rng.integers(1, 1 << 63, size=NUM_PERM, dtype=np.uint64) * 2 + 1
+    b = rng.integers(0, 1 << 63, size=NUM_PERM, dtype=np.uint64)
     return a, b
 
 
-def content_shingles(
-    data: bytes,
-    window: int = DEFAULT_WINDOW,
-    mask_bits: int = DEFAULT_MASK_BITS,
-) -> np.ndarray:
+#: The signatures' ``(a, b)`` parameter pair.
+_PARAMS_A, _PARAMS_B = _hash_params()
+
+
+def content_shingles(data: bytes) -> np.ndarray:
     """Distinct 64-bit hashes of ``data``'s content-defined chunks.
 
     Returns a sorted ``uint64`` array (a *set* of shingles: duplicates
     collapse, so the sketch sees content, not repetition counts).  Files
-    shorter than one window are a single shingle; empty input has none.
+    shorter than one :data:`WINDOW` are a single shingle; empty input
+    has none.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if mask_bits < 1:
-        raise ValueError(f"mask_bits must be >= 1, got {mask_bits}")
     if not data:
         return np.empty(0, dtype=np.uint64)
     view = memoryview(data)
-    if len(data) <= window:
+    if len(data) <= WINDOW:
         return np.array([_chunk_hash(view)], dtype=np.uint64)
-    hashes = window_hashes(data, window, _SHINGLE_HASHER)
-    mask = np.uint32((1 << mask_bits) - 1)
+    hashes = window_hashes(data, WINDOW, _SHINGLE_HASHER)
+    mask = np.uint32((1 << MASK_BITS) - 1)
     # A boundary *ends* a chunk at the last byte of the matching window.
-    cuts = (np.flatnonzero((hashes & mask) == mask) + window).tolist()
+    cuts = (np.flatnonzero((hashes & mask) == mask) + WINDOW).tolist()
     starts = [0] + cuts
     ends = cuts + [len(data)]
     out = np.fromiter(
@@ -108,26 +97,22 @@ def _chunk_hash(chunk: memoryview) -> int:
     return (zlib.crc32(chunk) << 32) ^ (len(chunk) * 0x9E3779B1 & 0xFFFFFFFF)
 
 
-def minhash_signature(
-    shingles: np.ndarray,
-    num_perm: int = DEFAULT_NUM_PERM,
-    seed: int = _PARAM_SEED,
-) -> np.ndarray:
+def minhash_signature(shingles: np.ndarray) -> np.ndarray:
     """Min-wise signature of a shingle set: ``min(a_i*x + b_i)`` per slot.
 
-    Order- and multiplicity-independent: any permutation or repetition
-    of ``shingles`` yields the same signature.  An empty set signs as all
-    :data:`EMPTY_SLOT`.
+    :data:`NUM_PERM` slots, order- and multiplicity-independent: any
+    permutation or repetition of ``shingles`` yields the same signature.
+    An empty set signs as all :data:`EMPTY_SLOT`.
     """
-    if num_perm < 1:
-        raise ValueError(f"num_perm must be >= 1, got {num_perm}")
     shingles = np.unique(np.asarray(shingles, dtype=np.uint64))
     if shingles.size == 0:
-        return np.full(num_perm, EMPTY_SLOT, dtype=np.uint64)
-    a, b = _hash_params(num_perm, seed)
+        return np.full(NUM_PERM, EMPTY_SLOT, dtype=np.uint64)
     # uint64 arithmetic wraps mod 2**64 — exactly the multiply-shift
-    # family we want, one (num_perm, num_shingles) block.
-    values = shingles[np.newaxis, :] * a[:, np.newaxis] + b[:, np.newaxis]
+    # family we want, one (NUM_PERM, num_shingles) block.
+    values = (
+        shingles[np.newaxis, :] * _PARAMS_A[:, np.newaxis]
+        + _PARAMS_B[:, np.newaxis]
+    )
     return values.min(axis=1)
 
 
@@ -144,17 +129,11 @@ class MinHashSketch:
         return int(self.signature.nbytes)
 
 
-def sketch(
-    data: bytes,
-    window: int = DEFAULT_WINDOW,
-    mask_bits: int = DEFAULT_MASK_BITS,
-    num_perm: int = DEFAULT_NUM_PERM,
-    seed: int = _PARAM_SEED,
-) -> MinHashSketch:
+def sketch(data: bytes) -> MinHashSketch:
     """Content-defined min-hash sketch of ``data``."""
-    shingles = content_shingles(data, window=window, mask_bits=mask_bits)
+    shingles = content_shingles(data)
     return MinHashSketch(
-        signature=minhash_signature(shingles, num_perm=num_perm, seed=seed),
+        signature=minhash_signature(shingles),
         shingle_count=int(shingles.size),
     )
 

@@ -23,11 +23,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.core.repair import (
-    DEFAULT_REPAIR_FANOUT,
-    IntegrityOutcome,
-    integrity_endgame,
-)
+from repro.core.repair import IntegrityOutcome, integrity_endgame
 from repro.exceptions import DeltaFormatError
 from repro.hashing.strong import file_fingerprint
 from repro.io.varint import (
@@ -116,7 +112,6 @@ def rsync_sync(
     channel: SimulatedChannel | None = None,
     salt: bytes = b"",
     repair: bool = True,
-    repair_fanout: int = DEFAULT_REPAIR_FANOUT,
 ) -> RsyncResult:
     """Synchronise the client's ``old_data`` to the server's ``new_data``.
 
@@ -160,7 +155,6 @@ def rsync_sync(
         received[:16],
         repair=repair,
         leaf_size=block_size,
-        fanout=repair_fanout,
         packed_signals=False,
     )
     return RsyncResult(stats=channel.stats, block_size=block_size, **vars(outcome))

@@ -207,16 +207,25 @@ class SyncMethod(ABC):
         result = yield from session.steps(channel, resume_from=resume_from)
         return wire_outcome(result, new), result.reconstructed
 
-    def lane(self, name: str | None, old: bytes, new: bytes, recorder=None):
+    def lane(
+        self,
+        name: str | None,
+        old: bytes,
+        new: bytes,
+        recorder=None,
+        link=None,
+    ):
         """The lane the collection executor runs for one file.
 
-        :meth:`steps` over a fresh channel whose sends go to ``recorder``
-        (see :attr:`~repro.net.channel.SimulatedChannel.recorder`).  A
+        :meth:`steps` over a fresh channel on ``link`` (the run's
+        :class:`~repro.net.channel.LinkModel`, default when ``None``)
+        whose sends go to ``recorder`` (see
+        :attr:`~repro.net.channel.SimulatedChannel.recorder`).  A
         supervisor overrides this with its retry/fallback loop.
         """
         from repro.net.channel import SimulatedChannel
 
-        channel = SimulatedChannel()
+        channel = SimulatedChannel(link)
         channel.recorder = recorder
         return (yield from self.steps(old, new, channel))
 

@@ -28,6 +28,8 @@ from repro.net.chaos import (
     chaos_plan,
 )
 from repro.resilience.adaptive import (
+    BREAKER_COOLDOWN_S,
+    MAX_COOLDOWN_S,
     AdaptiveRetryPolicy,
     BreakerBoard,
     BreakerState,
@@ -221,14 +223,11 @@ class BreakerMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.breaker = CircuitBreaker(
-            failure_threshold=3, cooldown_s=10.0,
-            cooldown_multiplier=2.0, max_cooldown_s=100.0,
-        )
+        self.breaker = CircuitBreaker(failure_threshold=3)
         self.clock = 0.0
         self.admitted = True
 
-    @rule(seconds=st.floats(min_value=0.0, max_value=50.0,
+    @rule(seconds=st.floats(min_value=0.0, max_value=500.0,
                             allow_nan=False))
     def advance(self, seconds):
         self.clock += seconds
@@ -256,9 +255,9 @@ class BreakerMachine(RuleBasedStateMachine):
         assert self.breaker.consecutive_failures >= 0
         assert self.breaker.opens >= 0
         assert (
-            self.breaker.cooldown_s
+            BREAKER_COOLDOWN_S
             <= self.breaker._current_cooldown
-            <= self.breaker.max_cooldown_s
+            <= MAX_COOLDOWN_S
         )
 
     @invariant()

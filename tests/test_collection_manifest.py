@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.collection import Manifest, diff_manifests
+import pytest
+
+from repro.collection import Manifest, ManifestFormatError, diff_manifests
+from repro.collection.manifest import decode_name, encode_name
 
 
 class TestManifest:
@@ -18,6 +21,26 @@ class TestManifest:
     def test_empty(self):
         manifest = Manifest.of_collection({})
         assert manifest.wire_bytes() == 0
+
+
+class TestNameCodec:
+    def test_utf8_names_keep_their_bytes(self):
+        for name in ("abc", "d/\u00e9t\u00e9.txt", "\u2028\x85"):
+            assert encode_name(name) == name.encode("utf-8")
+            assert decode_name(encode_name(name)) == name
+
+    def test_escaped_bytes_round_trip(self):
+        assert encode_name("bad\udcffname") == b"bad\xffname"
+        assert decode_name(b"bad\xffname") == "bad\udcffname"
+        assert Manifest.of_collection({"bad\udcffname": b""}).wire_bytes() == (
+            len(b"bad\xffname") + 1 + 16
+        )
+
+    def test_unencodable_name_is_typed(self):
+        with pytest.raises(ManifestFormatError):
+            encode_name("lone\ud800")
+        with pytest.raises(ManifestFormatError):
+            Manifest.of_collection({"lone\ud800": b""}).wire_bytes()
 
 
 class TestDiff:

@@ -84,13 +84,6 @@ class TestCorrectness:
         client, server = manifests_from(client_files, server_files)
         assert_same_diff(client, server)
 
-    def test_parameter_validation(self):
-        client, server = manifests_from({}, {})
-        with pytest.raises(ValueError):
-            reconcile_manifests(client, server, digest_bytes=0)
-        with pytest.raises(ValueError):
-            reconcile_manifests(client, server, leaf_size=0)
-
 
 class TestCost:
     def test_few_changes_beat_manifest(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import os
 
 import pytest
 
@@ -69,6 +70,29 @@ class TestSyncCollection:
         assert report.files_changed + report.files_unchanged + len(
             report.diff.added
         ) == len(tree.new)
+
+    @pytest.mark.parametrize("change_detection", ["manifest", "reconcile"])
+    def test_non_utf8_names_sync(self, change_detection, tmp_path):
+        """``os.fsdecode`` gives a non-UTF-8 file name as lone escape
+        surrogates; it syncs, and is stored, under its original bytes."""
+        name = os.fsdecode(b"bad\xffname")
+        client = {name: b"version one\n" * 50, "same.txt": b"same"}
+        server = {
+            name: b"version two\n" * 50,
+            "same.txt": b"same",
+            os.fsdecode(b"added\xfe"): b"added",
+        }
+        report = sync_collection(
+            client, server, OursMethod(),
+            change_detection=change_detection, store=tmp_path,
+        )
+        assert report.diff.changed == [name]
+        assert report.reconstructed == server
+        assert (tmp_path / name).read_bytes() == server[name]
+        if change_detection == "manifest":
+            assert report.manifest_bytes == sum(
+                len(os.fsencode(n)) + 1 + 16 for n in server
+            )
 
 
 def full_window(old_side, new_side, method=None):

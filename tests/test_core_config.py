@@ -29,10 +29,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ProtocolConfig(verification="bogus")
 
-    def test_bad_delta_coder(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(delta_coder="xdelta")
-
     def test_hash_bit_bounds(self):
         with pytest.raises(ConfigError):
             ProtocolConfig(global_hash_bits=2)

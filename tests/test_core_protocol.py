@@ -71,7 +71,7 @@ class TestConfigurations:
             {"continuation_min_block_size": None},
             {"continuation_first": False},
             {"use_local_hashes": True},
-            {"delta_coder": "vcdiff"},
+            {"refine_boundaries": True},
             {"min_block_size": 16, "continuation_min_block_size": 8},
             {"min_block_size": 256, "continuation_min_block_size": 256},
             {"start_block_size": 256, "min_block_size": 32},

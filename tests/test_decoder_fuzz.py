@@ -6,8 +6,9 @@ a value or raise its own :class:`~repro.exceptions.ReproError` subclass
 — never a bare ``ValueError``/``IndexError`` — within the hypothesis
 deadline.  The collision fault plan is in the table too: it parses delta
 payloads it did not build and must pass anything it cannot read through
-untouched, so it may raise nothing at all.  So is the scrub cursor: a
-cursor file it cannot read restarts the scrub pass instead of raising.
+untouched, so it may raise nothing at all.  So is the scrub cursor: it
+reads any bytes as a name (or restarts the pass on a foreign header)
+instead of raising.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.collection import (
     load_manifest,
     save_manifest,
 )
+from repro.collection.reconcile import _Trie, _read_entries, _write_entries
 from repro.core import ProtocolConfig
 from repro.core.client import ClientSession
 from repro.core.protocol import CoreSyncSession
@@ -173,6 +175,19 @@ def _manifests() -> list[bytes]:
     return [path.read_bytes()]
 
 
+def _reconcile_entries() -> list[bytes]:
+    """Leaf entry lists as the trie ships them, one non-UTF-8 name
+    among them."""
+    files = {"a.txt": b"alpha", "bad\udcffname": b"beta", "d/\u00e9": b""}
+    entries = _Trie(Manifest.of_collection(files)).range(0, 0)
+    payloads = []
+    for leaf in (entries, entries[:1], []):
+        writer = BitWriter()
+        _write_entries(writer, leaf)
+        payloads.append(writer.getvalue())
+    return payloads
+
+
 def _collide(payload: bytes) -> bytes:
     return CollisionFaultPlan(seed=5).collide(payload, "delta")
 
@@ -240,6 +255,11 @@ DECODERS = {
     "collision-tokens": Decoder(_collide_stream, (), _token_streams),
     "scrub-cursor": Decoder(_read_cursor, (), _scrub_cursors),
     "manifest": Decoder(_load_manifest, (ManifestFormatError,), _manifests),
+    "reconcile-entries": Decoder(
+        lambda data: _read_entries(BitReader(data)),
+        (ProtocolError,),
+        _reconcile_entries,
+    ),
 }
 
 VALID = {name: decoder.valid() for name, decoder in DECODERS.items()}
@@ -322,6 +342,20 @@ def test_probe_raises_typed_error(name, data):
         DECODERS[name].decode(data)
 
 
-def test_undecodable_scrub_cursor_restarts_the_pass():
+def test_non_utf8_scrub_cursor_reads_back_its_name():
     assert _read_cursor(_scrub_cursors()[0]) == "d0/f01.bin"
-    assert _read_cursor(b"repro-scrub-cursor v1\n\xff\xfe\x80name\n") is None
+    assert (
+        _read_cursor(b"repro-scrub-cursor v1\n\xff\xfe\x80name\n")
+        == "\udcff\udcfe\udc80name"
+    )
+    assert _read_cursor(b"\xffrepro-scrub-cursor v1\nname\n") is None
+
+
+def test_reconcile_entries_round_trip_non_utf8_names():
+    manifest = Manifest.of_collection({"bad\udcffname": b"x", "ok": b"y"})
+    leaf = _Trie(manifest).range(0, 0)
+    writer = BitWriter()
+    _write_entries(writer, leaf)
+    assert _read_entries(BitReader(writer.getvalue())) == [
+        (entry.name, entry.fingerprint) for entry in leaf
+    ]

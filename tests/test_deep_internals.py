@@ -8,11 +8,16 @@ import random
 import pytest
 
 from repro.collection import Manifest, diff_manifests, reconcile_manifests
+from repro.collection import reconcile
 from repro.core import ProtocolConfig
 from tests.conftest import make_version_pair
 
 
 class TestReconcileParameters:
+    """The trie's widths are module constants; these tests set them the
+    only way there is, on the module, to show the diff does not depend
+    on them."""
+
     def _pair(self, changes: int):
         files = {f"f{i:04d}": b"base-%d" % i for i in range(300)}
         new_files = dict(files)
@@ -24,31 +29,31 @@ class TestReconcileParameters:
         )
 
     @pytest.mark.parametrize("digest_bytes", [1, 4, 8, 16])
-    def test_any_digest_width_correct(self, digest_bytes):
+    def test_any_digest_width_correct(self, digest_bytes, monkeypatch):
         """Narrow digests collide (extra recursion / false-clean risk is
         bounded by re-checking entries at the leaves) — the *diff* must
         still be exact for every width because leaf entries are compared
         verbatim."""
+        monkeypatch.setattr(reconcile, "DIGEST_BYTES", digest_bytes)
         client, server = self._pair(changes=7)
         expected = diff_manifests(client, server)
-        diff, _channel = reconcile_manifests(
-            client, server, digest_bytes=digest_bytes
-        )
+        diff, _channel = reconcile_manifests(client, server)
         assert diff.changed == expected.changed
 
     @pytest.mark.parametrize("leaf_size", [1, 2, 16, 64])
-    def test_any_leaf_size_correct(self, leaf_size):
+    def test_any_leaf_size_correct(self, leaf_size, monkeypatch):
+        monkeypatch.setattr(reconcile, "LEAF_SIZE", leaf_size)
         client, server = self._pair(changes=7)
         expected = diff_manifests(client, server)
-        diff, _channel = reconcile_manifests(
-            client, server, leaf_size=leaf_size
-        )
+        diff, _channel = reconcile_manifests(client, server)
         assert diff.changed == expected.changed
 
-    def test_bigger_leaves_fewer_roundtrips(self):
+    def test_bigger_leaves_fewer_roundtrips(self, monkeypatch):
         client, server = self._pair(changes=7)
-        _diff, shallow = reconcile_manifests(client, server, leaf_size=64)
-        _diff, deep = reconcile_manifests(client, server, leaf_size=1)
+        monkeypatch.setattr(reconcile, "LEAF_SIZE", 64)
+        _diff, shallow = reconcile_manifests(client, server)
+        monkeypatch.setattr(reconcile, "LEAF_SIZE", 1)
+        _diff, deep = reconcile_manifests(client, server)
         assert shallow.stats.roundtrips <= deep.stats.roundtrips
 
 

@@ -263,29 +263,31 @@ class TestSupervisorConfiguresTheRun:
     def test_supervisor_link_prices_the_whole_report(
         self, probe_tree, pipeline
     ):
-        """Without ``link=``, the run is priced on the supervisor's link:
-        the modelled wall clock and the recovery time come from one
-        link model, the same figures as naming that link twice."""
+        """The run's one link carries every file's channels: it prices
+        the supervisor's recovery time and the modelled wall clock
+        alike, so another link moves both and no byte."""
         slow = LinkModel(bandwidth_bps=1_000_000.0, latency_s=0.15)
 
         def run(**link):
             return sync_collection(
                 probe_tree.old, probe_tree.new,
                 SyncSupervisor(
-                    OursMethod(),
-                    fault_plan=FaultPlan.uniform(0.2, seed=7),
-                    link=slow,
+                    OursMethod(), fault_plan=FaultPlan.uniform(0.2, seed=7)
                 ),
                 on_error="fallback",
                 pipeline=pipeline,
                 **link,
             )
 
-        implied, named = run(), run(link=slow)
-        assert implied.recovery_seconds > 0
-        assert implied.recovery_seconds == named.recovery_seconds
-        assert implied.link_wall_clock_s == named.link_wall_clock_s
-        assert implied.roundtrips_on_wire == named.roundtrips_on_wire
+        default, named, on_slow = run(), run(link=LinkModel()), run(link=slow)
+        assert default.recovery_seconds > 0
+        assert named.recovery_seconds == default.recovery_seconds
+        assert named.link_wall_clock_s == default.link_wall_clock_s
+        assert on_slow.recovery_seconds > default.recovery_seconds
+        assert on_slow.link_wall_clock_s > default.link_wall_clock_s
+        assert on_slow.total_bytes == default.total_bytes
+        assert on_slow.retransmitted_bytes == default.retransmitted_bytes
+        assert on_slow.retries == default.retries
 
 
 class _DoomedMethod(SyncMethod):
@@ -384,9 +386,9 @@ class TestExecutorCrashIsolation:
     def test_crashed_workers_retried_serially(self):
         tasks = [
             FileTask(f"f{index}", b"old", f"new-{index}".encode())
-            for index in range(8)
+            for index in range(16)  # chunks of 2 files
         ]
-        executor = SyncExecutor(workers=2, chunk_size=2)
+        executor = SyncExecutor(workers=2)
         batch = executor.run(_CrashOutsideParent(), tasks)
         assert len(batch.files) == len(tasks)
         assert [result.name for result in batch.files] == [

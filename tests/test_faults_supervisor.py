@@ -19,23 +19,15 @@ from tests.conftest import make_version_pair
 
 class TestRetryPolicy:
     def test_backoff_schedule(self):
-        policy = RetryPolicy(base_backoff_s=1.0, multiplier=2.0,
-                             max_backoff_s=5.0)
-        assert policy.backoff_seconds(1) == 1.0
-        assert policy.backoff_seconds(2) == 2.0
-        assert policy.backoff_seconds(3) == 4.0
-        assert policy.backoff_seconds(4) == 5.0  # capped
-        assert policy.total_backoff_seconds(3) == pytest.approx(7.0)
+        policy = RetryPolicy()
+        schedule = [policy.backoff_seconds(k) for k in range(1, 9)]
+        assert schedule == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
+        # Saturated from the 7th failure on: no power is ever computed.
+        assert policy.backoff_seconds(10**6) == 30.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff_s=10.0, max_backoff_s=1.0)
         with pytest.raises(ValueError):
             policy = RetryPolicy()
             policy.backoff_seconds(0)
@@ -163,11 +155,10 @@ class TestBackoffAccounting:
         old, new = make_version_pair(seed=306, nbytes=10000, edits=5)
         plan = FaultPlan(seed=5, corrupt_rate=1.0, max_faults=2,
                          phases=frozenset({"map"}))
-        retry = RetryPolicy(base_backoff_s=10.0, multiplier=2.0,
-                            max_backoff_s=100.0)
         outcome = SyncSupervisor(
-            OursMethod(), retry=retry, fault_plan=plan
+            OursMethod(), fault_plan=plan
         ).sync_file(old, new)
         assert outcome.retries == 2
-        # At least the two backoffs (10 + 20s); wasted transfer adds more.
-        assert outcome.recovery_seconds > 30.0
+        # The two backoffs (0.5 + 1 s), plus the wasted transfer.
+        wasted = outcome.recovery_seconds - 1.5
+        assert wasted > 0.0

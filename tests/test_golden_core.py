@@ -151,7 +151,6 @@ def corpus() -> dict[str, tuple[bytes, bytes, ProtocolConfig | None]]:
         "no-continuation": ProtocolConfig(continuation_min_block_size=None),
         "refine": ProtocolConfig(refine_boundaries=True),
         "max-rounds-2": ProtocolConfig(max_rounds=2),
-        "vcdiff": ProtocolConfig(delta_coder="vcdiff"),
         "small-blocks": ProtocolConfig(
             start_block_size=512, min_block_size=32,
             continuation_min_block_size=8,

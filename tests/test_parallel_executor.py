@@ -62,11 +62,9 @@ class TestSyncExecutor:
         assert batch.workers_used == 1
 
     def test_parallel_matches_serial(self):
-        tasks = _tasks(13)
+        tasks = _tasks(24)  # chunks of ceil(24 / (2 * 4)) = 3 files
         serial = SyncExecutor(workers=1).run(_CountingMethod(), tasks)
-        parallel = SyncExecutor(workers=2, chunk_size=3).run(
-            _CountingMethod(), tasks
-        )
+        parallel = SyncExecutor(workers=2).run(_CountingMethod(), tasks)
         assert [r.name for r in parallel.files] == [r.name for r in serial.files]
         assert [r.outcome.total_bytes for r in parallel.files] == [
             r.outcome.total_bytes for r in serial.files
@@ -93,10 +91,6 @@ class TestSyncExecutor:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             SyncExecutor(workers=0)
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            SyncExecutor(workers=2, chunk_size=0)
 
     def test_per_file_timing_recorded(self):
         batch = SyncExecutor(workers=1).run(_CountingMethod(), _tasks(3))
@@ -187,12 +181,10 @@ class TestCrashIsolation:
         the serial one."""
         tasks = [
             FileTask(f"f{index}", b"old " * 64, f"new-{index} ".encode() * 64)
-            for index in range(8)
+            for index in range(16)  # chunks of 2 files
         ]
         serial = SyncExecutor(workers=1).run(_SigkilledOutsideParent(), tasks)
-        batch = SyncExecutor(workers=2, chunk_size=2).run(
-            _SigkilledOutsideParent(), tasks
-        )
+        batch = SyncExecutor(workers=2).run(_SigkilledOutsideParent(), tasks)
         assert batch.chunk_retries >= 1
         assert [result.name for result in batch.files] == [
             task.name for task in tasks

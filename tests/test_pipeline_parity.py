@@ -313,7 +313,7 @@ class TestPipelineParity:
         sequential = sync_collection(
             old_side, new_side,
             SyncSupervisor(
-                OursMethod(), link=LINK,
+                OursMethod(),
                 checkpoints=CheckpointStore(tmp_path / "seq"),
             ),
             link=LINK,
@@ -321,7 +321,7 @@ class TestPipelineParity:
         pipelined = sync_collection(
             old_side, new_side,
             SyncSupervisor(
-                OursMethod(), link=LINK,
+                OursMethod(),
                 checkpoints=CheckpointStore(tmp_path / "pipe"),
             ),
             link=LINK, pipeline=True, window=3,
@@ -389,7 +389,7 @@ class TestPipelineParity:
             reports.append(
                 sync_collection(
                     old_side, new_side,
-                    SyncSupervisor(OursMethod(), link=LINK, **resilience),
+                    SyncSupervisor(OursMethod(), **resilience),
                     link=LINK, on_error=on_error,
                     pipeline=pipelined, window=1,
                 )

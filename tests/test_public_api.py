@@ -98,6 +98,84 @@ class TestPublicApi:
             assert issubclass(result, IntegrityOutcome), result
             assert not integrity & set(vars(result)["__annotations__"]), result
 
+    def test_trimmed_option_surface_is_pinned(self):
+        """Settable values only tests set are module constants: their
+        parameters stay gone, and the run's one link is the one
+        ``sync_collection`` (or a scheduler) hands each lane."""
+        import dataclasses
+        import inspect
+
+        from repro.collection import reconcile_manifests
+        from repro.core import ProtocolConfig
+        from repro.core.repair import integrity_endgame, repair_exchange
+        from repro.multiround import MultiroundConfig
+        from repro.parallel.executor import SyncExecutor
+        from repro.resilience import (
+            AdaptiveRetryPolicy,
+            BreakerBoard,
+            CircuitBreaker,
+            LinkHealthMonitor,
+            RetryPolicy,
+            SyncSupervisor,
+        )
+        from repro.reuse import (
+            BroadcastDeltaServer,
+            SimilarityIndex,
+            content_shingles,
+            minhash_signature,
+            sketch,
+        )
+        from repro.rsync import rsync_sync
+        from repro.syncmethod import SyncMethod
+
+        lane = ["self", "name", "old", "new", "recorder", "link"]
+        pinned = {
+            RetryPolicy: ["max_attempts"],
+            AdaptiveRetryPolicy: ["max_attempts"],
+            CircuitBreaker: ["failure_threshold"],
+            BreakerBoard: ["failure_threshold"],
+            LinkHealthMonitor: [],
+            SyncSupervisor: [
+                "method", "retry", "fault_plan", "checkpoints", "breakers",
+                "deadline_s", "budget",
+            ],
+            SyncSupervisor.lane: lane,
+            SyncMethod.lane: lane,
+            reconcile_manifests: ["client", "server", "channel"],
+            BroadcastDeltaServer: [
+                "server_files", "memo", "dedup", "resemblance_threshold",
+            ],
+            SimilarityIndex: [],
+            sketch: ["data"],
+            content_shingles: ["data"],
+            minhash_signature: ["shingles"],
+            SyncExecutor: ["workers"],
+            SyncExecutor.run: [
+                "self", "method", "tasks", "capture_errors", "link",
+            ],
+            rsync_sync: [
+                "old_data", "new_data", "block_size", "strong_bytes",
+                "channel", "salt", "repair",
+            ],
+            integrity_endgame: [
+                "channel", "reconstructed", "target", "expected_fingerprint",
+                "repair", "leaf_size", "packed_signals",
+            ],
+            repair_exchange: [
+                "channel", "damaged", "target", "expected_fingerprint",
+                "leaf_size",
+            ],
+        }
+        for item, parameters in pinned.items():
+            assert list(inspect.signature(item).parameters) == parameters, item
+        for config, removed in (
+            (ProtocolConfig, "delta_coder"),
+            (MultiroundConfig, "repair_fanout"),
+        ):
+            assert removed not in {
+                spec.name for spec in dataclasses.fields(config)
+            }
+
     def test_every_public_item_documented(self):
         """Every name exported at the top level carries a docstring."""
         for name in repro.__all__:

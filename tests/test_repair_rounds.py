@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core import repair
 from repro.core.repair import (
     DEFAULT_REPAIR_FANOUT,
     PHASE_REPAIR,
@@ -61,15 +62,18 @@ class TestRepairExchange:
         assert result.data == target
         assert result.leaves_repaired == 3
 
-    def test_wider_fanout_uses_fewer_rounds(self, target):
+    def test_wider_fanout_uses_fewer_rounds(self, target, monkeypatch):
+        """The fanout is a module constant; set on the module, a wider
+        one localizes the damage in fewer descent rounds."""
         damaged = damage(target, at=8_200)
         narrow = repair_exchange(
             SimulatedChannel(), damaged, target,
-            file_fingerprint(target), leaf_size=700, fanout=2,
+            file_fingerprint(target), leaf_size=700,
         )
+        monkeypatch.setattr(repair, "DEFAULT_REPAIR_FANOUT", 8)
         wide = repair_exchange(
             SimulatedChannel(), damaged, target,
-            file_fingerprint(target), leaf_size=700, fanout=8,
+            file_fingerprint(target), leaf_size=700,
         )
         assert narrow.converged and wide.converged
         assert wide.rounds < narrow.rounds
@@ -93,11 +97,6 @@ class TestRepairExchange:
         with pytest.raises(ValueError):
             repair_exchange(
                 SimulatedChannel(), target, target, fp, leaf_size=0
-            )
-        with pytest.raises(ValueError):
-            repair_exchange(
-                SimulatedChannel(), target, target, fp, leaf_size=700,
-                fanout=1,
             )
 
     def test_empty_target_refused(self):
@@ -210,18 +209,19 @@ class TestProtocolIntegration:
         assert multi.collisions_detected == 0
         assert multi.stats.bytes_in_phase(PHASE_REPAIR) == 0
 
-    def test_repair_fanout_knob(self, pair):
+    def test_repair_fanout_knob(self, pair, monkeypatch):
+        """rsync's repair descent follows the module's fanout."""
         old, new = pair
         rounds = {}
         for fanout in (2, 8):
+            monkeypatch.setattr(repair, "DEFAULT_REPAIR_FANOUT", fanout)
             plan = CollisionFaultPlan(seed=6)
-            result = rsync_sync(
-                old, new, channel=plan.channel(), repair_fanout=fanout
-            )
+            result = rsync_sync(old, new, channel=plan.channel())
             assert result.repaired
             rounds[fanout] = result.repair_rounds
         assert rounds[8] < rounds[2]
-        assert DEFAULT_REPAIR_FANOUT == 2
+        monkeypatch.undo()
+        assert DEFAULT_REPAIR_FANOUT == repair.DEFAULT_REPAIR_FANOUT == 2
 
 
 class TestCounterPlumbing:

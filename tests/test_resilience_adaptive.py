@@ -39,6 +39,12 @@ from repro.resilience import (
     RetryPolicy,
     SyncSupervisor,
 )
+from repro.resilience.adaptive import (
+    BREAKER_COOLDOWN_S,
+    MAX_COOLDOWN_S,
+    MAX_WIDEN,
+    MIN_SCALE,
+)
 from repro.resilience.health import FailureSignature
 from repro.syncmethod import MethodOutcome, SyncMethod
 from repro.workloads import gcc_like
@@ -51,8 +57,7 @@ class TestAdaptiveRetryPolicy:
         assert policy.max_attempts == 5
 
     def test_widen_on_transient_failure(self):
-        policy = AdaptiveRetryPolicy(jitter=0.0, widen_factor=2.0,
-                                     max_widen=8.0)
+        policy = AdaptiveRetryPolicy()
         assert policy.scale == 1.0
         policy.note_failure(FailureSignature.CORRUPTION)
         assert policy.scale == 2.0
@@ -60,11 +65,11 @@ class TestAdaptiveRetryPolicy:
         assert policy.scale == 4.0
         policy.note_failure(FailureSignature.DISCONNECT)
         policy.note_failure(FailureSignature.CORRUPTION)
-        assert policy.scale == 8.0  # capped at max_widen
+        assert policy.scale == MAX_WIDEN == 8.0
 
     def test_non_transient_signature_does_not_widen(self):
         """Decode/stall/protocol indict the rung, not the link."""
-        policy = AdaptiveRetryPolicy(jitter=0.0)
+        policy = AdaptiveRetryPolicy()
         policy.note_failure(FailureSignature.DECODE)
         policy.note_failure(FailureSignature.STALL)
         policy.note_failure(FailureSignature.PROTOCOL)
@@ -73,8 +78,7 @@ class TestAdaptiveRetryPolicy:
     def test_tighten_after_clean_streak(self):
         from repro.resilience.health import AttemptEvidence
 
-        policy = AdaptiveRetryPolicy(jitter=0.0, tighten_after=2,
-                                     tighten_step=0.25, min_scale=0.25)
+        policy = AdaptiveRetryPolicy()
         policy.note_failure(FailureSignature.DROP)
         assert policy.scale == 2.0
         policy.monitor.record(AttemptEvidence(ok=True))
@@ -86,45 +90,34 @@ class TestAdaptiveRetryPolicy:
         for _ in range(20):
             policy.monitor.record(AttemptEvidence(ok=True))
             policy.note_success()
-        assert policy.scale == 0.25  # floored at min_scale
+        assert policy.scale == MIN_SCALE == 0.25
 
     def test_backoff_scales_with_aimd_state(self):
-        policy = AdaptiveRetryPolicy(jitter=0.0, base_backoff_s=1.0,
-                                     multiplier=2.0, max_backoff_s=100.0)
-        assert policy.backoff_seconds(1) == 1.0
-        policy.note_failure(FailureSignature.DROP)
-        assert policy.backoff_seconds(1) == 2.0  # same rung, widened
+        """Same seed, same jitter draw: a widened policy backs off twice
+        as long on the same rung."""
+        calm, widened = AdaptiveRetryPolicy(), AdaptiveRetryPolicy()
+        widened.note_failure(FailureSignature.DROP)
+        assert widened.backoff_seconds(1) == pytest.approx(
+            2.0 * calm.backoff_seconds(1)
+        )
 
     def test_jitter_is_seeded_and_bounded(self):
-        a = AdaptiveRetryPolicy(seed=42, jitter=0.1, base_backoff_s=1.0)
-        b = AdaptiveRetryPolicy(seed=42, jitter=0.1, base_backoff_s=1.0)
+        a, b = AdaptiveRetryPolicy(), AdaptiveRetryPolicy()
         seq_a = [a.backoff_seconds(1) for _ in range(10)]
         seq_b = [b.backoff_seconds(1) for _ in range(10)]
         assert seq_a == seq_b  # same seed, same draws
         for value in seq_a:
-            assert 0.9 <= value <= 1.1
-        other = AdaptiveRetryPolicy(seed=43, jitter=0.1, base_backoff_s=1.0)
-        assert [other.backoff_seconds(1) for _ in range(10)] != seq_a
-
-    def test_zero_base_backoff_stays_zero(self):
-        policy = AdaptiveRetryPolicy(base_backoff_s=0.0, jitter=0.5)
-        policy.note_failure(FailureSignature.DROP)
-        assert policy.backoff_seconds(1) == 0.0
+            assert 0.45 <= value <= 0.55  # 0.5 s ± 10 %
+        assert len(set(seq_a)) > 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveRetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveRetryPolicy(widen_factor=0.5)
-        with pytest.raises(ValueError):
-            AdaptiveRetryPolicy(min_scale=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveRetryPolicy(tighten_after=0)
+            AdaptiveRetryPolicy(max_attempts=0)
 
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=60.0)
+        breaker = CircuitBreaker(failure_threshold=3)
         for _ in range(2):
             breaker.record_failure(now=0.0)
             assert breaker.state == BreakerState.CLOSED
@@ -142,7 +135,7 @@ class TestCircuitBreaker:
         assert breaker.state == BreakerState.CLOSED
 
     def test_half_open_probe_after_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=60.0)
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(now=0.0)
         assert not breaker.allow(now=59.9)
         assert breaker.allow(now=60.0)  # admits the probe
@@ -151,9 +144,7 @@ class TestCircuitBreaker:
         assert breaker.state == BreakerState.CLOSED
 
     def test_failed_probe_escalates_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=60.0,
-                                 cooldown_multiplier=2.0,
-                                 max_cooldown_s=900.0)
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(now=0.0)       # opens until 60
         assert breaker.allow(now=60.0)        # half-open probe
         breaker.record_failure(now=60.0)      # re-opens until 60+120
@@ -162,18 +153,16 @@ class TestCircuitBreaker:
         assert breaker.allow(now=180.0)
 
     def test_cooldown_capped(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=100.0,
-                                 cooldown_multiplier=10.0,
-                                 max_cooldown_s=250.0)
+        breaker = CircuitBreaker(failure_threshold=1)
         now = 0.0
-        for _ in range(4):
+        for _ in range(4):  # 60 -> 120 -> 240 -> 480 -> 960, capped
             breaker.allow(now)
             breaker.record_failure(now)
             now += 1000.0
-        assert breaker._current_cooldown == 250.0
+        assert breaker._current_cooldown == MAX_COOLDOWN_S == 900.0
 
     def test_successful_probe_resets_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=60.0)
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(now=0.0)
         breaker.allow(now=60.0)
         breaker.record_success(now=60.0)
@@ -184,10 +173,6 @@ class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=10.0, max_cooldown_s=5.0)
 
 
 class TestBreakerBoard:
@@ -199,7 +184,7 @@ class TestBreakerBoard:
         assert board.total_opens == 1
 
     def test_shared_clock_advances_cooldowns(self):
-        board = BreakerBoard(failure_threshold=1, cooldown_s=60.0)
+        board = BreakerBoard(failure_threshold=1)
         breaker = board.breaker("f")
         breaker.record_failure(board.clock)
         assert not breaker.allow(board.clock)
@@ -242,8 +227,7 @@ class _AlwaysCorruptPlan:
 class TestSupervisorIntegration:
     def test_breaker_fails_fast_with_partial_accounting(self):
         old, new = make_version_pair(seed=401, nbytes=4000, edits=3)
-        board = BreakerBoard(failure_threshold=3, cooldown_s=1e9,
-                             max_cooldown_s=1e9)
+        board = BreakerBoard(failure_threshold=3)
         supervisor = SyncSupervisor(
             OursMethod(),
             retry=AdaptiveRetryPolicy(max_attempts=4),
@@ -266,7 +250,7 @@ class TestSupervisorIntegration:
         moved past the cooldown — 'come back to this file later' — then
         admits one half-open probe, which on a healed link closes it."""
         old, new = make_version_pair(seed=402, nbytes=4000, edits=3)
-        board = BreakerBoard(failure_threshold=2, cooldown_s=5.0)
+        board = BreakerBoard(failure_threshold=2)
         plan = FaultPlan(seed=11, corrupt_rate=1.0, max_faults=2)
         supervisor = SyncSupervisor(
             OursMethod(),
@@ -278,7 +262,7 @@ class TestSupervisorIntegration:
             run_lane(supervisor.lane("healing", old, new))[0]
         assert board.breaker("healing").state == BreakerState.OPEN
         # The rest of the run makes progress; the faults have burnt out.
-        board.advance(5.0)
+        board.advance(BREAKER_COOLDOWN_S)
         outcome = run_lane(supervisor.lane("healing", old, new))[0]
         assert outcome.correct
         assert board.breaker("healing").state == BreakerState.CLOSED
@@ -288,8 +272,7 @@ class TestSupervisorIntegration:
         old, new = make_version_pair(seed=403, nbytes=4000, edits=3)
         supervisor = SyncSupervisor(
             OursMethod(),
-            retry=AdaptiveRetryPolicy(max_attempts=10, base_backoff_s=50.0,
-                                      max_backoff_s=1000.0, jitter=0.0),
+            retry=AdaptiveRetryPolicy(max_attempts=10),
             fault_plan=_AlwaysCorruptPlan.make(),
             deadline_s=60.0,
         )
@@ -305,8 +288,7 @@ class TestSupervisorIntegration:
         budget = DeadlineBudget(80.0)
         supervisor = SyncSupervisor(
             OursMethod(),
-            retry=AdaptiveRetryPolicy(max_attempts=10, base_backoff_s=100.0,
-                                      max_backoff_s=1000.0, jitter=0.0),
+            retry=AdaptiveRetryPolicy(max_attempts=10),
             fault_plan=_AlwaysCorruptPlan.make(),
             budget=budget,
         )

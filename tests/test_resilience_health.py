@@ -21,6 +21,7 @@ from repro.exceptions import (
 )
 from repro.net.faults import FaultPlan
 from repro.resilience.health import (
+    HEALTH_WINDOW,
     AttemptEvidence,
     FailureSignature,
     LinkHealthMonitor,
@@ -112,17 +113,17 @@ class TestLinkHealthMonitor:
         assert LinkHealthMonitor().score == 1.0
 
     def test_score_is_window_mean(self):
-        monitor = LinkHealthMonitor(window=4)
+        monitor = LinkHealthMonitor()
         monitor.record(AttemptEvidence(ok=True))
         monitor.record(AttemptEvidence(ok=False))
         assert monitor.score == pytest.approx(0.5)
 
     def test_window_forgets_ancient_outage(self):
-        monitor = LinkHealthMonitor(window=4)
-        for _ in range(4):
+        monitor = LinkHealthMonitor()
+        for _ in range(HEALTH_WINDOW):
             monitor.record(AttemptEvidence(ok=False))
         assert monitor.score == 0.0
-        for _ in range(4):
+        for _ in range(HEALTH_WINDOW):
             monitor.record(AttemptEvidence(ok=True))
         assert monitor.score == 1.0
 
@@ -142,10 +143,6 @@ class TestLinkHealthMonitor:
         monitor.record(AttemptEvidence(ok=False))
         assert monitor.attempts_seen == 3
         assert monitor.failures_seen == 2
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            LinkHealthMonitor(window=0)
 
 
 class TestFaultDelta:

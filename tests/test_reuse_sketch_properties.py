@@ -14,13 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.reuse import (
-    DEFAULT_NUM_PERM,
+    NUM_PERM,
     content_shingles,
     estimate_resemblance,
     minhash_signature,
     sketch,
 )
-from repro.reuse.sketch import EMPTY_SLOT, _hash_params
+from repro.reuse.sketch import _PARAMS_A, _PARAMS_B, EMPTY_SLOT
 
 shingle_sets = st.lists(
     st.integers(min_value=0, max_value=(1 << 64) - 1),
@@ -72,8 +72,8 @@ class TestSignatureProperties:
         """The one-block vectorised kernel equals min(a*x + b) mod 2**64
         computed one shingle and one slot at a time."""
         signature = minhash_signature(_as_array(values))
-        a, b = _hash_params(DEFAULT_NUM_PERM, 0x51E7C4)
-        for slot in range(DEFAULT_NUM_PERM):
+        a, b = _PARAMS_A, _PARAMS_B
+        for slot in range(NUM_PERM):
             expected = min(
                 (int(a[slot]) * value + int(b[slot])) % (1 << 64)
                 for value in set(values)

@@ -140,6 +140,24 @@ class TestCursorResume:
         scrubber._write_cursor("d0/a\u2028b\x85c.bin")
         assert scrubber.read_cursor() == "d0/a\u2028b\x85c.bin"
 
+    def test_cursor_parks_on_non_utf8_name_and_resumes(self, tmp_path):
+        name = "bad\udcffname"  # os.fsdecode(b"bad\xffname")
+        files = {"a.bin": b"a" * 100, name: b"b" * 100, "z.bin": b"z" * 100}
+        store = CollectionStore(tmp_path / "store")
+        store.write_collection(files)
+        cursor = tmp_path / "cursor"
+        manifest = Manifest.of_collection(files)
+        first = StoreScrubber(store, manifest, cursor_path=cursor).scrub(
+            max_entries=2
+        )
+        assert cursor.read_bytes().endswith(b"\nbad\xffname\n")
+        # A new scrubber (new process) resumes after the parked name.
+        second = StoreScrubber(store, manifest, cursor_path=cursor)
+        assert second.read_cursor() == name
+        rest = second.scrub()
+        assert (first.scanned, rest.scanned) == (2, 1)
+        assert rest.completed and first.ok + rest.ok == 3
+
     def test_scrub_all_merges_slices(self, tmp_path, store, manifest):
         BitRotPlan(seed=7, files_affected=2).apply(store.root)
         scrubber = StoreScrubber(
