@@ -114,17 +114,18 @@ class MultiroundRsyncMethod(_SessionMethod):
 
 
 class AdaptiveMethod(SyncMethod):
-    """The §7 adaptive tool: probe each file, then pick parameters."""
+    """The §7 adaptive tool: probe each file, then pick parameters for
+    the link of the channel it runs over."""
 
     name = "ours-adaptive"
 
-    def __init__(self, link=None) -> None:
-        self.link = link
-
     def sync_file(self, old: bytes, new: bytes) -> MethodOutcome:
+        return self.sync_file_over(old, new, None)
+
+    def sync_file_over(self, old: bytes, new: bytes, channel) -> MethodOutcome:
         from repro.core import adaptive_synchronize
 
-        result, _config = adaptive_synchronize(old, new, link=self.link)
+        result, _config = adaptive_synchronize(old, new, channel=channel)
         return wire_outcome(result, new)
 
 

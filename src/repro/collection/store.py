@@ -71,6 +71,15 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     return path
 
 
+def _fsync_directory(path: Path) -> None:
+    """Make the entries of directory ``path`` durable."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 class CollectionStore:
     """A replica directory written with crash-safe semantics.
 
@@ -94,8 +103,25 @@ class CollectionStore:
         return atomic_write_bytes(self.path_for(name), data)
 
     def write_collection(self, files: dict[str, bytes]) -> list[Path]:
-        """Materialise many entries (sorted, each one atomic)."""
-        return [self.write_file(name, files[name]) for name in sorted(files)]
+        """Materialise many entries (sorted, each one atomic).
+
+        A rename is durable only once the directory holding the new
+        entry is fsynced.  After the last rename, every directory from
+        a written file's up to the store root (which holds any
+        subdirectory this call created) is fsynced once.
+        """
+        paths = [self.write_file(name, files[name]) for name in sorted(files)]
+        touched = set()
+        for path in paths:
+            for directory in path.parents:
+                if directory in touched:
+                    break
+                touched.add(directory)
+                if directory == self.root:
+                    break
+        for directory in sorted(touched):
+            _fsync_directory(directory)
+        return paths
 
     def read_file(self, name: str) -> bytes:
         return self.path_for(name).read_bytes()

@@ -89,6 +89,21 @@ def _common_suffix_length(a: memoryview, b: memoryview, limit: int) -> int:
     return matched
 
 
+#: :meth:`ReferenceMatcher.candidate_ranges` searches every hash of a
+#: batch up to this size, and filters larger batches through the
+#: presence table first.  :func:`_scan_chunked`'s chunks start at 128
+#: positions and double, so the filter serves chunks of 512 and more:
+#: long literal stretches, where most positions have no candidate.
+#: Building the table costs about as much as searching two or three
+#: such chunks.  On a 2-CPU x86_64 container, replaying one update's
+#: delta inputs of each ``perf/run.py`` workload, filtering 256-position
+#: chunks too slowed fleet-broadcast's delta phase by 8% (most of its
+#: matchers would build a table for a chunk or two), while this limit
+#: cut binary-churn's candidate resolution to 0.70x and kept
+#: gcc-release's and fleet-broadcast's within the replay's noise (3%).
+_PRESENCE_MIN_POSITIONS = 256
+
+
 class ReferenceMatcher:
     """Seed index over a reference file.
 
@@ -115,11 +130,25 @@ class ReferenceMatcher:
         self._sorted, self._order = sort_with_order(
             window_hashes(reference, seed_length, _SEED_HASHER)
         )
+        # The presence table (see candidate_ranges) has one flag per
+        # value of the seed hashes' top bits: as many flags as _order
+        # has bytes, rounded down to a power of two.  Built on the first
+        # chunk that needs it.
+        self._present_bits = max(int(self._order.nbytes).bit_length() - 1, 0)
+        self._present: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of the index arrays (cache budgeting)."""
-        return int(self._order.nbytes + self._sorted.nbytes)
+        """Memory footprint of the index arrays (cache budgeting).
+
+        Counts the presence table whether or not it is built yet, so a
+        cache's byte budget still holds once it is.
+        """
+        return int(
+            self._order.nbytes
+            + self._sorted.nbytes
+            + (1 << self._present_bits)
+        )
 
     def candidates(
         self, seed_hash: int, cap: int = DEFAULT_MAX_CANDIDATES
@@ -153,8 +182,29 @@ class ReferenceMatcher:
         per target position; ``hi`` is pre-capped so
         ``self._order[lo[i]:hi[i]]`` equals ``self.candidates(hash_i, cap)``
         for every position at once.
+
+        Above :data:`_PRESENCE_MIN_POSITIONS` hashes, a presence table
+        over the indexed hashes' top bits first admits only the
+        positions that can have a candidate; the rest get the empty row
+        ``lo == hi == 0`` without a search.
         """
-        lo, hi = sorted_range_pair(self._sorted, target_hashes)
+        if target_hashes.size <= _PRESENCE_MIN_POSITIONS:
+            lo, hi = sorted_range_pair(self._sorted, target_hashes)
+        else:
+            shift = np.uint32(32 - self._present_bits)
+            if self._present is None:
+                self._present = np.zeros(1 << self._present_bits, dtype=bool)
+                self._present[self._sorted >> shift] = True
+            # Every key is below the table size, so "clip" never clips;
+            # it only skips the bounds check.
+            admitted = np.flatnonzero(
+                self._present.take(target_hashes >> shift, mode="clip")
+            )
+            lo = np.zeros(target_hashes.size, dtype=np.int64)
+            hi = np.zeros(target_hashes.size, dtype=np.int64)
+            lo[admitted], hi[admitted] = sorted_range_pair(
+                self._sorted, target_hashes[admitted]
+            )
         np.minimum(hi, lo + cap, out=hi)
         return lo, hi
 

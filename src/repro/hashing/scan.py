@@ -334,6 +334,21 @@ class PrefixHasher:
         )
 
 
+#: :meth:`HashIndex.lookup_many` scans the windows once per query up
+#: to this many queries, and probes a presence table above it.  On a
+#: 2-CPU x86_64 container, over 2,000-48,000 windows at widths 8-32,
+#: the table path costs about as much as 16-24 per-query scans (its
+#: fixed cost is a few passes over the windows), and over the captured
+#: batches of one update of each ``perf/run.py`` workload any limit
+#: from 8 to 24 was within noise of the best.
+_PER_QUERY_LIMIT = 16
+
+#: Low bits of the packed hash that address the lookup presence table:
+#: 64 KiB of flags, small enough to stay in cache while every window
+#: probes it.
+_TABLE_BITS = 16
+
+
 class _WidthIndex:
     """Sorted lookup structure for one truncated hash width."""
 
@@ -355,22 +370,6 @@ class _WidthIndex:
         # tolist() converts the whole slice to Python ints in C, instead
         # of boxing one numpy scalar per element.
         return self._order[lo:hi].tolist()
-
-    def lookup_first_many(self, values: np.ndarray) -> np.ndarray:
-        """First (lowest) matching position per query, ``-1`` when absent.
-
-        One :func:`sorted_range_pair` call answers the whole query batch;
-        ``order[lo]`` is the first match because :func:`sort_with_order`
-        keeps equal hashes in ascending positional order — exactly the
-        ``lookup(...)[0]`` the scalar path takes.
-        """
-        lo, hi = sorted_range_pair(
-            self._sorted, np.asarray(values, dtype=self._sorted.dtype)
-        )
-        first = np.full(lo.shape, -1, dtype=np.int64)
-        found = hi > lo
-        first[found] = self._order[lo[found]]
-        return first
 
 
 class HashIndex:
@@ -439,58 +438,92 @@ class HashIndex:
         value — this is the whole-round candidate lookup both protocol
         engines use instead of N scalar probes.
 
-        When no :class:`_WidthIndex` exists yet for ``width`` the batch is
-        answered by a *reverse* lookup — sort the (small) query batch and
-        scan the full hash array against it — which is ``O(n log q)``
-        instead of the ``O(n log n)`` sort a width index costs to
-        build.  A whole protocol round needs each ``(length, width)``
-        combination only once or twice, so building the index never pays
-        for itself; the scalar :meth:`lookup` path still builds (and then
-        reuses) it.
+        The batch is answered from the cached window hashes, never from
+        a sorted :class:`_WidthIndex`: a whole protocol round needs each
+        ``(length, width)`` combination only once or twice, so its
+        ``O(n log n)`` sort would never pay for itself.  Up to
+        :data:`_PER_QUERY_LIMIT` queries, each query is one equality scan
+        of the windows.  A larger batch first marks its queries in a
+        presence table (:meth:`_first_through_table`), so only windows
+        that can match reach the exact comparison.
         """
         values = np.asarray(values)
-        if self._full.size == 0:
-            return np.full(values.shape, -1, dtype=np.int64)
-        index = self._by_width.get(width)
-        if index is not None:
-            return index.lookup_first_many(values)
-        packed = pack_to_width(self._full, width)
-        queries = values.astype(packed.dtype, copy=False)
-        if queries.size <= 128:
-            # Small batch: one SIMD equality scan per query beats the
-            # per-element overhead of a length-n searchsorted.  Measured
-            # on a 2-CPU x86_64 container over 8,192 positions: ~4.5 µs
-            # per query here, ~300-550 µs for the sorted batch below
-            # (its query sort is under 10 µs of that), crossing at about
-            # 100-128 queries.
-            out = np.full(queries.size, -1, dtype=np.int64)
-            flat = queries.ravel()
-            for at, value in enumerate(flat.tolist()):
-                hits = packed == np.uint32(value)
-                first = int(hits.argmax())
-                if hits[first]:
-                    out[at] = first
-            return out.reshape(values.shape)
-        sorted_queries, order = sort_with_order(queries.ravel())
-        # isin prunes the length-n side to actual hits first, so the
-        # per-element searchsorted below only binary-searches hits.
-        hit_positions = np.flatnonzero(np.isin(packed, sorted_queries))
-        slot = np.searchsorted(sorted_queries, packed[hit_positions])
+        queries = values.astype(np.uint32).ravel()
+        first = np.full(queries.size, -1, dtype=np.int64)
+        if self._full.size and queries.size:
+            if queries.size <= _PER_QUERY_LIMIT:
+                self._first_per_query(queries, width, first)
+            else:
+                self._first_through_table(queries, width, first)
+        return first.reshape(values.shape)
+
+    def _first_per_query(
+        self, queries: np.ndarray, width: int, first: np.ndarray
+    ) -> None:
+        """:meth:`lookup_many` for a small batch: one scan per query.
+
+        The windows are compared in their own ``a | b << 16`` layout,
+        masked to the width's low bits, and each query is spread into
+        that layout: one mask over the windows instead of a whole
+        :func:`pack_to_width`.
+        """
+        a_bits, b_bits = component_widths(width)
+        a_mask = (1 << a_bits) - 1
+        masked = self._full & np.uint32(a_mask | ((1 << b_bits) - 1) << 16)
+        spread = (queries & np.uint32(a_mask)) | (
+            queries >> np.uint32(a_bits) << np.uint32(16)
+        )
+        for at, value in enumerate(spread.tolist()):
+            hits = masked == np.uint32(value)
+            position = int(hits.argmax())
+            if hits[position]:
+                first[at] = position
+
+    def _first_through_table(
+        self, queries: np.ndarray, width: int, first: np.ndarray
+    ) -> None:
+        """:meth:`lookup_many` for a large batch, filtered by a presence
+        table.
+
+        The table has one flag per value of the packed hash's low
+        ``min(width, _TABLE_BITS)`` bits (``a``'s low bits, then as many
+        of ``b``'s as fit), set for every query.  One probe per window
+        keeps the windows that share those bits with some query, and
+        only they are packed and binary-searched among the sorted
+        queries.  At ``width <= 16`` the table is exact.
+        """
+        full = self._full
+        a_bits, _ = component_widths(width)
+        key_bits = min(width, _TABLE_BITS)
+        a_mask = np.uint32((1 << a_bits) - 1)
+        key_mask = np.uint32((1 << key_bits) - 1)
+        keys = full & a_mask
+        if key_bits > a_bits:
+            keys |= (full >> np.uint32(16 - a_bits)) & (key_mask ^ a_mask)
+        present = np.zeros(1 << key_bits, dtype=bool)
+        present[queries & key_mask] = True
+        # Every key is below the table size, so "clip" never clips; it
+        # only skips the bounds check.
+        positions = np.flatnonzero(present.take(keys, mode="clip"))
+        packed = pack_to_width(full[positions], width)
+        sorted_queries, order = sort_with_order(queries)
+        slot = np.searchsorted(sorted_queries, packed)
+        np.minimum(slot, sorted_queries.size - 1, out=slot)
+        exact = sorted_queries[slot] == packed
+        slot = slot[exact]
+        positions = positions[exact]
         first_sorted = np.full(sorted_queries.size, -1, dtype=np.int64)
         # Reversed assignment: with duplicate slots the LAST write wins,
         # so reversing makes the lowest position stick — the same "first
         # match" the width index (sorted stably) would return.
-        first_sorted[slot[::-1]] = hit_positions[::-1]
+        first_sorted[slot[::-1]] = positions[::-1]
         # Duplicate query values occupy distinct slots but searchsorted
         # maps every hit to the leftmost equal slot; fan the result back
         # out to all duplicates before undoing the query sort.
         representative = np.searchsorted(
             sorted_queries, sorted_queries, side="left"
         )
-        first_sorted = first_sorted[representative]
-        out = np.empty(queries.size, dtype=np.int64)
-        out[order] = first_sorted
-        return out.reshape(values.shape)
+        first[order] = first_sorted[representative]
 
     def lookup_in_range(
         self, value: int, width: int, lo: int, hi: int, max_results: int = 8

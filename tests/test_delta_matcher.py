@@ -132,6 +132,59 @@ class TestReferenceMatcher:
         with pytest.raises(ValueError):
             compute_instructions(b"another reference!", b"target", matcher=matcher)
 
+    @pytest.mark.parametrize("reference_length", [0, 1, 17, 5000])
+    def test_candidate_ranges_match_the_unfiltered_search(
+        self, reference_length
+    ):
+        """Batches on both sides of ``_PRESENCE_MIN_POSITIONS`` give the
+        rows of one unfiltered :func:`sorted_range_pair`, capped.
+
+        The targets hold indexed hashes, random ones, and indexed hashes
+        with their lowest bit flipped: those share an indexed hash's
+        presence bits (the top ones) and differ below them, so the table
+        admits them and only the search can reject them.
+        """
+        import numpy as np
+
+        from repro.delta.matcher import _PRESENCE_MIN_POSITIONS
+        from repro.hashing.scan import sorted_range_pair
+
+        rng = np.random.default_rng(reference_length)
+        matcher = ReferenceMatcher(
+            rng.integers(0, 4, reference_length, dtype=np.uint8).tobytes()
+        )
+        indexed = matcher._sorted
+        assert (1 << matcher._present_bits) <= max(matcher._order.nbytes, 1)
+        assert matcher.nbytes == (
+            matcher._order.nbytes + indexed.nbytes + (1 << matcher._present_bits)
+        )
+        picks = (
+            indexed[rng.integers(0, indexed.size, 400)]
+            if indexed.size
+            else np.empty(0, dtype=np.uint32)
+        )
+        near = picks ^ np.uint32(1)
+        target = rng.permutation(
+            np.concatenate(
+                [picks, near, rng.integers(0, 1 << 32, 400, dtype=np.uint64)]
+            ).astype(np.uint32)
+        )
+        order = matcher._order
+        for size in (_PRESENCE_MIN_POSITIONS, target.size):
+            hashes = target[:size]
+            lo, hi = matcher.candidate_ranges(hashes, cap=3)
+            want_lo, want_hi = sorted_range_pair(indexed, hashes)
+            want_hi = np.minimum(want_hi, want_lo + 3)
+            assert [order[a:b].tolist() for a, b in zip(lo, hi)] == [
+                order[a:b].tolist() for a, b in zip(want_lo, want_hi)
+            ]
+        if indexed.size:
+            shift = np.uint32(32 - matcher._present_bits)
+            assert matcher._present[near >> shift].all()
+            rejected = np.searchsorted(indexed, near)
+            rejected = indexed[np.minimum(rejected, indexed.size - 1)] != near
+            assert rejected.any()  # admitted false positives were searched
+
 
 class TestComputeInstructions:
     def test_identical_files_single_copy(self):

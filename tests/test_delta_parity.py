@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +27,13 @@ from repro.delta.instructions import Copy, apply_instructions
 from repro.delta import matcher as matcher_module
 from repro.delta.matcher import (
     _CHUNK_BASE,
+    _PRESENCE_MIN_POSITIONS,
     _SEED_HASHER,
     ReferenceMatcher,
     _scan_scalar,
     compute_instructions,
 )
-from repro.hashing.scan import window_hashes
+from repro.hashing.scan import sorted_range_pair, window_hashes
 from repro.delta.vcdiff import vcdiff_encode
 from repro.parallel import FileTask, SyncExecutor
 from repro.parallel.cache import (
@@ -267,6 +269,41 @@ class TestChunkEdges:
         assert sizes[:4] == [base, 2 * base, 4 * base, 8 * base]
         # The COPY of reference[:3000] jumps past the chunk it starts in.
         assert base in sizes[4:]
+
+    def test_filtered_chunk_holds_matches_and_false_positives(self):
+        """A chunk above ``_PRESENCE_MIN_POSITIONS`` goes through the
+        presence table: positions it admits without a candidate (false
+        positives) and positions it rejects must scan alike, and true
+        matches inside the chunk must still be found."""
+        rng = random.Random(37)
+        reference = rng.randbytes(8192)
+        target = (
+            rng.randbytes(1000)
+            + reference[100:400]
+            + rng.randbytes(400)
+            + reference[5000:5300]
+            + rng.randbytes(100)
+        )
+        matcher = ReferenceMatcher(reference)
+        chunks = []
+        resolve = matcher.candidate_ranges
+
+        def recording(target_hashes):
+            chunks.append(target_hashes.copy())
+            return resolve(target_hashes)
+
+        matcher.candidate_ranges = recording
+        chunked = compute_instructions(reference, target, matcher=matcher)
+        assert chunked == scalar_instructions(reference, target)
+        assert ("copy", 1000, 1300) in _spans(chunked)
+        filtered = [c for c in chunks if c.size > _PRESENCE_MIN_POSITIONS]
+        assert filtered
+        hashes = np.concatenate(filtered)
+        lo, hi = sorted_range_pair(matcher._sorted, hashes)
+        shift = np.uint32(32 - matcher._present_bits)
+        admitted = matcher._present[hashes >> shift]
+        assert np.any(hi > lo)  # true matches
+        assert np.any(admitted & (hi == lo))  # false positives
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -290,22 +290,41 @@ class TestSortWithOrder:
             np.testing.assert_array_equal(index._order, want_order)
             np.testing.assert_array_equal(index._sorted, want_values)
 
-    @pytest.mark.parametrize("count", [100, 129, 2000])
+    @pytest.mark.parametrize(
+        "count",
+        [1, scan._PER_QUERY_LIMIT, scan._PER_QUERY_LIMIT + 1, 100, 129, 2000],
+    )
     def test_lookup_many_is_lookup_head(self, count):
-        """Both batch paths (with and without a width index) give
-        ``lookup(value)[0]``, duplicate and absent queries included."""
+        """Both batch paths (one scan per query up to
+        ``_PER_QUERY_LIMIT``, the presence table above it) give
+        ``lookup(value)[0]``, with and without a width index, for
+        present, duplicate and absent queries.
+
+        Widths 4 and 14 key the table on the whole packed hash (at 4 it
+        admits nearly every window); at 20 and 32 the key is the low
+        ``_TABLE_BITS`` only, and the queries include present hashes
+        with a bit flipped above the key, which the table admits and
+        only the exact comparison can reject.
+        """
         rng = np.random.default_rng(count)
         data = rng.integers(0, 3, 6000, dtype=np.uint8).tobytes()
-        index = HashIndex(data, 12, HASHER)
-        width = 14
-        present = [
-            index.packed_hash_at(position, width)
-            for position in rng.integers(0, 5989, count).tolist()
-        ]
-        queries = np.asarray(
-            present + present[:7] + [0x3FFF] * 3, dtype=np.uint32
-        )
-        want = [(index.lookup(v, width) or [-1])[0] for v in queries.tolist()]
-        cold = HashIndex(data, 12, HASHER)  # no width index: reverse lookup
-        assert cold.lookup_many(queries, width).tolist() == want
-        assert index.lookup_many(queries, width).tolist() == want
+        for width in (4, 14, 20, 32):
+            index = HashIndex(data, 12, HASHER)
+            present = [
+                index.packed_hash_at(position, width)
+                for position in rng.integers(0, 5989, count).tolist()
+            ]
+            pool = present + present[:7] + [(1 << width) - 1] * 3
+            if width > scan._TABLE_BITS:
+                pool += [value ^ 1 << (width - 1) for value in present[:9]]
+            pool += rng.integers(0, 1 << width, count).tolist()
+            queries = rng.permutation(np.asarray(pool, dtype=np.uint32))[:count]
+            assert queries.size == count
+            want = [
+                (index.lookup(v, width) or [-1])[0] for v in queries.tolist()
+            ]
+            cold = HashIndex(data, 12, HASHER)  # no width index
+            assert cold.lookup_many(queries, width).tolist() == want
+            assert index.lookup_many(queries, width).tolist() == want
+            if count > scan._PER_QUERY_LIMIT and width > 4:
+                assert -1 in want and any(p >= 0 for p in want)
